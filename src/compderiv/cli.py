@@ -31,6 +31,7 @@ from .exact import format_rational, parse_rational
 from .partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
 from .series import derivative_via_jets
 from .symbolic import (
+    Expr,
     derivative_sequence_of,
     nth_derivative_of_composition,
     parse,
@@ -99,10 +100,14 @@ def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
         raise _CliError(f"{flag}: {exc}") from exc
 
 
+# (phi, psi, at) as parsed from --phi/--psi/--at.
+Exprs = tuple[Expr, Expr, Fraction]
+
+
 def _derive_inputs(
     args: argparse.Namespace,
-) -> tuple[DerivativeSequence, DerivativeSequence, bool]:
-    """Return (phi sequence, psi sequence, expr_mode) from either input style."""
+) -> tuple[DerivativeSequence, DerivativeSequence, Exprs | None]:
+    """Return (phi sequence, psi sequence, parsed expressions or None)."""
     expr_flags = [args.phi, args.psi, args.at]
     derivs_flags = [args.phi_derivs, args.psi_derivs]
     if any(v is not None for v in expr_flags) and any(
@@ -120,12 +125,22 @@ def _derive_inputs(
             raise _CliError(str(exc)) from exc
         psi_seq = derivative_sequence_of(psi_expr, at, args.order)
         phi_seq = derivative_sequence_of(phi_expr, psi_seq.base, args.order)
-        return phi_seq, psi_seq, True
+        return phi_seq, psi_seq, (phi_expr, psi_expr, at)
     if any(v is None for v in derivs_flags):
         raise _CliError("derivative input needs both --phi-derivs and --psi-derivs")
     phi_seq = _parse_sequence_json(args.phi_derivs, "--phi-derivs")
     psi_seq = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
-    return phi_seq, psi_seq, False
+    return phi_seq, psi_seq, None
+
+
+def _routes(n: int, with_exprs: bool) -> list[str]:
+    """Every route that applies at order n, in reporting order."""
+    routes = ["partition", "bell"]
+    if n >= 2:
+        routes.append("determinant")
+    if with_exprs:
+        routes.extend(["series", "symbolic"])
+    return routes
 
 
 def _route_value(
@@ -133,7 +148,7 @@ def _route_value(
     phi: DerivativeSequence,
     psi: DerivativeSequence,
     n: int,
-    expr_args: argparse.Namespace,
+    exprs: Exprs | None,
 ) -> Fraction:
     if method == "partition":
         return derivative_partition_sum(phi, psi, n)
@@ -144,15 +159,14 @@ def _route_value(
     if method == "series":
         return derivative_via_jets(phi, psi, n)
     if method == "symbolic":
-        return nth_derivative_of_composition(
-            parse(expr_args.phi), parse(expr_args.psi), n, parse_rational(expr_args.at)
-        )
+        phi_expr, psi_expr, at = exprs
+        return nth_derivative_of_composition(phi_expr, psi_expr, n, at)
     raise _CliError(f"unknown method {method!r}")
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     n = args.order
-    phi, psi, expr_mode = _derive_inputs(args)
+    phi, psi, exprs = _derive_inputs(args)
     try:
         phi.require_order(n, "phi")
         psi.require_order(n, "psi")
@@ -160,14 +174,10 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         raise _CliError(str(exc)) from exc
 
     if args.method == "all":
-        methods = ["partition", "bell"]
-        if n >= 2:
-            methods.append("determinant")
-        if expr_mode:
-            methods.extend(["series", "symbolic"])
+        methods = _routes(n, exprs is not None)
     else:
         methods = [args.method]
-        if args.method in ("series", "symbolic") and not expr_mode:
+        if args.method in ("series", "symbolic") and exprs is None:
             raise _CliError(
                 f"the {args.method} route requires expression inputs (--phi/--psi/--at)"
             )
@@ -175,7 +185,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
             raise _CliError("the determinant route requires order >= 2")
 
     try:
-        values = {m: _route_value(m, phi, psi, n, args) for m in methods}
+        values = {m: _route_value(m, phi, psi, n, exprs) for m in methods}
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -262,9 +272,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     report = []
     for n in range(1, args.max_n + 1):
-        routes = ["partition", "bell", "series", "symbolic"]
-        if n >= 2:
-            routes.insert(2, "determinant")
+        routes = _routes(n, True)
         for trial in range(args.trials):
             at = _random_rational(rng)
             psi = DerivativeSequence(
@@ -275,16 +283,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 derivs=tuple(_random_rational(rng) for _ in range(n)),
                 base=_random_rational(rng),
             )
-            psi_expr = taylor_polynomial(psi, at)
-            phi_expr = taylor_polynomial(phi, psi.base)
-            values = {
-                "partition": derivative_partition_sum(phi, psi, n),
-                "bell": derivative_bell(phi, psi, n),
-                "series": derivative_via_jets(phi, psi, n),
-                "symbolic": nth_derivative_of_composition(phi_expr, psi_expr, n, at),
-            }
-            if n >= 2:
-                values["determinant"] = derivative_determinant(phi, psi, n)
+            exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
+            values = {r: _route_value(r, phi, psi, n, exprs) for r in routes}
             if len(set(values.values())) != 1:
                 print(
                     f"route disagreement at order {n}, trial {trial}:", file=sys.stderr

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any
 
 from .exact import as_rational, factorial, falling_factorial, format_rational
 from .partitions import (
@@ -98,18 +98,11 @@ class DerivativeSequence:
     def from_json(cls, data: dict[str, Any]) -> "DerivativeSequence":
         if not isinstance(data, dict) or "derivs" not in data:
             raise ValueError(f"derivative sequence JSON needs 'derivs': {data!r}")
+        if not isinstance(data["derivs"], list):
+            raise ValueError(f"'derivs' must be a list: {data['derivs']!r}")
         derivs = tuple(as_rational(v) for v in data["derivs"])
         base = as_rational(data["base"]) if "base" in data else None
         return cls(derivs=derivs, base=base)
-
-    @classmethod
-    def from_values(
-        cls, values: Iterable[Any], base: Any | None = None
-    ) -> "DerivativeSequence":
-        return cls(
-            derivs=tuple(as_rational(v) for v in values),
-            base=None if base is None else as_rational(base),
-        )
 
 
 def _partition_term(mvec: MultiplicityVector, psi: DerivativeSequence) -> Fraction:

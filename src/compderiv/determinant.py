@@ -85,9 +85,6 @@ class PhiPolynomial:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
     def __add__(self, other: "PhiPolynomial") -> "PhiPolynomial":
         merged = dict(self._coeffs)
         for exponent, coefficient in other._coeffs.items():

@@ -91,10 +91,11 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction.
 
     Floats are rejected on purpose: this package has no inexact mode.
+    Booleans are rejected too, so a JSON ``true`` is not read as 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

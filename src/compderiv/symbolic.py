@@ -2,11 +2,12 @@
 parser, symbolic differentiator and exact evaluator.
 
 This is the deliberately plain oracle: it computes the n-th derivative of
-a composition by substituting one polynomial into the other and
-differentiating n times with the ordinary product and power rules,
-exactly the preliminary work the closed-form routes exist to avoid.  No
-simplification happens beyond constant folding, so the oracle stays
-obviously correct.
+a composition by substituting one polynomial into the other, expanding
+phi(psi(y)) into integer coefficients over one common denominator and
+differentiating that coefficient list n times, exactly the preliminary
+work the closed-form routes exist to avoid.  ``differentiate`` applies
+the ordinary sum, product and power rules to the AST with constant
+folding only; it turns an expression into its derivative sequence.
 
 Grammar (whitespace-insensitive, explicit '*' required):
 
@@ -428,39 +429,32 @@ def _dense_scaled(e: Expr, memo: dict[int, tuple[list[int], int]]) -> tuple[list
     return result
 
 
-def _dense_coefficients(e: Expr) -> list[Fraction]:
-    """Coefficient list c_0, c_1, ... of the expression as one polynomial."""
-    ints, den = _dense_scaled(e, {})
-    return [Fraction(c, den) for c in ints]
-
-
-def _monomial_form(coefficients: list[Fraction], name: str) -> Expr:
-    """Rebuild an expanded coefficient list as a sum of monomials."""
-    node: Expr = Constant(coefficients[0] if coefficients else Fraction(0))
-    for k, c in enumerate(coefficients):
-        if k == 0 or c == 0:
-            continue
-        node = _add(node, _mul(Constant(c), _pow(Variable(name), k)))
-    return node
-
-
 def nth_derivative_of_composition(
     phi: Expr, psi: Expr, n: int, at: Fraction | int | str
 ) -> Fraction:
     """D_y^n of phi(psi(y)) at a point, the long way around.
 
-    Substitutes psi into phi, expands the result into a single polynomial
-    in y, differentiates it n times with ``differentiate`` and evaluates.
-    Computing every preceding derivative is the point: it shares no logic
-    with the closed-form routes it cross-checks.
+    Substitutes psi into phi, expands the result into the integer
+    coefficients of a single polynomial in y over one common denominator,
+    differentiates that coefficient list n times (c_k y^k -> k c_k
+    y^(k-1)), and evaluates it once by Horner's rule.  Computing every
+    preceding derivative is the point: it shares no logic with the
+    closed-form routes it cross-checks.
     """
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
-    composed = substitute(phi, psi)
-    polynomial = _monomial_form(_dense_coefficients(composed), "y")
+    point = as_rational(at)
+    p, q = point.numerator, point.denominator
+    coefficients, den = _dense_scaled(substitute(phi, psi), {})
     for _ in range(n):
-        polynomial = differentiate(polynomial)
-    return evaluate(polynomial, at)
+        coefficients = [k * c for k, c in enumerate(coefficients) if k]
+    # Horner over integers: num = sum c_k p^k q^(d-k) and scale = q^(d+1)
+    # for degree d, so the value is num * q / (den * scale).
+    num, scale = 0, 1
+    for c in reversed(coefficients):
+        num = num * p + c * scale
+        scale *= q
+    return Fraction(num * q, den * scale)
 
 
 def derivative_sequence_of(

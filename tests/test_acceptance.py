@@ -41,18 +41,22 @@ from oracles import (
 
 @contextlib.contextmanager
 def criterion(name: str):
+    """Print the criterion's PASS/FAIL line; a note appended to the
+    yielded list is printed after PASS in parentheses."""
+    notes: list[str] = []
     try:
-        yield
+        yield notes
     except BaseException:
         print(f"ACCEPTANCE {name}: FAIL")
         raise
-    print(f"ACCEPTANCE {name}: PASS")
+    suffix = f" ({'; '.join(notes)})" if notes else ""
+    print(f"ACCEPTANCE {name}: PASS{suffix}")
 
 
 def test_five_way_route_agreement():
     # partition = Bell = determinant = series = symbolic, exactly, for
     # n = 1..12 (determinant from order 2) on 200 random pairs per order.
-    with criterion("five-way route agreement (n=1..12, 200 pairs/order, exact)"):
+    with criterion("five-way route agreement (n=1..12, 200 pairs/order, exact)") as notes:
         rng = random.Random(20260810)
         started = time.monotonic()
         for n in range(1, 13):
@@ -74,6 +78,7 @@ def test_five_way_route_agreement():
                     assert derivative_determinant(phi, psi, n) == reference
         elapsed = time.monotonic() - started
         assert elapsed < 60.0, f"five-way sweep took {elapsed:.1f}s, budget is 60s"
+        notes.append(f"{elapsed:.1f} s of 60 s")
 
 
 def test_second_order_determinant_example():

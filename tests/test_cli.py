@@ -128,6 +128,14 @@ def test_derive_rejects_malformed_json(capsys):
     assert code == 2
     assert "invalid JSON" in err
 
+    code, _, err = run(
+        capsys,
+        "derive", "--phi-derivs", '{"derivs":"123"}', "--psi-derivs", '{"derivs":[1,1,1]}',
+        "-n", "2", "--method", "all",
+    )
+    assert code == 2
+    assert "'derivs' must be a list" in err and "Traceback" not in err
+
 
 def test_derive_rejects_bad_expression(capsys):
     code, _, err = run(

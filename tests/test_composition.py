@@ -269,3 +269,9 @@ def test_sequence_json_rejects_garbage():
         DerivativeSequence.from_json({"base": "1"})
     with pytest.raises(ValueError):
         DerivativeSequence.from_json({"derivs": ["1.5"]})
+    for derivs in ("123", {"1": "1"}, 3):
+        with pytest.raises(ValueError):
+            DerivativeSequence.from_json({"derivs": derivs})
+    for data in ({"derivs": [True]}, {"derivs": ["1"], "base": False}):
+        with pytest.raises(TypeError):
+            DerivativeSequence.from_json(data)

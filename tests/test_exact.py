@@ -147,7 +147,8 @@ def test_as_rational_coercions():
     assert as_rational(3) == Fraction(3)
     assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
     assert as_rational("-5/10") == Fraction(-1, 2)
-    with pytest.raises(TypeError):
-        as_rational(0.5)
+    for value in (0.5, True, False):
+        with pytest.raises(TypeError):
+            as_rational(value)
     with pytest.raises(ValueError):
         as_rational("0.5")

@@ -237,6 +237,9 @@ def test_substitute_replaces_variable():
 
 def test_composition_second_derivative_of_shifted_square():
     assert nth_derivative_of_composition(parse("x^2"), parse("y + 1"), 2, 0) == 2
+    # Above the degree of phi(psi(y)) every coefficient is differentiated away.
+    assert nth_derivative_of_composition(parse("x^2"), parse("y + 1"), 3, 0) == 0
+    assert nth_derivative_of_composition(parse("5/2"), parse("y + 1"), 1, 3) == 0
 
 
 def test_composition_identity_outer_gives_inner_derivative():
