@@ -8,7 +8,8 @@ five independent routes over arbitrary-precision rationals:
 * the same sum regrouped through partial Bell polynomials,
 * an (n+1) x (n+1) determinant over a formal polynomial ring,
 * truncated Taylor series (jet) composition, and
-* brute-force symbolic differentiation of polynomial expressions.
+* a symbolic oracle on polynomial expressions, which expands psi, then
+  phi at psi, into integer coefficients and differentiates those.
 
 Every route returns exactly the same ``Fraction``, bit for bit; the test
 suite and the ``compderiv check`` command enforce that continuously.
@@ -49,8 +50,6 @@ from .partitions import (
 from .series import (
     Jet,
     derivative_via_jets,
-    derivatives_from_jet,
-    jet_add,
     jet_compose,
     jet_from_derivatives,
     jet_mul,
@@ -63,7 +62,6 @@ from .symbolic import (
     format_expr,
     nth_derivative_of_composition,
     parse,
-    substitute,
     taylor_polynomial,
 )
 
@@ -95,18 +93,15 @@ __all__ = [
     "interpret_phi_polynomial",
     "derivative_determinant",
     "Jet",
-    "jet_add",
     "jet_mul",
     "jet_compose",
     "jet_from_derivatives",
-    "derivatives_from_jet",
     "derivative_via_jets",
     "ParseError",
     "parse",
     "format_expr",
     "differentiate",
     "evaluate",
-    "substitute",
     "nth_derivative_of_composition",
     "derivative_sequence_of",
     "taylor_polynomial",

@@ -106,8 +106,12 @@ Exprs = tuple[Expr, Expr, Fraction]
 
 def _derive_inputs(
     args: argparse.Namespace,
-) -> tuple[DerivativeSequence, DerivativeSequence, Exprs | None]:
-    """Return (phi sequence, psi sequence, parsed expressions or None)."""
+) -> tuple[DerivativeSequence | None, DerivativeSequence | None, Exprs | None]:
+    """Return (phi sequence, psi sequence, parsed expressions or None).
+
+    Sequences are None for ``--method symbolic``, the one route that reads
+    only the parsed expressions.
+    """
     expr_flags = [args.phi, args.psi, args.at]
     derivs_flags = [args.phi_derivs, args.psi_derivs]
     if any(v is not None for v in expr_flags) and any(
@@ -123,6 +127,8 @@ def _derive_inputs(
             at = parse_rational(args.at)
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
+        if args.method == "symbolic":
+            return None, None, (phi_expr, psi_expr, at)
         psi_seq = derivative_sequence_of(psi_expr, at, args.order)
         phi_seq = derivative_sequence_of(phi_expr, psi_seq.base, args.order)
         return phi_seq, psi_seq, (phi_expr, psi_expr, at)
@@ -130,6 +136,11 @@ def _derive_inputs(
         raise _CliError("derivative input needs both --phi-derivs and --psi-derivs")
     phi_seq = _parse_sequence_json(args.phi_derivs, "--phi-derivs")
     psi_seq = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
+    try:
+        phi_seq.require_order(args.order, "phi")
+        psi_seq.require_order(args.order, "psi")
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     return phi_seq, psi_seq, None
 
 
@@ -145,8 +156,8 @@ def _routes(n: int, with_exprs: bool) -> list[str]:
 
 def _route_value(
     method: str,
-    phi: DerivativeSequence,
-    psi: DerivativeSequence,
+    phi: DerivativeSequence | None,
+    psi: DerivativeSequence | None,
     n: int,
     exprs: Exprs | None,
 ) -> Fraction:
@@ -167,12 +178,6 @@ def _route_value(
 def _cmd_derive(args: argparse.Namespace) -> int:
     n = args.order
     phi, psi, exprs = _derive_inputs(args)
-    try:
-        phi.require_order(n, "phi")
-        psi.require_order(n, "psi")
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-
     if args.method == "all":
         methods = _routes(n, exprs is not None)
     else:

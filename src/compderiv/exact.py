@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 # Text form is "p/q" or "p" (q=1 elided) with an optional leading minus.
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def factorial(l: int) -> int:
@@ -70,7 +70,8 @@ def parse_rational(text: str) -> Fraction:
 
     The value is reduced on construction, so "4/6" parses to 2/3.
     Raises ValueError for anything outside the grammar (decimals,
-    whitespace inside the token, zero denominators).
+    whitespace inside the token, digits other than ASCII 0-9, zero
+    denominators).
     """
     match = _RATIONAL_RE.match(text.strip())
     if match is None:

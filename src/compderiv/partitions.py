@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any
 
 from .exact import factorial
 
@@ -49,22 +48,9 @@ class MultiplicityVector:
                 f"sum of j*m_j must equal n={self.n}, got {weighted} for m={m}"
             )
 
-    def multiplicity(self, j: int) -> int:
-        """Number of parts of size ``j`` (1-based)."""
-        return self.m[j - 1]
-
     def parts(self) -> list[tuple[int, int]]:
         """The nonzero (size, multiplicity) pairs, smallest size first."""
         return [(j, mj) for j, mj in enumerate(self.m, start=1) if mj > 0]
-
-    def to_json(self) -> dict[str, Any]:
-        return {"n": self.n, "m": list(self.m)}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "MultiplicityVector":
-        if not isinstance(data, dict) or "n" not in data or "m" not in data:
-            raise ValueError(f"multiplicity vector JSON needs 'n' and 'm': {data!r}")
-        return cls(n=int(data["n"]), m=tuple(int(v) for v in data["m"]))
 
 
 def enumerate_multiplicity_vectors(n: int) -> list[MultiplicityVector]:

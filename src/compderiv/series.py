@@ -11,18 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from .composition import DerivativeSequence
-from .exact import as_rational, factorial, format_rational
+from .exact import as_rational, factorial
 
 __all__ = [
     "Jet",
-    "jet_add",
     "jet_mul",
     "jet_compose",
     "jet_from_derivatives",
-    "derivatives_from_jet",
     "derivative_via_jets",
 ]
 
@@ -44,38 +41,11 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "order": self.order,
-            "coeffs": [format_rational(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Jet":
-        if not isinstance(data, dict) or "coeffs" not in data:
-            raise ValueError(f"jet JSON needs 'coeffs': {data!r}")
-        jet = cls(coeffs=tuple(as_rational(c) for c in data["coeffs"]))
-        if "order" in data and int(data["order"]) != jet.order:
-            raise ValueError(
-                f"jet JSON order {data['order']} does not match "
-                f"{len(jet.coeffs)} coefficients"
-            )
-        return jet
-
 
 def _require_same_order(a: Jet, b: Jet) -> int:
     if a.order != b.order:
         raise ValueError(f"jet order mismatch: {a.order} != {b.order}")
     return a.order
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    """Coefficient-wise sum of two jets of equal order."""
-    _require_same_order(a, b)
-    return Jet(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -123,16 +93,6 @@ def jet_from_derivatives(seq: DerivativeSequence, order: int) -> Jet:
     return Jet(
         (c0,)
         + tuple(seq.derivs[k - 1] / factorial(k) for k in range(1, order + 1))
-    )
-
-
-def derivatives_from_jet(jet: Jet) -> DerivativeSequence:
-    """Inverse of ``jet_from_derivatives``: k-th derivative = k! * c_k."""
-    return DerivativeSequence(
-        derivs=tuple(
-            factorial(k) * jet.coeffs[k] for k in range(1, jet.order + 1)
-        ),
-        base=jet.coeffs[0],
     )
 
 

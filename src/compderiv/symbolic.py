@@ -2,12 +2,20 @@
 parser, symbolic differentiator and exact evaluator.
 
 This is the deliberately plain oracle: it computes the n-th derivative of
-a composition by substituting one polynomial into the other, expanding
-phi(psi(y)) into integer coefficients over one common denominator and
-differentiating that coefficient list n times, exactly the preliminary
-work the closed-form routes exist to avoid.  ``differentiate`` applies
-the ordinary sum, product and power rules to the AST with constant
-folding only; it turns an expression into its derivative sequence.
+a composition by expanding psi into integer coefficients over one common
+denominator, expanding phi at that polynomial the same way, and
+differentiating the coefficient list of phi(psi(y)) n times, exactly the
+preliminary work the closed-form routes exist to avoid.  ``differentiate``
+applies the ordinary sum, product and power rules to the AST with
+constant folding only; it turns an expression into its derivative
+sequence.
+
+Every walk over an expression goes through ``_fold``, an explicit-stack
+post-order fold that visits each distinct node object once, and the
+parser keeps its nesting on an explicit stack too: neither expression
+size nor nesting depth meets the interpreter's recursion limit, and no
+interpreter state is changed.  Nesting of '(' and unary '-' is bounded by
+``max_depth`` (default 256); length is not bounded.
 
 Grammar (whitespace-insensitive, explicit '*' required):
 
@@ -16,6 +24,7 @@ Grammar (whitespace-insensitive, explicit '*' required):
     factor := base ('^' UINT)? ;
     base   := RATIONAL | VAR | '(' expr ')' | '-' factor ;
     RATIONAL := UINT ('/' UINT)? ;   VAR := 'x' | 'y' ;
+    UINT   := ('0'..'9')+ ;          (ASCII digits only)
 
 '^' is non-associative (towers need parentheses) and binds tighter than a
 unary minus applied to a factor.
@@ -24,9 +33,9 @@ unary minus applied to a factor.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Callable
 
 from .composition import DerivativeSequence
 from .exact import as_rational, factorial
@@ -44,7 +53,6 @@ __all__ = [
     "format_expr",
     "differentiate",
     "evaluate",
-    "substitute",
     "nth_derivative_of_composition",
     "derivative_sequence_of",
     "taylor_polynomial",
@@ -111,13 +119,11 @@ class ParseError(ValueError):
 
 
 class _Parser:
-    def __init__(self, text: str, max_depth: int):
+    """Read position over the text; every token read skips whitespace first."""
+
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.max_depth = max_depth
-        self.depth = 0
-        self.seen_var: str | None = None
-        self.var_offset = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -137,93 +143,122 @@ class _Parser:
         self.skip_ws()
         return ParseError(self.text, self.pos, expected)
 
-    def enter(self) -> None:
-        self.depth += 1
-        if self.depth > self.max_depth:
-            raise ParseError(self.text, self.pos, ("shallower nesting",))
-
-    def leave(self) -> None:
-        self.depth -= 1
-
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.fail("unsigned integer")
         return int(self.text[start:self.pos])
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            if self.take("+"):
-                node = Add(node, self.term())
-            elif self.take("-"):
-                node = Add(node, Neg(self.term()))
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.take("*"):
-            node = Mul(node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        node = self.base()
-        if self.take("^"):
-            node = Pow(node, self.uint())
-        return node
-
-    def base(self) -> Expr:
-        char = self.peek()
-        if char.isdigit():
-            numerator = self.uint()
-            if self.take("/"):
-                denom_offset = self.pos
-                denominator = self.uint()
-                if denominator == 0:
-                    raise ParseError(self.text, denom_offset, ("nonzero denominator",))
-                return Constant(Fraction(numerator, denominator))
+    def rational(self) -> Constant:
+        numerator = self.uint()
+        if not self.take("/"):
             return Constant(Fraction(numerator))
-        if char in ("x", "y"):
-            if self.seen_var is not None and self.seen_var != char:
-                raise self.fail(f"variable {self.seen_var!r} (one variable per expression)")
-            self.seen_var = char
-            self.pos += 1
-            return Variable(char)
-        if char == "(":
-            self.enter()
-            self.pos += 1
-            node = self.expr()
-            if not self.take(")"):
-                raise self.fail("')'")
-            self.leave()
-            return node
-        if char == "-":
-            self.enter()
-            self.pos += 1
-            node = Neg(self.factor())
-            self.leave()
-            return node
-        raise self.fail("number", "variable", "'('", "'-'")
+        denom_offset = self.pos
+        denominator = self.uint()
+        if denominator == 0:
+            raise ParseError(self.text, denom_offset, ("nonzero denominator",))
+        return Constant(Fraction(numerator, denominator))
 
 
 def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
-    """Parse an expression, or raise ParseError with offset and expectations."""
-    parser = _Parser(text, max_depth)
-    # Each nesting level costs a handful of Python frames; make sure the
-    # configured depth limit is reached before the interpreter's own.
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 6 * max_depth + 200))
-    try:
-        node = parser.expr()
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if parser.peek() != "":
-        raise parser.fail("'+'", "'-'", "'*'", "end of input")
-    return node
+    """Parse an expression, or raise ParseError with offset and expectations.
+
+    The grammar's nesting lives on an explicit stack.  Its bottom entry is
+    the top level and each open '(' pushes another; both are lists
+    ``[sum, negate, product]``: the sum read so far, whether the term being
+    read follows a binary '-', and that term's product so far.  Each unary
+    '-' whose factor is still being read pushes ``None``.  The nesting
+    depth is ``len(stack) - 1``.
+    """
+    p = _Parser(text)
+    stack: list[list[Any] | None] = [[None, False, None]]
+    seen_var: str | None = None
+    while True:
+        # Read one base, opening '(' and unary '-' on the way to it.
+        char = p.peek()
+        if "0" <= char <= "9":
+            node: Expr = p.rational()
+        elif char == "x" or char == "y":
+            if seen_var is not None and seen_var != char:
+                raise p.fail(f"variable {seen_var!r} (one variable per expression)")
+            seen_var = char
+            p.pos += 1
+            node = Variable(char)
+        elif char == "(" or char == "-":
+            if len(stack) > max_depth:
+                raise ParseError(text, p.pos, ("shallower nesting",))
+            p.pos += 1
+            stack.append([None, False, None] if char == "(" else None)
+            continue
+        else:
+            raise p.fail("number", "variable", "'('", "'-'")
+        # Close what the base completes: its factor, the unary '-' around
+        # that factor (whose own factor may take a '^' again), then the
+        # term, the sum and the enclosing '(' when no operator follows.
+        while True:
+            if p.take("^"):
+                node = Pow(node, p.uint())
+            level = stack[-1]
+            if level is None:
+                stack.pop()
+                node = Neg(node)
+                continue
+            level[2] = node if level[2] is None else Mul(level[2], node)
+            if p.take("*"):
+                break
+            term = Neg(level[2]) if level[1] else level[2]
+            level[0] = term if level[0] is None else Add(level[0], term)
+            level[2] = None
+            if p.take("+"):
+                level[1] = False
+                break
+            if p.take("-"):
+                level[1] = True
+                break
+            if len(stack) == 1:
+                if p.peek() != "":
+                    raise p.fail("'+'", "'-'", "'*'", "end of input")
+                return level[0]
+            if not p.take(")"):
+                raise p.fail("')'")
+            stack.pop()
+            node = level[0]
+
+
+def _fold(e: Expr, visit: Callable[[Any, dict[int, Any]], Any]) -> Any:
+    """Post-order fold over the distinct nodes of ``e``, without recursion.
+
+    ``visit(node, done)`` returns the node's value, reading each child's
+    value as ``done[id(child)]``.  A node object shared by several parents
+    is visited once, so the cost is linear in the number of distinct nodes,
+    also for the shared-node trees that repeated differentiation builds.
+    """
+    done: dict[int, Any] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Add or kind is Mul:
+            if id(node.left) not in done or id(node.right) not in done:
+                stack.append(node.right)
+                stack.append(node.left)
+                continue
+        elif kind is Neg or kind is Pow:
+            child = node.operand if kind is Neg else node.base
+            if id(child) not in done:
+                stack.append(child)
+                continue
+        elif kind is not Constant and kind is not Variable:
+            raise TypeError(f"not an expression node: {node!r}")
+        stack.pop()
+        done[id(node)] = visit(node, done)
+    return done[id(e)]
 
 
 # Precedence levels used by the printer: Add=1, Mul=2, Neg/Pow=3, atoms=4.
@@ -247,25 +282,27 @@ def format_expr(e: Expr) -> str:
     grammar has no literal for) re-parse to an evaluation-equal form.
     """
 
-    def wrap(child: Expr, minimum: int) -> str:
-        text = format_expr(child)
-        return f"({text})" if _precedence(child) < minimum else text
+    def visit(node: Expr, done: dict[int, str]) -> str:
+        def wrap(child: Expr, minimum: int) -> str:
+            text = done[id(child)]
+            return f"({text})" if _precedence(child) < minimum else text
 
-    if isinstance(e, Constant):
-        return str(e.value)
-    if isinstance(e, Variable):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + wrap(e.operand, 3)
-    if isinstance(e, Pow):
-        return f"{wrap(e.base, 4)}^{e.exponent}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.left, 2)}*{wrap(e.right, 3)}"
-    if isinstance(e, Add):
-        if isinstance(e.right, Neg):
-            return f"{wrap(e.left, 1)} - {wrap(e.right.operand, 2)}"
-        return f"{wrap(e.left, 1)} + {wrap(e.right, 2)}"
-    raise TypeError(f"not an expression node: {e!r}")
+        kind = type(node)
+        if kind is Constant:
+            return str(node.value)
+        if kind is Variable:
+            return node.name
+        if kind is Neg:
+            return "-" + wrap(node.operand, 3)
+        if kind is Pow:
+            return f"{wrap(node.base, 4)}^{node.exponent}"
+        if kind is Mul:
+            return f"{wrap(node.left, 2)}*{wrap(node.right, 3)}"
+        if type(node.right) is Neg:
+            return f"{wrap(node.left, 1)} - {wrap(node.right.operand, 2)}"
+        return f"{wrap(node.left, 1)} + {wrap(node.right, 2)}"
+
+    return _fold(e, visit)
 
 
 # Smart constructors: constant folding only, so derivatives stay readable
@@ -313,65 +350,54 @@ def _pow(base: Expr, exponent: int) -> Expr:
 
 
 def differentiate(e: Expr) -> Expr:
-    """Exact derivative by the sum, product and power rules."""
-    if isinstance(e, Constant):
-        return Constant(Fraction(0))
-    if isinstance(e, Variable):
-        return Constant(Fraction(1))
-    if isinstance(e, Add):
-        return _add(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Neg):
-        return _neg(differentiate(e.operand))
-    if isinstance(e, Mul):
-        return _add(
-            _mul(differentiate(e.left), e.right),
-            _mul(e.left, differentiate(e.right)),
-        )
-    if isinstance(e, Pow):
-        if e.exponent == 0:
+    """Exact derivative by the sum, product and power rules.
+
+    A subtree shared in ``e`` has one derivative object shared in the
+    result, so repeated differentiation grows a shared-node tree.
+    """
+
+    def visit(node: Expr, done: dict[int, Expr]) -> Expr:
+        kind = type(node)
+        if kind is Constant:
             return Constant(Fraction(0))
-        outer = _mul(Constant(Fraction(e.exponent)), _pow(e.base, e.exponent - 1))
-        return _mul(outer, differentiate(e.base))
-    raise TypeError(f"not an expression node: {e!r}")
+        if kind is Variable:
+            return Constant(Fraction(1))
+        if kind is Add:
+            return _add(done[id(node.left)], done[id(node.right)])
+        if kind is Neg:
+            return _neg(done[id(node.operand)])
+        if kind is Mul:
+            return _add(
+                _mul(done[id(node.left)], node.right),
+                _mul(node.left, done[id(node.right)]),
+            )
+        if node.exponent == 0:
+            return Constant(Fraction(0))
+        outer = _mul(Constant(Fraction(node.exponent)), _pow(node.base, node.exponent - 1))
+        return _mul(outer, done[id(node.base)])
+
+    return _fold(e, visit)
 
 
 def evaluate(e: Expr, at: Fraction | int | str) -> Fraction:
     """Exact value of the expression at a rational point."""
     point = as_rational(at)
 
-    def walk(node: Expr) -> Fraction:
-        if isinstance(node, Constant):
+    def visit(node: Expr, done: dict[int, Fraction]) -> Fraction:
+        kind = type(node)
+        if kind is Constant:
             return node.value
-        if isinstance(node, Variable):
+        if kind is Variable:
             return point
-        if isinstance(node, Add):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Mul):
-            return walk(node.left) * walk(node.right)
-        if isinstance(node, Neg):
-            return -walk(node.operand)
-        if isinstance(node, Pow):
-            return walk(node.base) ** node.exponent
-        raise TypeError(f"not an expression node: {node!r}")
+        if kind is Add:
+            return done[id(node.left)] + done[id(node.right)]
+        if kind is Mul:
+            return done[id(node.left)] * done[id(node.right)]
+        if kind is Neg:
+            return -done[id(node.operand)]
+        return done[id(node.base)] ** node.exponent
 
-    return walk(e)
-
-
-def substitute(e: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable with another expression."""
-    if isinstance(e, Constant):
-        return e
-    if isinstance(e, Variable):
-        return replacement
-    if isinstance(e, Add):
-        return Add(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.operand, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, replacement), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _fold(e, visit)
 
 
 def _int_convolve(a: list[int], b: list[int]) -> list[int]:
@@ -384,49 +410,50 @@ def _int_convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _dense_scaled(e: Expr, memo: dict[int, tuple[list[int], int]]) -> tuple[list[int], int]:
+def _dense_scaled(
+    e: Expr, variable: tuple[list[int], int] = ([0, 1], 1)
+) -> tuple[list[int], int]:
     """Expand to (integer coefficients, common denominator).
 
     Denominators are cleared once per node so the convolution inner loops
     run on plain integers; the pair represents the exact polynomial
-    coefficients / denominator.  Subtrees are memoized by identity, which
-    matters after substitution duplicates one shared inner AST.
+    coefficients / denominator.  The variable stands for ``variable``,
+    itself such a pair (by default the polynomial y), so binding it to
+    another expression's expansion expands their composition.  No list in
+    a pair is mutated after it is built.
     """
-    found = memo.get(id(e))
-    if found is not None:
-        return found
-    if isinstance(e, Constant):
-        result = [e.value.numerator], e.value.denominator
-    elif isinstance(e, Variable):
-        result = [0, 1], 1
-    elif isinstance(e, Add):
-        left, da = _dense_scaled(e.left, memo)
-        right, db = _dense_scaled(e.right, memo)
-        den = math.lcm(da, db)
-        fa, fb = den // da, den // db
-        out = [0] * max(len(left), len(right))
-        for i, c in enumerate(left):
-            out[i] += c * fa
-        for i, c in enumerate(right):
-            out[i] += c * fb
-        result = out, den
-    elif isinstance(e, Neg):
-        inner, den = _dense_scaled(e.operand, memo)
-        result = [-c for c in inner], den
-    elif isinstance(e, Mul):
-        left, da = _dense_scaled(e.left, memo)
-        right, db = _dense_scaled(e.right, memo)
-        result = _int_convolve(left, right), da * db
-    elif isinstance(e, Pow):
-        base, den = _dense_scaled(e.base, memo)
+
+    def visit(node: Expr, done: dict[int, tuple[list[int], int]]) -> tuple[list[int], int]:
+        kind = type(node)
+        if kind is Constant:
+            return [node.value.numerator], node.value.denominator
+        if kind is Variable:
+            return variable
+        if kind is Add:
+            left, da = done[id(node.left)]
+            right, db = done[id(node.right)]
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            out = [0] * max(len(left), len(right))
+            for i, c in enumerate(left):
+                out[i] += c * fa
+            for i, c in enumerate(right):
+                out[i] += c * fb
+            return out, den
+        if kind is Neg:
+            inner, den = done[id(node.operand)]
+            return [-c for c in inner], den
+        if kind is Mul:
+            left, da = done[id(node.left)]
+            right, db = done[id(node.right)]
+            return _int_convolve(left, right), da * db
+        base, den = done[id(node.base)]
         out = [1]
-        for _ in range(e.exponent):
+        for _ in range(node.exponent):
             out = _int_convolve(out, base)
-        result = out, den**e.exponent
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[id(e)] = result
-    return result
+        return out, den**node.exponent
+
+    return _fold(e, visit)
 
 
 def nth_derivative_of_composition(
@@ -434,18 +461,18 @@ def nth_derivative_of_composition(
 ) -> Fraction:
     """D_y^n of phi(psi(y)) at a point, the long way around.
 
-    Substitutes psi into phi, expands the result into the integer
-    coefficients of a single polynomial in y over one common denominator,
-    differentiates that coefficient list n times (c_k y^k -> k c_k
-    y^(k-1)), and evaluates it once by Horner's rule.  Computing every
-    preceding derivative is the point: it shares no logic with the
-    closed-form routes it cross-checks.
+    Expands psi into integer coefficients over one common denominator,
+    expands phi with its variable bound to that polynomial, which gives
+    phi(psi(y)) as a single coefficient list in y, differentiates that list
+    n times (c_k y^k -> k c_k y^(k-1)), and evaluates it once by Horner's
+    rule.  Computing every preceding derivative is the point: it shares no
+    logic with the closed-form routes it cross-checks.
     """
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     point = as_rational(at)
     p, q = point.numerator, point.denominator
-    coefficients, den = _dense_scaled(substitute(phi, psi), {})
+    coefficients, den = _dense_scaled(phi, _dense_scaled(psi))
     for _ in range(n):
         coefficients = [k * c for k, c in enumerate(coefficients) if k]
     # Horner over integers: num = sum c_k p^k q^(d-k) and scale = q^(d+1)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import compderiv.cli as cli
 from compderiv.cli import decimal_string, main
@@ -143,6 +148,50 @@ def test_derive_rejects_bad_expression(capsys):
     )
     assert code == 2
     assert "syntax error" in err
+
+
+def _expressions(depth):
+    """--phi text from the expression grammar, at most ``depth`` levels deep."""
+    if depth == 0:
+        return st.sampled_from(["x", "y", "0", "12", "3/2", "x^2", "-x", "x^9"])
+    inner = _expressions(depth - 1)
+    return st.one_of(
+        inner,
+        st.tuples(inner, st.sampled_from(["+", " - ", "*", " * "]), inner).map("".join),
+        st.tuples(inner, st.integers(0, 9)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda text: f"-({text})"),
+    )
+
+
+@st.composite
+def _corrupted(draw, texts):
+    """A grammar text, or the same text with one character inserted, deleted or replaced."""
+    text = draw(texts)
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit == "none":
+        return text
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from("()+-*^/ xy0\u0663\u00b2"))
+    if edit == "insert":
+        return text[:i] + char + text[i:]
+    return text[:i] + ("" if edit == "delete" else char) + text[i + 1:]
+
+
+# Exponents stay below 10: towers of larger ones make every route slow.
+@given(_corrupted(_expressions(2)).filter(lambda t: not re.search(r"\^\s*[0-9]{2}", t)))
+@example("+".join(["x"] * 3000))
+@example("(" * 256 + "x" + ")" * 256)
+@example("(" * 257 + "x" + ")" * 257)
+@example("x^\u00b2")
+def test_derive_fuzzed_expression_exits_cleanly(phi):
+    argv = ["derive", f"--phi={phi}", "--psi=y^2 + y", "--at=1/2", "-n", "3", "--method", "all"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_derive_reports_short_sequences(capsys):

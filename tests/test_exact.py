@@ -124,7 +124,9 @@ def test_parse_negative_fraction():
     assert parse_rational("-3/4") == Fraction(-3, 4)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3/-4", "+3", "a", "", "1/0", "1 / 2"])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "3/-4", "+3", "a", "", "1/0", "1 / 2", "\u0663/2", "1/\u0663"]
+)
 def test_parse_rejects_out_of_grammar(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -132,16 +132,6 @@ def test_vector_validation():
         MultiplicityVector(3, (-1, 2, 0))
 
 
-def test_json_round_trip():
-    v = MultiplicityVector(4, (2, 1, 0, 0))
-    assert v.to_json() == {"n": 4, "m": [2, 1, 0, 0]}
-    assert MultiplicityVector.from_json(v.to_json()) == v
-
-
-def test_json_rejects_missing_fields():
-    with pytest.raises(ValueError):
-        MultiplicityVector.from_json({"n": 3})
-
 
 def test_weight_returns_fraction():
     assert isinstance(multinomial_weight(MultiplicityVector(1, (1,))), Fraction)

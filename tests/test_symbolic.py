@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,6 @@ from compderiv.symbolic import (
     format_expr,
     nth_derivative_of_composition,
     parse,
-    substitute,
     taylor_polynomial,
 )
 from oracles import random_rational, random_sequence
@@ -71,10 +72,14 @@ def test_parse_division_of_variables_rejected():
 
 
 def test_parse_error_carries_offset_and_expectations():
-    with pytest.raises(ParseError) as err:
-        parse("x + ")
-    assert err.value.offset == 4
-    assert err.value.expected
+    # Only the ASCII digits 0-9 are digits: ARABIC-INDIC DIGIT THREE and
+    # SUPERSCRIPT TWO are rejected where they stand.
+    cases = [("x + ", 4), ("\u0663/2*x", 0), ("x^\u00b2", 2), ("1/\u0663", 2), ("x^1\u0663", 3)]
+    for text, offset in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert err.value.expected
 
 
 def test_parse_rejects_mixed_variables():
@@ -104,6 +109,33 @@ def test_parse_default_depth_limit_is_reachable():
     assert parse("(" * depth + "x" + ")" * depth) == X
     with pytest.raises(ParseError):
         parse("(" * (depth + 1) + "x" + ")" * (depth + 1))
+
+
+def test_no_recursion_and_no_interpreter_state_changes():
+    # Leave 100 frames of headroom and refuse any change to the limit: deep
+    # nesting and long sums must not need the interpreter's stack.
+    old_limit = sys.getrecursionlimit()
+    set_limit = sys.setrecursionlimit
+
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
+    set_limit(len(inspect.stack(0)) + 100)
+    sys.setrecursionlimit = refuse
+    try:
+        assert evaluate(parse("(" * 256 + "x + 1" + ")" * 256), 2) == 3
+        terms = 3000
+        total = parse("+".join(["x"] * terms))
+        assert evaluate(total, Fraction(1, 3)) == 1000
+        assert evaluate(differentiate(total), 5) == terms
+        assert evaluate(parse(format_expr(total)), 2) == 2 * terms
+        seq = derivative_sequence_of(total, 2, 2)
+        assert (seq.base, seq.derivs) == (2 * terms, (terms, 0))
+        # phi(psi(y)) = 3000 y^2
+        assert nth_derivative_of_composition(total, parse("y^2"), 2, 7) == 2 * terms
+    finally:
+        sys.setrecursionlimit = set_limit
+        set_limit(old_limit)
 
 
 ROUND_TRIP_CORPUS = [
@@ -228,12 +260,7 @@ def test_evaluate_cubic():
     assert evaluate(parse("6*x^3 - 1"), 2) == 47
 
 
-# --- substitution and composition -----------------------------------------------------
-
-def test_substitute_replaces_variable():
-    composed = substitute(parse("x^2 + x"), parse("y + 1"))
-    assert evaluate(composed, 2) == 9 + 3
-
+# --- composition -------------------------------------------------------------------
 
 def test_composition_second_derivative_of_shifted_square():
     assert nth_derivative_of_composition(parse("x^2"), parse("y + 1"), 2, 0) == 2
