@@ -91,9 +91,12 @@ def _render(value: Fraction, args: argparse.Namespace) -> str:
 
 def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
     try:
-        data = json.loads(text)
+        # JSON integers are read by parse_rational too, so they meet its digit bound.
+        data = json.loads(text, parse_int=lambda digits: int(parse_rational(digits)))
     except json.JSONDecodeError as exc:
         raise _CliError(f"{flag}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise _CliError(f"{flag}: {exc}") from exc
     try:
         return DerivativeSequence.from_json(data)
     except (ValueError, TypeError) as exc:
@@ -356,10 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="emit a JSON object instead of text"
     )
-    common.add_argument(
-        "--seed", type=_nonnegative_int, default=0, help="PRNG seed (used by check)"
-    )
-    common.add_argument(
+    decimal = argparse.ArgumentParser(add_help=False)
+    decimal.add_argument(
         "--decimal",
         type=_nonnegative_int,
         default=None,
@@ -374,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_derive = sub.add_parser(
-        "derive", parents=[common], help="compute D_y^n of phi(psi(y))"
+        "derive", parents=[common, decimal], help="compute D_y^n of phi(psi(y))"
     )
     p_derive.add_argument("-n", "--order", type=_positive_int, required=True)
     p_derive.add_argument("--method", choices=METHODS, default="partition")
@@ -401,10 +402,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--max-n", type=_positive_int, default=10)
     p_check.add_argument("--trials", type=_positive_int, default=100)
+    p_check.add_argument("--seed", type=_nonnegative_int, default=0, help="PRNG seed")
     p_check.set_defaults(func=_cmd_check)
 
     p_bell = sub.add_parser(
-        "bell", parents=[common], help="partial or complete Bell polynomial values"
+        "bell", parents=[common, decimal], help="partial or complete Bell polynomial values"
     )
     p_bell.add_argument("-n", "--order", type=_positive_int, required=True)
     p_bell.add_argument("-k", "--parts", type=int, default=None)

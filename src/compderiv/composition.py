@@ -6,25 +6,21 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
 
 * ``derivative_partition_sum`` sums one exact term per integer partition
   of n (the primary closed form).
-* ``derivative_bell`` regroups the same sum by the number of parts,
-  through the partial Bell polynomials ``partial_bell``.
-* ``lagrange_power_coefficient`` is the special case phi(x) = x**m,
-  returning the n-th Taylor coefficient of psi(y)**m directly.
+* ``derivative_bell`` sums phi^(k) * B_{n,k} over k; ``partial_bell``
+  gets B_{n,k} from Comtet's recurrence, without partitions.
+* ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
+  n-th Taylor coefficient of psi(y)**m by J.C.P. Miller's recurrence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from .exact import as_rational, factorial, falling_factorial, format_rational
-from .partitions import (
-    MultiplicityVector,
-    enumerate_multiplicity_vectors,
-    multinomial_weight,
-    total_order,
-)
+from .partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
 
 __all__ = [
     "DerivativeSequence",
@@ -105,14 +101,6 @@ class DerivativeSequence:
         return cls(derivs=derivs, base=base)
 
 
-def _partition_term(mvec: MultiplicityVector, psi: DerivativeSequence) -> Fraction:
-    """multinomial weight times the psi-monomial of one partition."""
-    term = multinomial_weight(mvec)
-    for j, mj in mvec.parts():
-        term *= psi.derivative(j) ** mj
-    return term
-
-
 def derivative_partition_sum(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int
 ) -> Fraction:
@@ -131,30 +119,42 @@ def derivative_partition_sum(
     psi.require_order(n, "psi")
     total = Fraction(0)
     for mvec in enumerate_multiplicity_vectors(n):
-        total += phi.derivative(total_order(mvec)) * _partition_term(mvec, psi)
+        term = phi.derivative(total_order(mvec)) * multinomial_weight(mvec)
+        for j, mj in mvec.parts():
+            term *= psi.derivative(j) ** mj
+        total += term
     return total
 
 
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     """The partial Bell polynomial B_{n,k} evaluated at psi', psi'', ...
 
-    Sums the partition terms with exactly k parts; only derivatives up to
-    order n - k + 1 can occur, so the sequence may stop there.
+    Comtet's recurrence (Advanced Combinatorics, 1974, section 3.3) on
+    x_i = psi^(i), B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * x_i * B_{m-i,j-1},
+    one column j = 1..k at a time over the rows m <= n - k + j.  It needs
+    psi up to order n - k + 1 only, and runs over integers: with x_i = a_i / D
+    for one common denominator D, B_{n,k}(x) = B_{n,k}(a) / D**k.
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"partial Bell indices out of range: n={n}, k={k}")
-    psi.require_order(n - k + 1, "psi")
-    total = Fraction(0)
-    for mvec in enumerate_multiplicity_vectors(n):
-        if total_order(mvec) == k:
-            total += _partition_term(mvec, psi)
-    return total
+    width = n - k + 1
+    psi.require_order(width, "psi")
+    xs = psi.derivs[:width]
+    d = math.lcm(*(x.denominator for x in xs))
+    a = [0] + [int(x * d) for x in xs]
+    col = [1] + [0] * (width - 1)  # B_{m,0} for m = 0..n-k
+    for j in range(1, k + 1):
+        col = [0] * j + [
+            sum(math.comb(m - 1, i - 1) * a[i] * col[m - i] for i in range(1, m - j + 2))
+            for m in range(j, width + j)
+        ]
+    return Fraction(col[n], d**k)
 
 
 def derivative_bell(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int
 ) -> Fraction:
-    """D_y^n of phi(psi(y)) regrouped by outer order: sum of phi^(k) * B_{n,k}."""
+    """D_y^n of phi(psi(y)) by outer order: the sum of phi^(k) * B_{n,k}."""
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
@@ -170,36 +170,30 @@ def lagrange_power_coefficient(
 ) -> Fraction:
     """D^n(psi(y)**m) / n!, the outer function specialized to x**m.
 
-    Per partition with p parts the term is
-
-        m(m-1)...(m-p+1) / prod m_j! * psi**(m-p) * prod (psi^(j)/j!)**m_j
-
-    where psi is the base value.  Any integer m is accepted: for
-    0 <= m < p the falling factorial vanishes and the term is skipped
-    before psi**(m-p) could divide by zero.  A genuinely required
-    negative power of a zero base (m < 0 with base 0) raises
-    ZeroDivisionError.
+    J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, section 4.7)
+    on u_k = psi^(k) / k!, u_0 the base value, after factoring out the
+    lowest nonzero term, u = t**s * w with w_0 != 0: v = w**m has v_0 =
+    w_0**m and k * w_0 * v_k = sum_{j=1}^{k} ((m+1)*j - k) * w_j * v_{k-j}.
+    The answer is v_{n - s*m}.  Any integer m is accepted; m < 0 with a
+    zero base raises ZeroDivisionError, and the result is 0 when m = 0,
+    when psi vanishes through order n, or when n < s*m.
     """
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     base = psi.require_base("psi")
     psi.require_order(n, "psi")
-    total = Fraction(0)
-    for mvec in enumerate_multiplicity_vectors(n):
-        p = total_order(mvec)
-        ff = falling_factorial(m, p)
-        if ff == 0:
-            continue
-        if base == 0 and m - p < 0:
-            raise ZeroDivisionError(
-                f"term with {p} parts needs psi**{m - p} but the base value is 0"
-            )
-        term = Fraction(ff)
-        for j, mj in mvec.parts():
-            term /= factorial(mj)
-            term *= (psi.derivative(j) / factorial(j)) ** mj
-        total += term * base ** (m - p)
-    return total
+    if base == 0 and m < 0:
+        raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
+    u = [base] + [psi.derivative(k) / factorial(k) for k in range(1, n + 1)]
+    s = next((k for k, c in enumerate(u) if c), None)
+    if m == 0 or s is None or n < s * m:
+        return Fraction(0)
+    w = u[s:]
+    v = [w[0] ** m]
+    for k in range(1, n - s * m + 1):
+        acc = sum(((m + 1) * j - k) * w[j] * v[k - j] for j in range(1, k + 1))
+        v.append(acc / (k * w[0]))
+    return v[-1]
 
 
 def power_derivatives(m: int, x0: Fraction, n: int) -> DerivativeSequence:

@@ -19,6 +19,7 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
+    "MAX_LITERAL_DIGITS",
     "factorial",
     "binomial",
     "falling_factorial",
@@ -28,7 +29,12 @@ __all__ = [
 ]
 
 # Text form is "p/q" or "p" (q=1 elided) with an optional leading minus.
-_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+_RATIONAL_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?$")
+
+# Longest digit run a number literal may have, in rational text, in an
+# expression or as a JSON integer: Python's default bound on int/str
+# conversion, which this package checks itself instead of changing it.
+MAX_LITERAL_DIGITS = 4300
 
 
 def factorial(l: int) -> int:
@@ -71,13 +77,21 @@ def parse_rational(text: str) -> Fraction:
     The value is reduced on construction, so "4/6" parses to 2/3.
     Raises ValueError for anything outside the grammar (decimals,
     whitespace inside the token, digits other than ASCII 0-9, zero
-    denominators).
+    denominators) and for a numerator or denominator of more than
+    MAX_LITERAL_DIGITS digits.
     """
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
         raise ValueError(f"not a rational literal (expected 'p' or 'p/q'): {text!r}")
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) is not None else 1
+    sign, numerator_digits, denominator_digits = match.groups()
+    longest = max(len(numerator_digits), len(denominator_digits or ""))
+    if longest > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"number literal of {longest} digits: "
+            f"at most {MAX_LITERAL_DIGITS} digits are allowed"
+        )
+    numerator = int(sign + numerator_digits)
+    denominator = int(denominator_digits) if denominator_digits is not None else 1
     if denominator == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(numerator, denominator)

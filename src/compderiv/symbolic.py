@@ -24,7 +24,7 @@ Grammar (whitespace-insensitive, explicit '*' required):
     factor := base ('^' UINT)? ;
     base   := RATIONAL | VAR | '(' expr ')' | '-' factor ;
     RATIONAL := UINT ('/' UINT)? ;   VAR := 'x' | 'y' ;
-    UINT   := ('0'..'9')+ ;          (ASCII digits only)
+    UINT   := ('0'..'9')+ ;          (ASCII digits only, at most 4300)
 
 '^' is non-associative (towers need parentheses) and binds tighter than a
 unary minus applied to a factor.
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .composition import DerivativeSequence
-from .exact import as_rational, factorial
+from .exact import MAX_LITERAL_DIGITS, as_rational, factorial
 
 __all__ = [
     "Expr",
@@ -150,6 +150,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.fail("unsigned integer")
+        if self.pos - start > MAX_LITERAL_DIGITS:
+            raise ParseError(self.text, start, (f"at most {MAX_LITERAL_DIGITS} digits",))
         return int(self.text[start:self.pos])
 
     def rational(self) -> Constant:

@@ -141,6 +141,17 @@ def test_derive_rejects_malformed_json(capsys):
     assert code == 2
     assert "'derivs' must be a list" in err and "Traceback" not in err
 
+    # More than 4300 digits, as a JSON integer or in a rational string.
+    for derivs in ["1" * 4301, '"1/%s"' % ("1" * 4301)]:
+        code, _, err = run(
+            capsys,
+            "derive", "--phi-derivs", '{"derivs":[%s]}' % derivs, "--psi-derivs", '{"derivs":[1]}',
+            "-n", "1",
+        )
+        assert code == 2
+        assert err.startswith("error: --phi-derivs: ") and "at most 4300 digits" in err
+        assert "set_int_max_str_digits" not in err
+
 
 def test_derive_rejects_bad_expression(capsys):
     code, _, err = run(
@@ -148,6 +159,12 @@ def test_derive_rejects_bad_expression(capsys):
     )
     assert code == 2
     assert "syntax error" in err
+
+    long = "1" * 4301
+    for phi, at in [("x + " + long, "0"), ("x", long), ("x", "1/" + long)]:
+        code, _, err = run(capsys, "derive", "--phi", phi, "--psi", "y", "--at", at, "-n", "1")
+        assert code == 2
+        assert "at most 4300 digits" in err and "set_int_max_str_digits" not in err
 
 
 def _expressions(depth):
@@ -400,6 +417,17 @@ def test_usage_error_exit_code_is_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["derive"])  # missing required -n
     assert excinfo.value.code == 2
+    # --seed belongs to check and --decimal to derive and bell only.
+    for argv in (
+        ["expand", "-n", "2", "--seed", "5"],
+        ["expand", "-n", "2", "--decimal", "3"],
+        ["check", "--max-n", "1", "--trials", "1", "--decimal", "3"],
+        ["bell", "-n", "3", "--seed", "5"],
+        ["derive", "--phi", "x", "--psi", "y", "--at", "0", "-n", "1", "--seed", "5"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_unknown_command_is_usage_error():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compderiv import composition, partitions
 from compderiv.composition import (
     DerivativeSequence,
     SequenceTooShortError,
@@ -16,7 +17,9 @@ from compderiv.composition import (
     partial_bell,
     power_derivatives,
 )
+from compderiv.determinant import derivative_determinant
 from compderiv.exact import factorial
+from compderiv.series import derivative_via_jets
 from oracles import (
     composition_derivative_by_set_partitions,
     random_rational,
@@ -183,6 +186,29 @@ def test_bell_route_equals_partition_route(n):
         assert derivative_bell(phi, psi, n) == derivative_partition_sum(phi, psi, n)
 
 
+@pytest.mark.parametrize("n", [8, 40, 60])
+def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
+    # Only the partition sum may read the partition list; the determinant
+    # and jet routes, which never do, give the reference values.
+    def refuse(order):
+        raise AssertionError(f"partitions of {order} enumerated")
+
+    monkeypatch.setattr(partitions, "enumerate_multiplicity_vectors", refuse)
+    monkeypatch.setattr(composition, "enumerate_multiplicity_vectors", refuse)
+    rng = random.Random(800 + n)
+    phi, psi = random_sequence(rng, n), random_sequence(rng, n)
+    psi = DerivativeSequence(derivs=psi.derivs, base=Fraction(3, 2))
+    expected = derivative_determinant(phi, psi, n)
+    assert derivative_bell(phi, psi, n) == expected == derivative_via_jets(phi, psi, n)
+    for k in sorted({1, n // 2, n}):
+        outer = seq(*[int(j == k) for j in range(1, n + 1)])
+        assert partial_bell(n, k, psi) == derivative_determinant(outer, psi, n)
+    for m in (-3, 2, 5):
+        power = power_derivatives(m, psi.base, n)
+        expected = derivative_via_jets(power, psi, n)
+        assert lagrange_power_coefficient(psi, m, n) * factorial(n) == expected
+
+
 # --- the power special case ----------------------------------------------------
 
 def test_power_route_first_order_is_product_rule():
@@ -192,6 +218,7 @@ def test_power_route_first_order_is_product_rule():
 
 def test_power_route_worked_example():
     assert lagrange_power_coefficient(seq(2, 3, base=1), 2, 2) == 7
+    assert lagrange_power_coefficient(seq(2, 3, base=1), 0, 2) == 0  # psi**0 = 1
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -225,17 +252,23 @@ def test_power_route_negative_exponent(m, n):
 
 
 def test_power_route_zero_base_with_small_positive_exponent():
-    # p > m terms vanish via the falling factorial before any 0 division.
+    # The zero base is factored out as a power of y, so nothing divides by it.
     psi = seq(2, 3, 4, base=0)
     value = lagrange_power_coefficient(psi, 2, 3)
     # D^3(psi^2)/3! with psi = 2y + 3y^2/2 + 4y^3/6: coefficient of y^3 in psi^2.
     assert value == 2 * (Fraction(4, 6) * 0 + Fraction(2) * Fraction(3, 2))
+    # psi = y^2 (psi' = 0, psi'' = 2) gives psi**m = y**(2m); psi = 0 gives 0.
+    for m in range(6):
+        for n in range(1, 13):
+            square = seq(*[0, 2, *[0] * (n - 2)][:n], base=0)
+            assert lagrange_power_coefficient(square, m, n) == (1 if n == 2 * m else 0)
+            assert lagrange_power_coefficient(seq(*[0] * n, base=0), m, n) == 0
 
 
 def test_power_route_zero_base_negative_exponent_raises():
-    psi = seq(2, 3, base=0)
-    with pytest.raises(ZeroDivisionError):
-        lagrange_power_coefficient(psi, -1, 2)
+    for psi in (seq(2, 3, base=0), seq(0, 0, base=0)):
+        with pytest.raises(ZeroDivisionError):
+            lagrange_power_coefficient(psi, -1, 2)
 
 
 def test_power_route_requires_base():

@@ -112,6 +112,7 @@ def test_stored_reduced_with_positive_denominator(x):
 def test_parse_plain_integer():
     assert parse_rational("7") == Fraction(7)
     assert parse_rational("-7") == Fraction(-7)
+    assert parse_rational("-" + "9" * 4300) == -(10**4300 - 1)
 
 
 def test_parse_fraction_reduces():
@@ -125,11 +126,20 @@ def test_parse_negative_fraction():
 
 
 @pytest.mark.parametrize(
-    "bad", ["1.5", "3/-4", "+3", "a", "", "1/0", "1 / 2", "\u0663/2", "1/\u0663"]
+    "bad",
+    ["1.5", "3/-4", "+3", "a", "", "1/0", "1 / 2", "\u0663/2", "1/\u0663"]
+    + [
+        pytest.param("1" * 4301, id="4301-digit-numerator"),
+        pytest.param("-" + "1" * 4301, id="4301-digit-negative-numerator"),
+        pytest.param("1/" + "1" * 4301, id="4301-digit-denominator"),
+    ],
 )
 def test_parse_rejects_out_of_grammar(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_rational(bad)
+    assert "set_int_max_str_digits" not in str(err.value)
+    if len(bad) > 4300:
+        assert "at most 4300 digits" in str(err.value)
 
 
 def test_format_elides_unit_denominator():

@@ -75,11 +75,16 @@ def test_parse_error_carries_offset_and_expectations():
     # Only the ASCII digits 0-9 are digits: ARABIC-INDIC DIGIT THREE and
     # SUPERSCRIPT TWO are rejected where they stand.
     cases = [("x + ", 4), ("\u0663/2*x", 0), ("x^\u00b2", 2), ("1/\u0663", 2), ("x^1\u0663", 3)]
+    # A literal of more than 4300 digits is rejected at its first digit.
+    long = "1" * 4301
+    cases += [("x + " + long, 4), ("1/" + long, 2), ("x^" + long, 2), ("(" + long + ")", 1)]
     for text, offset in cases:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.offset == offset
         assert err.value.expected
+        assert "set_int_max_str_digits" not in str(err.value)
+    assert parse("9" * 4300) == Constant(Fraction(10**4300 - 1))
 
 
 def test_parse_rejects_mixed_variables():
