@@ -27,7 +27,7 @@ from .composition import (
     partial_bell,
 )
 from .determinant import build_matrix, derivative_determinant, determinant_expand
-from .exact import format_rational, parse_rational
+from .exact import format_rational, int_text, parse_rational
 from .partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
 from .series import derivative_via_jets
 from .symbolic import (
@@ -77,7 +77,7 @@ def decimal_string(value: Fraction, digits: int) -> str:
     quotient, remainder = divmod(scaled, denominator)
     if 2 * remainder >= denominator:
         quotient += 1
-    text = str(quotient).rjust(digits + 1, "0")
+    text = int_text(quotient).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
@@ -93,7 +93,7 @@ def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
     try:
         # JSON integers are read by parse_rational too, so they meet its digit bound.
         data = json.loads(text, parse_int=lambda digits: int(parse_rational(digits)))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _CliError(f"{flag}: invalid JSON: {exc}") from exc
     except ValueError as exc:
         raise _CliError(f"{flag}: {exc}") from exc
@@ -124,12 +124,9 @@ def _derive_inputs(
     if any(v is not None for v in expr_flags):
         if any(v is None for v in expr_flags):
             raise _CliError("expression input needs all of --phi, --psi and --at")
-        try:
-            phi_expr = parse(args.phi)
-            psi_expr = parse(args.psi)
-            at = parse_rational(args.at)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        phi_expr = parse(args.phi)
+        psi_expr = parse(args.psi)
+        at = parse_rational(args.at)
         if args.method == "symbolic":
             return None, None, (phi_expr, psi_expr, at)
         psi_seq = derivative_sequence_of(psi_expr, at, args.order)
@@ -139,11 +136,8 @@ def _derive_inputs(
         raise _CliError("derivative input needs both --phi-derivs and --psi-derivs")
     phi_seq = _parse_sequence_json(args.phi_derivs, "--phi-derivs")
     psi_seq = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
-    try:
-        phi_seq.require_order(args.order, "phi")
-        psi_seq.require_order(args.order, "psi")
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    phi_seq.require_order(args.order, "phi")
+    psi_seq.require_order(args.order, "psi")
     return phi_seq, psi_seq, None
 
 
@@ -192,10 +186,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         if args.method == "determinant" and n < 2:
             raise _CliError("the determinant route requires order >= 2")
 
-    try:
-        values = {m: _route_value(m, phi, psi, n, exprs) for m in methods}
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    values = {m: _route_value(m, phi, psi, n, exprs) for m in methods}
 
     agree = len(set(values.values())) == 1
     if args.method == "all":
@@ -338,15 +329,10 @@ def _cmd_bell(args: argparse.Namespace) -> int:
         psi = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
     else:
         psi = DerivativeSequence(derivs=(Fraction(1),) * n)
-    try:
-        if k is None:
-            value = sum(
-                (partial_bell(n, i, psi) for i in range(1, n + 1)), Fraction(0)
-            )
-        else:
-            value = partial_bell(n, k, psi)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    if k is None:
+        value = sum((partial_bell(n, i, psi) for i in range(1, n + 1)), Fraction(0))
+    else:
+        value = partial_bell(n, k, psi)
     if args.json:
         print(json.dumps({"n": n, "k": k, "value": format_rational(value)}))
     else:
@@ -421,10 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (_CliError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

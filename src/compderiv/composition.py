@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .exact import as_rational, factorial, falling_factorial, format_rational
+from .exact import as_rational, factorial, falling_factorial, format_rational, scaled
 from .partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
 
 __all__ = [
@@ -133,15 +133,14 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     x_i = psi^(i), B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * x_i * B_{m-i,j-1},
     one column j = 1..k at a time over the rows m <= n - k + j.  It needs
     psi up to order n - k + 1 only, and runs over integers: with x_i = a_i / D
-    for one common denominator D, B_{n,k}(x) = B_{n,k}(a) / D**k.
+    in the integer-scaled form of ``exact.scaled``, B_{n,k}(x) = B_{n,k}(a) / D**k.
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"partial Bell indices out of range: n={n}, k={k}")
     width = n - k + 1
     psi.require_order(width, "psi")
-    xs = psi.derivs[:width]
-    d = math.lcm(*(x.denominator for x in xs))
-    a = [0] + [int(x * d) for x in xs]
+    xs, d = scaled(psi.derivs[:width])
+    a = [0] + xs
     col = [1] + [0] * (width - 1)  # B_{m,0} for m = 0..n-k
     for j in range(1, k + 1):
         col = [0] * j + [

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .composition import DerivativeSequence
-from .exact import binomial, format_rational
+from .exact import binomial, format_rational, scaled
 
 __all__ = [
     "PhiPolynomial",
@@ -70,29 +70,13 @@ class PhiPolynomial:
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self._coeffs.items()))
 
-    def degree(self) -> int:
-        """Largest exponent present; -1 for the zero polynomial."""
-        return max(self._coeffs, default=-1)
-
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhiPolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __add__(self, other: "PhiPolynomial") -> "PhiPolynomial":
-        merged = dict(self._coeffs)
-        for exponent, coefficient in other._coeffs.items():
-            merged[exponent] = merged.get(exponent, Fraction(0)) + coefficient
-        return PhiPolynomial(merged)
-
-    def __neg__(self) -> "PhiPolynomial":
-        return PhiPolynomial({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: "PhiPolynomial") -> "PhiPolynomial":
         out: dict[int, Fraction] = {}
@@ -148,13 +132,15 @@ class CompositionMatrix:
     def validate(self) -> None:
         """Check the structural pattern the expansion algorithm relies on:
         -1 on the diagonal from row 2 down, zeros in the lower-left block
-        outside column 1, and pure Phi-monomials in column 1.
+        outside column 1, and pure Phi-monomials in column 1 and above the
+        diagonal.
         """
         minus_one = PhiPolynomial.constant(-1)
         for r in range(1, self.size + 1):
-            col1 = self.entry(r, 1)
-            if any(e != 1 for e, _ in col1.items()):
-                raise ValueError(f"column 1 entry at row {r} must be c*Phi: {col1}")
+            for c in [1, *range(r + 1, self.size + 1)]:
+                entry = self.entry(r, c)
+                if any(e != 1 for e, _ in entry.items()):
+                    raise ValueError(f"entry ({r},{c}) must be c*Phi: {entry}")
             if r >= 2 and self.entry(r, r) != minus_one:
                 raise ValueError(f"diagonal entry at row {r} must be -1")
             for c in range(2, r):
@@ -208,25 +194,30 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
 
         H_k = sum_{i=1..k} A[i][k] * H_{i-1},    A[i][j] = entry(i, j+1),
 
-    giving det = (-1)^n * sum_r entry(r, 1) * H_{r-1} in O(n^2) ring
+    and reading column 1 as column n+2 makes the expansion the last step
+    of that recurrence: det = (-1)^n * H_{n+1}.  Every entry it reads is
+    c * Phi (``validate`` checks that), which shifts H up one power.  With
+    every c = a / d from one ``scaled`` call, the coefficient of Phi^p in
+    H_k is an integer over d^p, and the recurrence costs O(n^3) integer
     multiplications; no general O(n!) expansion ever happens.
     """
     matrix.validate()
     size = matrix.size
-    minors = [PhiPolynomial.constant(1)]
-    for k in range(1, size):
-        acc = PhiPolynomial.zero()
-        for i in range(1, k + 1):
-            a = matrix.entry(i, k + 1)
-            if not a.is_zero():
-                acc = acc + a * minors[i - 1]
+    # A[i][k] = entry(i, k+1) for i <= k, in recurrence order; column n+2 is column 1.
+    cells = [(i, k % size + 1) for k in range(1, size + 1) for i in range(1, k + 1)]
+    flat, d = scaled([matrix.entry(r, c).coefficient(1) for r, c in cells])
+    entries = iter(flat)
+    minors = [[1]]  # minors[k][p] / d**p is the coefficient of Phi^p in H_k
+    for k in range(1, size + 1):
+        acc = [0] * (k + 1)
+        # zip stops at the end of minors (H_0..H_{k-1}) before taking an entry.
+        for minor, a in zip(minors, entries):
+            if a:
+                for p, h in enumerate(minor, 1):
+                    acc[p] += a * h
         minors.append(acc)
-    det = PhiPolynomial.zero()
-    for r in range(1, size + 1):
-        det = det + matrix.entry(r, 1) * minors[r - 1]
-    if matrix.n % 2 == 1:
-        det = -det
-    return det
+    sign = (-1) ** matrix.n
+    return PhiPolynomial((p, Fraction(sign * h, d**p)) for p, h in enumerate(minors[-1]))
 
 
 def interpret_phi_polynomial(

@@ -1,19 +1,26 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals and the
+"""Exact scalar arithmetic: arbitrary-precision rationals, the
 combinatorial integers (factorials, binomials, falling factorials) that
-every derivative route consumes.
+every derivative route consumes, and the integer-scaled form.
 
 The coefficient field is ``fractions.Fraction``, re-exported as
 ``Rational``.  Fractions are always stored reduced with a positive
 denominator, which makes equality structural: every cross-route check in
 this package is a plain ``==``.  There is no floating point anywhere in
 the computational core.
+
+The integer-scaled form of rationals is integers over their least common
+denominator (``scaled``); ``convolve`` multiplies coefficient lists.  The
+Bell, determinant and jet routes and the symbolic expansion run their
+inner loops on it; the partition route stays on Fractions.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from fractions import Fraction
+from typing import Any, Sequence
 
 Rational = Fraction
 
@@ -25,7 +32,10 @@ __all__ = [
     "falling_factorial",
     "parse_rational",
     "format_rational",
+    "int_text",
     "as_rational",
+    "scaled",
+    "convolve",
 ]
 
 # Text form is "p/q" or "p" (q=1 elided) with an optional leading minus.
@@ -97,9 +107,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def int_text(value: int) -> str:
+    """Decimal digits of any integer; unlike str(), no MAX_LITERAL_DIGITS bound."""
+    return str(decimal.Decimal(value))
+
+
 def format_rational(value: Fraction) -> str:
     """Emit the canonical text form: "p/q", or just "p" when q = 1."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    text = int_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{int_text(value.denominator)}"
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:
@@ -115,3 +132,20 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers a_i and the least d >= 1 with values[i] == a_i / d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def convolve(a: Sequence[Any], b: Sequence[Any], size: int) -> list[Any]:
+    """The first ``size`` coefficients of a * b (lowest degree first)."""
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i], i):
+                if y:
+                    out[j] += x * y
+    return out

@@ -4,7 +4,8 @@ A jet of order N stores the coefficients c_0..c_N of a series truncated
 at degree N, with c_k = (k-th derivative) / k!.  Composing the jets of
 phi and psi and reading off n! * c_n reproduces the n-th derivative of
 the composition, which makes this module a route-independent oracle for
-the closed forms in ``composition``.
+the closed forms in ``composition``.  Composition runs on the jets'
+integer-scaled form (``exact.scaled``) and reduces once at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .composition import DerivativeSequence
-from .exact import as_rational, factorial
+from .exact import as_rational, convolve, factorial, scaled
 
 __all__ = [
     "Jet",
@@ -51,33 +52,32 @@ def _require_same_order(a: Jet, b: Jet) -> int:
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the common order."""
     n = _require_same_order(a, b)
-    out = [Fraction(0)] * (n + 1)
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j in range(n + 1 - i):
-            y = b.coeffs[j]
-            if y != 0:
-                out[i + j] += x * y
-    return Jet(tuple(out))
+    return Jet(tuple(convolve(a.coeffs, b.coeffs, n + 1)))
 
 
 def jet_compose(outer: Jet, inner: Jet) -> Jet:
     """Evaluate ``outer`` at the jet ``inner`` by Horner's scheme.
 
     The inner jet must be centered (zero constant term), because the
-    outer coefficients are taken about the inner function's value.
+    outer coefficients are taken about the inner function's value.  With
+    inner = a / d and outer = b / e, the partial result after j steps is
+    r / (e * d**j): each step convolves r with a and adds b_k * d**j to r_0.
     """
     n = _require_same_order(outer, inner)
     if inner.coeffs[0] != 0:
         raise ValueError(
             f"inner jet must be centered (constant term 0), got {inner.coeffs[0]}"
         )
-    result = Jet((outer.coeffs[n],) + (Fraction(0),) * n)
+    a, d = scaled(inner.coeffs)
+    b, e = scaled(outer.coeffs)
+    r = [b[n]] + [0] * n
+    d_power = 1
     for k in range(n - 1, -1, -1):
-        result = jet_mul(result, inner)
-        result = Jet((result.coeffs[0] + outer.coeffs[k],) + result.coeffs[1:])
-    return result
+        d_power *= d
+        r = convolve(r, a, n + 1)
+        r[0] += b[k] * d_power
+    denominator = e * d_power
+    return Jet(tuple(Fraction(c, denominator) for c in r))
 
 
 def jet_from_derivatives(seq: DerivativeSequence, order: int) -> Jet:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .composition import DerivativeSequence
-from .exact import MAX_LITERAL_DIGITS, as_rational, factorial
+from .exact import MAX_LITERAL_DIGITS, as_rational, convolve, factorial
 
 __all__ = [
     "Expr",
@@ -402,16 +402,6 @@ def evaluate(e: Expr, at: Fraction | int | str) -> Fraction:
     return _fold(e, visit)
 
 
-def _int_convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _dense_scaled(
     e: Expr, variable: tuple[list[int], int] = ([0, 1], 1)
 ) -> tuple[list[int], int]:
@@ -448,11 +438,11 @@ def _dense_scaled(
         if kind is Mul:
             left, da = done[id(node.left)]
             right, db = done[id(node.right)]
-            return _int_convolve(left, right), da * db
+            return convolve(left, right, len(left) + len(right) - 1), da * db
         base, den = done[id(node.base)]
         out = [1]
         for _ in range(node.exponent):
-            out = _int_convolve(out, base)
+            out = convolve(out, base, len(out) + len(base) - 1)
         return out, den**node.exponent
 
     return _fold(e, visit)

@@ -41,6 +41,17 @@ def test_derive_sequence_inputs(capsys):
     assert code == 0
     assert out == "15\n"
 
+    # A result longer than the 4300 digits an input literal may have.
+    nines = '{"derivs":[%s]}' % ("9" * 4300)
+    for extra, expected in [((), ""), (("--decimal", "1"), ".0")]:
+        code, out, err = run(
+            capsys,
+            "derive", "--phi-derivs", nines, "--psi-derivs", '{"derivs":[10]}', "-n", "1",
+            *extra,
+        )
+        assert (code, err) == (0, "")
+        assert out == "9" * 4300 + "0" + expected + "\n"
+
 
 def test_derive_methods_agree_in_json(capsys):
     common = [
@@ -132,6 +143,13 @@ def test_derive_rejects_malformed_json(capsys):
     )
     assert code == 2
     assert "invalid JSON" in err
+
+    code, _, err = run(
+        capsys, "derive", "--phi-derivs", "[" * 100000, "--psi-derivs", '{"derivs":["1"]}',
+        "-n", "1",
+    )
+    assert code == 2
+    assert err.startswith("error: --phi-derivs: invalid JSON: ") and "Traceback" not in err
 
     code, _, err = run(
         capsys,

@@ -198,8 +198,19 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
     rng = random.Random(800 + n)
     phi, psi = random_sequence(rng, n), random_sequence(rng, n)
     psi = DerivativeSequence(derivs=psi.derivs, base=Fraction(3, 2))
-    expected = derivative_determinant(phi, psi, n)
-    assert derivative_bell(phi, psi, n) == expected == derivative_via_jets(phi, psi, n)
+    # 64-bit numerators and denominators, every third value zero; not at
+    # n = 60, where 60 coprime denominators make it take half a minute.
+    wide = [
+        Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) if j % 3 else 0
+        for j in range(2 * n)
+    ]
+    inputs = [(phi, psi)]
+    if n <= 40:
+        inputs.append((seq(*wide[:n]), seq(*wide[n:])))
+    for outer, inner in inputs:
+        expected = derivative_determinant(outer, inner, n)
+        assert derivative_bell(outer, inner, n) == expected
+        assert derivative_via_jets(outer, inner, n) == expected
     for k in sorted({1, n // 2, n}):
         outer = seq(*[int(j == k) for j in range(1, n + 1)])
         assert partial_bell(n, k, psi) == derivative_determinant(outer, psi, n)

@@ -28,15 +28,13 @@ def test_polynomial_drops_zero_coefficients():
     p = PhiPolynomial({2: Fraction(0), 1: Fraction(3)})
     assert list(p.items()) == [(1, Fraction(3))]
     assert p.coefficient(2) == 0
-    assert not PhiPolynomial.zero()
+    assert PhiPolynomial.zero().is_zero()
 
 
 def test_polynomial_arithmetic():
     p = PhiPolynomial.monomial(1, 2)
-    q = PhiPolynomial.monomial(2, 3) + PhiPolynomial.constant(-1)
+    q = PhiPolynomial({2: Fraction(3), 0: Fraction(-1)})
     assert p * q == PhiPolynomial({3: Fraction(6), 1: Fraction(-2)})
-    assert p + (-p) == PhiPolynomial.zero()
-    assert (p + q).degree() == 2
 
 
 def test_polynomial_rejects_negative_exponent():

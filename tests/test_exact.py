@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from compderiv.exact import (
     as_rational,
     binomial,
+    convolve,
     factorial,
     falling_factorial,
     format_rational,
+    int_text,
     parse_rational,
+    scaled,
 )
 
 rationals = st.fractions(
@@ -150,6 +154,14 @@ def test_format_elides_unit_denominator():
     assert format_rational(Fraction(0)) == "0"
 
 
+def test_format_prints_results_of_any_size():
+    # 5000 digits: past the 4300 that str() of an int allows by default.
+    assert int_text(3 * 10**4999) == "3" + "0" * 4999
+    assert int_text(-(10**5000 - 1)) == "-" + "9" * 5000
+    assert format_rational(Fraction(-(10**5000 - 1), 2)) == "-" + "9" * 5000 + "/2"
+    assert format_rational(Fraction(1, 10**4999)) == "1/1" + "0" * 4999
+
+
 @given(rationals)
 def test_text_form_round_trip(x):
     assert parse_rational(format_rational(x)) == x
@@ -164,3 +176,49 @@ def test_as_rational_coercions():
             as_rational(value)
     with pytest.raises(ValueError):
         as_rational("0.5")
+
+
+# --- integer-scaled form ------------------------------------------------------
+
+
+def test_scaled_clears_the_least_common_denominator():
+    assert scaled([Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5, 6)]) == (
+        [3, -2, 0, 5],
+        6,
+    )
+    assert scaled([Fraction(-4), Fraction(0)]) == ([-4, 0], 1)
+    assert scaled([Fraction(0), Fraction(0)]) == ([0, 0], 1)
+    assert scaled([]) == ([], 1)
+
+
+def test_convolve_truncates_and_pads():
+    assert convolve([1, 2], [3, 4], 3) == [3, 10, 8]
+    assert convolve([1, 2], [3, 4], 2) == [3, 10]
+    assert convolve([1, 2], [3, 4], 5) == [3, 10, 8, 0, 0]
+    assert convolve([0, -1, 0, 2], [5, 0, -3], 6) == [0, -5, 0, 13, 0, -6]
+    assert convolve([], [1, 2], 2) == [0, 0]
+    assert convolve([1, 2], [3], 0) == []
+
+
+@given(st.lists(rationals, max_size=12))
+def test_scaled_is_exact_and_least(values):
+    a, d = scaled(values)
+    assert d >= 1 and all(isinstance(x, int) for x in a)
+    assert [Fraction(x, d) for x in a] == values
+    # d is least exactly when no prime divides d and every a_i.
+    assert math.gcd(d, *a) == 1
+
+
+@given(
+    st.lists(rationals, max_size=10),
+    st.lists(rationals, max_size=10),
+    st.integers(min_value=0, max_value=22),
+)
+def test_convolve_of_scaled_lists_matches_fraction_arithmetic(a, b, size):
+    expected = [
+        sum((a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)), Fraction(0))
+        for k in range(size)
+    ]
+    assert convolve(a, b, size) == expected
+    (ia, da), (ib, db) = scaled(a), scaled(b)
+    assert [Fraction(c, da * db) for c in convolve(ia, ib, size)] == expected
