@@ -4,14 +4,19 @@ A jet of order N stores the coefficients c_0..c_N of a series truncated
 at degree N, with c_k = (k-th derivative) / k!.  Composing the jets of
 phi and psi and reading off n! * c_n reproduces the n-th derivative of
 the composition, which makes this module a route-independent oracle for
-the closed forms in ``composition``.  Composition runs on the jets'
-integer-scaled form (``exact.scaled``) and reduces once at the end.
+the closed forms in ``composition``.  Composition is Horner's scheme on
+derivative values, each product by Leibniz's rule, over integers with a
+common denominator (``exact.scaled``) that loses its gcd with them after
+every step.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .composition import DerivativeSequence
 from .exact import as_rational, convolve, factorial, scaled
@@ -55,29 +60,54 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return Jet(tuple(convolve(a.coeffs, b.coeffs, n + 1)))
 
 
+def _horner(
+    outer: Sequence[Fraction], inner: Sequence[Fraction]
+) -> tuple[list[int], int]:
+    """Derivative values r_m / den, m = 0..n, of sum_k outer[k] * A**k.
+
+    ``outer`` holds the coefficients b_0..b_n, ``inner`` the derivative
+    values A^(0..n) of a function with A(0) = 0.  Horner's steps
+    R <- R * A + b_k run on derivative values: with A^(i) = a_i / d, the
+    product is Leibniz's rule R^(m) <- sum_i C(m, i) * R^(i) * A^(m-i),
+    and b_k is added to R^(0).  Each step divides r and den by their gcd,
+    so neither d**j nor a factorial builds up in them.
+    """
+    n = len(outer) - 1
+    a, d = scaled(inner)
+    # R^(m) of R * A is r . leibniz[m] / (den * d); a_0 = 0 drops i = m.
+    leibniz = [[math.comb(m, i) * a[m - i] for i in range(m)] for m in range(n + 1)]
+    r, den = [outer[n].numerator] + [0] * n, outer[n].denominator
+    for b in reversed(outer[:n]):
+        r = [sum(map(operator.mul, r, row)) for row in leibniz]
+        den *= d
+        lift = b.denominator // math.gcd(den, b.denominator)
+        r = [c * lift for c in r]
+        den *= lift
+        r[0] += b.numerator * (den // b.denominator)
+        content = math.gcd(den, *r)
+        r = [c // content for c in r]
+        den //= content
+    return r, den
+
+
 def jet_compose(outer: Jet, inner: Jet) -> Jet:
     """Evaluate ``outer`` at the jet ``inner`` by Horner's scheme.
 
     The inner jet must be centered (zero constant term), because the
-    outer coefficients are taken about the inner function's value.  With
-    inner = a / d and outer = b / e, the partial result after j steps is
-    r / (e * d**j): each step convolves r with a and adds b_k * d**j to r_0.
+    outer coefficients are taken about the inner function's value.  The
+    scheme runs on the inner function's derivative values i! * inner_i
+    (``_horner``), and the composite's m-th value is divided by m! at the
+    end.
     """
     n = _require_same_order(outer, inner)
     if inner.coeffs[0] != 0:
         raise ValueError(
             f"inner jet must be centered (constant term 0), got {inner.coeffs[0]}"
         )
-    a, d = scaled(inner.coeffs)
-    b, e = scaled(outer.coeffs)
-    r = [b[n]] + [0] * n
-    d_power = 1
-    for k in range(n - 1, -1, -1):
-        d_power *= d
-        r = convolve(r, a, n + 1)
-        r[0] += b[k] * d_power
-    denominator = e * d_power
-    return Jet(tuple(Fraction(c, denominator) for c in r))
+    r, den = _horner(
+        outer.coeffs, [factorial(i) * c for i, c in enumerate(inner.coeffs)]
+    )
+    return Jet(tuple(Fraction(c, den * factorial(m)) for m, c in enumerate(r)))
 
 
 def jet_from_derivatives(seq: DerivativeSequence, order: int) -> Jet:
@@ -101,14 +131,14 @@ def derivative_via_jets(
 ) -> Fraction:
     """D_y^n of phi(psi(y)) through truncated-series composition.
 
-    Builds the order-n jets of both inputs, centers the inner one, and
-    returns n! times the degree-n coefficient of the composite.
+    Builds the order-n jet of phi and runs Horner's scheme on psi's
+    derivative values with psi's value replaced by 0, since phi's values
+    are taken there; the composite's n-th derivative value is the answer.
     """
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     outer = jet_from_derivatives(DerivativeSequence(derivs=phi.derivs[:n]), n)
-    inner = jet_from_derivatives(DerivativeSequence(derivs=psi.derivs[:n]), n)
-    composed = jet_compose(outer, inner)
-    return factorial(n) * composed.coeffs[n]
+    r, den = _horner(outer.coeffs, (Fraction(0),) + psi.derivs[:n])
+    return Fraction(r[n], den)

@@ -62,12 +62,64 @@ DEFAULT_MAX_DEPTH = 256
 
 
 class Expr:
-    """Base class for polynomial AST nodes."""
+    """Base class for polynomial AST nodes.
+
+    Equality, hashing and ``repr`` are structural, in the form dataclasses
+    generate, but walk the tree on an explicit stack, so they work at any
+    size and depth the parser accepts.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        stack: list[tuple[Expr, Expr]] = [(self, other)]
+        # Pairs already pushed, so a node shared by several parents is compared once.
+        pending: set[tuple[int, int]] = set()
+        while stack:
+            a, b = stack.pop()
+            if type(a) is not type(b):
+                return False
+            for x, y in zip(vars(a).values(), vars(b).values()):
+                if not isinstance(x, Expr):
+                    if x != y:
+                        return False
+                elif x is not y and (id(x), id(y)) not in pending:
+                    pending.add((id(x), id(y)))
+                    stack.append((x, y))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return _fold(
+            self,
+            lambda node, done: hash(
+                (type(node),)
+                + tuple(
+                    done[id(v)] if isinstance(v, Expr) else v
+                    for v in vars(node).values()
+                )
+            ),
+        )
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list[Expr | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces: list[Expr | str] = [f"{type(item).__qualname__}("]
+            for i, (name, value) in enumerate(vars(item).items()):
+                pieces.append(f", {name}=" if i else f"{name}=")
+                pieces.append(value if isinstance(value, Expr) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Constant(Expr):
     value: Fraction
 
@@ -75,24 +127,24 @@ class Constant(Expr):
         object.__setattr__(self, "value", as_rational(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Variable(Expr):
     name: str = "x"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -102,7 +154,7 @@ class Pow(Expr):
             raise ValueError(f"Pow exponent must be non-negative: {self.exponent}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     operand: Expr
 

@@ -94,6 +94,38 @@ def test_compose_associativity(a, data):
     assert jet_compose(jet_compose(a, b), c) == jet_compose(a, jet_compose(b, c))
 
 
+# 64-bit numerators over 64-bit denominators (almost always coprime in pairs),
+# mixed with zeros and small values.
+jet_entries = st.one_of(
+    st.just(Fraction(0)),
+    small_rationals,
+    st.builds(Fraction, st.integers(-(2**63), 2**63), st.integers(1, 2**64)),
+)
+
+
+@given(st.integers(0, 12), st.data())
+def test_compose_matches_horner_on_fractions(order, data):
+    def coefficients(centered):
+        entries = data.draw(
+            st.one_of(
+                st.lists(jet_entries, min_size=order + 1, max_size=order + 1),
+                st.just([Fraction(0)] * (order + 1)),
+            )
+        )
+        return [Fraction(0)] + entries[1:] if centered else entries
+
+    outer, inner = coefficients(False), coefficients(True)
+    # Horner's scheme r <- r * inner + b_k with Cauchy products, on Fractions.
+    r = [Fraction(0)] * (order + 1)
+    for b in reversed(outer):
+        r = [
+            sum((r[i] * inner[m - i] for i in range(m + 1)), Fraction(0))
+            for m in range(order + 1)
+        ]
+        r[0] += b
+    assert jet_compose(Jet(tuple(outer)), Jet(tuple(inner))) == Jet(tuple(r))
+
+
 # --- conversions -------------------------------------------------------------------
 
 def test_jet_from_derivatives_divides_by_factorials():

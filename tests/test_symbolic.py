@@ -134,6 +134,12 @@ def test_no_recursion_and_no_interpreter_state_changes():
         assert evaluate(total, Fraction(1, 3)) == 1000
         assert evaluate(differentiate(total), 5) == terms
         assert evaluate(parse(format_expr(total)), 2) == 2 * terms
+        again = parse("+".join(["x"] * terms))
+        assert again == total and hash(again) == hash(total)
+        assert parse("+".join(["2"] + ["x"] * (terms - 1))) != total
+        assert repr(total) == "Add(left=" * (terms - 1) + "Variable(name='x')" + (
+            ", right=Variable(name='x'))" * (terms - 1)
+        )
         seq = derivative_sequence_of(total, 2, 2)
         assert (seq.base, seq.derivs) == (2 * terms, (terms, 0))
         # phi(psi(y)) = 3000 y^2
