@@ -330,8 +330,7 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     else:
         psi = DerivativeSequence(derivs=(Fraction(1),) * n)
     if k is None:
-        # The complete Bell polynomial sums B_{n,k} over k: phi^(k) = 1 for all k.
-        value = derivative_bell(DerivativeSequence(derivs=(Fraction(1),) * n), psi, n)
+        value = sum((partial_bell(n, i, psi) for i in range(1, n + 1)), Fraction(0))
     else:
         value = partial_bell(n, k, psi)
     if args.json:

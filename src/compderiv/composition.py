@@ -6,21 +6,18 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
 
 * ``derivative_partition_sum`` sums one exact term per integer partition
   of n (the primary closed form).
-* ``derivative_bell`` sums phi^(k) * B_{n,k} over k, reading every
-  B_{n,k} from one pass over Comtet's recurrence, without partitions;
-  ``partial_bell`` reads a single B_{n,k} from the same recurrence.
+* ``derivative_bell`` sums phi^(k) * B_{n,k} over k; ``partial_bell``
+  gets B_{n,k} from Comtet's recurrence, without partitions.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
   n-th Taylor coefficient of psi(y)**m by J.C.P. Miller's recurrence.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any
 
 from .exact import as_rational, factorial, falling_factorial, format_rational, scaled
 from .partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
@@ -129,67 +126,42 @@ def derivative_partition_sum(
     return total
 
 
-def _comtet_columns(x: list[int], n: int) -> Iterator[list[int]]:
-    """Columns j = 1, 2, ..., n of Comtet's table of B_{m,j}(x_1, ..., x_w).
-
-    Comtet's recurrence (Advanced Combinatorics, 1974, section 3.3),
-    B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * x_i * B_{m-i,j-1}, run over
-    the integers ``x`` = [x_1, ..., x_w].  Column j holds B_{m,j} at index
-    m for j <= m <= min(n, w + j - 1), the rows that x_1..x_w determine,
-    and 0 below row j.
-    """
-    w = len(x)
-    # weights[m][i - 1] = C(m-1, i-1) * x_i: row m's factors, for every column.
-    weights = [
-        [math.comb(m - 1, i - 1) * x[i - 1] for i in range(1, min(m, w) + 1)]
-        for m in range(n + 1)
-    ]
-    col = [1] + [0] * n  # B_{m,0}
-    for j in range(1, n + 1):
-        col = [0] * j + [
-            sum(map(operator.mul, weights[m], reversed(col[j - 1 : m])))
-            for m in range(j, min(n, w + j - 1) + 1)
-        ]
-        yield col
-
-
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     """The partial Bell polynomial B_{n,k} evaluated at psi', psi'', ...
 
-    Read from column k of Comtet's table (``_comtet_columns``).  It needs
-    psi up to order n - k + 1 only, and runs over integers: with x_i =
-    a_i / D in the integer-scaled form of ``exact.scaled``,
-    B_{n,k}(x) = B_{n,k}(a) / D**k.
+    Comtet's recurrence (Advanced Combinatorics, 1974, section 3.3) on
+    x_i = psi^(i), B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * x_i * B_{m-i,j-1},
+    one column j = 1..k at a time over the rows m <= n - k + j.  It needs
+    psi up to order n - k + 1 only, and runs over integers: with x_i = a_i / D
+    in the integer-scaled form of ``exact.scaled``, B_{n,k}(x) = B_{n,k}(a) / D**k.
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"partial Bell indices out of range: n={n}, k={k}")
     width = n - k + 1
     psi.require_order(width, "psi")
     xs, d = scaled(psi.derivs[:width])
-    col = next(itertools.islice(_comtet_columns(xs, n), k - 1, None))
+    a = [0] + xs
+    col = [1] + [0] * (width - 1)  # B_{m,0} for m = 0..n-k
+    for j in range(1, k + 1):
+        col = [0] * j + [
+            sum(math.comb(m - 1, i - 1) * a[i] * col[m - i] for i in range(1, m - j + 2))
+            for m in range(j, width + j)
+        ]
     return Fraction(col[n], d**k)
 
 
 def derivative_bell(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int
 ) -> Fraction:
-    """D_y^n of phi(psi(y)) by outer order: the sum of phi^(k) * B_{n,k}.
-
-    One pass over Comtet's table gives every B_{n,k}, k = 1..n, in
-    O(n**3) integer operations.  With psi' = a / D and phi' = b / E in the
-    integer-scaled form, the sum is (sum_k b_k * B_{n,k}(a) * D**(n-k)) /
-    (E * D**n), accumulated by Horner's rule in D.
-    """
+    """D_y^n of phi(psi(y)) by outer order: the sum of phi^(k) * B_{n,k}."""
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    xs, d = scaled(psi.derivs[:n])
-    ys, e = scaled(phi.derivs[:n])
-    total = 0
-    for y, col in zip(ys, _comtet_columns(xs, n)):
-        total = total * d + y * col[n]
-    return Fraction(total, e * d**n)
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += phi.derivative(k) * partial_bell(n, k, psi)
+    return total
 
 
 def lagrange_power_coefficient(

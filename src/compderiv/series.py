@@ -16,7 +16,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .composition import DerivativeSequence
 from .exact import as_rational, convolve, factorial, scaled
@@ -60,53 +59,38 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return Jet(tuple(convolve(a.coeffs, b.coeffs, n + 1)))
 
 
-def _horner(
-    outer: Sequence[Fraction], inner: Sequence[Fraction]
-) -> tuple[list[int], int]:
-    """Derivative values r_m / den, m = 0..n, of sum_k outer[k] * A**k.
-
-    ``outer`` holds the coefficients b_0..b_n, ``inner`` the derivative
-    values A^(0..n) of a function with A(0) = 0.  Horner's steps
-    R <- R * A + b_k run on derivative values: with A^(i) = a_i / d, the
-    product is Leibniz's rule R^(m) <- sum_i C(m, i) * R^(i) * A^(m-i),
-    and b_k is added to R^(0).  Each step divides r and den by their gcd,
-    so neither d**j nor a factorial builds up in them.
-    """
-    n = len(outer) - 1
-    a, d = scaled(inner)
-    # R^(m) of R * A is r . leibniz[m] / (den * d); a_0 = 0 drops i = m.
-    leibniz = [[math.comb(m, i) * a[m - i] for i in range(m)] for m in range(n + 1)]
-    r, den = [outer[n].numerator] + [0] * n, outer[n].denominator
-    for b in reversed(outer[:n]):
-        r = [sum(map(operator.mul, r, row)) for row in leibniz]
-        den *= d
-        lift = b.denominator // math.gcd(den, b.denominator)
-        r = [c * lift for c in r]
-        den *= lift
-        r[0] += b.numerator * (den // b.denominator)
-        content = math.gcd(den, *r)
-        r = [c // content for c in r]
-        den //= content
-    return r, den
-
-
 def jet_compose(outer: Jet, inner: Jet) -> Jet:
     """Evaluate ``outer`` at the jet ``inner`` by Horner's scheme.
 
     The inner jet must be centered (zero constant term), because the
     outer coefficients are taken about the inner function's value.  The
-    scheme runs on the inner function's derivative values i! * inner_i
-    (``_horner``), and the composite's m-th value is divided by m! at the
-    end.
+    steps R <- R * A + b_k run on derivative values r_m / den of R and
+    A^(i) = i! * inner_i = a_i / d: the product is Leibniz's rule
+    R^(m) <- sum_i C(m, i) * R^(i) * A^(m-i), and b_k is added to R^(0).
+    Each step divides r and den by their gcd, so neither d**j nor a
+    factorial builds up in them; the composite's m-th value is divided by
+    m! at the end.
     """
     n = _require_same_order(outer, inner)
     if inner.coeffs[0] != 0:
         raise ValueError(
             f"inner jet must be centered (constant term 0), got {inner.coeffs[0]}"
         )
-    r, den = _horner(
-        outer.coeffs, [factorial(i) * c for i, c in enumerate(inner.coeffs)]
-    )
+    a, d = scaled([factorial(i) * c for i, c in enumerate(inner.coeffs)])
+    # R^(m) of R * A is r . leibniz[m] / (den * d); a_0 = 0 drops i = m.
+    leibniz = [[math.comb(m, i) * a[m - i] for i in range(m)] for m in range(n + 1)]
+    b = outer.coeffs
+    r, den = [b[n].numerator] + [0] * n, b[n].denominator
+    for b_k in reversed(b[:n]):
+        r = [sum(map(operator.mul, r, row)) for row in leibniz]
+        den *= d
+        lift = b_k.denominator // math.gcd(den, b_k.denominator)
+        r = [c * lift for c in r]
+        den *= lift
+        r[0] += b_k.numerator * (den // b_k.denominator)
+        content = math.gcd(den, *r)
+        r = [c // content for c in r]
+        den //= content
     return Jet(tuple(Fraction(c, den * factorial(m)) for m, c in enumerate(r)))
 
 
@@ -131,14 +115,14 @@ def derivative_via_jets(
 ) -> Fraction:
     """D_y^n of phi(psi(y)) through truncated-series composition.
 
-    Builds the order-n jet of phi and runs Horner's scheme on psi's
-    derivative values with psi's value replaced by 0, since phi's values
-    are taken there; the composite's n-th derivative value is the answer.
+    Builds the order-n jets of both inputs, centers the inner one, and
+    returns n! times the degree-n coefficient of the composite.
     """
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     outer = jet_from_derivatives(DerivativeSequence(derivs=phi.derivs[:n]), n)
-    r, den = _horner(outer.coeffs, (Fraction(0),) + psi.derivs[:n])
-    return Fraction(r[n], den)
+    inner = jet_from_derivatives(DerivativeSequence(derivs=psi.derivs[:n]), n)
+    composed = jet_compose(outer, inner)
+    return factorial(n) * composed.coeffs[n]
