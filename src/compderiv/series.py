@@ -76,7 +76,11 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         raise ValueError(
             f"inner jet must be centered (constant term 0), got {inner.coeffs[0]}"
         )
-    a, d = scaled([factorial(i) * c for i, c in enumerate(inner.coeffs)])
+    # The derivative values i! * inner_i over their least common denominator.
+    a, d = scaled(inner.coeffs)
+    a = [factorial(i) * x for i, x in enumerate(a)]
+    content = math.gcd(d, *a)
+    a, d = [x // content for x in a], d // content
     # R^(m) of R * A is r . leibniz[m] / (den * d); a_0 = 0 drops i = m.
     leibniz = [[math.comb(m, i) * a[m - i] for i in range(m)] for m in range(n + 1)]
     b = outer.coeffs
@@ -85,12 +89,14 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         r = [sum(map(operator.mul, r, row)) for row in leibniz]
         den *= d
         lift = b_k.denominator // math.gcd(den, b_k.denominator)
-        r = [c * lift for c in r]
-        den *= lift
+        if lift > 1:
+            r = [c * lift for c in r]
+            den *= lift
         r[0] += b_k.numerator * (den // b_k.denominator)
         content = math.gcd(den, *r)
-        r = [c // content for c in r]
-        den //= content
+        if content > 1:
+            r = [c // content for c in r]
+            den //= content
     return Jet(tuple(Fraction(c, den * factorial(m)) for m, c in enumerate(r)))
 
 
