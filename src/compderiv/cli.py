@@ -18,7 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .composition import (
     DerivativeSequence,
@@ -39,8 +39,6 @@ from .symbolic import (
 )
 
 __all__ = ["main"]
-
-METHODS = ("partition", "determinant", "bell", "series", "symbolic", "all")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,14 +105,35 @@ def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
 Exprs = tuple[Expr, Expr, Fraction]
 
 
+class _Route(NamedTuple):
+    lowest_order: int
+    reads_exprs: bool  # reads the parsed expressions, not the derivative sequences
+    call: Callable[[Any, Any, int, Any], Fraction]  # (phi, psi, n, exprs) -> value
+
+
+# Every route, in reporting order.  The library checks each route's inputs.
+# A call looks its route function up on this module when it runs, so a name
+# rebound here later (a test's monkeypatch, a tracer's wrapper) sees it.
+ROUTES = {
+    "partition": _Route(1, False, lambda phi, psi, n, _: derivative_partition_sum(phi, psi, n)),
+    "bell": _Route(1, False, lambda phi, psi, n, _: derivative_bell(phi, psi, n)),
+    "determinant": _Route(2, False, lambda phi, psi, n, _: derivative_determinant(phi, psi, n)),
+    "series": _Route(1, False, lambda phi, psi, n, _: derivative_via_jets(phi, psi, n)),
+    "symbolic": _Route(
+        1, True, lambda _phi, _psi, n, ex: nth_derivative_of_composition(ex[0], ex[1], n, ex[2])
+    ),
+}
+
+
 def _derive_inputs(
     args: argparse.Namespace,
 ) -> tuple[DerivativeSequence | None, DerivativeSequence | None, Exprs | None]:
     """Return (phi sequence, psi sequence, parsed expressions or None).
 
-    Sequences are None for ``--method symbolic``, the one route that reads
-    only the parsed expressions.
+    Sequences are None when the one route asked for reads only the parsed
+    expressions.
     """
+    only_exprs = args.method != "all" and ROUTES[args.method].reads_exprs
     expr_flags = [args.phi, args.psi, args.at]
     derivs_flags = [args.phi_derivs, args.psi_derivs]
     if any(v is not None for v in expr_flags) and any(
@@ -127,7 +146,7 @@ def _derive_inputs(
         phi_expr = parse(args.phi)
         psi_expr = parse(args.psi)
         at = parse_rational(args.at)
-        if args.method == "symbolic":
+        if only_exprs:
             return None, None, (phi_expr, psi_expr, at)
         psi_seq = derivative_sequence_of(psi_expr, at, args.order)
         phi_seq = derivative_sequence_of(phi_expr, psi_seq.base, args.order)
@@ -136,60 +155,36 @@ def _derive_inputs(
         raise _CliError("derivative input needs both --phi-derivs and --psi-derivs")
     phi_seq = _parse_sequence_json(args.phi_derivs, "--phi-derivs")
     psi_seq = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
-    phi_seq.require_order(args.order, "phi")
-    psi_seq.require_order(args.order, "psi")
+    if only_exprs:
+        raise _CliError(f"the {args.method} route requires expression inputs (--phi/--psi/--at)")
     return phi_seq, psi_seq, None
 
 
-def _routes(n: int, with_exprs: bool) -> list[str]:
-    """Every route that applies at order n, in reporting order."""
-    routes = ["partition", "bell"]
-    if n >= 2:
-        routes.append("determinant")
-    if with_exprs:
-        routes.extend(["series", "symbolic"])
-    return routes
+def _route_values(
+    phi: DerivativeSequence, psi: DerivativeSequence, n: int, exprs: Exprs | None
+) -> dict[str, Fraction]:
+    """The value of every route that applies at order n, in reporting order."""
+    return {
+        name: route.call(phi, psi, n, exprs)
+        for name, route in ROUTES.items()
+        if n >= route.lowest_order and (exprs is not None or not route.reads_exprs)
+    }
 
 
-def _route_value(
-    method: str,
-    phi: DerivativeSequence | None,
-    psi: DerivativeSequence | None,
-    n: int,
-    exprs: Exprs | None,
-) -> Fraction:
-    if method == "partition":
-        return derivative_partition_sum(phi, psi, n)
-    if method == "bell":
-        return derivative_bell(phi, psi, n)
-    if method == "determinant":
-        return derivative_determinant(phi, psi, n)
-    if method == "series":
-        return derivative_via_jets(phi, psi, n)
-    if method == "symbolic":
-        phi_expr, psi_expr, at = exprs
-        return nth_derivative_of_composition(phi_expr, psi_expr, n, at)
-    raise _CliError(f"unknown method {method!r}")
+def _print_values(values: dict[str, Fraction]) -> None:
+    """The per-route lines under a disagreement header, on stderr."""
+    for route, value in values.items():
+        print(f"  {route} = {format_rational(value)}", file=sys.stderr)
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     n = args.order
+    if args.show_expansion and args.method != "determinant":
+        raise _CliError("--show-expansion only applies to --method determinant")
     phi, psi, exprs = _derive_inputs(args)
     if args.method == "all":
-        methods = _routes(n, exprs is not None)
-    else:
-        methods = [args.method]
-        if args.method in ("series", "symbolic") and exprs is None:
-            raise _CliError(
-                f"the {args.method} route requires expression inputs (--phi/--psi/--at)"
-            )
-        if args.method == "determinant" and n < 2:
-            raise _CliError("the determinant route requires order >= 2")
-
-    values = {m: _route_value(m, phi, psi, n, exprs) for m in methods}
-
-    agree = len(set(values.values())) == 1
-    if args.method == "all":
+        values = _route_values(phi, psi, n, exprs)
+        agree = len(set(values.values())) == 1
         if args.json:
             payload: dict[str, Any] = {
                 "n": n,
@@ -203,20 +198,17 @@ def _cmd_derive(args: argparse.Namespace) -> int:
                 }
             print(json.dumps(payload))
         else:
-            for m in methods:
-                print(f"{m}: {_render(values[m], args)}")
+            for m, v in values.items():
+                print(f"{m}: {_render(v, args)}")
         if not agree:
             print("route disagreement detected", file=sys.stderr)
-            for m in methods:
-                print(f"  {m} = {format_rational(values[m])}", file=sys.stderr)
+            _print_values(values)
             return EXIT_DISAGREEMENT
         return EXIT_OK
 
-    value = values[args.method]
+    value = ROUTES[args.method].call(phi, psi, n, exprs)
     expansion = None
     if args.show_expansion:
-        if args.method != "determinant":
-            raise _CliError("--show-expansion only applies to --method determinant")
         expansion = str(determinant_expand(build_matrix(psi, n - 1)))
     if args.json:
         payload = {"n": n, "method": args.method, "value": format_rational(value)}
@@ -271,7 +263,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     report = []
     for n in range(1, args.max_n + 1):
-        routes = _routes(n, True)
         for trial in range(args.trials):
             at = _random_rational(rng)
             psi = DerivativeSequence(
@@ -283,7 +274,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 base=_random_rational(rng),
             )
             exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
-            values = {r: _route_value(r, phi, psi, n, exprs) for r in routes}
+            values = _route_values(phi, psi, n, exprs)
             if len(set(values.values())) != 1:
                 print(
                     f"route disagreement at order {n}, trial {trial}:", file=sys.stderr
@@ -291,13 +282,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(f"  at   = {format_rational(at)}", file=sys.stderr)
                 print(f"  phi  = {json.dumps(phi.to_json())}", file=sys.stderr)
                 print(f"  psi  = {json.dumps(psi.to_json())}", file=sys.stderr)
-                for route in routes:
-                    print(
-                        f"  {route} = {format_rational(values[route])}",
-                        file=sys.stderr,
-                    )
+                _print_values(values)
                 return EXIT_DISAGREEMENT
-        report.append({"n": n, "trials": args.trials, "routes": routes, "ok": True})
+        report.append({"n": n, "trials": args.trials, "routes": list(values), "ok": True})
     if args.json:
         print(
             json.dumps(
@@ -325,12 +312,14 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     k = args.parts
     if k is not None and (k < 1 or k > n):
         raise _CliError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    ones = DerivativeSequence(derivs=(Fraction(1),) * n)
     if args.psi_derivs is not None:
         psi = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
     else:
-        psi = DerivativeSequence(derivs=(Fraction(1),) * n)
+        psi = ones
     if k is None:
-        value = sum((partial_bell(n, i, psi) for i in range(1, n + 1)), Fraction(0))
+        # The complete Bell polynomial: sum_k phi^(k) * B_{n,k} with every phi^(k) = 1.
+        value = derivative_bell(ones, psi, n)
     else:
         value = partial_bell(n, k, psi)
     if args.json:
@@ -364,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "derive", parents=[common, decimal], help="compute D_y^n of phi(psi(y))"
     )
     p_derive.add_argument("-n", "--order", type=_positive_int, required=True)
-    p_derive.add_argument("--method", choices=METHODS, default="partition")
+    p_derive.add_argument("--method", choices=(*ROUTES, "all"), default="partition")
     p_derive.add_argument("--phi", help="outer polynomial, e.g. 'x^3 + x'")
     p_derive.add_argument("--psi", help="inner polynomial, e.g. '2*y^2 + y'")
     p_derive.add_argument("--at", help="expansion point as 'p/q'")

@@ -10,12 +10,12 @@ applies the ordinary sum, product and power rules to the AST with
 constant folding only; it turns an expression into its derivative
 sequence.
 
-Every walk over an expression goes through ``_fold``, an explicit-stack
-post-order fold that visits each distinct node object once, and the
-parser keeps its nesting on an explicit stack too: neither expression
-size nor nesting depth meets the interpreter's recursion limit, and no
-interpreter state is changed.  Nesting of '(' and unary '-' is bounded by
-``max_depth`` (default 256); length is not bounded.
+Every walk over an expression runs on an explicit stack: the folds go
+through ``_fold``, which visits each distinct node object once, the
+printers (``format_expr``, ``repr``) stream their pieces, and the parser
+nests on a stack too.  Neither size nor depth meets the interpreter's
+recursion limit, and no interpreter state is changed.  Nesting of '('
+and unary '-' is bounded by ``MAX_DEPTH`` (256); length is not bounded.
 
 Grammar (whitespace-insensitive, explicit '*' required):
 
@@ -58,7 +58,7 @@ __all__ = [
     "taylor_polynomial",
 ]
 
-DEFAULT_MAX_DEPTH = 256
+MAX_DEPTH = 256
 
 
 class Expr:
@@ -217,7 +217,7 @@ class _Parser:
         return Constant(Fraction(numerator, denominator))
 
 
-def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
+def parse(text: str) -> Expr:
     """Parse an expression, or raise ParseError with offset and expectations.
 
     The grammar's nesting lives on an explicit stack.  Its bottom entry is
@@ -242,7 +242,7 @@ def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
             p.pos += 1
             node = Variable(char)
         elif char == "(" or char == "-":
-            if len(stack) > max_depth:
+            if len(stack) > MAX_DEPTH:
                 raise ParseError(text, p.pos, ("shallower nesting",))
             p.pos += 1
             stack.append([None, False, None] if char == "(" else None)
@@ -334,29 +334,36 @@ def format_expr(e: Expr) -> str:
     For parser-produced trees, re-parsing the output reproduces the same
     structure.  Trees that contain folded negative constants (which the
     grammar has no literal for) re-parse to an evaluation-equal form.
+    Its memory is linear in the output: it streams pieces like ``Expr.__repr__``.
     """
 
-    def visit(node: Expr, done: dict[int, str]) -> str:
-        def wrap(child: Expr, minimum: int) -> str:
-            text = done[id(child)]
-            return f"({text})" if _precedence(child) < minimum else text
+    def wrap(child: Expr, minimum: int) -> list[Expr | str]:
+        return ["(", child, ")"] if _precedence(child) < minimum else [child]
 
+    out: list[str] = []
+    stack: list[Expr | str] = [e]
+    while stack:
+        node = stack.pop()
         kind = type(node)
-        if kind is Constant:
-            return str(node.value)
-        if kind is Variable:
-            return node.name
-        if kind is Neg:
-            return "-" + wrap(node.operand, 3)
-        if kind is Pow:
-            return f"{wrap(node.base, 4)}^{node.exponent}"
-        if kind is Mul:
-            return f"{wrap(node.left, 2)}*{wrap(node.right, 3)}"
-        if type(node.right) is Neg:
-            return f"{wrap(node.left, 1)} - {wrap(node.right.operand, 2)}"
-        return f"{wrap(node.left, 1)} + {wrap(node.right, 2)}"
-
-    return _fold(e, visit)
+        if kind is str:
+            out.append(node)
+        elif kind is Constant:
+            out.append(str(node.value))
+        elif kind is Variable:
+            out.append(node.name)
+        elif kind is Neg:
+            stack.extend(reversed(["-", *wrap(node.operand, 3)]))
+        elif kind is Pow:
+            stack.extend(reversed([*wrap(node.base, 4), f"^{node.exponent}"]))
+        elif kind is Mul:
+            stack.extend(reversed([*wrap(node.left, 2), "*", *wrap(node.right, 3)]))
+        elif kind is Add and type(node.right) is Neg:
+            stack.extend(reversed([node.left, " - ", *wrap(node.right.operand, 2)]))
+        elif kind is Add:
+            stack.extend(reversed([node.left, " + ", *wrap(node.right, 2)]))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return "".join(out)
 
 
 # Smart constructors: constant folding only, so derivatives stay readable

@@ -98,17 +98,19 @@ def test_derive_method_all_sequence_inputs_excludes_expr_routes(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload["values"]) == {"partition", "bell", "determinant"}
+    assert set(payload["values"]) == {"partition", "bell", "determinant", "series"}
 
 
 def test_derive_series_requires_expressions(capsys):
-    code, _, err = run(
-        capsys,
+    # Only the symbolic route needs expressions; series runs on sequences.
+    sequences = [
         "derive",
-        "--phi-derivs", '{"derivs":["1"]}',
-        "--psi-derivs", '{"derivs":["1"]}',
-        "-n", "1", "--method", "series",
-    )
+        "--phi-derivs", '{"derivs":["1","1","1"]}',
+        "--psi-derivs", '{"derivs":["2","1","1"]}',
+        "-n", "3",
+    ]
+    assert run(capsys, *sequences, "--method", "series") == (0, "15\n", "")
+    code, _, err = run(capsys, *sequences, "--method", "symbolic")
     assert code == 2
     assert "expression" in err
 
@@ -264,15 +266,16 @@ def test_derive_show_expansion_prints_formal_polynomial(capsys):
 
 
 def test_derive_show_expansion_requires_determinant_method(capsys):
-    code, _, err = run(
-        capsys,
-        "derive",
-        "--phi-derivs", '{"derivs":["1","1"]}',
-        "--psi-derivs", '{"derivs":["2","1"]}',
-        "-n", "2", "--show-expansion",
-    )
-    assert code == 2
-    assert "determinant" in err
+    for method in [(), ("--method", "all"), ("--method", "bell")]:
+        code, out, err = run(
+            capsys,
+            "derive",
+            "--phi-derivs", '{"derivs":["1","1"]}',
+            "--psi-derivs", '{"derivs":["2","1"]}',
+            "-n", "2", "--show-expansion", *method,
+        )
+        assert (code, out) == (2, "")
+        assert "determinant" in err
 
 
 # --- expand -----------------------------------------------------------------------
@@ -416,6 +419,10 @@ def test_bell_with_custom_derivatives(capsys):
     )
     assert code == 0
     assert out == "67\n"  # 4*2*5 + 3*3^2
+
+    code, out, _ = run(capsys, "bell", "-n", "3", "--psi-derivs", '{"derivs":["2","3","5"]}')
+    assert code == 0
+    assert out == "31\n"  # B_3 = x1^3 + 3*x1*x2 + x3
 
 
 def test_bell_k_above_n_is_usage_error(capsys):
