@@ -323,7 +323,10 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     else:
         value = partial_bell(n, k, psi)
     if args.json:
-        print(json.dumps({"n": n, "k": k, "value": format_rational(value)}))
+        payload: dict[str, Any] = {"n": n, "k": k, "value": format_rational(value)}
+        if args.decimal is not None:
+            payload["decimal"] = decimal_string(value, args.decimal)
+        print(json.dumps(payload))
     else:
         print(_render(value, args))
     return EXIT_OK

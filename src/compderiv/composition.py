@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from .exact import as_rational, factorial, falling_factorial, format_rational, scaled
-from .partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
+from .partitions import partition_parts, partition_weight
 
 __all__ = [
     "DerivativeSequence",
@@ -94,6 +94,9 @@ class DerivativeSequence:
     def from_json(cls, data: dict[str, Any]) -> "DerivativeSequence":
         if not isinstance(data, dict) or "derivs" not in data:
             raise ValueError(f"derivative sequence JSON needs 'derivs': {data!r}")
+        unknown = sorted(str(key) for key in data if key not in ("derivs", "base"))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in derivative sequence JSON")
         if not isinstance(data["derivs"], list):
             raise ValueError(f"'derivs' must be a list: {data['derivs']!r}")
         derivs = tuple(as_rational(v) for v in data["derivs"])
@@ -110,17 +113,17 @@ def derivative_partition_sum(
 
         n! / (prod m_j! * prod (j!)**m_j) * phi^(p) * prod psi^(j)**m_j.
 
-    The factorial denominators live in the weight, so the product uses the
-    raw derivative values.
+    The factorial denominators live in the integer weight, so the product
+    uses the raw derivative values.  One walk over the partitions gives the terms.
     """
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     total = Fraction(0)
-    for mvec in enumerate_multiplicity_vectors(n):
-        term = phi.derivative(total_order(mvec)) * multinomial_weight(mvec)
-        for j, mj in mvec.parts():
+    for parts in partition_parts(n):
+        term = phi.derivative(sum(mj for _, mj in parts)) * partition_weight(n, parts)
+        for j, mj in parts:
             term *= psi.derivative(j) ** mj
         total += term
     return total

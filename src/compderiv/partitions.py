@@ -1,27 +1,30 @@
-"""Integer partitions of n in multiplicity-vector form, and the exact
-multinomial weight each partition contributes to the n-th derivative of a
-composition.
+"""Integer partitions of n as one streaming walk, and the exact multinomial
+weight each partition contributes to the n-th derivative of a composition.
 
-A partition of n is stored as the vector (m_1, ..., m_n) where m_j counts
-the parts of size j, so that sum(j * m_j) = n.  The number of parts is
-p = sum(m_j); it becomes the derivation order of the outer function in
-the composition formula.
+A partition is walked as (size j, multiplicity m_j) pairs, sum(j * m_j) = n, and
+stored as (m_1, ..., m_n) in ``MultiplicityVector``; p = sum(m_j) is the outer order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .exact import factorial
 
 __all__ = [
+    "MAX_PARTITION_ORDER",
     "MultiplicityVector",
+    "partition_parts",
+    "partition_weight",
     "enumerate_multiplicity_vectors",
     "total_order",
     "multinomial_weight",
 ]
+
+# Highest order the walk accepts: p(100) is about 1.9e8 partitions, hours of work.
+MAX_PARTITION_ORDER = 100
 
 
 @dataclass(frozen=True)
@@ -36,54 +39,52 @@ class MultiplicityVector:
             raise ValueError(f"partition order must be positive, got n={self.n}")
         m = tuple(int(v) for v in self.m)
         object.__setattr__(self, "m", m)
-        if len(m) != self.n:
-            raise ValueError(
-                f"multiplicity vector must have length n={self.n}, got {len(m)}"
-            )
-        if any(v < 0 for v in m):
-            raise ValueError(f"multiplicities must be non-negative: {m}")
         weighted = sum(j * mj for j, mj in enumerate(m, start=1))
-        if weighted != self.n:
-            raise ValueError(
-                f"sum of j*m_j must equal n={self.n}, got {weighted} for m={m}"
-            )
+        if len(m) != self.n or any(v < 0 for v in m) or weighted != self.n:
+            raise ValueError(f"not a multiplicity vector of n={self.n}: m={m}")
 
     def parts(self) -> list[tuple[int, int]]:
         """The nonzero (size, multiplicity) pairs, smallest size first."""
         return [(j, mj) for j, mj in enumerate(self.m, start=1) if mj > 0]
 
 
-def enumerate_multiplicity_vectors(n: int) -> list[MultiplicityVector]:
-    """All multiplicity vectors of order ``n`` in canonical order.
+def partition_parts(n: int) -> Iterator[list[tuple[int, int]]]:
+    """Walk the partitions of ``n`` as (size, multiplicity) pairs, largest size first.
 
-    The order is lexicographically decreasing in (m_n, ..., m_1): the
-    single-part partition comes first and the all-ones partition last.
-    Enumeration recurses on the largest part size, so the work is
-    proportional to the number of partitions, not to any hypercube.
+    The order is lexicographically decreasing in (m_n, ..., m_1), from [(n, 1)]
+    to [(1, n)].  Each step is Zoghbi and Stojmenovic's ZS1 successor (1998) on
+    one list, rewritten in place and valid until the next step, so memory is
+    O(n).  Orders above ``MAX_PARTITION_ORDER`` raise ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"partition order must be positive, got n={n}")
-    return list(_vectors(n))
-
-
-@lru_cache(maxsize=64)
-def _vectors(n: int) -> tuple[MultiplicityVector, ...]:
-    out: list[MultiplicityVector] = []
-    counts = [0] * n
-
-    def descend(remaining: int, j: int) -> None:
-        if j == 1:
-            counts[0] = remaining
-            out.append(MultiplicityVector(n=n, m=tuple(counts)))
-            counts[0] = 0
+    if n > MAX_PARTITION_ORDER:
+        raise ValueError(f"partition order {n} > MAX_PARTITION_ORDER = {MAX_PARTITION_ORDER}")
+    parts = [(n, 1)]
+    while True:
+        yield parts
+        ones = parts.pop()[1] if parts[-1][0] == 1 else 0
+        if not parts:
             return
-        for c in range(remaining // j, -1, -1):
-            counts[j - 1] = c
-            descend(remaining - c * j, j - 1)
-        counts[j - 1] = 0
+        # One part of the smallest size k > 1, plus the ones, refilled greedily below k.
+        k, c = parts.pop()
+        if c > 1:
+            parts.append((k, c - 1))
+        q, r = divmod(k + ones, k - 1)
+        parts.append((k - 1, q))
+        if r:
+            parts.append((r, 1))
 
-    descend(n, n)
-    return tuple(out)
+
+def enumerate_multiplicity_vectors(n: int) -> list[MultiplicityVector]:
+    """All multiplicity vectors of order ``n``, in the order of ``partition_parts``."""
+    vectors = []
+    for parts in partition_parts(n):
+        m = [0] * n
+        for j, mj in parts:
+            m[j - 1] = mj
+        vectors.append(MultiplicityVector(n=n, m=tuple(m)))
+    return vectors
 
 
 def total_order(mvec: MultiplicityVector) -> int:
@@ -91,15 +92,14 @@ def total_order(mvec: MultiplicityVector) -> int:
     return sum(mvec.m)
 
 
-def multinomial_weight(mvec: MultiplicityVector) -> Fraction:
-    """The exact coefficient n! / (prod m_j! * prod (j!)**m_j).
-
-    Counts the set partitions of an n-element set whose block sizes
-    realize ``mvec``; it is therefore always a positive integer, even
-    though it is computed as a ratio.
-    """
+def partition_weight(n: int, parts: Iterable[tuple[int, int]]) -> int:
+    """n! // (prod m_j! * prod (j!)**m_j): the set partitions with m_j blocks of size j."""
     denominator = 1
-    for j, mj in enumerate(mvec.m, start=1):
-        if mj:
-            denominator *= factorial(mj) * factorial(j) ** mj
-    return Fraction(factorial(mvec.n), denominator)
+    for j, mj in parts:
+        denominator *= factorial(mj) * factorial(j) ** mj
+    return factorial(n) // denominator
+
+
+def multinomial_weight(mvec: MultiplicityVector) -> Fraction:
+    """``partition_weight`` of ``mvec``, as a Fraction."""
+    return Fraction(partition_weight(mvec.n, mvec.parts()))

@@ -161,6 +161,14 @@ def test_derive_rejects_malformed_json(capsys):
     assert code == 2
     assert "'derivs' must be a list" in err and "Traceback" not in err
 
+    code, _, err = run(
+        capsys,
+        "derive", "--phi-derivs", '{"derivs":["1"],"Base":"2"}', "--psi-derivs", '{"derivs":["1"]}',
+        "-n", "1",
+    )
+    assert code == 2
+    assert err.startswith("error: --phi-derivs: ") and "'Base'" in err
+
     # More than 4300 digits, as a JSON integer or in a rational string.
     for derivs in ["1" * 4301, '"1/%s"' % ("1" * 4301)]:
         code, _, err = run(
@@ -241,6 +249,16 @@ def test_derive_reports_short_sequences(capsys):
     )
     assert code == 2
     assert "too short" in err
+
+    # Orders above the partition walk's bound are refused, not walked.
+    for argv in (
+        ["expand", "-n", "1200"],
+        ["derive", "--phi", "x", "--psi", "y", "--at", "0", "-n", "1200", "--method", "partition"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "MAX_PARTITION_ORDER" in err
+        assert "Traceback" not in err
 
 
 def test_derive_decimal_display(capsys):
@@ -405,6 +423,10 @@ def test_bell_partial_value(capsys):
     code, out, _ = run(capsys, "bell", "-n", "4", "-k", "2")
     assert code == 0
     assert out == "7\n"
+
+    code, out, _ = run(capsys, "bell", "-n", "4", "-k", "2", "--json", "--decimal", "2")
+    assert code == 0
+    assert json.loads(out) == {"n": 4, "k": 2, "value": "7", "decimal": "7.00"}
 
 
 def test_bell_order_one(capsys):

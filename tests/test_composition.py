@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -197,9 +198,12 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
         raise AssertionError(f"partitions of {order} enumerated")
 
     monkeypatch.setattr(partitions, "enumerate_multiplicity_vectors", refuse)
-    monkeypatch.setattr(composition, "enumerate_multiplicity_vectors", refuse)
+    monkeypatch.setattr(composition, "partition_parts", refuse)
     rng = random.Random(800 + n)
     phi, psi = random_sequence(rng, n), random_sequence(rng, n)
+    # The guard sits on the walk the partition route really reads.
+    with pytest.raises(AssertionError, match=f"partitions of {n} enumerated"):
+        derivative_partition_sum(phi, psi, n)
     psi = DerivativeSequence(derivs=psi.derivs, base=Fraction(3, 2))
     # 64-bit numerators and denominators, every third value zero; the
     # determinant on them is the slow part, so not at n = 100.
@@ -223,6 +227,21 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
         assert derivative_bell(power, psi, n) == expected
         assert derivative_determinant(power, psi, n) == expected
         assert derivative_via_jets(power, psi, n) == expected
+
+
+def test_partition_sum_retains_nothing_after_return():
+    # The partition walk keeps no table between calls; n = 30 has 5604 terms.
+    rng = random.Random(30)
+    phi, psi = random_sequence(rng, 30), random_sequence(rng, 30)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = derivative_partition_sum(phi, psi, 30)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert value == derivative_bell(phi, psi, 30)
+    assert retained < 0.5 * 2**20
 
 
 # --- the power special case ----------------------------------------------------
@@ -321,6 +340,8 @@ def test_sequence_json_rejects_garbage():
     for derivs in ("123", {"1": "1"}, 3):
         with pytest.raises(ValueError):
             DerivativeSequence.from_json({"derivs": derivs})
+    with pytest.raises(ValueError, match="'Base'"):
+        DerivativeSequence.from_json({"derivs": ["1"], "Base": "2"})
     for data in ({"derivs": [True]}, {"derivs": ["1"], "base": False}):
         with pytest.raises(TypeError):
             DerivativeSequence.from_json(data)

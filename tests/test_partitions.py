@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from compderiv.partitions import (
+    MAX_PARTITION_ORDER,
     MultiplicityVector,
     enumerate_multiplicity_vectors,
     multinomial_weight,
+    partition_parts,
     total_order,
 )
 from oracles import (
@@ -70,6 +72,26 @@ def test_canonical_order_single_part_first():
 def test_canonical_order_is_decreasing_lex_in_reversed_vector(n):
     keys = [tuple(reversed(v.m)) for v in enumerate_multiplicity_vectors(n)]
     assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_walk_yields_the_vectors_in_order_largest_size_first(n):
+    walked = []
+    for parts in partition_parts(n):
+        assert [j for j, _ in parts] == sorted((j for j, _ in parts), reverse=True)
+        walked.append(sorted(parts))
+    assert walked == [v.parts() for v in enumerate_multiplicity_vectors(n)]
+
+
+def test_walk_order_bound():
+    assert MAX_PARTITION_ORDER == 100
+    assert next(partition_parts(100)) == [(100, 1)]
+    with pytest.raises(ValueError, match="MAX_PARTITION_ORDER"):
+        next(partition_parts(101))
+    with pytest.raises(ValueError, match="MAX_PARTITION_ORDER"):
+        enumerate_multiplicity_vectors(101)
+    with pytest.raises(ValueError):
+        next(partition_parts(0))
 
 
 def test_enumeration_returns_fresh_list():
