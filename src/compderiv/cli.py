@@ -28,7 +28,7 @@ from .composition import (
 )
 from .determinant import build_matrix, derivative_determinant, determinant_expand
 from .exact import format_rational, int_text, parse_rational
-from .partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
+from .partitions import MAX_PARTITION_ORDER, partition_parts, partition_weight
 from .series import derivative_via_jets
 from .symbolic import (
     Expr,
@@ -107,20 +107,32 @@ Exprs = tuple[Expr, Expr, Fraction]
 
 class _Route(NamedTuple):
     lowest_order: int
+    highest_order: tuple[str, int] | None  # (name, value) of the bound ``all`` skips above
     reads_exprs: bool  # reads the parsed expressions, not the derivative sequences
     call: Callable[[Any, Any, int, Any], Fraction]  # (phi, psi, n, exprs) -> value
 
 
-# Every route, in reporting order.  The library checks each route's inputs.
+# Every route, in reporting order.  The library checks each route's inputs;
+# with --method all (and in check), a route above its highest order is skipped.
 # A call looks its route function up on this module when it runs, so a name
 # rebound here later (a test's monkeypatch, a tracer's wrapper) sees it.
 ROUTES = {
-    "partition": _Route(1, False, lambda phi, psi, n, _: derivative_partition_sum(phi, psi, n)),
-    "bell": _Route(1, False, lambda phi, psi, n, _: derivative_bell(phi, psi, n)),
-    "determinant": _Route(2, False, lambda phi, psi, n, _: derivative_determinant(phi, psi, n)),
-    "series": _Route(1, False, lambda phi, psi, n, _: derivative_via_jets(phi, psi, n)),
+    "partition": _Route(
+        1,
+        ("MAX_PARTITION_ORDER", MAX_PARTITION_ORDER),
+        False,
+        lambda phi, psi, n, _: derivative_partition_sum(phi, psi, n),
+    ),
+    "bell": _Route(1, None, False, lambda phi, psi, n, _: derivative_bell(phi, psi, n)),
+    "determinant": _Route(
+        2, None, False, lambda phi, psi, n, _: derivative_determinant(phi, psi, n)
+    ),
+    "series": _Route(1, None, False, lambda phi, psi, n, _: derivative_via_jets(phi, psi, n)),
     "symbolic": _Route(
-        1, True, lambda _phi, _psi, n, ex: nth_derivative_of_composition(ex[0], ex[1], n, ex[2])
+        1,
+        None,
+        True,
+        lambda _phi, _psi, n, ex: nth_derivative_of_composition(ex[0], ex[1], n, ex[2]),
     ),
 }
 
@@ -162,13 +174,19 @@ def _derive_inputs(
 
 def _route_values(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int, exprs: Exprs | None
-) -> dict[str, Fraction]:
-    """The value of every route that applies at order n, in reporting order."""
-    return {
-        name: route.call(phi, psi, n, exprs)
-        for name, route in ROUTES.items()
-        if n >= route.lowest_order and (exprs is not None or not route.reads_exprs)
-    }
+) -> tuple[dict[str, Fraction], dict[str, str]]:
+    """The value of every route that applies at order n, in reporting order,
+    and the reason for each route skipped above its highest order."""
+    values, skipped = {}, {}
+    for name, route in ROUTES.items():
+        if n < route.lowest_order or (exprs is None and route.reads_exprs):
+            continue
+        if route.highest_order is not None and n > route.highest_order[1]:
+            bound, limit = route.highest_order
+            skipped[name] = f"order {n} > {bound} = {limit}"
+        else:
+            values[name] = route.call(phi, psi, n, exprs)
+    return values, skipped
 
 
 def _print_values(values: dict[str, Fraction]) -> None:
@@ -183,23 +201,28 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         raise _CliError("--show-expansion only applies to --method determinant")
     phi, psi, exprs = _derive_inputs(args)
     if args.method == "all":
-        values = _route_values(phi, psi, n, exprs)
+        values, skipped = _route_values(phi, psi, n, exprs)
         agree = len(set(values.values())) == 1
         if args.json:
             payload: dict[str, Any] = {
                 "n": n,
                 "method": "all",
                 "values": {m: format_rational(v) for m, v in values.items()},
-                "agree": agree,
             }
+            if skipped:
+                payload["skipped"] = skipped
+            payload["agree"] = agree
             if args.decimal is not None:
                 payload["decimal"] = {
                     m: decimal_string(v, args.decimal) for m, v in values.items()
                 }
             print(json.dumps(payload))
         else:
-            for m, v in values.items():
-                print(f"{m}: {_render(v, args)}")
+            for m in ROUTES:
+                if m in values:
+                    print(f"{m}: {_render(values[m], args)}")
+                elif m in skipped:
+                    print(f"{m}: skipped ({skipped[m]})")
         if not agree:
             print("route disagreement detected", file=sys.stderr)
             _print_values(values)
@@ -230,28 +253,28 @@ def _psi_monomial(parts: list[tuple[int, int]]) -> str:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    # One line, or one JSON array element, per partition as the walk reaches it.
     n = args.order
-    terms = []
-    for mvec in enumerate_multiplicity_vectors(n):
-        weight = multinomial_weight(mvec)
-        terms.append(
-            {
-                "m": list(mvec.m),
-                "coefficient": format_rational(weight),
-                "phi_order": total_order(mvec),
-                "psi_powers": [[j, mj] for j, mj in mvec.parts()],
+    for index, parts in enumerate(partition_parts(n)):
+        m = [0] * n
+        for j, mj in parts:
+            m[j - 1] = mj
+        smallest_first = parts[::-1]
+        coefficient = int_text(partition_weight(n, parts))
+        p = sum(m)
+        if args.json:
+            term = {
+                "m": m,
+                "coefficient": coefficient,
+                "phi_order": p,
+                "psi_powers": [[j, mj] for j, mj in smallest_first],
             }
-        )
+            print(", " if index else "[", json.dumps(term), sep="", end="")
+        else:
+            mvec_text = "(" + ",".join(str(v) for v in m) + ")"
+            print(f"m={mvec_text} coeff={coefficient} p={p} psi={_psi_monomial(smallest_first)}")
     if args.json:
-        print(json.dumps(terms))
-        return EXIT_OK
-    for term in terms:
-        mvec_text = "(" + ",".join(str(v) for v in term["m"]) + ")"
-        monomial = _psi_monomial([(j, mj) for j, mj in term["psi_powers"]])
-        print(
-            f"m={mvec_text} coeff={term['coefficient']} "
-            f"p={term['phi_order']} psi={monomial}"
-        )
+        print("]")
     return EXIT_OK
 
 
@@ -274,7 +297,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 base=_random_rational(rng),
             )
             exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
-            values = _route_values(phi, psi, n, exprs)
+            values, _ = _route_values(phi, psi, n, exprs)
             if len(set(values.values())) != 1:
                 print(
                     f"route disagreement at order {n}, trial {trial}:", file=sys.stderr

@@ -5,7 +5,7 @@ functions themselves: the caller supplies psi', psi'', ... evaluated at
 the expansion point and phi', phi'', ... evaluated at psi of that point.
 
 * ``derivative_partition_sum`` sums one exact term per integer partition
-  of n (the primary closed form).
+  of n (the primary closed form), grouped by outer order p, on Fractions.
 * ``derivative_bell`` sums phi^(k) * B_{n,k} over k; ``partial_bell``
   gets B_{n,k} from Comtet's recurrence, without partitions.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from .exact import as_rational, factorial, falling_factorial, format_rational, scaled
-from .partitions import partition_parts, partition_weight
+from .partitions import pair_divisor, partition_parts
 
 __all__ = [
     "DerivativeSequence",
@@ -111,22 +111,46 @@ def derivative_partition_sum(
 
     Each partition (m_1, ..., m_n) with p parts contributes
 
-        n! / (prod m_j! * prod (j!)**m_j) * phi^(p) * prod psi^(j)**m_j.
+        n! / (prod m_j! * prod (j!)**m_j) * phi^(p) * prod psi^(j)**m_j,
 
-    The factorial denominators live in the integer weight, so the product
-    uses the raw derivative values.  One walk over the partitions gives the terms.
+    so the sum is n! * sum_p phi^(p) * sums[p], where sums[p] adds the
+    products of the pair factors psi^(j)**m_j / (m_j! * (j!)**m_j) over the
+    partitions with p parts.  Each pair factor is computed once per call.  The
+    walk rewrites only the last few pairs of its list per step, so a stack of
+    (product, parts) over the leading pairs keeps what the step left alone.
     """
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    total = Fraction(0)
+    factors: dict[tuple[int, int], Fraction] = {}
+    sums = [Fraction(0)] * (n + 1)
+    stack = [(Fraction(1), 0)]  # stack[i]: product and parts of the first i pairs
+    previous: list[tuple[int, int]] = []
     for parts in partition_parts(n):
-        term = phi.derivative(sum(mj for _, mj in parts)) * partition_weight(n, parts)
-        for j, mj in parts:
-            term *= psi.derivative(j) ** mj
-        total += term
-    return total
+        keep = 0
+        for old, new in zip(previous, parts):
+            if old != new:
+                break
+            keep += 1
+        del stack[keep + 1 :]
+        product, p = stack[-1]
+        for j, mj in parts[keep:]:
+            factor = factors.get((j, mj))
+            if factor is None:
+                # One normalisation, where a power and then a division make two.
+                d = psi.derivative(j)
+                factor = Fraction(d.numerator**mj, d.denominator**mj * pair_divisor(j, mj))
+                factors[j, mj] = factor
+            if product:  # a zero prefix stays zero
+                product *= factor
+            p += mj
+            stack.append((product, p))
+        previous[keep:] = parts[keep:]
+        if product:
+            sums[p] += product
+    total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
+    return factorial(n) * total
 
 
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:

@@ -17,6 +17,7 @@ __all__ = [
     "MAX_PARTITION_ORDER",
     "MultiplicityVector",
     "partition_parts",
+    "pair_divisor",
     "partition_weight",
     "enumerate_multiplicity_vectors",
     "total_order",
@@ -92,11 +93,16 @@ def total_order(mvec: MultiplicityVector) -> int:
     return sum(mvec.m)
 
 
+def pair_divisor(j: int, mj: int) -> int:
+    """m_j! * (j!)**m_j: what the m_j parts of size j divide the weight's n! by."""
+    return factorial(mj) * factorial(j) ** mj
+
+
 def partition_weight(n: int, parts: Iterable[tuple[int, int]]) -> int:
-    """n! // (prod m_j! * prod (j!)**m_j): the set partitions with m_j blocks of size j."""
+    """n! // prod pair_divisor(j, m_j): the set partitions with m_j blocks of size j."""
     denominator = 1
     for j, mj in parts:
-        denominator *= factorial(mj) * factorial(j) ** mj
+        denominator *= pair_divisor(j, mj)
     return factorial(n) // denominator
 
 

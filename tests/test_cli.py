@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import compderiv.cli as cli
 from compderiv.cli import decimal_string, main
+from compderiv.partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
 from fractions import Fraction
 
 
@@ -261,6 +263,33 @@ def test_derive_reports_short_sequences(capsys):
         assert "Traceback" not in err
 
 
+def test_derive_all_skips_the_partition_route_above_its_bound(capsys):
+    argv = ["derive", "--phi", "x^2", "--psi", "y^2+y", "--at", "1", "-n", "101"]
+    code, out, err = run(capsys, *argv, "--method", "all")
+    assert (code, err) == (0, "")
+    assert out == (
+        "partition: skipped (order 101 > MAX_PARTITION_ORDER = 100)\n"
+        "bell: 0\ndeterminant: 0\nseries: 0\nsymbolic: 0\n"
+    )
+    code, out, err = run(capsys, *argv, "--method", "all", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "n": 101,
+        "method": "all",
+        "values": {"bell": "0", "determinant": "0", "series": "0", "symbolic": "0"},
+        "skipped": {"partition": "order 101 > MAX_PARTITION_ORDER = 100"},
+        "agree": True,
+    }
+    # Asked for by name, the route still refuses the order.
+    code, out, err = run(capsys, *argv, "--method", "partition")
+    assert (code, out) == (2, "")
+    assert err == "error: partition order 101 > MAX_PARTITION_ORDER = 100\n"
+    # With nothing skipped, the JSON has no "skipped" key.
+    code, out, _ = run(capsys, *argv[:-1], "3", "--method", "all", "--json")
+    assert code == 0
+    assert "skipped" not in json.loads(out)
+
+
 def test_derive_decimal_display(capsys):
     code, out, _ = run(
         capsys,
@@ -339,6 +368,50 @@ def test_expand_json_schema(capsys):
         "phi_order": 3,
         "psi_powers": [[1, 2], [2, 1]],
     }
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_expand_streams_the_terms_of_the_multiplicity_vectors(n, capsys):
+    terms = [
+        {
+            "m": list(mvec.m),
+            "coefficient": str(multinomial_weight(mvec)),
+            "phi_order": total_order(mvec),
+            "psi_powers": [[j, mj] for j, mj in mvec.parts()],
+        }
+        for mvec in enumerate_multiplicity_vectors(n)
+    ]
+    code, out, _ = run(capsys, "expand", "-n", str(n), "--json")
+    assert (code, out) == (0, json.dumps(terms) + "\n")
+    code, out, _ = run(capsys, "expand", "-n", str(n))
+    assert code == 0
+    lines = []
+    for t in terms:
+        m = ",".join(map(str, t["m"]))
+        psi = "*".join(f"psi({j})" if mj == 1 else f"psi({j})^{mj}" for j, mj in t["psi_powers"])
+        lines.append(f"m=({m}) coeff={t['coefficient']} p={t['phi_order']} psi={psi}\n")
+    assert out == "".join(lines)
+
+
+def test_expand_memory_does_not_grow_with_the_term_count():
+    # n = 30 has 5604 terms; holding them all before printing peaked at 7-9 MB.
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    for extra in ((), ("--json",)):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(Discard()):
+                code = main(["expand", "-n", "30", *extra])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
 
 def test_expand_is_deterministic(capsys):

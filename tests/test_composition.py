@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compderiv import composition, partitions
+from compderiv import composition, exact, partitions
 from compderiv.composition import (
     DerivativeSequence,
     SequenceTooShortError,
@@ -185,6 +185,56 @@ def test_bell_route_equals_partition_route(n):
     for _ in range(20):
         phi, psi = random_sequence(rng, n), random_sequence(rng, n)
         assert derivative_bell(phi, psi, n) == derivative_partition_sum(phi, psi, n)
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_bell_route_equals_partition_route_at_higher_orders(n):
+    # 64-bit numerators and denominators, then small values about 30 % zero:
+    # a zero pair factor makes every partition through it vanish.
+    rng = random.Random(700 + n)
+
+    def wide():
+        return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1)
+
+    def sparse():
+        return 0 if rng.random() < 0.3 else random_rational(rng, 4, 4)
+
+    for value in (wide, wide, sparse, sparse, sparse):
+        phi, psi = seq(*[value() for _ in range(n)]), seq(*[value() for _ in range(n)])
+        assert derivative_partition_sum(phi, psi, n) == derivative_bell(phi, psi, n)
+
+
+@pytest.mark.parametrize("n", [2, 7, 20, 25])
+def test_partition_route_with_vanishing_inner_derivatives(n):
+    rng = random.Random(900 + n)
+    phi = seq(*[random_rational(rng) for _ in range(n)])
+    # psi' = 0: every partition with a part of size 1 drops out.
+    psi = seq(0, *[random_rational(rng) for _ in range(n - 1)])
+    assert derivative_partition_sum(phi, psi, n) == derivative_bell(phi, psi, n)
+    # psi^(j) = 0 for j > 1: only the all-ones partition is left.
+    slope = Fraction(-5, 3)
+    psi = seq(slope, *[0] * (n - 1))
+    expected = phi.derivative(n) * slope**n
+    assert derivative_partition_sum(phi, psi, n) == expected
+    assert derivative_bell(phi, psi, n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 8, 20])
+def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
+    # The five-way check compares independent routes: the partition sum stays
+    # on Fractions and never reaches the integer-scaled form the others share.
+    rng = random.Random(950 + n)
+    phi, psi = random_sequence(rng, n), random_sequence(rng, n)
+    expected = derivative_bell(phi, psi, n)
+
+    def refuse(*args):
+        raise AssertionError("exact.scaled called")
+
+    monkeypatch.setattr(exact, "scaled", refuse)
+    monkeypatch.setattr(composition, "scaled", refuse)
+    with pytest.raises(AssertionError, match="exact.scaled called"):
+        derivative_bell(phi, psi, n)
+    assert derivative_partition_sum(phi, psi, n) == expected
 
 
 @pytest.mark.parametrize("n", [8, 40, 60, 100])
