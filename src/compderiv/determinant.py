@@ -12,8 +12,11 @@ inner derivatives times Phi.  The raw determinant equals
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .composition import DerivativeSequence
@@ -196,10 +199,14 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
 
     and reading column 1 as column n+2 makes the expansion the last step
     of that recurrence: det = (-1)^n * H_{n+1}.  Every entry it reads is
-    c * Phi (``validate`` checks that), which shifts H up one power.  With
-    every c = a / d from one ``scaled`` call, the coefficient of Phi^p in
-    H_k is an integer over d^p, and the recurrence costs O(n^3) integer
-    multiplications; no general O(n!) expansion ever happens.
+    c * Phi (``validate`` checks that), which shifts H up one power, so
+    the Phi^p coefficients of all H_k follow from the Phi^(p-1)
+    coefficients alone.  The recurrence runs one power at a time, on every
+    c = a / d from one ``scaled`` call: the column of Phi^p coefficients
+    is integers over one scale, d times the scale of Phi^(p-1), and both
+    are divided by their gcd before the next power, so the integers grow
+    with the true denominators, not with a power of d.  That costs O(n^3)
+    integer multiplications; no general O(n!) expansion ever happens.
     """
     matrix.validate()
     size = matrix.size
@@ -207,17 +214,19 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
     cells = [(i, k % size + 1) for k in range(1, size + 1) for i in range(1, k + 1)]
     flat, d = scaled([matrix.entry(r, c).coefficient(1) for r, c in cells])
     entries = iter(flat)
-    minors = [[1]]  # minors[k][p] / d**p is the coefficient of Phi^p in H_k
-    for k in range(1, size + 1):
-        acc = [0] * (k + 1)
-        # zip stops at the end of minors (H_0..H_{k-1}) before taking an entry.
-        for minor, a in zip(minors, entries):
-            if a:
-                for p, h in enumerate(minor, 1):
-                    acc[p] += a * h
-        minors.append(acc)
+    columns = [list(islice(entries, k)) for k in range(1, size + 1)]  # A[1..k][k]
     sign = (-1) ** matrix.n
-    return PhiPolynomial((p, Fraction(sign * h, d**p)) for p, h in enumerate(minors[-1]))
+    # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
+    column, scale, terms = [1], 1, []
+    for p in range(1, size + 1):
+        column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
+        scale *= d
+        content = math.gcd(scale, *column)
+        if content > 1:
+            column = [h // content for h in column]
+            scale //= content
+        terms.append((p, Fraction(sign * column[-1], scale)))
+    return PhiPolynomial(terms)
 
 
 def interpret_phi_polynomial(

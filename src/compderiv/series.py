@@ -7,7 +7,8 @@ the composition, which makes this module a route-independent oracle for
 the closed forms in ``composition``.  Composition is Horner's scheme on
 derivative values, each product by Leibniz's rule, over integers with a
 common denominator (``exact.scaled``) that loses its gcd with them after
-every step.
+every step.  Each step keeps only the degrees that can still reach the
+result, so the window grows by one degree per step.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     R^(m) <- sum_i C(m, i) * R^(i) * A^(m-i), and b_k is added to R^(0).
     Each step divides r and den by their gcd, so neither d**j nor a
     factorial builds up in them; the composite's m-th value is divided by
-    m! at the end.
+    m! at the end.  Because a_0 = 0, each of the k products left after
+    adding b_k raises the degree by at least one, so that step computes
+    only R^(0..n-k): about n^3/6 Leibniz products instead of n^3/2.
     """
     n = _require_same_order(outer, inner)
     if inner.coeffs[0] != 0:
@@ -84,9 +87,10 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     # R^(m) of R * A is r . leibniz[m] / (den * d); a_0 = 0 drops i = m.
     leibniz = [[math.comb(m, i) * a[m - i] for i in range(m)] for m in range(n + 1)]
     b = outer.coeffs
-    r, den = [b[n].numerator] + [0] * n, b[n].denominator
-    for b_k in reversed(b[:n]):
-        r = [sum(map(operator.mul, r, row)) for row in leibniz]
+    r, den = [b[n].numerator], b[n].denominator
+    # width = n - k + 1: R^(0..n-k) at the step that adds b_k.
+    for width, b_k in enumerate(reversed(b[:n]), 2):
+        r = [sum(map(operator.mul, r, row)) for row in leibniz[:width]]
         den *= d
         lift = b_k.denominator // math.gcd(den, b_k.denominator)
         if lift > 1:

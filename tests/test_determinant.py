@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
 from compderiv.determinant import (
@@ -166,6 +168,39 @@ def test_sign_law(n):
     )
     direct = derivative_partition_sum(phi, psi, n + 1)
     assert raw == (-1) ** n * direct
+
+
+# 64-bit numerators over 64-bit denominators, about 30 % of them zero.
+wide_entries = st.tuples(
+    st.integers(0, 9),
+    st.builds(Fraction, st.integers(-(2**63), 2**63), st.integers(1, 2**64)),
+).map(lambda pair: Fraction(0) if pair[0] < 3 else pair[1])
+
+
+def fraction_minor_expansion(matrix):
+    """Phi^p coefficients of the determinant by the leading-minor recurrence
+    H_k = sum_i entry(i, k+1) * H_{i-1} on Fractions (column n+2 read as 1)."""
+    size = matrix.size
+    minors = [[Fraction(1)]]  # minors[k][p] is the coefficient of Phi^p in H_k
+    for k in range(1, size + 1):
+        acc = [Fraction(0)] * (k + 1)
+        for i in range(1, k + 1):
+            c = matrix.entry(i, k % size + 1).coefficient(1)
+            for p, h in enumerate(minors[i - 1]):
+                acc[p + 1] += c * h
+        minors.append(acc)
+    sign = (-1) ** matrix.n
+    return {p: sign * h for p, h in enumerate(minors[-1]) if h}
+
+
+@given(st.integers(0, 14), st.booleans(), st.data())
+def test_expand_matches_fraction_minors_on_wide_rationals(n, flat_start, data):
+    values = data.draw(st.lists(wide_entries, min_size=n + 1, max_size=n + 1))
+    if flat_start:
+        values[0] = Fraction(0)  # psi' = 0
+    matrix = build_matrix(seq(*values), n)
+    expanded = determinant_expand(matrix)
+    assert dict(expanded.items()) == fraction_minor_expansion(matrix)
 
 
 # --- full route -------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
+from compderiv.determinant import derivative_determinant
 from compderiv.exact import factorial
 from compderiv.series import (
     Jet,
@@ -124,6 +125,27 @@ def test_compose_matches_horner_on_fractions(order, data):
         ]
         r[0] += b
     assert jet_compose(Jet(tuple(outer)), Jet(tuple(inner))) == Jet(tuple(r))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_degree_of_an_order_30_jet_matches_the_determinant_route(seed):
+    # The degree window builds the low degrees last; check each against an
+    # independent route on 64-bit values, every third one 0.
+    rng = random.Random(1500 + seed)
+
+    def wide():
+        if rng.randrange(3) == 0:
+            return Fraction(0)
+        return Fraction(rng.randrange(-(2**63), 2**63), rng.randrange(1, 2**64))
+
+    order = 30
+    phi = DerivativeSequence(derivs=tuple(wide() for _ in range(order)))
+    psi = DerivativeSequence(derivs=tuple(wide() for _ in range(order)))
+    composed = jet_compose(
+        jet_from_derivatives(phi, order), jet_from_derivatives(psi, order)
+    )
+    for m in range(2, order + 1):
+        assert composed.coeffs[m] * factorial(m) == derivative_determinant(phi, psi, m)
 
 
 # --- conversions -------------------------------------------------------------------

@@ -325,6 +325,31 @@ def test_oracle_agreement_on_random_polynomials(n):
         assert direct == derivative_partition_sum(phi_seq, psi_seq, n)
 
 
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 8, 13, 32, 33])
+def test_power_expands_like_the_repeated_product(e):
+    # (base)^e against the same base written as an e-factor product, as the
+    # inner and as the outer function: every derivative up to the degree.
+    rng = random.Random(1700 + e)
+    for name, degree in (("y", 2), ("x", 3)):
+        base = _random_polynomial(rng, degree, name)
+        product = Constant(Fraction(1))
+        if e:
+            product = base
+            for _ in range(e - 1):
+                product = Mul(product, base)
+        at = random_rational(rng)
+        if name == "y":
+            phi_pow = phi_mul = X
+            psi_pow, psi_mul = Pow(base, e), product
+        else:
+            phi_pow, phi_mul = Pow(base, e), product
+            psi_pow = psi_mul = _random_polynomial(rng, 1, "y")
+        for n in range(1, e * degree + 2):
+            assert nth_derivative_of_composition(
+                phi_pow, psi_pow, n, at
+            ) == nth_derivative_of_composition(phi_mul, psi_mul, n, at)
+
+
 def _random_polynomial(rng, degree, name):
     node = Constant(random_rational(rng))
     for k in range(1, degree + 1):
