@@ -12,7 +12,6 @@ inner derivatives times Phi.  The raw determinant equals
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .composition import DerivativeSequence
-from .exact import binomial, format_rational, scaled
+from .exact import binomial, format_rational, reduced, scaled
 
 __all__ = [
     "PhiPolynomial",
@@ -220,11 +219,7 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
     column, scale, terms = [1], 1, []
     for p in range(1, size + 1):
         column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
-        scale *= d
-        content = math.gcd(scale, *column)
-        if content > 1:
-            column = [h // content for h in column]
-            scale //= content
+        column, scale = reduced(column, scale * d)
         terms.append((p, Fraction(sign * column[-1], scale)))
     return PhiPolynomial(terms)
 

@@ -9,7 +9,9 @@ this package is a plain ``==``.  There is no floating point anywhere in
 the computational core.
 
 The integer-scaled form of rationals is integers over their least common
-denominator (``scaled``); ``convolve`` multiplies coefficient lists.  The
+denominator (``scaled``), kept small by dividing the integers and their
+denominator by their gcd (``reduced``); ``convolve`` multiplies
+coefficient lists.  The
 Bell, determinant and jet routes and the symbolic expansion run their
 inner loops on it; the partition route stays on Fractions.
 """
@@ -35,6 +37,7 @@ __all__ = [
     "int_text",
     "as_rational",
     "scaled",
+    "reduced",
     "convolve",
 ]
 
@@ -139,6 +142,14 @@ def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers a_i and the least d >= 1 with values[i] == a_i / d."""
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def reduced(ints: list[int], den: int) -> tuple[list[int], int]:
+    """``ints`` and ``den`` divided by their gcd; as given when it is 1."""
+    content = math.gcd(den, *ints)
+    if content > 1:
+        return [x // content for x in ints], den // content
+    return ints, den
 
 
 def convolve(a: Sequence[Any], b: Sequence[Any], size: int) -> list[Any]:

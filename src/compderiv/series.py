@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .composition import DerivativeSequence
-from .exact import as_rational, convolve, factorial, scaled
+from .exact import as_rational, convolve, factorial, reduced, scaled
 
 __all__ = [
     "Jet",
@@ -81,9 +81,7 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         )
     # The derivative values i! * inner_i over their least common denominator.
     a, d = scaled(inner.coeffs)
-    a = [factorial(i) * x for i, x in enumerate(a)]
-    content = math.gcd(d, *a)
-    a, d = [x // content for x in a], d // content
+    a, d = reduced([factorial(i) * x for i, x in enumerate(a)], d)
     # R^(m) of R * A is r . leibniz[m] / (den * d); a_0 = 0 drops i = m.
     leibniz = [[math.comb(m, i) * a[m - i] for i in range(m)] for m in range(n + 1)]
     b = outer.coeffs
@@ -97,10 +95,7 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
             r = [c * lift for c in r]
             den *= lift
         r[0] += b_k.numerator * (den // b_k.denominator)
-        content = math.gcd(den, *r)
-        if content > 1:
-            r = [c // content for c in r]
-            den //= content
+        r, den = reduced(r, den)
     return Jet(tuple(Fraction(c, den * factorial(m)) for m, c in enumerate(r)))
 
 

@@ -499,14 +499,9 @@ def _dense_scaled(
             right, db = done[id(node.right)]
             return convolve(left, right, len(left) + len(right) - 1), da * db
         base, den = done[id(node.base)]
-        # Repeated squaring, low exponent bit first.
-        out, e = [1], node.exponent
-        while e:
-            if e & 1:
-                out = convolve(out, base, len(out) + len(base) - 1)
-            e >>= 1
-            if e:
-                base = convolve(base, base, 2 * len(base) - 1)
+        out = [1]
+        for _ in range(node.exponent):
+            out = convolve(out, base, len(out) + len(base) - 1)
         return out, den**node.exponent
 
     return _fold(e, visit)

@@ -16,6 +16,7 @@ from compderiv.exact import (
     format_rational,
     int_text,
     parse_rational,
+    reduced,
     scaled,
 )
 
@@ -207,6 +208,21 @@ def test_scaled_is_exact_and_least(values):
     assert [Fraction(x, d) for x in a] == values
     # d is least exactly when no prime divides d and every a_i.
     assert math.gcd(d, *a) == 1
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=8), st.integers(1, 10**6))
+def test_reduced_keeps_the_values_and_drops_the_gcd(ints, den):
+    a, d = reduced(ints, den)
+    assert d >= 1 and [Fraction(x, d) for x in a] == [Fraction(x, den) for x in ints]
+    assert math.gcd(d, *a) == 1
+
+
+def test_reduced_returns_coprime_input_as_given():
+    ints = [3, -4, 0]
+    assert reduced(ints, 5)[0] is ints
+    assert reduced([6, -4, 0], 10) == ([3, -2, 0], 5)
+    assert reduced([0, 0], 7) == ([0, 0], 1)
+    assert reduced([], 9) == ([], 1)
 
 
 @given(
