@@ -8,6 +8,12 @@ c * phi^(p).  Column 1 carries inner derivatives times Phi, the diagonal
 below row 1 is -1, and the upper triangle carries binomially weighted
 inner derivatives times Phi.  The raw determinant equals
 (-1)^n * D_y^{n+1}.
+
+The matrix is stored as the integer coefficients of its c * Phi entries
+over one common denominator, column by column in the order the
+expansion reads them; ``CompositionMatrix.entry`` rebuilds any entry as
+a ``PhiPolynomial`` for display, and ``PhiPolynomial`` is the type of the
+expanded determinant.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .composition import DerivativeSequence
@@ -113,15 +118,31 @@ class PhiPolynomial:
 
 @dataclass(frozen=True)
 class CompositionMatrix:
-    """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}."""
+    """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}.
+
+    Every entry the expansion reads is c * Phi, so the matrix keeps only
+    those c, as integers over one ``scale``, in the order the leading-minor
+    recurrence reads them: ``columns[k-1]`` holds A[1..k][k] with
+    A[i][k] = entry(i, k+1) for k <= n, and ``columns[n]`` holds column 1,
+    entry(1..n+1, 1).  The -1 diagonal below row 1 and the zeros below it
+    outside column 1 are implied, so no stored value can break them.
+    """
 
     n: int
-    entries: tuple[tuple[PhiPolynomial, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    scale: int
 
     def __post_init__(self) -> None:
-        size = self.n + 1
-        if len(self.entries) != size or any(len(row) != size for row in self.entries):
-            raise ValueError(f"matrix for n={self.n} must be {size}x{size}")
+        if self.n < 0:
+            raise ValueError(f"matrix order must be non-negative, got n={self.n}")
+        if self.scale < 1:
+            raise ValueError(f"matrix scale must be positive, got {self.scale}")
+        if len(self.columns) != self.n + 1 or any(
+            len(column) != k for k, column in enumerate(self.columns, start=1)
+        ):
+            raise ValueError(
+                f"matrix for n={self.n} needs n+1 columns of lengths 1..{self.n + 1}"
+            )
 
     @property
     def size(self) -> int:
@@ -129,25 +150,15 @@ class CompositionMatrix:
 
     def entry(self, r: int, c: int) -> PhiPolynomial:
         """1-based access, matching the displayed determinant layout."""
-        return self.entries[r - 1][c - 1]
-
-    def validate(self) -> None:
-        """Check the structural pattern the expansion algorithm relies on:
-        -1 on the diagonal from row 2 down, zeros in the lower-left block
-        outside column 1, and pure Phi-monomials in column 1 and above the
-        diagonal.
-        """
-        minus_one = PhiPolynomial.constant(-1)
-        for r in range(1, self.size + 1):
-            for c in [1, *range(r + 1, self.size + 1)]:
-                entry = self.entry(r, c)
-                if any(e != 1 for e, _ in entry.items()):
-                    raise ValueError(f"entry ({r},{c}) must be c*Phi: {entry}")
-            if r >= 2 and self.entry(r, r) != minus_one:
-                raise ValueError(f"diagonal entry at row {r} must be -1")
-            for c in range(2, r):
-                if not self.entry(r, c).is_zero():
-                    raise ValueError(f"entry ({r},{c}) must be zero")
+        if not (1 <= r <= self.size and 1 <= c <= self.size):
+            raise IndexError(f"entry ({r},{c}) is outside the {self.size}x{self.size} matrix")
+        if c == 1:
+            stored = self.columns[self.n][r - 1]
+        elif c > r:
+            stored = self.columns[c - 2][r - 1]
+        else:
+            return PhiPolynomial.constant(-1) if c == r else PhiPolynomial.zero()
+        return PhiPolynomial.monomial(1, Fraction(stored, self.scale))
 
 
 def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
@@ -161,28 +172,20 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
         entry(r, c) = 0                       otherwise
 
     Row 1 follows the same binomial formula with r = 1.  Needs psi
-    derivatives up to order n+1.
+    derivatives up to order n+1.  One ``scaled`` call writes them as
+    a_j / d; column 1 carries every a_j with weight 1, so d is also the
+    least common denominator of all the cells, and the stored columns
+    are C(n-i+1, k-i) * a_(k+1-i) for i = 1..k (column k+1 of the matrix)
+    and a_(n+2-i) for i = 1..n+1 (column 1), all over d.
     """
-    if n < 0:
-        raise ValueError(f"matrix order must be non-negative, got n={n}")
     psi.require_order(n + 1, "psi")
-    size = n + 1
-    rows = []
-    for r in range(1, size + 1):
-        row = []
-        for c in range(1, size + 1):
-            if c == 1:
-                entry = PhiPolynomial.monomial(1, psi.derivative(n + 2 - r))
-            elif c == r:
-                entry = PhiPolynomial.constant(-1)
-            elif c > r:
-                weight = binomial(n - r + 1, c - r - 1)
-                entry = PhiPolynomial.monomial(1, weight * psi.derivative(c - r))
-            else:
-                entry = PhiPolynomial.zero()
-            row.append(entry)
-        rows.append(tuple(row))
-    return CompositionMatrix(n=n, entries=tuple(rows))
+    a, d = scaled([psi.derivative(j) for j in range(1, n + 2)])  # a[j-1] = a_j
+    columns = [
+        tuple(binomial(n - i + 1, k - i) * a[k - i] for i in range(1, k + 1))
+        for k in range(1, n + 1)
+    ]
+    columns.append(tuple(reversed(a)))
+    return CompositionMatrix(n=n, columns=tuple(columns), scale=d)
 
 
 def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
@@ -197,27 +200,22 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
         H_k = sum_{i=1..k} A[i][k] * H_{i-1},    A[i][j] = entry(i, j+1),
 
     and reading column 1 as column n+2 makes the expansion the last step
-    of that recurrence: det = (-1)^n * H_{n+1}.  Every entry it reads is
-    c * Phi (``validate`` checks that), which shifts H up one power, so
-    the Phi^p coefficients of all H_k follow from the Phi^(p-1)
-    coefficients alone.  The recurrence runs one power at a time, on every
-    c = a / d from one ``scaled`` call: the column of Phi^p coefficients
-    is integers over one scale, d times the scale of Phi^(p-1), and both
-    are divided by their gcd before the next power, so the integers grow
-    with the true denominators, not with a power of d.  That costs O(n^3)
-    integer multiplications; no general O(n!) expansion ever happens.
+    of that recurrence: det = (-1)^n * H_{n+1}.  ``matrix.columns`` holds
+    exactly these A[1..k][k] as c = a / d over ``matrix.scale`` = d, and
+    every such entry is c * Phi, which shifts H up one power, so the
+    Phi^p coefficients of all H_k follow from the Phi^(p-1) coefficients
+    alone.  The recurrence runs one power at a time: the column of Phi^p
+    coefficients is integers over one scale, d times the scale of
+    Phi^(p-1), and both are divided by their gcd before the next power,
+    so the integers grow with the true denominators, not with a power of
+    d.  That costs O(n^3) integer multiplications; no general O(n!)
+    expansion ever happens.
     """
-    matrix.validate()
-    size = matrix.size
-    # A[i][k] = entry(i, k+1) for i <= k, in recurrence order; column n+2 is column 1.
-    cells = [(i, k % size + 1) for k in range(1, size + 1) for i in range(1, k + 1)]
-    flat, d = scaled([matrix.entry(r, c).coefficient(1) for r, c in cells])
-    entries = iter(flat)
-    columns = [list(islice(entries, k)) for k in range(1, size + 1)]  # A[1..k][k]
+    columns, d = matrix.columns, matrix.scale
     sign = (-1) ** matrix.n
     # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
     column, scale, terms = [1], 1, []
-    for p in range(1, size + 1):
+    for p in range(1, matrix.size + 1):
         column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
         column, scale = reduced(column, scale * d)
         terms.append((p, Fraction(sign * column[-1], scale)))

@@ -61,8 +61,9 @@ def binomial(a: int, b: int) -> int:
     """Return the binomial coefficient C(a, b).
 
     Out-of-range b (b < 0 or b > a) yields 0 rather than an error.
-    ``determinant.build_matrix`` never passes one: it asks for
-    C(n-r+1, c-r-1) only when c > r, and then 0 <= c-r-1 < n-r+1.
+    ``determinant.build_matrix``, the one caller, never passes one: it
+    asks for the weight C(n-i+1, k-i) of stored column k only for
+    1 <= i <= k <= n, and then 0 <= k-i < n-i+1.
     """
     if a < 0:
         raise ValueError(f"binomial requires a non-negative first argument, got {a}")

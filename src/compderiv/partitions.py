@@ -24,8 +24,9 @@ __all__ = [
     "multinomial_weight",
 ]
 
-# Highest order the walk accepts: p(100) is about 1.9e8 partitions, hours of work.
-MAX_PARTITION_ORDER = 100
+# Highest order the walk accepts, a bound on its time: p(60) = 966,467 partitions
+# take a few seconds, p(100) is about 1.9e8 and would take many minutes.
+MAX_PARTITION_ORDER = 60
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -264,26 +265,26 @@ def test_derive_reports_short_sequences(capsys):
 
 
 def test_derive_all_skips_the_partition_route_above_its_bound(capsys):
-    argv = ["derive", "--phi", "x^2", "--psi", "y^2+y", "--at", "1", "-n", "101"]
+    argv = ["derive", "--phi", "x^2", "--psi", "y^2+y", "--at", "1", "-n", "61"]
     code, out, err = run(capsys, *argv, "--method", "all")
     assert (code, err) == (0, "")
     assert out == (
-        "partition: skipped (order 101 > MAX_PARTITION_ORDER = 100)\n"
+        "partition: skipped (order 61 > MAX_PARTITION_ORDER = 60)\n"
         "bell: 0\ndeterminant: 0\nseries: 0\nsymbolic: 0\n"
     )
     code, out, err = run(capsys, *argv, "--method", "all", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out) == {
-        "n": 101,
+        "n": 61,
         "method": "all",
         "values": {"bell": "0", "determinant": "0", "series": "0", "symbolic": "0"},
-        "skipped": {"partition": "order 101 > MAX_PARTITION_ORDER = 100"},
+        "skipped": {"partition": "order 61 > MAX_PARTITION_ORDER = 60"},
         "agree": True,
     }
     # Asked for by name, the route still refuses the order.
     code, out, err = run(capsys, *argv, "--method", "partition")
     assert (code, out) == (2, "")
-    assert err == "error: partition order 101 > MAX_PARTITION_ORDER = 100\n"
+    assert err == "error: partition order 61 > MAX_PARTITION_ORDER = 60\n"
     # With nothing skipped, the JSON has no "skipped" key.
     code, out, _ = run(capsys, *argv[:-1], "3", "--method", "all", "--json")
     assert code == 0
@@ -310,6 +311,29 @@ def test_derive_show_expansion_prints_formal_polynomial(capsys):
     )
     assert code == 0
     assert out == "8*Phi^3 + 6*Phi^2 + 1*Phi\n15\n"
+
+
+def test_show_expansion_bytes_are_pinned(capsys):
+    # One SHA-256 over the expansion and value printed for n = 2..12, on a
+    # sequence input and an expression input, both with zero derivatives.
+    inputs = (
+        [
+            "--phi-derivs", '{"derivs":["1/2","0","-3","0","2/5","7","0","-1","1/3","0","4","-2/7"]}',
+            "--psi-derivs", '{"derivs":["3/2","0","-1","0","2/3","0","5","-1/4","0","0","1","-3"]}',
+        ],
+        ["--phi", "x^3 - 2*x + 1/2", "--psi", "1/3*y^5 - y^2 + 2*y", "--at", "0"],
+    )
+    digest = hashlib.sha256()
+    for argv in inputs:
+        for n in range(2, 13):
+            code, out, err = run(
+                capsys,
+                "derive", *argv,
+                "-n", str(n), "--method", "determinant", "--show-expansion",
+            )
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+    assert digest.hexdigest() == "c529882ff3faadb6016991cfa68a18bae4009a5b2b7587febae097868ddec8db"
 
 
 def test_derive_show_expansion_requires_determinant_method(capsys):

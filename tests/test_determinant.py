@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
@@ -88,7 +89,6 @@ def test_structure_invariants(n):
     rng = random.Random(800 + n)
     psi = random_sequence(rng, n + 1)
     matrix = build_matrix(psi, n)
-    matrix.validate()
     size = matrix.size
     minus_one = PhiPolynomial.constant(-1)
     for r in range(1, size + 1):
@@ -107,25 +107,32 @@ def test_build_matrix_needs_order_plus_one_derivatives():
         build_matrix(seq(1, 1), 2)
 
 
-def test_validate_flags_broken_diagonal():
-    matrix = build_matrix(seq(1, 1, 1), 2)
-    rows = [list(row) for row in matrix.entries]
-    rows[1][1] = PhiPolynomial.constant(1)
-    broken = CompositionMatrix(n=2, entries=tuple(tuple(r) for r in rows))
+def test_matrix_rejects_wrongly_shaped_columns():
+    good = build_matrix(seq(1, 1, 1), 2)
+    assert [len(column) for column in good.columns] == [1, 2, 3]
+    for columns in [
+        good.columns[:2],  # one column short
+        good.columns + ((1, 1, 1, 1),),  # one column too many
+        ((1,), (1, 1, 1), (1, 1, 1)),  # column 2 one cell too long
+        ((1,), (1, 1), (1, 1)),  # column 3 one cell short
+    ]:
+        with pytest.raises(ValueError):
+            CompositionMatrix(n=2, columns=columns, scale=1)
     with pytest.raises(ValueError):
-        broken.validate()
+        CompositionMatrix(n=2, columns=good.columns, scale=0)
     with pytest.raises(ValueError):
-        determinant_expand(broken)
+        CompositionMatrix(n=-1, columns=(), scale=1)
+    for r, c in [(0, 1), (1, 0), (4, 1), (1, 4)]:
+        with pytest.raises(IndexError):
+            good.entry(r, c)
 
 
 # --- determinant expansion -------------------------------------------------------
 
 def test_expand_one_by_one_base_case():
-    value = Fraction(9, 4)
-    matrix = CompositionMatrix(
-        n=0, entries=((PhiPolynomial.monomial(1, value),),)
-    )
-    assert determinant_expand(matrix) == PhiPolynomial.monomial(1, value)
+    matrix = CompositionMatrix(n=0, columns=((9,),), scale=4)
+    assert matrix.entry(1, 1) == PhiPolynomial.monomial(1, Fraction(9, 4))
+    assert determinant_expand(matrix) == PhiPolynomial.monomial(1, Fraction(9, 4))
 
 
 def test_expand_first_derivative_edge():
@@ -177,30 +184,40 @@ wide_entries = st.tuples(
 ).map(lambda pair: Fraction(0) if pair[0] < 3 else pair[1])
 
 
-def fraction_minor_expansion(matrix):
+def fraction_minor_expansion(psi, n):
     """Phi^p coefficients of the determinant by the leading-minor recurrence
-    H_k = sum_i entry(i, k+1) * H_{i-1} on Fractions (column n+2 read as 1)."""
-    size = matrix.size
+    H_k = sum_i cell(i, k+1) * H_{i-1} on Fractions (column n+2 read as 1),
+    each cell's c built straight from psi by the paper's formula, without
+    ``build_matrix`` or ``CompositionMatrix``."""
+
+    def cell(r, c):  # c of the entry c * Phi at row r, column c (c == 1 or c > r)
+        if c == 1:
+            return psi[n + 1 - r]  # psi^(n+2-r)
+        return math.comb(n - r + 1, c - r - 1) * psi[c - r - 1]  # C(n-r+1, c-r-1) psi^(c-r)
+
+    size = n + 1
     minors = [[Fraction(1)]]  # minors[k][p] is the coefficient of Phi^p in H_k
     for k in range(1, size + 1):
         acc = [Fraction(0)] * (k + 1)
         for i in range(1, k + 1):
-            c = matrix.entry(i, k % size + 1).coefficient(1)
+            c = cell(i, k % size + 1)
             for p, h in enumerate(minors[i - 1]):
                 acc[p + 1] += c * h
         minors.append(acc)
-    sign = (-1) ** matrix.n
+    sign = (-1) ** n
     return {p: sign * h for p, h in enumerate(minors[-1]) if h}
 
 
-@given(st.integers(0, 14), st.booleans(), st.data())
-def test_expand_matches_fraction_minors_on_wide_rationals(n, flat_start, data):
-    values = data.draw(st.lists(wide_entries, min_size=n + 1, max_size=n + 1))
+@given(st.lists(wide_entries, min_size=1, max_size=15), st.booleans())  # n = 0..14
+@example(values=[Fraction(-7, 3)], flat_start=False)  # n = 0
+@example(values=[Fraction(0)] * 6, flat_start=False)  # all-zero psi
+@example(values=[Fraction(5, 2), Fraction(-1, 3), 0, Fraction(2**63, 3)], flat_start=True)
+def test_expand_matches_fraction_minors_on_wide_rationals(values, flat_start):
     if flat_start:
-        values[0] = Fraction(0)  # psi' = 0
-    matrix = build_matrix(seq(*values), n)
-    expanded = determinant_expand(matrix)
-    assert dict(expanded.items()) == fraction_minor_expansion(matrix)
+        values = [Fraction(0), *values[1:]]  # psi' = 0
+    n = len(values) - 1
+    expanded = determinant_expand(build_matrix(seq(*values), n))
+    assert dict(expanded.items()) == fraction_minor_expansion(values, n)
 
 
 # --- full route -------------------------------------------------------------------

@@ -84,12 +84,12 @@ def test_walk_yields_the_vectors_in_order_largest_size_first(n):
 
 
 def test_walk_order_bound():
-    assert MAX_PARTITION_ORDER == 100
-    assert next(partition_parts(100)) == [(100, 1)]
+    assert MAX_PARTITION_ORDER == 60
+    assert next(partition_parts(60)) == [(60, 1)]
     with pytest.raises(ValueError, match="MAX_PARTITION_ORDER"):
-        next(partition_parts(101))
+        next(partition_parts(61))
     with pytest.raises(ValueError, match="MAX_PARTITION_ORDER"):
-        enumerate_multiplicity_vectors(101)
+        enumerate_multiplicity_vectors(61)
     with pytest.raises(ValueError):
         next(partition_parts(0))
 
