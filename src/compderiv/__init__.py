@@ -33,10 +33,7 @@ from .determinant import (
     interpret_phi_polynomial,
 )
 from .exact import (
-    Rational,
     as_rational,
-    binomial,
-    factorial,
     falling_factorial,
     format_rational,
     parse_rational,
@@ -45,7 +42,6 @@ from .partitions import (
     MultiplicityVector,
     enumerate_multiplicity_vectors,
     multinomial_weight,
-    total_order,
 )
 from .series import (
     Jet,
@@ -59,7 +55,6 @@ from .symbolic import (
     derivative_sequence_of,
     differentiate,
     evaluate,
-    format_expr,
     nth_derivative_of_composition,
     parse,
     taylor_polynomial,
@@ -68,16 +63,12 @@ from .symbolic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
-    "factorial",
-    "binomial",
     "falling_factorial",
     "parse_rational",
     "format_rational",
     "as_rational",
     "MultiplicityVector",
     "enumerate_multiplicity_vectors",
-    "total_order",
     "multinomial_weight",
     "DerivativeSequence",
     "SequenceTooShortError",
@@ -99,7 +90,6 @@ __all__ = [
     "derivative_via_jets",
     "ParseError",
     "parse",
-    "format_expr",
     "differentiate",
     "evaluate",
     "nth_derivative_of_composition",

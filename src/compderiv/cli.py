@@ -87,10 +87,21 @@ def _render(value: Fraction, args: argparse.Namespace) -> str:
     return format_rational(value)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object; a repeated key is rejected, not read as its last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ValueError(f"duplicate key {key!r} in derivative sequence JSON")
+    return data
+
+
 def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
     try:
         # JSON integers are read by parse_rational too, so they meet its digit bound.
-        data = json.loads(text, parse_int=lambda digits: int(parse_rational(digits)))
+        data = json.loads(
+            text, parse_int=lambda s: int(parse_rational(s)), object_pairs_hook=_unique_keys
+        )
     except (json.JSONDecodeError, RecursionError) as exc:
         raise _CliError(f"{flag}: invalid JSON: {exc}") from exc
     except ValueError as exc:

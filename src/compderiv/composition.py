@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .exact import as_rational, factorial, falling_factorial, format_rational, scaled
+from .exact import as_rational, falling_factorial, format_rational, scaled
 from .partitions import pair_divisor, partition_parts
 
 __all__ = [
@@ -65,9 +65,6 @@ class DerivativeSequence:
         )
         if self.base is not None:
             object.__setattr__(self, "base", as_rational(self.base))
-
-    def __len__(self) -> int:
-        return len(self.derivs)
 
     def derivative(self, k: int) -> Fraction:
         """The k-th derivative value, k >= 1."""
@@ -150,7 +147,7 @@ def derivative_partition_sum(
         if product:
             sums[p] += product
     total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
-    return factorial(n) * total
+    return math.factorial(n) * total
 
 
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
@@ -210,7 +207,7 @@ def lagrange_power_coefficient(
     psi.require_order(n, "psi")
     if base == 0 and m < 0:
         raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
-    u = [base] + [psi.derivative(k) / factorial(k) for k in range(1, n + 1)]
+    u = [base] + [psi.derivative(k) / math.factorial(k) for k in range(1, n + 1)]
     s = next((k for k, c in enumerate(u) if c), None)
     if m == 0 or s is None or n < s * m:
         return Fraction(0)

@@ -18,13 +18,14 @@ expanded determinant.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .composition import DerivativeSequence
-from .exact import binomial, format_rational, reduced, scaled
+from .exact import format_rational, reduced, scaled
 
 __all__ = [
     "PhiPolynomial",
@@ -71,14 +72,8 @@ class PhiPolynomial:
     def monomial(cls, exponent: int, coefficient: Fraction | int) -> "PhiPolynomial":
         return cls(((exponent, Fraction(coefficient)),))
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._coeffs.get(exponent, Fraction(0))
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self._coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhiPolynomial):
@@ -181,7 +176,7 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
     psi.require_order(n + 1, "psi")
     a, d = scaled([psi.derivative(j) for j in range(1, n + 2)])  # a[j-1] = a_j
     columns = [
-        tuple(binomial(n - i + 1, k - i) * a[k - i] for i in range(1, k + 1))
+        tuple(math.comb(n - i + 1, k - i) * a[k - i] for i in range(1, k + 1))
         for k in range(1, n + 1)
     ]
     columns.append(tuple(reversed(a)))

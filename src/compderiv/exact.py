@@ -1,19 +1,17 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals, the
-combinatorial integers (factorials, binomials, falling factorials) that
-every derivative route consumes, and the integer-scaled form.
+"""Exact scalar arithmetic: arbitrary-precision rationals and their text
+form, the falling factorials of the power route, and the integer-scaled form.
 
-The coefficient field is ``fractions.Fraction``, re-exported as
-``Rational``.  Fractions are always stored reduced with a positive
-denominator, which makes equality structural: every cross-route check in
-this package is a plain ``==``.  There is no floating point anywhere in
-the computational core.
+The coefficient field is ``fractions.Fraction``.  Fractions are always
+stored reduced with a positive denominator, which makes equality
+structural: every cross-route check in this package is a plain ``==``.
+There is no floating point anywhere in the computational core.
 
 The integer-scaled form of rationals is integers over their least common
 denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
-coefficient lists.  The
-Bell, determinant and jet routes and the symbolic expansion run their
-inner loops on it; the partition route stays on Fractions.
+coefficient lists.  The Bell route uses ``scaled``, the determinant and
+jet routes ``scaled`` and ``reduced``, and the symbolic expansion
+``convolve``; the partition route stays on Fractions.
 """
 
 from __future__ import annotations
@@ -24,13 +22,8 @@ import re
 from fractions import Fraction
 from typing import Any, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "MAX_LITERAL_DIGITS",
-    "factorial",
-    "binomial",
     "falling_factorial",
     "parse_rational",
     "format_rational",
@@ -48,28 +41,6 @@ _RATIONAL_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?$")
 # expression or as a JSON integer: Python's default bound on int/str
 # conversion, which this package checks itself instead of changing it.
 MAX_LITERAL_DIGITS = 4300
-
-
-def factorial(l: int) -> int:
-    """Return l! = 1 * 2 * ... * l, with 0! = 1.  Requires l >= 0."""
-    if l < 0:
-        raise ValueError(f"factorial requires a non-negative argument, got {l}")
-    return math.factorial(l)
-
-
-def binomial(a: int, b: int) -> int:
-    """Return the binomial coefficient C(a, b).
-
-    Out-of-range b (b < 0 or b > a) yields 0 rather than an error.
-    ``determinant.build_matrix``, the one caller, never passes one: it
-    asks for the weight C(n-i+1, k-i) of stored column k only for
-    1 <= i <= k <= n, and then 0 <= k-i < n-i+1.
-    """
-    if a < 0:
-        raise ValueError(f"binomial requires a non-negative first argument, got {a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def falling_factorial(m: int, p: int) -> int:

@@ -7,11 +7,10 @@ stored as (m_1, ..., m_n) in ``MultiplicityVector``; p = sum(m_j) is the outer o
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
-
-from .exact import factorial
 
 __all__ = [
     "MAX_PARTITION_ORDER",
@@ -20,7 +19,6 @@ __all__ = [
     "pair_divisor",
     "partition_weight",
     "enumerate_multiplicity_vectors",
-    "total_order",
     "multinomial_weight",
 ]
 
@@ -89,14 +87,9 @@ def enumerate_multiplicity_vectors(n: int) -> list[MultiplicityVector]:
     return vectors
 
 
-def total_order(mvec: MultiplicityVector) -> int:
-    """The number of parts p = sum(m_j); the outer derivation order."""
-    return sum(mvec.m)
-
-
 def pair_divisor(j: int, mj: int) -> int:
     """m_j! * (j!)**m_j: what the m_j parts of size j divide the weight's n! by."""
-    return factorial(mj) * factorial(j) ** mj
+    return math.factorial(mj) * math.factorial(j) ** mj
 
 
 def partition_weight(n: int, parts: Iterable[tuple[int, int]]) -> int:
@@ -104,7 +97,7 @@ def partition_weight(n: int, parts: Iterable[tuple[int, int]]) -> int:
     denominator = 1
     for j, mj in parts:
         denominator *= pair_divisor(j, mj)
-    return factorial(n) // denominator
+    return math.factorial(n) // denominator
 
 
 def multinomial_weight(mvec: MultiplicityVector) -> Fraction:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .composition import DerivativeSequence
-from .exact import as_rational, convolve, factorial, reduced, scaled
+from .exact import as_rational, convolve, reduced, scaled
 
 __all__ = [
     "Jet",
@@ -81,7 +81,7 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         )
     # The derivative values i! * inner_i over their least common denominator.
     a, d = scaled(inner.coeffs)
-    a, d = reduced([factorial(i) * x for i, x in enumerate(a)], d)
+    a, d = reduced([math.factorial(i) * x for i, x in enumerate(a)], d)
     # R^(m) of R * A is r . leibniz[m] / (den * d); a_0 = 0 drops i = m.
     leibniz = [[math.comb(m, i) * a[m - i] for i in range(m)] for m in range(n + 1)]
     b = outer.coeffs
@@ -96,7 +96,7 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
             den *= lift
         r[0] += b_k.numerator * (den // b_k.denominator)
         r, den = reduced(r, den)
-    return Jet(tuple(Fraction(c, den * factorial(m)) for m, c in enumerate(r)))
+    return Jet(tuple(Fraction(c, den * math.factorial(m)) for m, c in enumerate(r)))
 
 
 def jet_from_derivatives(seq: DerivativeSequence, order: int) -> Jet:
@@ -111,7 +111,7 @@ def jet_from_derivatives(seq: DerivativeSequence, order: int) -> Jet:
     c0 = seq.base if seq.base is not None else Fraction(0)
     return Jet(
         (c0,)
-        + tuple(seq.derivs[k - 1] / factorial(k) for k in range(1, order + 1))
+        + tuple(seq.derivs[k - 1] / math.factorial(k) for k in range(1, order + 1))
     )
 
 
@@ -130,4 +130,4 @@ def derivative_via_jets(
     outer = jet_from_derivatives(DerivativeSequence(derivs=phi.derivs[:n]), n)
     inner = jet_from_derivatives(DerivativeSequence(derivs=psi.derivs[:n]), n)
     composed = jet_compose(outer, inner)
-    return factorial(n) * composed.coeffs[n]
+    return math.factorial(n) * composed.coeffs[n]

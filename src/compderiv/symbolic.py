@@ -11,11 +11,11 @@ constant folding only; it turns an expression into its derivative
 sequence.
 
 Every walk over an expression runs on an explicit stack: the folds go
-through ``_fold``, which visits each distinct node object once, the
-printers (``format_expr``, ``repr``) stream their pieces, and the parser
-nests on a stack too.  Neither size nor depth meets the interpreter's
-recursion limit, and no interpreter state is changed.  Nesting of '('
-and unary '-' is bounded by ``MAX_DEPTH`` (256); length is not bounded.
+through ``_fold``, which visits each distinct node object once, ``repr``
+streams its pieces, and the parser nests on a stack too.  Neither size
+nor depth meets the interpreter's recursion limit, and no interpreter
+state is changed.  Nesting of '(' and unary '-' is bounded by
+``MAX_DEPTH`` (256); length is not bounded.
 
 Grammar (whitespace-insensitive, explicit '*' required):
 
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .composition import DerivativeSequence
-from .exact import MAX_LITERAL_DIGITS, as_rational, convolve, factorial
+from .exact import MAX_LITERAL_DIGITS, as_rational, convolve
 
 __all__ = [
     "Expr",
@@ -50,7 +50,6 @@ __all__ = [
     "Neg",
     "ParseError",
     "parse",
-    "format_expr",
     "differentiate",
     "evaluate",
     "nth_derivative_of_composition",
@@ -315,57 +314,6 @@ def _fold(e: Expr, visit: Callable[[Any, dict[int, Any]], Any]) -> Any:
     return done[id(e)]
 
 
-# Precedence levels used by the printer: Add=1, Mul=2, Neg/Pow=3, atoms=4.
-def _precedence(e: Expr) -> int:
-    if isinstance(e, Add):
-        return 1
-    if isinstance(e, Mul):
-        return 2
-    if isinstance(e, (Neg, Pow)):
-        return 3
-    if isinstance(e, Constant) and e.value < 0:
-        return 3
-    return 4
-
-
-def format_expr(e: Expr) -> str:
-    """Render an AST as parseable text.
-
-    For parser-produced trees, re-parsing the output reproduces the same
-    structure.  Trees that contain folded negative constants (which the
-    grammar has no literal for) re-parse to an evaluation-equal form.
-    Its memory is linear in the output: it streams pieces like ``Expr.__repr__``.
-    """
-
-    def wrap(child: Expr, minimum: int) -> list[Expr | str]:
-        return ["(", child, ")"] if _precedence(child) < minimum else [child]
-
-    out: list[str] = []
-    stack: list[Expr | str] = [e]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is str:
-            out.append(node)
-        elif kind is Constant:
-            out.append(str(node.value))
-        elif kind is Variable:
-            out.append(node.name)
-        elif kind is Neg:
-            stack.extend(reversed(["-", *wrap(node.operand, 3)]))
-        elif kind is Pow:
-            stack.extend(reversed([*wrap(node.base, 4), f"^{node.exponent}"]))
-        elif kind is Mul:
-            stack.extend(reversed([*wrap(node.left, 2), "*", *wrap(node.right, 3)]))
-        elif kind is Add and type(node.right) is Neg:
-            stack.extend(reversed([node.left, " - ", *wrap(node.right.operand, 2)]))
-        elif kind is Add:
-            stack.extend(reversed([node.left, " + ", *wrap(node.right, 2)]))
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return "".join(out)
-
-
 # Smart constructors: constant folding only, so derivatives stay readable
 # without ever rearranging non-constant structure.
 
@@ -563,7 +511,7 @@ def taylor_polynomial(
     shift = _add(Variable(name), Constant(-point))
     coefficients = [seq.base if seq.base is not None else Fraction(0)]
     coefficients += [
-        seq.derivs[k - 1] / factorial(k) for k in range(1, len(seq.derivs) + 1)
+        seq.derivs[k - 1] / math.factorial(k) for k in range(1, len(seq.derivs) + 1)
     ]
     node: Expr = Constant(coefficients[-1])
     for c in reversed(coefficients[:-1]):

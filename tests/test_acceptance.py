@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 from compderiv import (
     DerivativeSequence,
@@ -23,7 +24,6 @@ from compderiv import (
     derivative_via_jets,
     determinant_expand,
     enumerate_multiplicity_vectors,
-    factorial,
     interpret_phi_polynomial,
     lagrange_power_coefficient,
     nth_derivative_of_composition,

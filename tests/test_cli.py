@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import compderiv.cli as cli
 from compderiv.cli import decimal_string, main
-from compderiv.partitions import enumerate_multiplicity_vectors, multinomial_weight, total_order
+from compderiv.partitions import enumerate_multiplicity_vectors, multinomial_weight
 from fractions import Fraction
 
 
@@ -171,6 +171,19 @@ def test_derive_rejects_malformed_json(capsys):
     )
     assert code == 2
     assert err.startswith("error: --phi-derivs: ") and "'Base'" in err
+
+    # A repeated key is rejected, not read as its last value.
+    for argv, flag in [
+        (
+            ["derive", "-n", "1", "--phi-derivs", '{"derivs":[1],"derivs":[5]}',
+             "--psi-derivs", '{"derivs":[2],"base":1,"base":3}', "--method", "all", "--json"],
+            "--phi-derivs",
+        ),
+        (["bell", "-n", "2", "--psi-derivs", '{"derivs":[1,1],"derivs":[2,2]}'], "--psi-derivs"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: duplicate key 'derivs'") and "Traceback" not in err
 
     # More than 4300 digits, as a JSON integer or in a rational string.
     for derivs in ["1" * 4301, '"1/%s"' % ("1" * 4301)]:
@@ -400,7 +413,7 @@ def test_expand_streams_the_terms_of_the_multiplicity_vectors(n, capsys):
         {
             "m": list(mvec.m),
             "coefficient": str(multinomial_weight(mvec)),
-            "phi_order": total_order(mvec),
+            "phi_order": sum(mvec.m),
             "psi_powers": [[j, mj] for j, mj in mvec.parts()],
         }
         for mvec in enumerate_multiplicity_vectors(n)

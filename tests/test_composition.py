@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,6 @@ from compderiv.composition import (
     power_derivatives,
 )
 from compderiv.determinant import derivative_determinant
-from compderiv.exact import factorial
 from compderiv.series import derivative_via_jets
 from oracles import (
     composition_derivative_by_set_partitions,

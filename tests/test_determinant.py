@@ -17,7 +17,6 @@ from compderiv.determinant import (
     determinant_expand,
     interpret_phi_polynomial,
 )
-from compderiv.exact import binomial
 from oracles import random_sequence
 
 
@@ -30,8 +29,8 @@ def seq(*values, base=None):
 def test_polynomial_drops_zero_coefficients():
     p = PhiPolynomial({2: Fraction(0), 1: Fraction(3)})
     assert list(p.items()) == [(1, Fraction(3))]
-    assert p.coefficient(2) == 0
-    assert PhiPolynomial.zero().is_zero()
+    assert p == PhiPolynomial({1: Fraction(3)})
+    assert PhiPolynomial({0: Fraction(0)}) == PhiPolynomial.zero()
 
 
 def test_polynomial_arithmetic():
@@ -74,14 +73,12 @@ def test_three_by_three_example_entry_for_entry():
 
 def test_row_one_column_three_coefficient_is_two():
     matrix = build_matrix(seq(1, 1, 1), 2)
-    assert matrix.entry(1, 3) == PhiPolynomial.monomial(1, binomial(2, 1))
-    assert binomial(2, 1) == 2
+    assert matrix.entry(1, 3) == PhiPolynomial.monomial(1, 2)
 
 
 def test_row_two_column_five_coefficient_at_order_four():
     matrix = build_matrix(seq(1, 1, 1, 1, 1), 4)
-    assert matrix.entry(2, 5) == PhiPolynomial.monomial(1, binomial(3, 2))
-    assert binomial(3, 2) == 3
+    assert matrix.entry(2, 5) == PhiPolynomial.monomial(1, 3)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -96,9 +93,9 @@ def test_structure_invariants(n):
         if r >= 2:
             assert matrix.entry(r, r) == minus_one
         for c in range(2, r):
-            assert matrix.entry(r, c).is_zero()
+            assert matrix.entry(r, c) == PhiPolynomial.zero()
         for c in range(r + 1, size + 1):
-            expected = binomial(n - r + 1, c - r - 1) * psi.derivative(c - r)
+            expected = math.comb(n - r + 1, c - r - 1) * psi.derivative(c - r)
             assert matrix.entry(r, c) == PhiPolynomial.monomial(1, expected)
 
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from compderiv.exact import (
     as_rational,
-    binomial,
     convolve,
-    factorial,
     falling_factorial,
     format_rational,
     int_text,
@@ -32,53 +30,28 @@ def iterated_factorial(l: int) -> int:
     return acc
 
 
+# l! is the falling factorial of l with l factors, l * (l-1) * ... * 1.
 def test_factorial_empty_product():
-    assert factorial(0) == 1
+    assert falling_factorial(0, 0) == 1
 
 
 def test_factorial_of_three():
-    assert factorial(3) == 6
+    assert falling_factorial(3, 3) == 6
 
 
 def test_factorial_of_ten_matches_iterated_multiplication():
     assert iterated_factorial(10) == 3628800
-    assert factorial(10) == 3628800
+    assert falling_factorial(10, 10) == 3628800
 
 
 def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
-        factorial(-1)
+        falling_factorial(3, -1)
 
 
 @pytest.mark.parametrize("l", range(1, 30))
 def test_factorial_recurrence(l):
-    assert factorial(l) == l * factorial(l - 1)
-
-
-def test_binomial_four_choose_two_matches_factorial_ratio():
-    assert factorial(4) // (factorial(2) * factorial(2)) == 6
-    assert binomial(4, 2) == 6
-
-
-def test_binomial_choose_zero():
-    assert binomial(7, 0) == 1
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
-def test_binomial_rejects_negative_row():
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
-
-
-@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60))
-def test_binomial_symmetry(a, b):
-    if b <= a:
-        assert binomial(a, b) == binomial(a, a - b)
+    assert falling_factorial(l, l) == l * falling_factorial(l - 1, l - 1)
 
 
 def test_falling_factorial_examples():

@@ -10,7 +10,6 @@ from compderiv.partitions import (
     enumerate_multiplicity_vectors,
     multinomial_weight,
     partition_parts,
-    total_order,
 )
 from oracles import (
     bell_number_brute,
@@ -51,7 +50,7 @@ def test_count_matches_pentagonal_recurrence(n):
 def test_every_vector_satisfies_weighted_sum(n):
     for v in enumerate_multiplicity_vectors(n):
         assert sum(j * mj for j, mj in enumerate(v.m, start=1)) == n
-        assert 1 <= total_order(v) <= n
+        assert 1 <= sum(v.m) <= n
 
 
 def test_canonical_order_single_part_first():
@@ -98,12 +97,6 @@ def test_enumeration_returns_fresh_list():
     first = enumerate_multiplicity_vectors(5)
     first.pop()
     assert len(enumerate_multiplicity_vectors(5)) == 7
-
-
-def test_total_order_examples():
-    assert total_order(MultiplicityVector(3, (3, 0, 0))) == 3
-    assert total_order(MultiplicityVector(3, (0, 0, 1))) == 1
-    assert total_order(MultiplicityVector(4, (2, 1, 0, 0))) == 3
 
 
 def test_weight_of_single_part_partition_is_one():

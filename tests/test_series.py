@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
 from compderiv.determinant import derivative_determinant
-from compderiv.exact import factorial
 from compderiv.series import (
     Jet,
     derivative_via_jets,
