@@ -26,8 +26,13 @@ from .composition import (
     derivative_partition_sum,
     partial_bell,
 )
-from .determinant import build_matrix, derivative_determinant, determinant_expand
-from .exact import format_rational, int_text, parse_rational
+from .determinant import (
+    MIN_DETERMINANT_ORDER,
+    build_matrix,
+    derivative_determinant,
+    determinant_expand,
+)
+from .exact import as_rational, check_order, format_rational, int_text, parse_rational
 from .partitions import MAX_PARTITION_ORDER, partition_parts, partition_weight
 from .series import derivative_via_jets
 from .symbolic import (
@@ -43,6 +48,9 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
+
+# Most digits --decimal renders: a million take 20 s, 100000 take 0.3 s.
+MAX_DECIMAL_DIGITS = 100000
 
 
 class _CliError(Exception):
@@ -60,6 +68,13 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
+def _decimal_digits(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value > MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DECIMAL_DIGITS}, got {text}")
     return value
 
 
@@ -102,12 +117,18 @@ def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
         data = json.loads(
             text, parse_int=lambda s: int(parse_rational(s)), object_pairs_hook=_unique_keys
         )
+        if not isinstance(data, dict) or "derivs" not in data:
+            raise ValueError(f"derivative sequence JSON needs 'derivs': {data!r}")
+        unknown = sorted(str(key) for key in data if key not in ("derivs", "base"))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in derivative sequence JSON")
+        if not isinstance(data["derivs"], list):
+            raise ValueError(f"'derivs' must be a list: {data['derivs']!r}")
+        derivs = tuple(as_rational(v) for v in data["derivs"])
+        base = as_rational(data["base"]) if "base" in data else None
+        return DerivativeSequence(derivs, base)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise _CliError(f"{flag}: invalid JSON: {exc}") from exc
-    except ValueError as exc:
-        raise _CliError(f"{flag}: {exc}") from exc
-    try:
-        return DerivativeSequence.from_json(data)
     except (ValueError, TypeError) as exc:
         raise _CliError(f"{flag}: {exc}") from exc
 
@@ -136,7 +157,10 @@ ROUTES = {
     ),
     "bell": _Route(1, None, False, lambda phi, psi, n, _: derivative_bell(phi, psi, n)),
     "determinant": _Route(
-        2, None, False, lambda phi, psi, n, _: derivative_determinant(phi, psi, n)
+        MIN_DETERMINANT_ORDER,
+        None,
+        False,
+        lambda phi, psi, n, _: derivative_determinant(phi, psi, n),
     ),
     "series": _Route(1, None, False, lambda phi, psi, n, _: derivative_via_jets(phi, psi, n)),
     "symbolic": _Route(
@@ -159,11 +183,10 @@ def _derive_inputs(
     only_exprs = args.method != "all" and ROUTES[args.method].reads_exprs
     expr_flags = [args.phi, args.psi, args.at]
     derivs_flags = [args.phi_derivs, args.psi_derivs]
-    if any(v is not None for v in expr_flags) and any(
-        v is not None for v in derivs_flags
-    ):
+    has_exprs = any(v is not None for v in expr_flags)
+    if has_exprs and any(v is not None for v in derivs_flags):
         raise _CliError("give either --phi/--psi/--at or --phi-derivs/--psi-derivs, not both")
-    if any(v is not None for v in expr_flags):
+    if has_exprs:
         if any(v is None for v in expr_flags):
             raise _CliError("expression input needs all of --phi, --psi and --at")
         phi_expr = parse(args.phi)
@@ -293,50 +316,39 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
+def _random_sequence(rng: random.Random, n: int) -> DerivativeSequence:
+    """n random derivative values, then a random base value."""
+    derivs = tuple(_random_rational(rng) for _ in range(n))
+    return DerivativeSequence(derivs, _random_rational(rng))
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
+    check_order(args.max_n)
     rng = random.Random(args.seed)
     report = []
     for n in range(1, args.max_n + 1):
         for trial in range(args.trials):
             at = _random_rational(rng)
-            psi = DerivativeSequence(
-                derivs=tuple(_random_rational(rng) for _ in range(n)),
-                base=_random_rational(rng),
-            )
-            phi = DerivativeSequence(
-                derivs=tuple(_random_rational(rng) for _ in range(n)),
-                base=_random_rational(rng),
-            )
+            psi = _random_sequence(rng, n)
+            phi = _random_sequence(rng, n)
             exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
             values, _ = _route_values(phi, psi, n, exprs)
             if len(set(values.values())) != 1:
-                print(
-                    f"route disagreement at order {n}, trial {trial}:", file=sys.stderr
-                )
+                print(f"route disagreement at order {n}, trial {trial}:", file=sys.stderr)
                 print(f"  at   = {format_rational(at)}", file=sys.stderr)
-                print(f"  phi  = {json.dumps(phi.to_json())}", file=sys.stderr)
-                print(f"  psi  = {json.dumps(psi.to_json())}", file=sys.stderr)
+                for role, seq in (("phi", phi), ("psi", psi)):
+                    derivs = [format_rational(v) for v in seq.derivs]
+                    data = {"base": format_rational(seq.base), "derivs": derivs}
+                    print(f"  {role}  = {json.dumps(data)}", file=sys.stderr)
                 _print_values(values)
                 return EXIT_DISAGREEMENT
         report.append({"n": n, "trials": args.trials, "routes": list(values), "ok": True})
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "max_n": args.max_n,
-                    "trials": args.trials,
-                    "seed": args.seed,
-                    "orders": report,
-                    "ok": True,
-                }
-            )
-        )
+        summary = {"max_n": args.max_n, "trials": args.trials, "seed": args.seed}
+        print(json.dumps({**summary, "orders": report, "ok": True}))
     else:
         for row in report:
-            print(
-                f"order {row['n']:>2}: {row['trials']} trials, "
-                f"{len(row['routes'])} routes, ok"
-            )
+            print(f"order {row['n']:>2}: {row['trials']} trials, {len(row['routes'])} routes, ok")
         print(f"all routes agree up to order {args.max_n} (seed {args.seed})")
     return EXIT_OK
 
@@ -344,13 +356,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_bell(args: argparse.Namespace) -> int:
     n = args.order
     k = args.parts
-    if k is not None and (k < 1 or k > n):
-        raise _CliError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    check_order(n)  # before the n ones below are built
     ones = DerivativeSequence(derivs=(Fraction(1),) * n)
-    if args.psi_derivs is not None:
-        psi = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
-    else:
-        psi = ones
+    psi = ones if args.psi_derivs is None else _parse_sequence_json(args.psi_derivs, "--psi-derivs")
     if k is None:
         # The complete Bell polynomial: sum_k phi^(k) * B_{n,k} with every phi^(k) = 1.
         value = derivative_bell(ones, psi, n)
@@ -374,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decimal = argparse.ArgumentParser(add_help=False)
     decimal.add_argument(
         "--decimal",
-        type=_nonnegative_int,
+        type=_decimal_digits,
         default=None,
         metavar="DIGITS",
         help="also render values as fixed-point decimals (display only)",

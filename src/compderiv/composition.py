@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
-from .exact import as_rational, falling_factorial, format_rational, scaled
+from .exact import as_rational, check_order, falling_factorial, scaled
 from .partitions import pair_divisor, partition_parts
 
 __all__ = [
@@ -73,6 +72,7 @@ class DerivativeSequence:
         return self.derivs[k - 1]
 
     def require_order(self, n: int, role: str) -> None:
+        check_order(n)
         if len(self.derivs) < n:
             raise SequenceTooShortError(role, n, len(self.derivs))
 
@@ -81,24 +81,10 @@ class DerivativeSequence:
             raise ValueError(f"{role} sequence needs a base value (0-th derivative)")
         return self.base
 
-    def to_json(self) -> dict[str, Any]:
-        data: dict[str, Any] = {"derivs": [format_rational(v) for v in self.derivs]}
-        if self.base is not None:
-            data = {"base": format_rational(self.base), **data}
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "DerivativeSequence":
-        if not isinstance(data, dict) or "derivs" not in data:
-            raise ValueError(f"derivative sequence JSON needs 'derivs': {data!r}")
-        unknown = sorted(str(key) for key in data if key not in ("derivs", "base"))
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r} in derivative sequence JSON")
-        if not isinstance(data["derivs"], list):
-            raise ValueError(f"'derivs' must be a list: {data['derivs']!r}")
-        derivs = tuple(as_rational(v) for v in data["derivs"])
-        base = as_rational(data["base"]) if "base" in data else None
-        return cls(derivs=derivs, base=base)
+    def taylor_coefficients(self, n: int) -> list[Fraction]:
+        """c_0..c_n: the base value (0 when absent), then c_k = d_k / k!."""
+        c0 = self.base or Fraction(0)
+        return [c0] + [self.derivs[k - 1] / math.factorial(k) for k in range(1, n + 1)]
 
 
 def derivative_partition_sum(
@@ -116,8 +102,6 @@ def derivative_partition_sum(
     walk rewrites only the last few pairs of its list per step, so a stack of
     (product, parts) over the leading pairs keeps what the step left alone.
     """
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     factors: dict[tuple[int, int], Fraction] = {}
@@ -159,8 +143,9 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     psi up to order n - k + 1 only, and runs over integers: with x_i = a_i / D
     in the integer-scaled form of ``exact.scaled``, B_{n,k}(x) = B_{n,k}(a) / D**k.
     """
-    if n < 1 or k < 1 or k > n:
-        raise ValueError(f"partial Bell indices out of range: n={n}, k={k}")
+    check_order(n)
+    if k < 1 or k > n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     width = n - k + 1
     psi.require_order(width, "psi")
     xs, d = scaled(psi.derivs[:width])
@@ -178,14 +163,9 @@ def derivative_bell(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int
 ) -> Fraction:
     """D_y^n of phi(psi(y)) by outer order: the sum of phi^(k) * B_{n,k}."""
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += phi.derivative(k) * partial_bell(n, k, psi)
-    return total
+    return sum((phi.derivative(k) * partial_bell(n, k, psi) for k in range(1, n + 1)), Fraction(0))
 
 
 def lagrange_power_coefficient(
@@ -201,13 +181,11 @@ def lagrange_power_coefficient(
     zero base raises ZeroDivisionError, and the result is 0 when m = 0,
     when psi vanishes through order n, or when n < s*m.
     """
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
-    base = psi.require_base("psi")
     psi.require_order(n, "psi")
+    base = psi.require_base("psi")
     if base == 0 and m < 0:
         raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
-    u = [base] + [psi.derivative(k) / math.factorial(k) for k in range(1, n + 1)]
+    u = psi.taylor_coefficients(n)
     s = next((k for k, c in enumerate(u) if c), None)
     if m == 0 or s is None or n < s * m:
         return Fraction(0)

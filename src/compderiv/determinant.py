@@ -28,6 +28,7 @@ from .composition import DerivativeSequence
 from .exact import format_rational, reduced, scaled
 
 __all__ = [
+    "MIN_DETERMINANT_ORDER",
     "PhiPolynomial",
     "CompositionMatrix",
     "build_matrix",
@@ -35,6 +36,8 @@ __all__ = [
     "interpret_phi_polynomial",
     "derivative_determinant",
 ]
+
+MIN_DETERMINANT_ORDER = 2  # its matrix for D_y^{n+1} has n >= 0
 
 
 class PhiPolynomial:
@@ -240,9 +243,9 @@ def derivative_determinant(
     normalizing the sign recovers the derivative.  Orders below 2 are
     rejected: the determinant form starts at the second derivative.
     """
-    if order < 2:
+    if order < MIN_DETERMINANT_ORDER:
         raise ValueError(
-            f"determinant route needs order >= 2, got {order}; "
+            f"determinant route needs order >= {MIN_DETERMINANT_ORDER}, got {order}; "
             "use the partition route for the first derivative"
         )
     n = order - 1

@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and their text
 form, the falling factorials of the power route, and the integer-scaled form.
 
+Every entry point that takes a derivative order n checks it with ``check_order``.
+
 The coefficient field is ``fractions.Fraction``.  Fractions are always
 stored reduced with a positive denominator, which makes equality
 structural: every cross-route check in this package is a plain ``==``.
@@ -24,6 +26,8 @@ from typing import Any, Sequence
 
 __all__ = [
     "MAX_LITERAL_DIGITS",
+    "MAX_ORDER",
+    "check_order",
     "falling_factorial",
     "parse_rational",
     "format_rational",
@@ -41,6 +45,17 @@ _RATIONAL_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?$")
 # expression or as a JSON integer: Python's default bound on int/str
 # conversion, which this package checks itself instead of changing it.
 MAX_LITERAL_DIGITS = 4300
+
+# Highest order any entry point accepts, a time bound: bell -n 100 takes 2 s, -n 200 58 s.
+MAX_ORDER = 100
+
+
+def check_order(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_ORDER."""
+    if n < 1:
+        raise ValueError(f"derivative order must be positive, got {n}")
+    if n > MAX_ORDER:
+        raise ValueError(f"derivative order {n} > MAX_ORDER = {MAX_ORDER}")
 
 
 def falling_factorial(m: int, p: int) -> int:

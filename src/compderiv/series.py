@@ -108,11 +108,7 @@ def jet_from_derivatives(seq: DerivativeSequence, order: int) -> Jet:
             f"length mismatch: jet of order {order} needs {order} derivatives, "
             f"sequence has {len(seq.derivs)}"
         )
-    c0 = seq.base if seq.base is not None else Fraction(0)
-    return Jet(
-        (c0,)
-        + tuple(seq.derivs[k - 1] / math.factorial(k) for k in range(1, order + 1))
-    )
+    return Jet(tuple(seq.taylor_coefficients(order)))
 
 
 def derivative_via_jets(
@@ -123,8 +119,6 @@ def derivative_via_jets(
     Builds the order-n jets of both inputs, centers the inner one, and
     returns n! times the degree-n coefficient of the composite.
     """
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     outer = jet_from_derivatives(DerivativeSequence(derivs=phi.derivs[:n]), n)

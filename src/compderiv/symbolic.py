@@ -21,7 +21,7 @@ Grammar (whitespace-insensitive, explicit '*' required):
 
     expr   := term (('+'|'-') term)* ;
     term   := factor ('*' factor)* ;
-    factor := base ('^' UINT)? ;
+    factor := base ('^' UINT)? ;     (an exponent of at most 2000)
     base   := RATIONAL | VAR | '(' expr ')' | '-' factor ;
     RATIONAL := UINT ('/' UINT)? ;   VAR := 'x' | 'y' ;
     UINT   := ('0'..'9')+ ;          (ASCII digits only, at most 4300)
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .composition import DerivativeSequence
-from .exact import MAX_LITERAL_DIGITS, as_rational, convolve
+from .exact import MAX_LITERAL_DIGITS, as_rational, check_order, convolve
 
 __all__ = [
     "Expr",
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 MAX_DEPTH = 256
+# Largest exponent after '^', a time bound: x^2000 expands in 1.5 s, x^8000 in 49 s.
+MAX_EXPONENT = 2000
 
 
 class Expr:
@@ -253,7 +255,11 @@ def parse(text: str) -> Expr:
         # term, the sum and the enclosing '(' when no operator follows.
         while True:
             if p.take("^"):
-                node = Pow(node, p.uint())
+                p.skip_ws()
+                offset, exponent = p.pos, p.uint()
+                if exponent > MAX_EXPONENT:
+                    raise ParseError(text, offset, (f"an exponent of at most {MAX_EXPONENT}",))
+                node = Pow(node, exponent)
             level = stack[-1]
             if level is None:
                 stack.pop()
@@ -467,8 +473,7 @@ def nth_derivative_of_composition(
     rule.  Computing every preceding derivative is the point: it shares no
     logic with the closed-form routes it cross-checks.
     """
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
+    check_order(n)
     point = as_rational(at)
     p, q = point.numerator, point.denominator
     coefficients, den = _dense_scaled(phi, _dense_scaled(psi))
@@ -487,8 +492,7 @@ def derivative_sequence_of(
     e: Expr, at: Fraction | int | str, n: int
 ) -> DerivativeSequence:
     """Derivative values of an expression at a point, orders 1..n plus base."""
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
+    check_order(n)
     base = evaluate(e, at)
     derivs = []
     current = e
@@ -509,10 +513,7 @@ def taylor_polynomial(
     """
     point = as_rational(at)
     shift = _add(Variable(name), Constant(-point))
-    coefficients = [seq.base if seq.base is not None else Fraction(0)]
-    coefficients += [
-        seq.derivs[k - 1] / math.factorial(k) for k in range(1, len(seq.derivs) + 1)
-    ]
+    coefficients = seq.taylor_coefficients(len(seq.derivs))
     node: Expr = Constant(coefficients[-1])
     for c in reversed(coefficients[:-1]):
         node = _add(Constant(c), _mul(shift, node))

@@ -172,6 +172,23 @@ def test_derive_rejects_malformed_json(capsys):
     assert code == 2
     assert err.startswith("error: --phi-derivs: ") and "'Base'" in err
 
+    # Shapes the sequence format does not have, and values that are not exact rationals.
+    for phi, message in [
+        ('{"base":"1"}', "derivative sequence JSON needs 'derivs': {'base': '1'}"),
+        ('["1"]', "derivative sequence JSON needs 'derivs': ['1']"),
+        ('{"derivs":{"1":"1"}}', "'derivs' must be a list: {'1': '1'}"),
+        ('{"derivs":3}', "'derivs' must be a list: 3"),
+        ('{"derivs":["1.5"]}', "not a rational literal (expected 'p' or 'p/q'): '1.5'"),
+        ('{"derivs":[1.5]}', "cannot interpret 1.5 as an exact rational"),
+        ('{"derivs":[true]}', "cannot interpret True as an exact rational"),
+        ('{"derivs":["1"],"base":false}', "cannot interpret False as an exact rational"),
+        ('{"derivs":["1"],"base":null}', "cannot interpret None as an exact rational"),
+    ]:
+        code, out, err = run(
+            capsys, "derive", "--phi-derivs", phi, "--psi-derivs", '{"derivs":[1]}', "-n", "1"
+        )
+        assert (code, out, err) == (2, "", f"error: --phi-derivs: {message}\n")
+
     # A repeated key is rejected, not read as its last value.
     for argv, flag in [
         (
@@ -244,6 +261,8 @@ def _corrupted(draw, texts):
 @example("(" * 256 + "x" + ")" * 256)
 @example("(" * 257 + "x" + ")" * 257)
 @example("x^\u00b2")
+@example("x^99999999999")
+@example("2^99999999999")
 def test_derive_fuzzed_expression_exits_cleanly(phi):
     argv = ["derive", f"--phi={phi}", "--psi=y^2 + y", "--at=1/2", "-n", "3", "--method", "all"]
     out, err = io.StringIO(), io.StringIO()
@@ -269,12 +288,27 @@ def test_derive_reports_short_sequences(capsys):
     # Orders above the partition walk's bound are refused, not walked.
     for argv in (
         ["expand", "-n", "1200"],
-        ["derive", "--phi", "x", "--psi", "y", "--at", "0", "-n", "1200", "--method", "partition"],
+        ["derive", "--phi", "x", "--psi", "y", "--at", "0", "-n", "80", "--method", "partition"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "MAX_PARTITION_ORDER" in err
         assert "Traceback" not in err
+
+    # Orders above MAX_ORDER are refused by every command that takes one.
+    for argv in (
+        ["derive", "--phi", "x", "--psi", "y", "--at", "0", "-n", "1200", "--method", "partition"],
+        ["derive", "--phi", "x", "--psi", "y", "--at", "0", "-n", "101", "--method", "all"],
+        ["derive", "--phi-derivs", '{"derivs":[1]}', "--psi-derivs", '{"derivs":[1]}',
+         "-n", "1200", "--method", "bell"],
+        ["bell", "-n", "100000"],
+        ["bell", "-n", "101", "-k", "1"],
+        ["check", "--max-n", "101", "--trials", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        order = argv[argv.index("--max-n" if argv[0] == "check" else "-n") + 1]
+        assert err == f"error: derivative order {order} > MAX_ORDER = 100\n"
 
 
 def test_derive_all_skips_the_partition_route_above_its_bound(capsys):
@@ -312,6 +346,15 @@ def test_derive_decimal_display(capsys):
     )
     assert code == 0
     assert out == "0.6667\n"
+
+    # At most 100000 digits: a million would take seconds to render.
+    code, out, _ = run(capsys, "bell", "-n", "3", "--decimal", "100000")
+    assert (code, out) == (0, "5." + "0" * 100000 + "\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bell", "-n", "3", "--decimal", "1000000"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --decimal: must be at most 100000, got 1000000" in err
 
 
 def test_derive_show_expansion_prints_formal_polynomial(capsys):
@@ -506,6 +549,19 @@ def test_check_detects_a_corrupted_route(capsys, monkeypatch):
     assert "bell" in err
     assert "phi" in err and "psi" in err
 
+    # The witness replays: its phi and psi lines are sequence JSON for derive.
+    lines = err.splitlines()
+    order = int(re.match(r"route disagreement at order (\d+), trial \d+:", lines[0]).group(1))
+    assert lines[2].startswith("  phi  = {\"base\": ") and lines[3].startswith("  psi  = {")
+    phi, psi = lines[2][len("  phi  = "):], lines[3][len("  psi  = "):]
+    code, out, replay = run(
+        capsys, "derive", "--phi-derivs", phi, "--psi-derivs", psi, "-n", str(order),
+        "--method", "all",
+    )
+    assert code == 3 and replay.startswith("route disagreement detected\n")
+    # Sequence input leaves out only the symbolic route, which needs expressions.
+    assert replay.splitlines()[1:] == [line for line in lines[4:] if "symbolic" not in line]
+
 
 def test_derive_all_detects_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(cli, "derivative_bell", lambda phi, psi, n: Fraction(999))
@@ -560,7 +616,7 @@ def test_bell_with_custom_derivatives(capsys):
 def test_bell_k_above_n_is_usage_error(capsys):
     code, _, err = run(capsys, "bell", "-n", "3", "-k", "4")
     assert code == 2
-    assert "k" in err
+    assert err == "error: k must satisfy 1 <= k <= n, got k=4, n=3\n"
 
 
 def test_bell_json(capsys):

@@ -21,6 +21,7 @@ from compderiv.composition import (
 )
 from compderiv.determinant import derivative_determinant
 from compderiv.series import derivative_via_jets
+from compderiv.symbolic import derivative_sequence_of, nth_derivative_of_composition, parse
 from oracles import (
     composition_derivative_by_set_partitions,
     random_rational,
@@ -86,8 +87,32 @@ def test_too_short_psi_is_reported():
 
 
 def test_rejects_nonpositive_order():
-    with pytest.raises(ValueError):
-        derivative_partition_sum(seq(1), seq(1), 0)
+    # One check owns the order rule: every entry point that takes an order
+    # rejects 0 and MAX_ORDER + 1 with its message, even on long enough input.
+    top = exact.MAX_ORDER
+    ones = seq(*[1] * (top + 1), base=1)
+    x = parse("x")
+    entry_points = [
+        lambda n: derivative_partition_sum(ones, ones, n),
+        lambda n: derivative_bell(ones, ones, n),
+        lambda n: derivative_determinant(ones, ones, n),
+        lambda n: derivative_via_jets(ones, ones, n),
+        lambda n: nth_derivative_of_composition(x, x, n, 0),
+        lambda n: lagrange_power_coefficient(ones, 2, n),
+        lambda n: partial_bell(n, 1, ones),
+        lambda n: derivative_sequence_of(x, 0, n),
+    ]
+    # The determinant form (entry 2) names its own lowest order, 2.
+    lowest = "determinant route needs order >= 2, got 0; use the partition route"
+    for i, call in enumerate(entry_points):
+        with pytest.raises(ValueError) as err:
+            call(0)
+        assert str(err.value).startswith(
+            lowest if i == 2 else "derivative order must be positive, got 0"
+        )
+        with pytest.raises(ValueError) as err:
+            call(top + 1)
+        assert str(err.value) == f"derivative order {top + 1} > MAX_ORDER = {top}"
 
 
 @given(
@@ -156,9 +181,9 @@ def test_partial_bell_needs_only_n_minus_k_plus_1_derivatives():
 
 def test_partial_bell_out_of_range():
     psi = seq(1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k <= n, got k=0, n=3$"):
         partial_bell(3, 0, psi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k <= n, got k=4, n=3$"):
         partial_bell(3, 4, psi)
 
 
@@ -367,31 +392,6 @@ def test_sequence_coerces_to_fractions():
     s = DerivativeSequence(derivs=(1, "3/2"), base="2")
     assert s.derivs == (Fraction(1), Fraction(3, 2))
     assert s.base == Fraction(2)
-
-
-def test_sequence_json_round_trip_with_base():
-    s = DerivativeSequence(derivs=(Fraction(2), Fraction(3), Fraction(-1, 4)), base=Fraction(1, 2))
-    data = s.to_json()
-    assert data == {"base": "1/2", "derivs": ["2", "3", "-1/4"]}
-    assert DerivativeSequence.from_json(data) == s
-
-
-def test_sequence_json_base_optional():
-    s = DerivativeSequence(derivs=(Fraction(5),))
-    assert s.to_json() == {"derivs": ["5"]}
-    assert DerivativeSequence.from_json({"derivs": ["5"]}) == s
-
-
-def test_sequence_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        DerivativeSequence.from_json({"base": "1"})
-    with pytest.raises(ValueError):
-        DerivativeSequence.from_json({"derivs": ["1.5"]})
-    for derivs in ("123", {"1": "1"}, 3):
-        with pytest.raises(ValueError):
-            DerivativeSequence.from_json({"derivs": derivs})
-    with pytest.raises(ValueError, match="'Base'"):
-        DerivativeSequence.from_json({"derivs": ["1"], "Base": "2"})
-    for data in ({"derivs": [True]}, {"derivs": ["1"], "base": False}):
-        with pytest.raises(TypeError):
-            DerivativeSequence.from_json(data)
+    # Taylor coefficients: the base, then d_k / k!; 0 stands in for a missing base.
+    assert s.taylor_coefficients(2) == [2, 1, Fraction(3, 4)]
+    assert DerivativeSequence(derivs=(6,)).taylor_coefficients(1) == [0, 6]

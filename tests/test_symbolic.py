@@ -78,6 +78,8 @@ def test_parse_error_carries_offset_and_expectations():
     # A literal of more than 4300 digits is rejected at its first digit.
     long = "1" * 4301
     cases += [("x + " + long, 4), ("1/" + long, 2), ("x^" + long, 2), ("(" + long + ")", 1)]
+    # An exponent above 2000 is rejected at its first digit, before any power is built.
+    cases += [("x^2001", 2), ("x ^ 99999999999", 4), ("(x+1)^ 3000", 7), ("2^99999999999", 2)]
     for text, offset in cases:
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -85,6 +87,7 @@ def test_parse_error_carries_offset_and_expectations():
         assert err.value.expected
         assert "set_int_max_str_digits" not in str(err.value)
     assert parse("9" * 4300) == Constant(Fraction(10**4300 - 1))
+    assert parse("x^2000") == Pow(X, 2000)
 
 
 def test_parse_rejects_mixed_variables():
