@@ -81,15 +81,15 @@ def _decimal_digits(text: str) -> int:
 def decimal_string(value: Fraction, digits: int) -> str:
     """Fixed-point decimal rendering with the given digit count.
 
-    Display-only courtesy; rounding is half away from zero and the exact
-    value is never stored this way.
+    Display-only courtesy; rounding is half away from zero, a value that
+    rounds to zero has no sign, and the exact value is never stored this way.
     """
-    sign = "-" if value < 0 else ""
     numerator, denominator = abs(value.numerator), value.denominator
     scaled = numerator * 10**digits
     quotient, remainder = divmod(scaled, denominator)
     if 2 * remainder >= denominator:
         quotient += 1
+    sign = "-" if value < 0 and quotient else ""
     text = int_text(quotient).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text

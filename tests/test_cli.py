@@ -227,6 +227,14 @@ def test_derive_rejects_bad_expression(capsys):
         assert code == 2
         assert "at most 4300 digits" in err and "set_int_max_str_digits" not in err
 
+    # A tower past the expanded-degree bound stops before it is expanded.
+    code, out, err = run(
+        capsys,
+        "derive", "--phi", "(x^2000)^2000", "--psi", "y", "--at", "1", "-n", "1",
+        "--method", "symbolic",
+    )
+    assert (code, out, err) == (2, "", "error: expanded degree 4000000 > MAX_DEGREE = 10000\n")
+
 
 def _expressions(depth):
     """--phi text from the expression grammar, at most ``depth`` levels deep."""
@@ -255,23 +263,88 @@ def _corrupted(draw, texts):
     return text[:i] + ("" if edit == "delete" else char) + text[i + 1:]
 
 
+def _derive_phi(phi):
+    return ["derive", f"--phi={phi}", "--psi=y^2 + y", "--at=1/2", "-n", "3", "--method", "all"]
+
+
+_SEQUENCE_TEXTS = [
+    '{"derivs":[1,2,3]}', '{"derivs":["1/2","-3"],"base":"2"}', '{"derivs":[]}',
+    '{"derivs":[1],"x":1}', '{"derivs":[1],"derivs":[2]}', '["1"]',
+]
 # Exponents stay below 10: towers of larger ones make every route slow.
-@given(_corrupted(_expressions(2)).filter(lambda t: not re.search(r"\^\s*[0-9]{2}", t)))
-@example("+".join(["x"] * 3000))
-@example("(" * 256 + "x" + ")" * 256)
-@example("(" * 257 + "x" + ")" * 257)
-@example("x^\u00b2")
-@example("x^99999999999")
-@example("2^99999999999")
-def test_derive_fuzzed_expression_exits_cleanly(phi):
-    argv = ["derive", f"--phi={phi}", "--psi=y^2 + y", "--at=1/2", "-n", "3", "--method", "all"]
+_PHI_TEXTS = _corrupted(_expressions(2)).filter(lambda t: not re.search(r"\^\s*[0-9]{2}", t))
+# Values stay small where a valid one costs time: orders up to 5, one trial.
+_FLAG_VALUES = {
+    "-n": st.sampled_from(["1", "2", "3", "5", "0", "-1", "101", "x", ""]),
+    "-k": st.sampled_from(["1", "2", "0", "-1", "9"]),
+    "--method": st.sampled_from([*cli.ROUTES, "all", "nope"]),
+    "--phi": _PHI_TEXTS,
+    "--psi": _corrupted(st.sampled_from(["y", "y^2 + y", "3/2*y^3 - y", "(y + 1)^2", "x"])),
+    "--at": st.sampled_from(["0", "1/2", "-3", "2/3", "1/0", "x", "1.5", ""]),
+    "--phi-derivs": _corrupted(st.sampled_from(_SEQUENCE_TEXTS)),
+    "--psi-derivs": _corrupted(st.sampled_from(_SEQUENCE_TEXTS)),
+    "--max-n": st.sampled_from(["1", "3", "0", "101", "x"]),
+    "--trials": st.sampled_from(["1", "2", "0"]),
+    "--seed": st.sampled_from(["0", "7", "-1"]),
+    "--decimal": st.sampled_from(["0", "3", "-1", "100001"]),
+    "--json": st.none(),
+    "--show-expansion": st.none(),
+    "--help": st.none(),
+    "--nope": st.none(),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A valid command line, then flags appended in any order and one token maybe dropped."""
+    flags = {
+        "derive": ["--phi", "--psi", "--at", "-n", "--method"],
+        "derive-sequences": ["--phi-derivs", "--psi-derivs", "-n", "--method"],
+        "expand": ["-n"],
+        "check": ["--max-n", "--trials"],
+        "bell": ["-n"],
+    }
+    template = draw(st.sampled_from(sorted(flags)))
+    argv = [template.split("-")[0]]
+    extra = draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=4))
+    for flag in flags[template] + extra:
+        value = draw(_FLAG_VALUES[flag])
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    if draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@given(_argvs())
+@example(_derive_phi("+".join(["x"] * 3000)))
+@example(_derive_phi("(" * 256 + "x" + ")" * 256))
+@example(_derive_phi("(" * 257 + "x" + ")" * 257))
+@example(_derive_phi("x^\u00b2"))
+@example(_derive_phi("x^99999999999"))
+@example(_derive_phi("2^99999999999"))
+@example(["derive", "--phi=(x^2000)^2000", "--psi=y", "--at=1", "-n", "1", "--method", "symbolic"])
+@example(["check", "--max-n=101", "--trials", "1"])
+@example(["bell", "-n", "3", "--decimal", "100001"])
+@example(["frobnicate"])
+@example([])
+def test_fuzzed_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        assert err.getvalue().startswith("error: ")
+        # Ours start with "error: "; argparse's start with the usage line.
+        first, _, rest = err.getvalue().partition("\n")
+        assert first.startswith("error: ") or (first.startswith("usage: ") and ": error: " in rest)
 
 
 def test_derive_reports_short_sequences(capsys):
@@ -656,3 +729,8 @@ def test_decimal_string_rounding():
     assert decimal_string(Fraction(7, 2), 0) == "4"
     assert decimal_string(Fraction(1, 4), 1) == "0.3"
     assert decimal_string(Fraction(123, 1), 3) == "123.000"
+    # A negative value that rounds to zero prints without a sign.
+    assert decimal_string(Fraction(-1, 1000), 2) == "0.00"
+    assert decimal_string(Fraction(-2, 5), 0) == "0"
+    assert decimal_string(Fraction(-1, 200), 2) == "-0.01"
+    assert decimal_string(Fraction(-1, 2), 0) == "-1"

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import inspect
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import compderiv.symbolic as symbolic
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
+from compderiv.exact import MAX_ORDER
 from compderiv.symbolic import (
+    MAX_DEGREE,
     Add,
     Constant,
     Expr,
@@ -17,6 +23,7 @@ from compderiv.symbolic import (
     ParseError,
     Pow,
     Variable,
+    _dense_scaled,
     derivative_sequence_of,
     differentiate,
     evaluate,
@@ -336,6 +343,24 @@ def test_power_expands_like_the_repeated_product(e):
             ) == nth_derivative_of_composition(phi_mul, psi_mul, n, at)
 
 
+def test_expanded_degree_is_bounded_before_expanding():
+    assert MAX_DEGREE == MAX_ORDER**2  # phi(psi) of two degree-MAX_ORDER polynomials
+    with pytest.raises(ValueError, match=r"expanded degree 4000000 > MAX_DEGREE = 10000"):
+        nth_derivative_of_composition(parse("(x^2000)^2000"), Y, 1, 1)
+    with pytest.raises(ValueError, match=r"expanded degree 4000000 > MAX_DEGREE"):
+        nth_derivative_of_composition(parse("x^2000"), parse("(y + 1)^2000"), 1, 1)
+
+
+def test_expanded_degree_bound_is_inclusive(monkeypatch):
+    # Every product and power meets the bound, also through the bound variable.
+    monkeypatch.setattr(symbolic, "MAX_DEGREE", 6)
+    assert nth_derivative_of_composition(parse("x^2"), parse("y^3"), 6, 1) == 720
+    assert nth_derivative_of_composition(parse("x*x"), parse("y^2*y"), 6, 1) == 720
+    for phi, psi in [("x^7", "y"), ("x^2", "y^4"), ("x*x*x*x", "y*y + 1"), ("x", "(y*y)^4")]:
+        with pytest.raises(ValueError, match=r"> MAX_DEGREE = 6"):
+            nth_derivative_of_composition(parse(phi), parse(psi), 1, 1)
+
+
 def _random_polynomial(rng, degree, name):
     node = Constant(random_rational(rng))
     for k in range(1, degree + 1):
@@ -361,6 +386,57 @@ def test_sequence_of_quadratic():
     s = derivative_sequence_of(parse("2*y^2 + y"), 1, 2)
     assert s.base == 3
     assert s.derivs == (Fraction(5), Fraction(4))
+
+
+def _sequence_by_fresh_folds(e, at, n):
+    """The derivative sequence with no memo: each order differentiates the whole tree again."""
+    derivs, current = [], e
+    for _ in range(n):
+        current = differentiate(current)
+        derivs.append(evaluate(current, at))
+    return DerivativeSequence(derivs=tuple(derivs), base=evaluate(e, at))
+
+
+@st.composite
+def _shared_expressions(draw, max_degree=8):
+    """An expression whose nodes read earlier ones, so subtrees are shared, with its degree."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    pool = [(X, 1), (Constant(draw(small)), 0)]
+    for _ in range(draw(st.integers(0, 8))):
+        (a, da), (b, db) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["add", "mul", "neg", "pow", "constant"]))
+        if kind == "add":
+            node = (Add(a, b), max(da, db))
+        elif kind == "mul":
+            node = (Mul(a, b), da + db)
+        elif kind == "neg":
+            node = (Neg(a), da)
+        elif kind == "pow":
+            exponent = draw(st.integers(0, 3))
+            node = (Pow(a, exponent), da * exponent)
+        else:
+            node = (Constant(draw(small)), 0)
+        if node[1] <= max_degree:
+            pool.append(node)
+    return pool[-1]
+
+
+@given(_shared_expressions(), st.fractions(min_value=-2, max_value=2, max_denominator=4), st.data())
+def test_sequence_matches_a_memo_free_loop(expression, at, data):
+    e, degree = expression
+    n = data.draw(st.integers(1, degree + 2), label="n")  # past the degree: trailing zeros
+    assert derivative_sequence_of(e, at, n) == _sequence_by_fresh_folds(e, at, n)
+
+
+def test_sequence_of_a_16_factor_product_matches_its_expansion():
+    # Fresh folds copy the subtrees D^(k-1) shares with D^k at every order,
+    # which took 19 s here; one memo per call differentiates each node once.
+    e = parse("*".join(f"({k}*x - {k % 3 + 1})" for k in range(1, 17)))
+    coefficients, den = _dense_scaled(e)
+    seq = derivative_sequence_of(e, 0, 16)
+    assert seq.base == Fraction(coefficients[0], den)
+    for k in range(1, 17):
+        assert seq.derivative(k) == math.factorial(k) * Fraction(coefficients[k], den)
 
 
 # --- Taylor realization ------------------------------------------------------------------
