@@ -37,6 +37,7 @@ from .partitions import MAX_PARTITION_ORDER, partition_parts, partition_weight
 from .series import derivative_via_jets
 from .symbolic import (
     Expr,
+    check_degree,
     derivative_sequence_of,
     nth_derivative_of_composition,
     parse,
@@ -192,6 +193,8 @@ def _derive_inputs(
         phi_expr = parse(args.phi)
         psi_expr = parse(args.psi)
         at = parse_rational(args.at)
+        if args.method in ("all", "symbolic"):
+            check_degree(phi_expr, psi_expr)  # before any route's work, not after it
         if only_exprs:
             return None, None, (phi_expr, psi_expr, at)
         psi_seq = derivative_sequence_of(psi_expr, at, args.order)

@@ -5,16 +5,16 @@ This is the deliberately plain oracle: it computes the n-th derivative of
 a composition by expanding psi into integer coefficients over one common
 denominator, expanding phi at that polynomial the same way, and
 differentiating the coefficient list of phi(psi(y)) n times, exactly the
-preliminary work the closed-form routes exist to avoid.  Each product and
-power it expands is bounded in degree by ``MAX_DEGREE``.
+preliminary work the closed-form routes exist to avoid.  ``check_degree``
+bounds the degree of each product and power it expands by ``MAX_DEGREE``
+before any is built.
 
 ``differentiate`` applies the ordinary sum, product and power rules to the
 AST with constant folding only, and ``evaluate`` computes a value at a
 point.  ``derivative_sequence_of`` turns an expression into its derivative
 sequence by calling both once per order, with one derivative memo and one
 value memo for the length of the call: each node is differentiated and
-evaluated once, the trees D^k share their nodes, and all of them stay
-alive until the call returns, since the memos are keyed by ``id``.
+evaluated once, and the trees D^k share their nodes.
 
 Every walk over an expression runs on an explicit stack: the folds go
 through ``_fold``, which visits each distinct node object once, ``repr``
@@ -27,7 +27,8 @@ Grammar (whitespace-insensitive, explicit '*' required):
 
     expr   := term (('+'|'-') term)* ;
     term   := factor ('*' factor)* ;
-    factor := base ('^' UINT)? ;     (an exponent of at most 2000)
+    factor := base ('^' UINT)? ;     (the exponents on any root-to-leaf
+                                      path multiply to at most 2000)
     base   := RATIONAL | VAR | '(' expr ')' | '-' factor ;
     RATIONAL := UINT ('/' UINT)? ;   VAR := 'x' | 'y' ;
     UINT   := ('0'..'9')+ ;          (ASCII digits only, at most 4300)
@@ -58,60 +59,33 @@ __all__ = [
     "parse",
     "differentiate",
     "evaluate",
+    "check_degree",
     "nth_derivative_of_composition",
     "derivative_sequence_of",
     "taylor_polynomial",
 ]
 
 MAX_DEPTH = 256
-# Largest exponent after '^', a time bound: x^2000 expands in 1.5 s, x^8000 in 49 s.
+# Largest exponent after '^', and largest product of the exponents on a path
+# through nested powers, a time bound: x^2000 expands in 1.5 s, x^8000 in 49 s.
 MAX_EXPONENT = 2000
-# Largest degree the symbolic route expands to, checked before each product
-# and power: the degree of phi(psi) for two polynomials of degree MAX_ORDER,
-# the most ``check`` builds.  Towers such as (x^2000)^2000 stop here.
+# Largest degree the symbolic route expands to, checked by ``check_degree``
+# before any product or power is built: the degree of phi(psi) for two
+# polynomials of degree MAX_ORDER, the most ``check`` builds.
 MAX_DEGREE = MAX_ORDER**2
 
 
 class Expr:
     """Base class for polynomial AST nodes.
 
-    Equality, hashing and ``repr`` are structural, in the form dataclasses
-    generate, but walk the tree on an explicit stack, so they work at any
-    size and depth the parser accepts.
+    Nodes compare and hash by identity: two parses of the same text are
+    two different nodes, and a fold's memo keyed by node keeps its nodes
+    alive.  ``repr`` is structural, in the form dataclasses generate, but
+    streams its pieces from an explicit stack, so it works at any size and
+    depth the parser accepts.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Expr):
-            return NotImplemented
-        stack: list[tuple[Expr, Expr]] = [(self, other)]
-        # Pairs already pushed, so a node shared by several parents is compared once.
-        pending: set[tuple[int, int]] = set()
-        while stack:
-            a, b = stack.pop()
-            if type(a) is not type(b):
-                return False
-            for x, y in zip(vars(a).values(), vars(b).values()):
-                if not isinstance(x, Expr):
-                    if x != y:
-                        return False
-                elif x is not y and (id(x), id(y)) not in pending:
-                    pending.add((id(x), id(y)))
-                    stack.append((x, y))
-        return True
-
-    def __hash__(self) -> int:
-        return _fold(
-            self,
-            lambda node, done: hash(
-                (type(node),)
-                + tuple(
-                    done[id(v)] if isinstance(v, Expr) else v
-                    for v in vars(node).values()
-                )
-            ),
-        )
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -233,13 +207,20 @@ def parse(text: str) -> Expr:
 
     The grammar's nesting lives on an explicit stack.  Its bottom entry is
     the top level and each open '(' pushes another; both are lists
-    ``[sum, negate, product]``: the sum read so far, whether the term being
-    read follows a binary '-', and that term's product so far.  Each unary
-    '-' whose factor is still being read pushes ``None``.  The nesting
-    depth is ``len(stack) - 1``.
+    ``[sum, negate, product, power]``: the sum read so far, whether the
+    term being read follows a binary '-', that term's product so far, and
+    the largest product of exponents on a path into any factor read at
+    that level, an exponent 0 counting as 1.  Each unary '-' whose factor
+    is still being read pushes ``None``.  The nesting depth is
+    ``len(stack) - 1``.
+
+    That product is at most ``MAX_EXPONENT``, a single exponent being the
+    one-factor case, so a tower such as ``(x^2000)^2000`` is rejected at
+    its outer exponent: it would expand to degree 4000000 and evaluate to
+    millions of bits.
     """
     p = _Parser(text)
-    stack: list[list[Any] | None] = [[None, False, None]]
+    stack: list[list[Any] | None] = [[None, False, None, 1]]
     seen_var: str | None = None
     while True:
         # Read one base, opening '(' and unary '-' on the way to it.
@@ -256,10 +237,11 @@ def parse(text: str) -> Expr:
             if len(stack) > MAX_DEPTH:
                 raise ParseError(text, p.pos, ("shallower nesting",))
             p.pos += 1
-            stack.append([None, False, None] if char == "(" else None)
+            stack.append([None, False, None, 1] if char == "(" else None)
             continue
         else:
             raise p.fail("number", "variable", "'('", "'-'")
+        power = 1  # the largest product of exponents on a path into node
         # Close what the base completes: its factor, the unary '-' around
         # that factor (whose own factor may take a '^' again), then the
         # term, the sum and the enclosing '(' when no operator follows.
@@ -267,15 +249,20 @@ def parse(text: str) -> Expr:
             if p.take("^"):
                 p.skip_ws()
                 offset, exponent = p.pos, p.uint()
-                if exponent > MAX_EXPONENT:
-                    raise ParseError(text, offset, (f"an exponent of at most {MAX_EXPONENT}",))
+                if max(exponent, 1) * power > MAX_EXPONENT:
+                    wanted = f"an exponent of at most {MAX_EXPONENT // power}"
+                    if power > 1:
+                        wanted += f" (the exponents on a path multiply to at most {MAX_EXPONENT})"
+                    raise ParseError(text, offset, (wanted,))
                 node = Pow(node, exponent)
+                power *= max(exponent, 1)
             level = stack[-1]
             if level is None:
                 stack.pop()
                 node = Neg(node)
                 continue
             level[2] = node if level[2] is None else Mul(level[2], node)
+            level[3] = max(level[3], power)
             if p.take("*"):
                 break
             term = Neg(level[2]) if level[1] else level[2]
@@ -294,50 +281,49 @@ def parse(text: str) -> Expr:
             if not p.take(")"):
                 raise p.fail("')'")
             stack.pop()
-            node = level[0]
+            node, power = level[0], level[3]
 
 
 def _fold(
     e: Expr,
-    visit: Callable[[Any, dict[int, Any]], Any],
-    done: dict[int, Any] | None = None,
+    visit: Callable[[Any, dict[Expr, Any]], Any],
+    done: dict[Expr, Any] | None = None,
 ) -> Any:
     """Post-order fold over the distinct nodes of ``e``, without recursion.
 
     ``visit(node, done)`` returns the node's value, reading each child's
-    value as ``done[id(child)]``.  A node object shared by several parents
+    value as ``done[child]``.  A node object shared by several parents
     is visited once, so the cost is linear in the number of distinct nodes,
     also for the shared-node trees that repeated differentiation builds.
 
     ``done`` may hold the values of an earlier fold with the same
     ``visit``; its nodes are not visited again, and the new values are
-    added to it.  Its keys are ``id()``s, so the caller keeps every node it
-    has seen alive for as long as it passes the dict.
+    added to it.
     """
     if done is None:
         done = {}
     stack = [e]
     while stack:
         node = stack[-1]
-        if id(node) in done:
+        if node in done:
             stack.pop()
             continue
         kind = type(node)
         if kind is Add or kind is Mul:
-            if id(node.left) not in done or id(node.right) not in done:
+            if node.left not in done or node.right not in done:
                 stack.append(node.right)
                 stack.append(node.left)
                 continue
         elif kind is Neg or kind is Pow:
             child = node.operand if kind is Neg else node.base
-            if id(child) not in done:
+            if child not in done:
                 stack.append(child)
                 continue
         elif kind is not Constant and kind is not Variable:
             raise TypeError(f"not an expression node: {node!r}")
         stack.pop()
-        done[id(node)] = visit(node, done)
-    return done[id(e)]
+        done[node] = visit(node, done)
+    return done[e]
 
 
 # Smart constructors: constant folding only, so derivatives stay readable
@@ -384,61 +370,61 @@ def _pow(base: Expr, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def differentiate(e: Expr, memo: dict[int, Expr] | None = None) -> Expr:
+def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
     """Exact derivative by the sum, product and power rules.
 
     A subtree shared in ``e`` has one derivative object shared in the
     result, so repeated differentiation grows a shared-node tree.  ``memo``
-    maps the ``id`` of each node already differentiated to its derivative
-    (see ``_fold``); it carries that sharing across calls.
+    maps each node already differentiated to its derivative (see
+    ``_fold``); it carries that sharing across calls.
     """
 
-    def visit(node: Expr, done: dict[int, Expr]) -> Expr:
+    def visit(node: Expr, done: dict[Expr, Expr]) -> Expr:
         kind = type(node)
         if kind is Constant:
             return Constant(Fraction(0))
         if kind is Variable:
             return Constant(Fraction(1))
         if kind is Add:
-            return _add(done[id(node.left)], done[id(node.right)])
+            return _add(done[node.left], done[node.right])
         if kind is Neg:
-            return _neg(done[id(node.operand)])
+            return _neg(done[node.operand])
         if kind is Mul:
             return _add(
-                _mul(done[id(node.left)], node.right),
-                _mul(node.left, done[id(node.right)]),
+                _mul(done[node.left], node.right),
+                _mul(node.left, done[node.right]),
             )
         if node.exponent == 0:
             return Constant(Fraction(0))
         outer = _mul(Constant(Fraction(node.exponent)), _pow(node.base, node.exponent - 1))
-        return _mul(outer, done[id(node.base)])
+        return _mul(outer, done[node.base])
 
     return _fold(e, visit, memo)
 
 
 def evaluate(
-    e: Expr, at: Fraction | int | str, memo: dict[int, Fraction] | None = None
+    e: Expr, at: Fraction | int | str, memo: dict[Expr, Fraction] | None = None
 ) -> Fraction:
     """Exact value of the expression at a rational point.
 
-    ``memo`` maps the ``id`` of each node already evaluated at this same
-    point to its value (see ``_fold``).
+    ``memo`` maps each node already evaluated at this same point to its
+    value (see ``_fold``).
     """
     point = as_rational(at)
 
-    def visit(node: Expr, done: dict[int, Fraction]) -> Fraction:
+    def visit(node: Expr, done: dict[Expr, Fraction]) -> Fraction:
         kind = type(node)
         if kind is Constant:
             return node.value
         if kind is Variable:
             return point
         if kind is Add:
-            return done[id(node.left)] + done[id(node.right)]
+            return done[node.left] + done[node.right]
         if kind is Mul:
-            return done[id(node.left)] * done[id(node.right)]
+            return done[node.left] * done[node.right]
         if kind is Neg:
-            return -done[id(node.operand)]
-        return done[id(node.base)] ** node.exponent
+            return -done[node.operand]
+        return done[node.base] ** node.exponent
 
     return _fold(e, visit, memo)
 
@@ -453,23 +439,19 @@ def _dense_scaled(
     coefficients / denominator.  The variable stands for ``variable``,
     itself such a pair (by default the polynomial y), so binding it to
     another expression's expansion expands their composition.  No list in
-    a pair is mutated after it is built.  A product or power whose degree
-    would exceed ``MAX_DEGREE`` raises ``ValueError`` before it is expanded.
+    a pair is mutated after it is built, and ``check_degree`` bounds their
+    lengths.
     """
 
-    def check_degree(degree: int) -> None:
-        if degree > MAX_DEGREE:
-            raise ValueError(f"expanded degree {degree} > MAX_DEGREE = {MAX_DEGREE}")
-
-    def visit(node: Expr, done: dict[int, tuple[list[int], int]]) -> tuple[list[int], int]:
+    def visit(node: Expr, done: dict[Expr, tuple[list[int], int]]) -> tuple[list[int], int]:
         kind = type(node)
         if kind is Constant:
             return [node.value.numerator], node.value.denominator
         if kind is Variable:
             return variable
         if kind is Add:
-            left, da = done[id(node.left)]
-            right, db = done[id(node.right)]
+            left, da = done[node.left]
+            right, db = done[node.right]
             den = math.lcm(da, db)
             fa, fb = den // da, den // db
             out = [0] * max(len(left), len(right))
@@ -479,21 +461,51 @@ def _dense_scaled(
                 out[i] += c * fb
             return out, den
         if kind is Neg:
-            inner, den = done[id(node.operand)]
+            inner, den = done[node.operand]
             return [-c for c in inner], den
         if kind is Mul:
-            left, da = done[id(node.left)]
-            right, db = done[id(node.right)]
-            check_degree(len(left) + len(right) - 2)
+            left, da = done[node.left]
+            right, db = done[node.right]
             return convolve(left, right, len(left) + len(right) - 1), da * db
-        base, den = done[id(node.base)]
-        check_degree((len(base) - 1) * node.exponent)
+        base, den = done[node.base]
         out = [1]
         for _ in range(node.exponent):
             out = convolve(out, base, len(out) + len(base) - 1)
         return out, den**node.exponent
 
     return _fold(e, visit)
+
+
+def check_degree(phi: Expr, psi: Expr) -> None:
+    """Raise ``ValueError`` if expanding phi(psi) builds a degree above ``MAX_DEGREE``.
+
+    A fold of structural degrees, over psi and then over phi with its
+    variable standing for the degree of psi: the degree of each node's
+    ``_dense_scaled`` list, computed without building any of them.
+    """
+
+    def degrees(e: Expr, variable: int) -> int:
+        def visit(node: Expr, done: dict[Expr, int]) -> int:
+            kind = type(node)
+            if kind is Constant:
+                return 0
+            if kind is Variable:
+                return variable
+            if kind is Add:
+                degree = max(done[node.left], done[node.right])
+            elif kind is Mul:
+                degree = done[node.left] + done[node.right]
+            elif kind is Neg:
+                degree = done[node.operand]
+            else:
+                degree = done[node.base] * node.exponent
+            if degree > MAX_DEGREE:
+                raise ValueError(f"expanded degree {degree} > MAX_DEGREE = {MAX_DEGREE}")
+            return degree
+
+        return _fold(e, visit)
+
+    degrees(phi, degrees(psi, 1))
 
 
 def nth_derivative_of_composition(
@@ -509,6 +521,7 @@ def nth_derivative_of_composition(
     logic with the closed-form routes it cross-checks.
     """
     check_order(n)
+    check_degree(phi, psi)
     point = as_rational(at)
     p, q = point.numerator, point.denominator
     coefficients, den = _dense_scaled(phi, _dense_scaled(psi))
@@ -534,18 +547,16 @@ def derivative_sequence_of(
     so the trees D^k share their nodes, and each order differentiates and
     evaluates only the nodes it adds: a product of 16 linear factors at
     n = 16 takes milliseconds, where fresh folds copied the shared subtrees
-    at every order and took seconds.  The memos are keyed by ``id``, so
-    every tree D^k stays alive until the call returns.
+    at every order and took seconds.
     """
     check_order(n)
-    derivatives: dict[int, Expr] = {}
-    values: dict[int, Fraction] = {}
-    trees = [e]
+    derivatives: dict[Expr, Expr] = {}
+    values: dict[Expr, Fraction] = {}
     base = evaluate(e, at, values)
     derivs = []
     for _ in range(n):
-        trees.append(differentiate(trees[-1], derivatives))
-        derivs.append(evaluate(trees[-1], at, values))
+        e = differentiate(e, derivatives)
+        derivs.append(evaluate(e, at, values))
     return DerivativeSequence(derivs=tuple(derivs), base=base)
 
 

@@ -227,11 +227,26 @@ def test_derive_rejects_bad_expression(capsys):
         assert code == 2
         assert "at most 4300 digits" in err and "set_int_max_str_digits" not in err
 
-    # A tower past the expanded-degree bound stops before it is expanded.
+    # A composition past the expanded-degree bound stops before it is expanded.
     code, out, err = run(
         capsys,
-        "derive", "--phi", "(x^2000)^2000", "--psi", "y", "--at", "1", "-n", "1",
+        "derive", "--phi", "x^2000", "--psi", "(y + 1)^2000", "--at", "1", "-n", "1",
         "--method", "symbolic",
+    )
+    assert (code, out, err) == (2, "", "error: expanded degree 4000000 > MAX_DEGREE = 10000\n")
+
+
+def test_derive_all_checks_the_degree_before_any_route(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("ran past the degree check")
+
+    for name, route in cli.ROUTES.items():
+        monkeypatch.setitem(cli.ROUTES, name, route._replace(call=fail))
+    monkeypatch.setattr(cli, "derivative_sequence_of", fail)
+    code, out, err = run(
+        capsys,
+        "derive", "--phi", "x^2000", "--psi", "(y + 1)^2000", "--at", "1", "-n", "1",
+        "--method", "all",
     )
     assert (code, out, err) == (2, "", "error: expanded degree 4000000 > MAX_DEGREE = 10000\n")
 
@@ -327,6 +342,7 @@ def _argvs(draw):
 @example(_derive_phi("x^\u00b2"))
 @example(_derive_phi("x^99999999999"))
 @example(_derive_phi("2^99999999999"))
+@example(_derive_phi("(x^2000)^2000"))
 @example(["derive", "--phi=(x^2000)^2000", "--psi=y", "--at=1", "-n", "1", "--method", "symbolic"])
 @example(["check", "--max-n=101", "--trials", "1"])
 @example(["bell", "-n", "3", "--decimal", "100001"])
