@@ -8,8 +8,8 @@ five independent routes over arbitrary-precision rationals:
 * phi^(k) times partial Bell polynomials from Comtet's recurrence,
 * an (n+1) x (n+1) determinant over a formal polynomial ring,
 * truncated Taylor series (jet) composition, and
-* a symbolic oracle on polynomial expressions, which expands psi, then
-  phi at psi, into integer coefficients and differentiates those.
+* a symbolic oracle on polynomial expressions, which expands psi about
+  the point, then phi at psi, into integer coefficients cut after order n.
 
 Every route returns exactly the same ``Fraction``, bit for bit; the test
 suite and the ``compderiv check`` command enforce that continuously.

@@ -37,7 +37,7 @@ from .partitions import MAX_PARTITION_ORDER, partition_parts, partition_weight
 from .series import derivative_via_jets
 from .symbolic import (
     Expr,
-    check_degree,
+    check_size,
     derivative_sequence_of,
     nth_derivative_of_composition,
     parse,
@@ -193,8 +193,7 @@ def _derive_inputs(
         phi_expr = parse(args.phi)
         psi_expr = parse(args.psi)
         at = parse_rational(args.at)
-        if args.method in ("all", "symbolic"):
-            check_degree(phi_expr, psi_expr)  # before any route's work, not after it
+        check_size(phi_expr, psi_expr, at)  # before any route's work, not after it
         if only_exprs:
             return None, None, (phi_expr, psi_expr, at)
         psi_seq = derivative_sequence_of(psi_expr, at, args.order)

@@ -84,6 +84,7 @@ class PhiPolynomial:
         return self._coeffs == other._coeffs
 
     def __mul__(self, other: "PhiPolynomial") -> "PhiPolynomial":
+        """The ring product.  Benchmark API: ``bench/tracing.py`` looks this name up."""
         out: dict[int, Fraction] = {}
         for ea, ca in self._coeffs.items():
             for eb, cb in other._coeffs.items():

@@ -29,7 +29,8 @@ MAX_PARTITION_ORDER = 60
 
 @dataclass(frozen=True)
 class MultiplicityVector:
-    """One partition of ``n``: ``m[j-1]`` parts of size ``j``, for j = 1..n."""
+    """One partition of ``n``: ``m[j-1]`` parts of size ``j``, for j = 1..n.
+    Benchmark API: ``bench/tracing.py`` looks this name up."""
 
     n: int
     m: tuple[int, ...]
@@ -77,7 +78,8 @@ def partition_parts(n: int) -> Iterator[list[tuple[int, int]]]:
 
 
 def enumerate_multiplicity_vectors(n: int) -> list[MultiplicityVector]:
-    """All multiplicity vectors of order ``n``, in the order of ``partition_parts``."""
+    """All multiplicity vectors of order ``n``, in the order of ``partition_parts``.
+    Benchmark API: ``bench/tracing.py`` looks this name up."""
     vectors = []
     for parts in partition_parts(n):
         m = [0] * n
@@ -101,5 +103,6 @@ def partition_weight(n: int, parts: Iterable[tuple[int, int]]) -> int:
 
 
 def multinomial_weight(mvec: MultiplicityVector) -> Fraction:
-    """``partition_weight`` of ``mvec``, as a Fraction."""
+    """``partition_weight`` of ``mvec``, as a Fraction.
+    Benchmark API: ``bench/tracing.py`` looks this name up."""
     return Fraction(partition_weight(mvec.n, mvec.parts()))

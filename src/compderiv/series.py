@@ -55,7 +55,8 @@ def _require_same_order(a: Jet, b: Jet) -> int:
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Cauchy product truncated at the common order."""
+    """Cauchy product truncated at the common order.
+    Benchmark API: ``bench/tracing.py`` looks this name up."""
     n = _require_same_order(a, b)
     return Jet(tuple(convolve(a.coeffs, b.coeffs, n + 1)))
 

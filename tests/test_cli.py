@@ -227,28 +227,33 @@ def test_derive_rejects_bad_expression(capsys):
         assert code == 2
         assert "at most 4300 digits" in err and "set_int_max_str_digits" not in err
 
-    # A composition past the expanded-degree bound stops before it is expanded.
+    # A composition past the value-size bound stops before it is expanded.
     code, out, err = run(
         capsys,
         "derive", "--phi", "x^2000", "--psi", "(y + 1)^2000", "--at", "1", "-n", "1",
         "--method", "symbolic",
     )
-    assert (code, out, err) == (2, "", "error: expanded degree 4000000 > MAX_DEGREE = 10000\n")
+    assert (code, out, err) == (
+        2, "", "error: value of up to 12000000 bits > MAX_VALUE_BITS = 131072\n"
+    )
 
 
-def test_derive_all_checks_the_degree_before_any_route(capsys, monkeypatch):
+@pytest.mark.parametrize("method", [*cli.ROUTES, "all"])
+def test_derive_checks_the_value_size_before_any_route(capsys, monkeypatch, method):
     def fail(*args):
-        raise AssertionError("ran past the degree check")
+        raise AssertionError("ran past the value-size check")
 
     for name, route in cli.ROUTES.items():
         monkeypatch.setitem(cli.ROUTES, name, route._replace(call=fail))
     monkeypatch.setattr(cli, "derivative_sequence_of", fail)
     code, out, err = run(
         capsys,
-        "derive", "--phi", "x^2000", "--psi", "(y + 1)^2000", "--at", "1", "-n", "1",
-        "--method", "all",
+        "derive", "--phi", "x^200", "--psi", "y", "--at", "9" * 4300, "-n", "3",
+        "--method", method,
     )
-    assert (code, out, err) == (2, "", "error: expanded degree 4000000 > MAX_DEGREE = 10000\n")
+    assert (code, out, err) == (
+        2, "", "error: value of up to 2857000 bits > MAX_VALUE_BITS = 131072\n"
+    )
 
 
 def _expressions(depth):

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import compderiv.symbolic as symbolic
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
-from compderiv.exact import MAX_ORDER
+from compderiv.determinant import derivative_determinant
 from compderiv.symbolic import (
-    MAX_DEGREE,
+    MAX_VALUE_BITS,
     Add,
     Constant,
     Expr,
@@ -24,7 +24,7 @@ from compderiv.symbolic import (
     Pow,
     Variable,
     _dense_scaled,
-    check_degree,
+    check_size,
     derivative_sequence_of,
     differentiate,
     evaluate,
@@ -310,7 +310,7 @@ def test_evaluate_cubic():
 
 def test_composition_second_derivative_of_shifted_square():
     assert nth_derivative_of_composition(parse("x^2"), parse("y + 1"), 2, 0) == 2
-    # Above the degree of phi(psi(y)) every coefficient is differentiated away.
+    # Above the degree of phi(psi(y)) the truncated series has no n-th coefficient.
     assert nth_derivative_of_composition(parse("x^2"), parse("y + 1"), 3, 0) == 0
     assert nth_derivative_of_composition(parse("5/2"), parse("y + 1"), 1, 3) == 0
 
@@ -372,25 +372,40 @@ def test_power_expands_like_the_repeated_product(e):
             ) == nth_derivative_of_composition(phi_mul, psi_mul, n, at)
 
 
-def test_expanded_degree_is_bounded_before_expanding():
-    assert MAX_DEGREE == MAX_ORDER**2  # phi(psi) of two degree-MAX_ORDER polynomials
-    with pytest.raises(ValueError, match=r"^expanded degree 4000000 > MAX_DEGREE = 10000$"):
-        nth_derivative_of_composition(parse("x^2000"), parse("(y + 1)^2000"), 1, 1)
-    # A power of degree 0 does not hide the product under it.
+def test_composition_of_check_inputs_matches_the_determinant_route():
+    # check's Taylor polynomials at an order where the full expansion took 1.3 s.
+    n = 40
+    rng = random.Random(4040)
+    at = random_rational(rng)
+    psi, phi = random_sequence(rng, n), random_sequence(rng, n)
+    exprs = taylor_polynomial(phi, psi.base, "x"), taylor_polynomial(psi, at, "y")
+    assert nth_derivative_of_composition(*exprs, n, at) == derivative_determinant(phi, psi, n)
+
+
+def test_value_size_is_bounded_before_evaluating():
+    assert MAX_VALUE_BITS == 2**17
+    message = r"^value of up to 12000000 bits > MAX_VALUE_BITS = 131072$"
+    with pytest.raises(ValueError, match=message):
+        check_size(parse("x^2000"), parse("(y + 1)^2000"), 1)  # (3 bits * 2000) * 2000
+    # A power 0 does not hide the product under it.
     big = parse("(" + "*".join(["x^2000"] * 6) + ")^0")
-    with pytest.raises(ValueError, match=r"^expanded degree 12000 > MAX_DEGREE"):
-        check_degree(big, Y)
-    check_degree(parse("x^100"), parse("y^100"))
+    with pytest.raises(ValueError, match=r"^value of up to 204000 bits > MAX_VALUE_BITS"):
+        check_size(big, Y, 2**50)
+    check_size(parse("x^2"), parse("(y + 1)^2000"), 1)
+    check_size(parse("x^9"), Y, "9" * 4300)
 
 
-def test_expanded_degree_bound_is_inclusive(monkeypatch):
-    # Every product and power meets the bound, also through the bound variable.
-    monkeypatch.setattr(symbolic, "MAX_DEGREE", 6)
-    assert nth_derivative_of_composition(parse("x^2"), parse("y^3"), 6, 1) == 720
-    assert nth_derivative_of_composition(parse("x*x"), parse("y^2*y"), 6, 1) == 720
-    for phi, psi in [("x^7", "y"), ("x^2", "y^4"), ("x*x*x*x", "y*y + 1"), ("x", "(y*y)^4")]:
-        with pytest.raises(ValueError, match=r"> MAX_DEGREE = 6"):
-            nth_derivative_of_composition(parse(phi), parse(psi), 1, 1)
+def test_value_size_bound_is_inclusive(monkeypatch):
+    # At the point 3 (2 bits) every sum, product and power meets the bound,
+    # also one under a power 0 and phi's variable standing for psi.
+    monkeypatch.setattr(symbolic, "MAX_VALUE_BITS", 6)
+    for phi, psi in [("x", "y + 7"), ("x", "y*y*3"), ("x", "-(y^3)"), ("x", "(y^3)^0"),
+                     ("x^3", "y"), ("x + 1", "y + 1")]:
+        check_size(parse(phi), parse(psi), 3)
+    for phi, psi in [("x", "y + 15"), ("x", "y*y*4"), ("x", "y^4"), ("x", "(y^4)^0"),
+                     ("x^4", "y"), ("x + 2", "y + 1")]:
+        with pytest.raises(ValueError, match=r"> MAX_VALUE_BITS = 6$"):
+            check_size(parse(phi), parse(psi), 3)
 
 
 def _random_polynomial(rng, degree, name):
@@ -460,11 +475,21 @@ def test_sequence_matches_a_memo_free_loop(expression, at, data):
     assert derivative_sequence_of(e, at, n) == _sequence_by_fresh_folds(e, at, n)
 
 
+@given(_shared_expressions(), _shared_expressions(), st.fractions(max_denominator=99))
+def test_value_size_bounds_the_value(phi, psi, at):
+    value = evaluate(phi[0], evaluate(psi[0], at))
+    height = max(value.numerator.bit_length(), value.denominator.bit_length())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symbolic, "MAX_VALUE_BITS", height - 1)
+        with pytest.raises(ValueError, match="MAX_VALUE_BITS"):
+            check_size(phi[0], psi[0], at)
+
+
 def test_sequence_of_a_16_factor_product_matches_its_expansion():
     # Fresh folds copy the subtrees D^(k-1) shares with D^k at every order,
     # which took 19 s here; one memo per call differentiates each node once.
     e = parse("*".join(f"({k}*x - {k % 3 + 1})" for k in range(1, 17)))
-    coefficients, den = _dense_scaled(e)
+    coefficients, den = _dense_scaled(e, ([0, 1], 1), 17)
     seq = derivative_sequence_of(e, 0, 16)
     assert seq.base == Fraction(coefficients[0], den)
     for k in range(1, 17):
