@@ -291,7 +291,7 @@ def _psi_monomial(parts: list[tuple[int, int]]) -> str:
 def _cmd_expand(args: argparse.Namespace) -> int:
     # One line, or one JSON array element, per partition as the walk reaches it.
     n = args.order
-    for index, parts in enumerate(partition_parts(n)):
+    for index, (_, parts) in enumerate(partition_parts(n)):
         m = [0] * n
         for j, mj in parts:
             m[j - 1] = mj

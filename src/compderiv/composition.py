@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import as_rational, check_order, falling_factorial, scaled
+from .exact import as_rational, check_order, falling_factorial, reduced, scaled
 from .partitions import pair_divisor, partition_parts
 
 __all__ = [
@@ -99,21 +99,15 @@ def derivative_partition_sum(
     so the sum is n! * sum_p phi^(p) * sums[p], where sums[p] adds the
     products of the pair factors psi^(j)**m_j / (m_j! * (j!)**m_j) over the
     partitions with p parts.  Each pair factor is computed once per call.  The
-    walk rewrites only the last few pairs of its list per step, so a stack of
-    (product, parts) over the leading pairs keeps what the step left alone.
+    walk says how many leading pairs each step kept, and a stack of (product,
+    parts) over the leading pairs keeps what the step left alone.
     """
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     factors: dict[tuple[int, int], Fraction] = {}
     sums = [Fraction(0)] * (n + 1)
     stack = [(Fraction(1), 0)]  # stack[i]: product and parts of the first i pairs
-    previous: list[tuple[int, int]] = []
-    for parts in partition_parts(n):
-        keep = 0
-        for old, new in zip(previous, parts):
-            if old != new:
-                break
-            keep += 1
+    for keep, parts in partition_parts(n):
         del stack[keep + 1 :]
         product, p = stack[-1]
         for j, mj in parts[keep:]:
@@ -127,7 +121,6 @@ def derivative_partition_sum(
                 product *= factor
             p += mj
             stack.append((product, p))
-        previous[keep:] = parts[keep:]
         if product:
             sums[p] += product
     total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
@@ -141,7 +134,8 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     x_i = psi^(i), B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * x_i * B_{m-i,j-1},
     one column j = 1..k at a time over the rows m <= n - k + j.  It needs
     psi up to order n - k + 1 only, and runs over integers: with x_i = a_i / D
-    in the integer-scaled form of ``exact.scaled``, B_{n,k}(x) = B_{n,k}(a) / D**k.
+    in the integer-scaled form of ``exact.scaled``, column j is integers over D
+    times column j-1's scale, and ``exact.reduced`` divides out their gcd.
     """
     check_order(n)
     if k < 1 or k > n:
@@ -150,22 +144,23 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     psi.require_order(width, "psi")
     xs, d = scaled(psi.derivs[:width])
     a = [0] + xs
-    col = [1] + [0] * (width - 1)  # B_{m,0} for m = 0..n-k
+    col, scale = [1] + [0] * (width - 1), 1  # B_{m,0} for m = 0..n-k
     for j in range(1, k + 1):
-        col = [0] * j + [
+        col, scale = reduced([0] * j + [
             sum(math.comb(m - 1, i - 1) * a[i] * col[m - i] for i in range(1, m - j + 2))
             for m in range(j, width + j)
-        ]
-    return Fraction(col[n], d**k)
+        ], scale * d)
+    return Fraction(col[n], scale)
 
 
 def derivative_bell(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int
 ) -> Fraction:
-    """D_y^n of phi(psi(y)) by outer order: the sum of phi^(k) * B_{n,k}."""
+    """D_y^n of phi(psi(y)) by outer order: the sum of phi^(k) * B_{n,k} where phi^(k) != 0."""
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    return sum((phi.derivative(k) * partial_bell(n, k, psi) for k in range(1, n + 1)), Fraction(0))
+    outer = enumerate(phi.derivs[:n], start=1)
+    return sum((d * partial_bell(n, k, psi) for k, d in outer if d), Fraction(0))
 
 
 def lagrange_power_coefficient(

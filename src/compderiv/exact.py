@@ -11,9 +11,9 @@ There is no floating point anywhere in the computational core.
 The integer-scaled form of rationals is integers over their least common
 denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
-coefficient lists.  The Bell route uses ``scaled``, the determinant and
-jet routes ``scaled`` and ``reduced``, and the symbolic expansion
-``convolve``; the partition route stays on Fractions.
+coefficient lists.  The Bell, determinant and jet routes use ``scaled``
+and ``reduced``, and the symbolic expansion ``reduced`` and ``convolve``;
+the partition route stays on Fractions.
 """
 
 from __future__ import annotations

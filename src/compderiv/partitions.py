@@ -49,26 +49,28 @@ class MultiplicityVector:
         return [(j, mj) for j, mj in enumerate(self.m, start=1) if mj > 0]
 
 
-def partition_parts(n: int) -> Iterator[list[tuple[int, int]]]:
+def partition_parts(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Walk the partitions of ``n`` as (size, multiplicity) pairs, largest size first.
 
     The order is lexicographically decreasing in (m_n, ..., m_1), from [(n, 1)]
     to [(1, n)].  Each step is Zoghbi and Stojmenovic's ZS1 successor (1998) on
     one list, rewritten in place and valid until the next step, so memory is
-    O(n).  Orders above ``MAX_PARTITION_ORDER`` raise ``ValueError``.
+    O(n).  It yields ``(kept, parts)``, ``parts[:kept]`` being the pairs the step
+    left as they were.  Orders above ``MAX_PARTITION_ORDER`` raise ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"partition order must be positive, got n={n}")
     if n > MAX_PARTITION_ORDER:
         raise ValueError(f"partition order {n} > MAX_PARTITION_ORDER = {MAX_PARTITION_ORDER}")
-    parts = [(n, 1)]
+    kept, parts = 0, [(n, 1)]
     while True:
-        yield parts
+        yield kept, parts
         ones = parts.pop()[1] if parts[-1][0] == 1 else 0
         if not parts:
             return
         # One part of the smallest size k > 1, plus the ones, refilled greedily below k.
         k, c = parts.pop()
+        kept = len(parts)
         if c > 1:
             parts.append((k, c - 1))
         q, r = divmod(k + ones, k - 1)
@@ -81,7 +83,7 @@ def enumerate_multiplicity_vectors(n: int) -> list[MultiplicityVector]:
     """All multiplicity vectors of order ``n``, in the order of ``partition_parts``.
     Benchmark API: ``bench/tracing.py`` looks this name up."""
     vectors = []
-    for parts in partition_parts(n):
+    for _, parts in partition_parts(n):
         m = [0] * n
         for j, mj in parts:
             m[j - 1] = mj

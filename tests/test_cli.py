@@ -737,6 +737,21 @@ def test_usage_error_exit_code_is_two():
         assert excinfo.value.code == 2
 
 
+def test_negative_values_need_the_equals_form(capsys):
+    # argparse reads "-1/2" and "-y" after a space as an option, not a value;
+    # "--at=-1/2" and "--psi=-y" pass them.  phi(psi(y)) = y^2 here.
+    code, out, _ = run(capsys, "derive", "--phi", "x^2", "--psi=-y", "--at=-1/2", "-n", "2")
+    assert (code, out) == (0, "2\n")
+    for flag, value in (("--at", "-1/2"), ("--psi", "-y")):
+        argv = ["derive", "--phi", "x^2", "--psi", "y", "--at", "1", "-n", "2", flag, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: compderiv derive")
+        assert f"error: argument {flag}: expected one argument" in err
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

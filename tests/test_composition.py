@@ -196,6 +196,21 @@ def test_partial_bell_sums_to_bell_number(n, expected):
     assert sum(partial_bell(n, k, ones) for k in range(1, n + 1)) == expected
 
 
+def test_bell_skips_the_outer_orders_where_phi_vanishes(monkeypatch):
+    # phi = x**2 has phi^(k) = 0 for k > 2, so B_{12,k} is needed for k = 1, 2 only.
+    rng = random.Random(12)
+    phi, psi = power_derivatives(2, Fraction(7, 3), 12), random_sequence(rng, 12)
+    seen = []
+
+    def recording(n, k, psi):
+        seen.append(k)
+        return partial_bell(n, k, psi)
+
+    monkeypatch.setattr(composition, "partial_bell", recording)
+    assert derivative_bell(phi, psi, 12) == derivative_determinant(phi, psi, 12)
+    assert sorted(seen) == [1, 2]
+
+
 def test_bell_route_first_order():
     assert derivative_bell(seq(3), seq(5), 1) == 15
 

@@ -19,7 +19,6 @@ from compderiv.symbolic import (
     Constant,
     Expr,
     Mul,
-    Neg,
     ParseError,
     Pow,
     Variable,
@@ -52,7 +51,7 @@ def test_parse_power():
 
 def test_parse_full_example():
     expected = Add(
-        Add(Mul(Constant(Fraction(3, 2)), Pow(X, 4)), Neg(X)),
+        Add(Mul(Constant(Fraction(3, 2)), Pow(X, 4)), Mul(Constant(Fraction(-1)), X)),
         Constant(Fraction(5)),
     )
     assert repr(parse("3/2*x^4 - x + 5")) == repr(expected)
@@ -133,7 +132,13 @@ def test_parse_rejects_mixed_variables():
 
 
 def test_parse_unary_minus_binds_looser_than_power():
-    assert repr(parse("-x^2")) == repr(Neg(Pow(X, 2)))
+    assert repr(parse("-x^2")) == repr(Mul(Constant(Fraction(-1)), Pow(X, 2)))
+
+
+def test_parse_negated_number_is_a_negative_constant():
+    assert repr(parse("-5/3")) == repr(Constant(Fraction(-5, 3)))
+    assert repr(parse("x - 5")) == repr(Add(X, Constant(Fraction(-5))))
+    assert repr(parse("-(2)^3")) == repr(Mul(Constant(Fraction(-1)), Pow(Constant(Fraction(2)), 3)))
 
 
 def test_parse_zero_denominator_rejected():
@@ -399,11 +404,12 @@ def test_value_size_bound_is_inclusive(monkeypatch):
     # At the point 3 (2 bits) every sum, product and power meets the bound,
     # also one under a power 0 and phi's variable standing for psi.
     monkeypatch.setattr(symbolic, "MAX_VALUE_BITS", 6)
-    for phi, psi in [("x", "y + 7"), ("x", "y*y*3"), ("x", "-(y^3)"), ("x", "(y^3)^0"),
+    # A negation is a product by -1, whose height is 1.
+    for phi, psi in [("x", "y + 7"), ("x", "y*y*3"), ("x", "-(y*y*1)"), ("x", "(y^3)^0"),
                      ("x^3", "y"), ("x + 1", "y + 1")]:
         check_size(parse(phi), parse(psi), 3)
     for phi, psi in [("x", "y + 15"), ("x", "y*y*4"), ("x", "y^4"), ("x", "(y^4)^0"),
-                     ("x^4", "y"), ("x + 2", "y + 1")]:
+                     ("x^4", "y"), ("x + 2", "y + 1"), ("x", "-(y^3)")]:
         with pytest.raises(ValueError, match=r"> MAX_VALUE_BITS = 6$"):
             check_size(parse(phi), parse(psi), 3)
 
@@ -457,7 +463,7 @@ def _shared_expressions(draw, max_degree=8):
         elif kind == "mul":
             node = (Mul(a, b), da + db)
         elif kind == "neg":
-            node = (Neg(a), da)
+            node = (Mul(Constant(Fraction(-1)), a), da)
         elif kind == "pow":
             exponent = draw(st.integers(0, 3))
             node = (Pow(a, exponent), da * exponent)
@@ -494,6 +500,15 @@ def test_sequence_of_a_16_factor_product_matches_its_expansion():
     assert seq.base == Fraction(coefficients[0], den)
     for k in range(1, 17):
         assert seq.derivative(k) == math.factorial(k) * Fraction(coefficients[k], den)
+
+
+def test_differentiate_shares_the_sums_and_products_it_builds():
+    # The product rule on D^(k-1) builds each A^(i) * B^(j) from two parents;
+    # without one object per pair of children the memo doubles per order.
+    e, memo = parse("(x+1)^50*(x-1/3)^50"), {}
+    for _ in range(16):
+        e = differentiate(e, memo)
+    assert len(memo) < 2000
 
 
 # --- Taylor realization ------------------------------------------------------------------
