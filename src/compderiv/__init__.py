@@ -38,11 +38,7 @@ from .exact import (
     format_rational,
     parse_rational,
 )
-from .partitions import (
-    MultiplicityVector,
-    enumerate_multiplicity_vectors,
-    multinomial_weight,
-)
+from .partitions import enumerate_multiplicity_vectors, multinomial_weight
 from .series import (
     Jet,
     derivative_via_jets,
@@ -67,7 +63,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "as_rational",
-    "MultiplicityVector",
     "enumerate_multiplicity_vectors",
     "multinomial_weight",
     "DerivativeSequence",

@@ -33,7 +33,7 @@ from .determinant import (
     determinant_expand,
 )
 from .exact import as_rational, check_order, format_rational, int_text, parse_rational
-from .partitions import MAX_PARTITION_ORDER, partition_parts, partition_weight
+from .partitions import MAX_PARTITION_ORDER, multiplicity_vector, partition_parts, partition_weight
 from .series import derivative_via_jets
 from .symbolic import (
     Expr,
@@ -292,9 +292,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     # One line, or one JSON array element, per partition as the walk reaches it.
     n = args.order
     for index, (_, parts) in enumerate(partition_parts(n)):
-        m = [0] * n
-        for j, mj in parts:
-            m[j - 1] = mj
+        m = multiplicity_vector(n, parts)
         smallest_first = parts[::-1]
         coefficient = int_text(partition_weight(n, parts))
         p = sum(m)

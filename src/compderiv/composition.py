@@ -199,6 +199,7 @@ def power_derivatives(m: int, x0: Fraction, n: int) -> DerivativeSequence:
     falling factorial vanishes are 0 outright, so a zero x0 is fine for
     m >= 0; negative m with x0 = 0 raises ZeroDivisionError.
     """
+    check_order(n)
     x0 = as_rational(x0)
     if x0 == 0 and m < 0:
         raise ZeroDivisionError(f"x**{m} is undefined at 0")

@@ -13,7 +13,8 @@ The matrix is stored as the integer coefficients of its c * Phi entries
 over one common denominator, column by column in the order the
 expansion reads them; ``CompositionMatrix.entry`` rebuilds any entry as
 a ``PhiPolynomial`` for display, and ``PhiPolynomial`` is the type of the
-expanded determinant.
+expanded determinant.  The expansion runs one power of Phi at a time, so
+the route stops it at the last power whose phi^(p) is nonzero.
 """
 
 from __future__ import annotations
@@ -187,8 +188,10 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
     return CompositionMatrix(n=n, columns=tuple(columns), scale=d)
 
 
-def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
-    """Exact determinant of the matrix as a Phi-polynomial.
+def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> PhiPolynomial:
+    """Exact determinant of the matrix as a Phi-polynomial, cut after Phi^top.
+
+    ``top`` defaults to the full expansion, n + 1 = ``matrix.size``.
 
     Cofactor expansion down column 1: deleting row r and column 1 leaves a
     minor whose trailing rows are upper triangular with -1 diagonal, so
@@ -207,14 +210,17 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
     coefficients is integers over one scale, d times the scale of
     Phi^(p-1), and both are divided by their gcd before the next power,
     so the integers grow with the true denominators, not with a power of
-    d.  That costs O(n^3) integer multiplications; no general O(n!)
-    expansion ever happens.
+    d.  That costs O(n^3) integer multiplications, O(n^2 * top) when cut;
+    no general O(n!) expansion ever happens.
     """
+    top = matrix.size if top is None else top
+    if not 0 <= top <= matrix.size:
+        raise ValueError(f"top must satisfy 0 <= top <= {matrix.size}, got {top}")
     columns, d = matrix.columns, matrix.scale
     sign = (-1) ** matrix.n
     # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
     column, scale, terms = [1], 1, []
-    for p in range(1, matrix.size + 1):
+    for p in range(1, top + 1):
         column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
         column, scale = reduced(column, scale * d)
         terms.append((p, Fraction(sign * column[-1], scale)))
@@ -241,8 +247,10 @@ def derivative_determinant(
 
     The determinant of the matrix built for n = order - 1 equals
     (-1)^n * D_y^{n+1}; expanding, reinterpreting Phi exponents and
-    normalizing the sign recovers the derivative.  Orders below 2 are
-    rejected: the determinant form starts at the second derivative.
+    normalizing the sign recovers the derivative.  The expansion stops at
+    the last power p <= order with phi^(p) != 0, since only those powers
+    are read.  Orders below 2 are rejected: the determinant form starts at
+    the second derivative.
     """
     if order < MIN_DETERMINANT_ORDER:
         raise ValueError(
@@ -252,6 +260,7 @@ def derivative_determinant(
     n = order - 1
     phi.require_order(order, "phi")
     psi.require_order(order, "psi")
-    expanded = determinant_expand(build_matrix(psi, n))
+    top = max((k for k, d in enumerate(phi.derivs[:order], start=1) if d), default=0)
+    expanded = determinant_expand(build_matrix(psi, n), top)
     value = interpret_phi_polynomial(expanded, phi)
     return -value if n % 2 == 1 else value

@@ -2,20 +2,20 @@
 weight each partition contributes to the n-th derivative of a composition.
 
 A partition is walked as (size j, multiplicity m_j) pairs, sum(j * m_j) = n, and
-stored as (m_1, ..., m_n) in ``MultiplicityVector``; p = sum(m_j) is the outer order.
+written as its multiplicity vector, the tuple (m_1, ..., m_n), by
+``multiplicity_vector``; p = sum(m_j) is the outer order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 __all__ = [
     "MAX_PARTITION_ORDER",
-    "MultiplicityVector",
     "partition_parts",
+    "multiplicity_vector",
     "pair_divisor",
     "partition_weight",
     "enumerate_multiplicity_vectors",
@@ -25,28 +25,6 @@ __all__ = [
 # Highest order the walk accepts, a bound on its time: p(60) = 966,467 partitions
 # take a few seconds, p(100) is about 1.9e8 and would take many minutes.
 MAX_PARTITION_ORDER = 60
-
-
-@dataclass(frozen=True)
-class MultiplicityVector:
-    """One partition of ``n``: ``m[j-1]`` parts of size ``j``, for j = 1..n.
-    Benchmark API: ``bench/tracing.py`` looks this name up."""
-
-    n: int
-    m: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"partition order must be positive, got n={self.n}")
-        m = tuple(int(v) for v in self.m)
-        object.__setattr__(self, "m", m)
-        weighted = sum(j * mj for j, mj in enumerate(m, start=1))
-        if len(m) != self.n or any(v < 0 for v in m) or weighted != self.n:
-            raise ValueError(f"not a multiplicity vector of n={self.n}: m={m}")
-
-    def parts(self) -> list[tuple[int, int]]:
-        """The nonzero (size, multiplicity) pairs, smallest size first."""
-        return [(j, mj) for j, mj in enumerate(self.m, start=1) if mj > 0]
 
 
 def partition_parts(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -79,16 +57,18 @@ def partition_parts(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
             parts.append((r, 1))
 
 
-def enumerate_multiplicity_vectors(n: int) -> list[MultiplicityVector]:
+def multiplicity_vector(n: int, parts: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """(m_1, ..., m_n) of the partition of ``n`` with these (size j, m_j) pairs."""
+    m = [0] * n
+    for j, mj in parts:
+        m[j - 1] = mj
+    return tuple(m)
+
+
+def enumerate_multiplicity_vectors(n: int) -> list[tuple[int, ...]]:
     """All multiplicity vectors of order ``n``, in the order of ``partition_parts``.
     Benchmark API: ``bench/tracing.py`` looks this name up."""
-    vectors = []
-    for _, parts in partition_parts(n):
-        m = [0] * n
-        for j, mj in parts:
-            m[j - 1] = mj
-        vectors.append(MultiplicityVector(n=n, m=tuple(m)))
-    return vectors
+    return [multiplicity_vector(n, parts) for _, parts in partition_parts(n)]
 
 
 def pair_divisor(j: int, mj: int) -> int:
@@ -104,7 +84,11 @@ def partition_weight(n: int, parts: Iterable[tuple[int, int]]) -> int:
     return math.factorial(n) // denominator
 
 
-def multinomial_weight(mvec: MultiplicityVector) -> Fraction:
-    """``partition_weight`` of ``mvec``, as a Fraction.
+def multinomial_weight(m: tuple[int, ...]) -> Fraction:
+    """``partition_weight`` of the multiplicity vector ``m`` of n = len(m), as a Fraction.
+    Raises ``ValueError`` unless n >= 1, no m_j is negative and sum(j * m_j) = n.
     Benchmark API: ``bench/tracing.py`` looks this name up."""
-    return Fraction(partition_weight(mvec.n, mvec.parts()))
+    n = len(m)
+    if n < 1 or min(m) < 0 or sum(j * mj for j, mj in enumerate(m, start=1)) != n:
+        raise ValueError(f"not a multiplicity vector of n={n}: m={m}")
+    return Fraction(partition_weight(n, enumerate(m, start=1)))

@@ -548,12 +548,12 @@ def test_expand_json_schema(capsys):
 def test_expand_streams_the_terms_of_the_multiplicity_vectors(n, capsys):
     terms = [
         {
-            "m": list(mvec.m),
-            "coefficient": str(multinomial_weight(mvec)),
-            "phi_order": sum(mvec.m),
-            "psi_powers": [[j, mj] for j, mj in mvec.parts()],
+            "m": list(m),
+            "coefficient": str(multinomial_weight(m)),
+            "phi_order": sum(m),
+            "psi_powers": [[j, mj] for j, mj in enumerate(m, start=1) if mj > 0],
         }
-        for mvec in enumerate_multiplicity_vectors(n)
+        for m in enumerate_multiplicity_vectors(n)
     ]
     code, out, _ = run(capsys, "expand", "-n", str(n), "--json")
     assert (code, out) == (0, json.dumps(terms) + "\n")

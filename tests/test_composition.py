@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compderiv import composition, exact, partitions
+from compderiv import composition, determinant, exact, partitions
 from compderiv.composition import (
     DerivativeSequence,
     SequenceTooShortError,
@@ -101,6 +101,7 @@ def test_rejects_nonpositive_order():
         lambda n: lagrange_power_coefficient(ones, 2, n),
         lambda n: partial_bell(n, 1, ones),
         lambda n: derivative_sequence_of(x, 0, n),
+        lambda n: power_derivatives(2, 1, n),
     ]
     # The determinant form (entry 2) names its own lowest order, 2.
     lowest = "determinant route needs order >= 2, got 0; use the partition route"
@@ -209,6 +210,25 @@ def test_bell_skips_the_outer_orders_where_phi_vanishes(monkeypatch):
     monkeypatch.setattr(composition, "partial_bell", recording)
     assert derivative_bell(phi, psi, 12) == derivative_determinant(phi, psi, 12)
     assert sorted(seen) == [1, 2]
+
+
+def test_determinant_expands_only_the_powers_phi_reads(monkeypatch):
+    # phi = x**2 reads Phi^1 and Phi^2 only, so the expansion stops at top = 2;
+    # a phi of all zeros reads none, and the value is 0.
+    rng = random.Random(30)
+    psi = seq(*(Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) for _ in range(30)))
+    tops, expand = [], determinant.determinant_expand
+
+    def recording(matrix, top=None):
+        tops.append(top)
+        return expand(matrix, top)
+
+    monkeypatch.setattr(determinant, "determinant_expand", recording)
+    phi = power_derivatives(2, Fraction(7, 3), 30)
+    assert derivative_determinant(phi, psi, 30) == derivative_bell(phi, psi, 30)
+    assert tops == [2]
+    assert derivative_determinant(seq(*[0] * 30), psi, 30) == 0
+    assert tops == [2, 0]
 
 
 def test_bell_route_first_order():

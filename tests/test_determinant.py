@@ -161,6 +161,18 @@ def test_exponents_stay_in_range(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_expansion_cut_at_top_keeps_the_lower_powers(n):
+    rng = random.Random(950 + n)
+    matrix = build_matrix(random_sequence(rng, n + 1), n)
+    full = list(determinant_expand(matrix).items())
+    for top in range(n + 2):
+        assert list(determinant_expand(matrix, top).items()) == [t for t in full if t[0] <= top]
+    for top in (-1, n + 2):
+        with pytest.raises(ValueError, match="top must satisfy"):
+            determinant_expand(matrix, top)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_sign_law(n):
     # The raw determinant equals (-1)^n * D^{n+1} once Phi powers are read
     # as derivative orders.
