@@ -40,7 +40,6 @@ from .exact import (
 )
 from .partitions import enumerate_multiplicity_vectors, multinomial_weight
 from .series import (
-    Jet,
     derivative_via_jets,
     jet_compose,
     jet_from_derivatives,
@@ -78,7 +77,6 @@ __all__ = [
     "determinant_expand",
     "interpret_phi_polynomial",
     "derivative_determinant",
-    "Jet",
     "jet_mul",
     "jet_compose",
     "jet_from_derivatives",

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from compderiv.composition import DerivativeSequence, derivative_partition_sum
+from compderiv.composition import (
+    DerivativeSequence,
+    SequenceTooShortError,
+    derivative_partition_sum,
+)
 from compderiv.determinant import (
     CompositionMatrix,
     PhiPolynomial,
@@ -42,6 +46,16 @@ def test_polynomial_arithmetic():
 def test_polynomial_rejects_negative_exponent():
     with pytest.raises(ValueError):
         PhiPolynomial.monomial(-1, 1)
+
+
+def test_polynomial_rejects_inexact_coefficients():
+    # The same rule as DerivativeSequence: no float, no decimal text, no bool.
+    with pytest.raises(TypeError):
+        PhiPolynomial({1: 0.1})
+    with pytest.raises(ValueError, match="not a rational literal"):
+        PhiPolynomial.monomial(2, "1.5")
+    with pytest.raises(TypeError):
+        PhiPolynomial.constant(True)
 
 
 def test_polynomial_text_form():
@@ -184,6 +198,14 @@ def test_sign_law(n):
     )
     direct = derivative_partition_sum(phi, psi, n + 1)
     assert raw == (-1) ** n * direct
+
+
+def test_interpreting_needs_phi_up_to_the_highest_exponent():
+    expanded = determinant_expand(build_matrix(seq(1, 2, 3), 2))  # up to Phi^3
+    with pytest.raises(SequenceTooShortError) as info:
+        interpret_phi_polynomial(expanded, seq(1))
+    assert (info.value.needed, info.value.available) == (3, 1)
+    assert interpret_phi_polynomial(PhiPolynomial.constant(5), seq()) == 5
 
 
 # 64-bit numerators over 64-bit denominators, about 30 % of them zero.
