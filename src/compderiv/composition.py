@@ -5,7 +5,8 @@ functions themselves: the caller supplies psi', psi'', ... evaluated at
 the expansion point and phi', phi'', ... evaluated at psi of that point.
 
 * ``derivative_partition_sum`` sums one exact term per integer partition
-  of n (the primary closed form), grouped by outer order p, on Fractions.
+  of n (the primary closed form) on integers: integer weights over the
+  walk's prefixes, one running common denominator per outer order p.
 * ``derivative_bell`` sums phi^(k) * B_{n,k} over k; ``partial_bell``
   gets B_{n,k} from Comtet's recurrence, without partitions.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
@@ -96,35 +97,48 @@ def derivative_partition_sum(
 
         n! / (prod m_j! * prod (j!)**m_j) * phi^(p) * prod psi^(j)**m_j,
 
-    so the sum is n! * sum_p phi^(p) * sums[p], where sums[p] adds the
-    products of the pair factors psi^(j)**m_j / (m_j! * (j!)**m_j) over the
-    partitions with p parts.  Each pair factor is computed once per call.  The
-    walk says how many leading pairs each step kept, and a stack of (product,
-    parts) over the leading pairs keeps what the step left alone.
+    and the sum runs on integers.  With psi^(j) = a_j / b_j, a stack over the
+    walk's leading pairs holds (num, den, p): num = n! / prod pair_divisor(j,
+    m_j) * prod a_j**m_j and den = prod b_j**m_j, starting at (n!, 1, 0).  Each
+    pair's three integers are computed once per call.  The floor division by
+    pair_divisor is exact at every prefix: its sizes sum to some m <= n, and
+    n! / prod divisors = (n! / m!) * (m! / prod divisors) is an integer.  The
+    walk says how many leading pairs each step kept, so the stack keeps what
+    the step left alone, and a zero prefix is not multiplied further.  The
+    terms with p parts add up to nums[p] / dens[p], dens[p] the running lcm of
+    their denominators, unreduced until the last step:
+    sum_p phi^(p) * nums[p] / dens[p].
     """
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    factors: dict[tuple[int, int], Fraction] = {}
-    sums = [Fraction(0)] * (n + 1)
-    stack = [(Fraction(1), 0)]  # stack[i]: product and parts of the first i pairs
+    pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    nums, dens = [0] * (n + 1), [1] * (n + 1)
+    stack = [(math.factorial(n), 1, 0)]  # stack[i]: num, den and parts of the first i pairs
     for keep, parts in partition_parts(n):
         del stack[keep + 1 :]
-        product, p = stack[-1]
+        num, den, p = stack[-1]
         for j, mj in parts[keep:]:
-            factor = factors.get((j, mj))
-            if factor is None:
-                # One normalisation, where a power and then a division make two.
-                d = psi.derivative(j)
-                factor = Fraction(d.numerator**mj, d.denominator**mj * pair_divisor(j, mj))
-                factors[j, mj] = factor
-            if product:  # a zero prefix stays zero
-                product *= factor
+            if num:  # a zero prefix stays zero
+                pair = pairs.get((j, mj))
+                if pair is None:
+                    d = psi.derivative(j)
+                    pair = pairs[j, mj] = (pair_divisor(j, mj), d.numerator**mj, d.denominator**mj)
+                divisor, top, bottom = pair
+                num = num // divisor * top
+                den *= bottom
             p += mj
-            stack.append((product, p))
-        if product:
-            sums[p] += product
-    total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
-    return math.factorial(n) * total
+            stack.append((num, den, p))
+        if num:
+            common = dens[p]
+            g = math.gcd(common, den)
+            if g == den:
+                nums[p] += num * (common // den)
+            else:
+                scale = den // g
+                nums[p] = nums[p] * scale + num * (common // g)
+                dens[p] = common * scale
+    outer = zip(phi.derivs, nums[1:], dens[1:])
+    return sum((d * Fraction(a, b) for d, a, b in outer if a and d), Fraction(0))
 
 
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:

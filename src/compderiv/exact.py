@@ -13,7 +13,7 @@ denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
 coefficient lists.  The Bell, determinant and jet routes use ``scaled``
 and ``reduced``, and the symbolic expansion ``reduced`` and ``convolve``;
-the partition route stays on Fractions.
+the partition route keeps integers of its own and uses none of them.
 """
 
 from __future__ import annotations

@@ -4,17 +4,21 @@ Everything here is deliberately separate from the package under test:
 set partitions are enumerated recursively, partition counts come from the
 pentagonal-number recurrence, and multiplicity vectors are found by
 filtering a bounded product.  These double-check the fast implementations
-without sharing any code with them.
+without sharing any code with them.  The one exception is
+``partition_sum_on_fractions``, the partition route's earlier arithmetic on
+the same partition walk, kept to pin the integer arithmetic that replaced it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
 from compderiv import DerivativeSequence
+from compderiv.partitions import pair_divisor, partition_parts
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -91,6 +95,40 @@ def composition_derivative_by_set_partitions(
             term *= psi.derivative(len(block))
         total += term
     return total
+
+
+def partition_sum_on_fractions(
+    phi: DerivativeSequence, psi: DerivativeSequence, n: int
+) -> Fraction:
+    """D_y^n of phi(psi(y)) as the partition sum, one Fraction product per pair.
+
+    sums[p] adds the products of the pair factors psi^(j)**m_j / (m_j! *
+    (j!)**m_j) over the partitions with p parts, and the answer is n! * sum_p
+    phi^(p) * sums[p].  Exact at any size, and slower than the integer loop.
+    """
+    phi.require_order(n, "phi")
+    psi.require_order(n, "psi")
+    factors: dict[tuple[int, int], Fraction] = {}
+    sums = [Fraction(0)] * (n + 1)
+    stack = [(Fraction(1), 0)]  # stack[i]: product and parts of the first i pairs
+    for keep, parts in partition_parts(n):
+        del stack[keep + 1 :]
+        product, p = stack[-1]
+        for j, mj in parts[keep:]:
+            factor = factors.get((j, mj))
+            if factor is None:
+                # One normalisation, where a power and then a division make two.
+                d = psi.derivative(j)
+                factor = Fraction(d.numerator**mj, d.denominator**mj * pair_divisor(j, mj))
+                factors[j, mj] = factor
+            if product:  # a zero prefix stays zero
+                product *= factor
+            p += mj
+            stack.append((product, p))
+        if product:
+            sums[p] += product
+    total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
+    return math.factorial(n) * total
 
 
 def random_rational(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given
@@ -24,6 +24,7 @@ from compderiv.series import derivative_via_jets
 from compderiv.symbolic import derivative_sequence_of, nth_derivative_of_composition, parse
 from oracles import (
     composition_derivative_by_set_partitions,
+    partition_sum_on_fractions,
     random_rational,
     random_sequence,
     set_partitions,
@@ -279,19 +280,64 @@ def test_partition_route_with_vanishing_inner_derivatives(n):
     assert derivative_bell(phi, psi, n) == expected
 
 
+def test_partition_route_equals_the_fraction_loop_it_replaced():
+    # Integer weights over a running common denominator per outer order give
+    # the values the Fraction products gave, on value families that drive
+    # each branch: coprime 64-bit denominators grow the common denominator,
+    # denominators of 2s and 3s mostly divide it, and zeros cut prefixes.
+    rng = random.Random(1020)
+
+    def small():
+        return random_rational(rng)
+
+    def wide():
+        return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1)
+
+    def coprime_wide(n):
+        dens = []
+        while len(dens) < n:
+            d = rng.getrandbits(64) | 1
+            if gcd(d, prod(dens)) == 1:
+                dens.append(d)
+        return [Fraction(rng.getrandbits(64) - 2**63, d) for d in dens]
+
+    def smooth():
+        return Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 4))
+
+    families = {
+        "small": lambda n: (seq(*[small() for _ in range(n)]), seq(*[small() for _ in range(n)])),
+        "64-bit": lambda n: (seq(*[wide() for _ in range(n)]), seq(*coprime_wide(n))),
+        "2s and 3s": lambda n: (seq(*[smooth() for _ in range(n)]), seq(*[smooth() for _ in range(n)])),
+        "psi' = 0": lambda n: (seq(*[small() for _ in range(n)]), seq(0, *[small() for _ in range(n - 1)])),
+        "psi = 0": lambda n: (seq(*[small() for _ in range(n)]), seq(*[0] * n)),
+    }
+    for family, make in families.items():
+        for n in [*(rng.randint(1, 20) for _ in range(30)), 30]:
+            phi, psi = make(n)
+            expected = partition_sum_on_fractions(phi, psi, n)
+            assert derivative_partition_sum(phi, psi, n) == expected, (family, n)
+            if family == "psi = 0":
+                assert expected == 0
+
+
 @pytest.mark.parametrize("n", [1, 8, 20])
 def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
-    # The five-way check compares independent routes: the partition sum stays
-    # on Fractions and never reaches the integer-scaled form the others share.
+    # The five-way check compares independent routes: the partition sum keeps
+    # its own integers and common denominators, and never reaches the
+    # integer-scaled form (scaled, reduced, convolve) the others share.
     rng = random.Random(950 + n)
     phi, psi = random_sequence(rng, n), random_sequence(rng, n)
     expected = derivative_bell(phi, psi, n)
 
-    def refuse(*args):
-        raise AssertionError("exact.scaled called")
+    def refuser(name):
+        def refuse(*args):
+            raise AssertionError(f"exact.{name} called")
 
-    monkeypatch.setattr(exact, "scaled", refuse)
-    monkeypatch.setattr(composition, "scaled", refuse)
+        return refuse
+
+    for name in ("scaled", "reduced", "convolve"):
+        monkeypatch.setattr(exact, name, refuser(name))
+        monkeypatch.setattr(composition, name, refuser(name), raising=False)
     with pytest.raises(AssertionError, match="exact.scaled called"):
         derivative_bell(phi, psi, n)
     assert derivative_partition_sum(phi, psi, n) == expected
