@@ -16,8 +16,6 @@ suite and the ``compderiv check`` command enforce that continuously.
 """
 
 from .composition import (
-    DerivativeSequence,
-    SequenceTooShortError,
     derivative_bell,
     derivative_partition_sum,
     lagrange_power_coefficient,
@@ -39,6 +37,7 @@ from .exact import (
     parse_rational,
 )
 from .partitions import enumerate_multiplicity_vectors, multinomial_weight
+from .sequence import DerivativeSequence, SequenceTooShortError
 from .series import (
     derivative_via_jets,
     jet_compose,

@@ -20,12 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .composition import (
-    DerivativeSequence,
-    derivative_bell,
-    derivative_partition_sum,
-    partial_bell,
-)
+from .composition import derivative_bell, derivative_partition_sum, partial_bell
 from .determinant import (
     MIN_DETERMINANT_ORDER,
     build_matrix,
@@ -34,6 +29,7 @@ from .determinant import (
 )
 from .exact import as_rational, check_order, format_rational, int_text, parse_rational
 from .partitions import MAX_PARTITION_ORDER, multiplicity_vector, partition_parts, partition_weight
+from .sequence import DerivativeSequence
 from .series import derivative_via_jets
 from .symbolic import (
     Expr,

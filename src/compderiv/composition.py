@@ -7,85 +7,33 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
 * ``derivative_partition_sum`` sums one exact term per integer partition
   of n (the primary closed form) on integers: integer weights over the
   walk's prefixes, one running common denominator per outer order p.
-* ``derivative_bell`` sums phi^(k) * B_{n,k} over k; ``partial_bell``
-  gets B_{n,k} from Comtet's recurrence, without partitions.
+* ``derivative_bell`` sums phi^(k) * B_{n,k} over the k where phi^(k) != 0;
+  ``partial_bell`` gets B_{n,k} from Comtet's identity as integer dot
+  products, one power of a series at a time, without partitions.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
-  n-th Taylor coefficient of psi(y)**m by J.C.P. Miller's recurrence.
+  n-th Taylor coefficient of psi(y)**m by J.C.P. Miller's recurrence, on
+  integers over one scale that it keeps itself, |m| <= MAX_EXPONENT.
+
+The input type, ``DerivativeSequence``, lives in ``sequence``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
-from .exact import as_rational, check_order, falling_factorial, reduced, scaled
+from .exact import as_rational, check_exponent, check_order, falling_factorial, reduced, scaled
 from .partitions import pair_divisor, partition_parts
+from .sequence import DerivativeSequence, SequenceTooShortError  # both still resolve here
 
 __all__ = [
-    "DerivativeSequence",
-    "SequenceTooShortError",
     "derivative_partition_sum",
     "derivative_bell",
     "partial_bell",
     "lagrange_power_coefficient",
     "power_derivatives",
 ]
-
-
-class SequenceTooShortError(ValueError):
-    """A route asked for a derivative order the sequence does not hold."""
-
-    def __init__(self, role: str, needed: int, available: int):
-        self.role = role
-        self.needed = needed
-        self.available = available
-        super().__init__(
-            f"{role} derivative sequence too short: order {needed} requested "
-            f"but only {available} derivative(s) supplied"
-        )
-
-
-@dataclass(frozen=True)
-class DerivativeSequence:
-    """Derivative values at a point: ``derivs[k-1]`` is the k-th derivative.
-
-    ``base`` is the 0-th value (the function value itself); it is optional
-    and only the power route requires it.  Values are normalized to
-    ``Fraction`` on construction, so sequences built from ints or "p/q"
-    strings compare structurally.
-    """
-
-    derivs: tuple[Fraction, ...]
-    base: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "derivs", tuple(as_rational(v) for v in self.derivs)
-        )
-        if self.base is not None:
-            object.__setattr__(self, "base", as_rational(self.base))
-
-    def derivative(self, k: int) -> Fraction:
-        """The k-th derivative value, k >= 1."""
-        if k < 1:
-            raise ValueError(f"derivative order must be >= 1, got {k}")
-        return self.derivs[k - 1]
-
-    def require_order(self, n: int, role: str) -> None:
-        check_order(n)
-        if len(self.derivs) < n:
-            raise SequenceTooShortError(role, n, len(self.derivs))
-
-    def require_base(self, role: str) -> Fraction:
-        if self.base is None:
-            raise ValueError(f"{role} sequence needs a base value (0-th derivative)")
-        return self.base
-
-    def taylor_coefficients(self, n: int) -> list[Fraction]:
-        """c_0..c_n: the base value (0 when absent), then c_k = d_k / k!."""
-        c0 = self.base or Fraction(0)
-        return [c0] + [self.derivs[k - 1] / math.factorial(k) for k in range(1, n + 1)]
 
 
 def derivative_partition_sum(
@@ -144,12 +92,15 @@ def derivative_partition_sum(
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     """The partial Bell polynomial B_{n,k} evaluated at psi', psi'', ...
 
-    Comtet's recurrence (Advanced Combinatorics, 1974, section 3.3) on
-    x_i = psi^(i), B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * x_i * B_{m-i,j-1},
-    one column j = 1..k at a time over the rows m <= n - k + j.  It needs
-    psi up to order n - k + 1 only, and runs over integers: with x_i = a_i / D
-    in the integer-scaled form of ``exact.scaled``, column j is integers over D
-    times column j-1's scale, and ``exact.reduced`` divides out their gcd.
+    Comtet's identity (Advanced Combinatorics, 1974, section 3.3) on
+    x_i = psi^(i): B_{n,k} = n!/k! * [t^n] (sum_i x_i t^i / i!)**k, the
+    k-th power of g(t) = sum_{i=1}^{w} x_i t^(i-1) / i! read at t^(n-k),
+    w = n - k + 1.  It needs psi up to order w only, and runs over
+    integers: with x_i = a_i / D in the integer-scaled form of
+    ``exact.scaled``, g's coefficients are a_i * (w! / i!) over D * w!, each
+    power of g is w integers over one scale, and a step is w dot products
+    with g's coefficients reversed.  ``exact.reduced`` divides out the gcd
+    after each step.
     """
     check_order(n)
     if k < 1 or k > n:
@@ -157,14 +108,16 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     width = n - k + 1
     psi.require_order(width, "psi")
     xs, d = scaled(psi.derivs[:width])
-    a = [0] + xs
-    col, scale = [1] + [0] * (width - 1), 1  # B_{m,0} for m = 0..n-k
-    for j in range(1, k + 1):
-        col, scale = reduced([0] * j + [
-            sum(math.comb(m - 1, i - 1) * a[i] * col[m - i] for i in range(1, m - j + 2))
-            for m in range(j, width + j)
-        ], scale * d)
-    return Fraction(col[n], scale)
+    top = math.factorial(width)
+    rb = [xs[i - 1] * (top // math.factorial(i)) for i in range(width, 0, -1)]
+    step = d * top
+    col, scale = [1] + [0] * (width - 1), 1  # g**0 up to t^(w-1)
+    for _ in range(k):
+        col, scale = reduced(
+            [sum(map(operator.mul, rb[-t:], col[:t])) for t in range(1, width + 1)],
+            scale * step,
+        )
+    return Fraction(col[-1] * (math.factorial(n) // math.factorial(k)), scale)
 
 
 def derivative_bell(
@@ -184,12 +137,20 @@ def lagrange_power_coefficient(
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, section 4.7)
     on u_k = psi^(k) / k!, u_0 the base value, after factoring out the
-    lowest nonzero term, u = t**s * w with w_0 != 0: v = w**m has v_0 =
-    w_0**m and k * w_0 * v_k = sum_{j=1}^{k} ((m+1)*j - k) * w_j * v_{k-j}.
-    The answer is v_{n - s*m}.  Any integer m is accepted; m < 0 with a
-    zero base raises ZeroDivisionError, and the result is 0 when m = 0,
-    when psi vanishes through order n, or when n < s*m.
+    lowest nonzero term, u = t**s * w with w_0 != 0: v = (w / w_0)**m has
+    v_0 = 1 and k * v_k = sum_{j=1}^{k} ((m+1)*j - k) * (w_j / w_0) * v_{k-j}.
+    The answer is w_0**m * v_{n - s*m}.  It runs on integers: w_j / w_0 =
+    W_j / d over their least common denominator d, and v_0..v_k are
+    integers V over one scale S; each step multiplies them and S by k * d
+    and divides out their gcd.
+
+    |m| is bounded by ``MAX_EXPONENT`` (2000), the bound ``x^m`` has as an
+    expression: the integers grow with m, so a larger exponent is a
+    ValueError rather than a run of minutes.  m < 0 with a zero base raises
+    ZeroDivisionError, and the result is 0 when m = 0, when psi vanishes
+    through order n, or when n < s*m.
     """
+    check_exponent(m)
     psi.require_order(n, "psi")
     base = psi.require_base("psi")
     if base == 0 and m < 0:
@@ -198,12 +159,22 @@ def lagrange_power_coefficient(
     s = next((k for k, c in enumerate(u) if c), None)
     if m == 0 or s is None or n < s * m:
         return Fraction(0)
-    w = u[s:]
-    v = [w[0] ** m]
-    for k in range(1, n - s * m + 1):
-        acc = sum(((m + 1) * j - k) * w[j] * v[k - j] for j in range(1, k + 1))
-        v.append(acc / (k * w[0]))
-    return v[-1]
+    last = n - s * m
+    w0 = u[s]
+    ratios = [c / w0 for c in u[s + 1 : s + last + 1]]
+    d = math.lcm(*(r.denominator for r in ratios))
+    W = [0] + [r.numerator * (d // r.denominator) for r in ratios]
+    V, S = [1], 1
+    for k in range(1, last + 1):
+        acc = sum(((m + 1) * j - k) * W[j] * V[k - j] for j in range(1, k + 1))
+        kd = k * d
+        V = [v * kd for v in V]
+        V.append(acc)
+        S *= kd
+        g = math.gcd(S, *V)
+        V = [v // g for v in V]
+        S //= g
+    return w0**m * Fraction(V[-1], S)
 
 
 def power_derivatives(m: int, x0: Fraction, n: int) -> DerivativeSequence:
@@ -211,8 +182,11 @@ def power_derivatives(m: int, x0: Fraction, n: int) -> DerivativeSequence:
 
     The k-th derivative is m(m-1)...(m-k+1) * x0**(m-k).  Entries whose
     falling factorial vanishes are 0 outright, so a zero x0 is fine for
-    m >= 0; negative m with x0 = 0 raises ZeroDivisionError.
+    m >= 0; negative m with x0 = 0 raises ZeroDivisionError.  |m| is
+    bounded by ``MAX_EXPONENT`` (2000), as for ``lagrange_power_coefficient``:
+    x0**m grows with m, so a larger exponent is a ValueError.
     """
+    check_exponent(m)
     check_order(n)
     x0 = as_rational(x0)
     if x0 == 0 and m < 0:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .composition import DerivativeSequence
 from .exact import as_rational, format_rational, reduced, scaled
+from .sequence import DerivativeSequence
 
 __all__ = [
     "MIN_DETERMINANT_ORDER",

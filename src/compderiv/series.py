@@ -17,8 +17,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .composition import DerivativeSequence, SequenceTooShortError
 from .exact import reduced, scaled
+from .sequence import DerivativeSequence, SequenceTooShortError
 
 __all__ = [
     "jet_mul",

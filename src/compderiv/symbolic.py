@@ -45,8 +45,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Any, Callable
 
-from .composition import DerivativeSequence
-from .exact import MAX_LITERAL_DIGITS, as_rational, check_order, convolve, reduced
+from .exact import MAX_EXPONENT, MAX_LITERAL_DIGITS, as_rational, check_order, convolve, reduced
+from .sequence import DerivativeSequence
 
 __all__ = [
     "Expr",
@@ -66,9 +66,6 @@ __all__ = [
 ]
 
 MAX_DEPTH = 256
-# Largest exponent after '^', and largest product of the exponents on a path
-# through nested powers: the symbolic route expands a power by e convolutions.
-MAX_EXPONENT = 2000
 # Most bits ``check_size`` lets a value at the point have, a time bound: x^2000
 # at a 19-digit point takes 2.6 s under ``derive --method all -n 100`` (5.9 s at 2**18).
 MAX_VALUE_BITS = 2**17

@@ -4,9 +4,11 @@ Everything here is deliberately separate from the package under test:
 set partitions are enumerated recursively, partition counts come from the
 pentagonal-number recurrence, and multiplicity vectors are found by
 filtering a bounded product.  These double-check the fast implementations
-without sharing any code with them.  The one exception is
-``partition_sum_on_fractions``, the partition route's earlier arithmetic on
-the same partition walk, kept to pin the integer arithmetic that replaced it.
+without sharing any code with them.  The exceptions are the earlier loops
+of three routes, kept to pin the integer arithmetic that replaced them:
+``partition_sum_on_fractions`` (the partition walk on Fractions),
+``partial_bell_by_binomials`` (Comtet's binomial recurrence) and
+``power_coefficient_on_fractions`` (Miller's recurrence on Fractions).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import product
 from typing import Iterator
 
 from compderiv import DerivativeSequence
+from compderiv.exact import check_order, reduced, scaled
 from compderiv.partitions import pair_divisor, partition_parts
 
 
@@ -129,6 +132,50 @@ def partition_sum_on_fractions(
             sums[p] += product
     total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
     return math.factorial(n) * total
+
+
+def partial_bell_by_binomials(n: int, k: int, psi: DerivativeSequence) -> Fraction:
+    """B_{n,k} at psi', psi'', ... by Comtet's binomial recurrence, one column at a time.
+
+    B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * psi^(i) * B_{m-i,j-1}, columns
+    j = 1..k over the rows m <= n - k + j, on integers over one scale.
+    """
+    check_order(n)
+    if k < 1 or k > n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    width = n - k + 1
+    psi.require_order(width, "psi")
+    xs, d = scaled(psi.derivs[:width])
+    a = [0] + xs
+    col, scale = [1] + [0] * (width - 1), 1  # B_{m,0} for m = 0..n-k
+    for j in range(1, k + 1):
+        col, scale = reduced([0] * j + [
+            sum(math.comb(m - 1, i - 1) * a[i] * col[m - i] for i in range(1, m - j + 2))
+            for m in range(j, width + j)
+        ], scale * d)
+    return Fraction(col[n], scale)
+
+
+def power_coefficient_on_fractions(psi: DerivativeSequence, m: int, n: int) -> Fraction:
+    """D^n(psi(y)**m) / n! by Miller's recurrence on Fractions, any integer m.
+
+    With u = t**s * w, w_0 != 0: v = w**m has v_0 = w_0**m and k * w_0 * v_k =
+    sum_{j=1}^{k} ((m+1)*j - k) * w_j * v_{k-j}; the answer is v_{n - s*m}.
+    """
+    psi.require_order(n, "psi")
+    base = psi.require_base("psi")
+    if base == 0 and m < 0:
+        raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
+    u = psi.taylor_coefficients(n)
+    s = next((k for k, c in enumerate(u) if c), None)
+    if m == 0 or s is None or n < s * m:
+        return Fraction(0)
+    w = u[s:]
+    v = [w[0] ** m]
+    for k in range(1, n - s * m + 1):
+        acc = sum(((m + 1) * j - k) * w[j] * v[k - j] for j in range(1, k + 1))
+        v.append(acc / (k * w[0]))
+    return v[-1]
 
 
 def random_rational(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:

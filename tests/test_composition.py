@@ -24,7 +24,9 @@ from compderiv.series import derivative_via_jets
 from compderiv.symbolic import derivative_sequence_of, nth_derivative_of_composition, parse
 from oracles import (
     composition_derivative_by_set_partitions,
+    partial_bell_by_binomials,
     partition_sum_on_fractions,
+    power_coefficient_on_fractions,
     random_rational,
     random_sequence,
     set_partitions,
@@ -320,14 +322,8 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
                 assert expected == 0
 
 
-@pytest.mark.parametrize("n", [1, 8, 20])
-def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
-    # The five-way check compares independent routes: the partition sum keeps
-    # its own integers and common denominators, and never reaches the
-    # integer-scaled form (scaled, reduced, convolve) the others share.
-    rng = random.Random(950 + n)
-    phi, psi = random_sequence(rng, n), random_sequence(rng, n)
-    expected = derivative_bell(phi, psi, n)
+def refuse_integer_scaled_form(monkeypatch):
+    """Make exact.scaled, reduced and convolve raise, in exact and in composition."""
 
     def refuser(name):
         def refuse(*args):
@@ -338,6 +334,17 @@ def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
     for name in ("scaled", "reduced", "convolve"):
         monkeypatch.setattr(exact, name, refuser(name))
         monkeypatch.setattr(composition, name, refuser(name), raising=False)
+
+
+@pytest.mark.parametrize("n", [1, 8, 20])
+def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
+    # The five-way check compares independent routes: the partition sum keeps
+    # its own integers and common denominators, and never reaches the
+    # integer-scaled form (scaled, reduced, convolve) the others share.
+    rng = random.Random(950 + n)
+    phi, psi = random_sequence(rng, n), random_sequence(rng, n)
+    expected = derivative_bell(phi, psi, n)
+    refuse_integer_scaled_form(monkeypatch)
     with pytest.raises(AssertionError, match="exact.scaled called"):
         derivative_bell(phi, psi, n)
     assert derivative_partition_sum(phi, psi, n) == expected
@@ -347,9 +354,9 @@ def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
 def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
     # Only the partition sum may read the partition list, and it is out of
     # reach at these orders.  The determinant route gives the reference for
-    # general phi; for phi = x**m, Miller's recurrence on Fractions does,
-    # which shares no integer-scaled form with the Bell, determinant and
-    # jet routes.
+    # general phi; for phi = x**m, Miller's recurrence on its own integers
+    # does, which shares no integer-scaled form with the Bell, determinant
+    # and jet routes.
     def refuse(order):
         raise AssertionError(f"partitions of {order} enumerated")
 
@@ -383,6 +390,93 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
         assert derivative_bell(power, psi, n) == expected
         assert derivative_determinant(power, psi, n) == expected
         assert derivative_via_jets(power, psi, n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 8, 20])
+def test_power_route_uses_no_integer_scaled_form(n, monkeypatch):
+    # Lagrange is the reference for phi = x**m where the partition sum is out
+    # of reach, so it keeps its own lcm and gcd and never reaches the
+    # integer-scaled form the Bell, determinant and jet routes share.
+    rng = random.Random(960 + n)
+    psi = DerivativeSequence(derivs=random_sequence(rng, n).derivs, base=Fraction(-5, 3))
+    expected = {m: power_coefficient_on_fractions(psi, m, n) for m in (-3, 2, 5)}
+    refuse_integer_scaled_form(monkeypatch)
+    with pytest.raises(AssertionError, match="exact.scaled called"):
+        partial_bell(n, 1, psi)
+    for m, value in expected.items():
+        assert lagrange_power_coefficient(psi, m, n) == value
+
+
+def test_partial_bell_equals_the_binomial_recurrence_it_replaced():
+    # Comtet's identity on reversed dot products gives, at every k, the
+    # values of the column recurrence with binomial weights, on small values
+    # and on 64-bit numerators and denominators, with zeros among them.
+    rng = random.Random(2101)
+
+    def small():
+        return random_rational(rng) if rng.randrange(3) else Fraction(0)
+
+    def wide():
+        return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) if rng.randrange(3) else 0
+
+    for make in (small, wide):
+        for n in range(1, 31):
+            psi = seq(*[make() for _ in range(n)])
+            for k in range(1, n + 1):
+                assert partial_bell(n, k, psi) == partial_bell_by_binomials(n, k, psi), (n, k)
+    # psi' = 0 leaves only the terms without a part of size 1.
+    psi = seq(0, *[random_rational(rng) for _ in range(11)])
+    assert partial_bell(12, 12, psi) == 0
+    assert all(partial_bell(12, k, psi) == partial_bell_by_binomials(12, k, psi) for k in range(1, 13))
+
+
+def test_power_route_equals_the_fraction_loop_it_replaced():
+    # The integer recurrence over one scale gives the Fraction recurrence's
+    # values for m = -4..7, on psi with zero leading terms (s > 0), a zero
+    # base with m >= 0, psi vanishing through order n, and orders below
+    # s * m, where both give 0.
+    rng = random.Random(2102)
+
+    def wide():
+        return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) if rng.randrange(3) else 0
+
+    cases = []
+    for n in range(1, 16):
+        for lead in range(3):  # psi vanishes to order `lead` at the point
+            tail = [random_rational(rng) or Fraction(1, 2) for _ in range(n)]
+            cases.append(seq(*([0] * lead + tail)[:n], base=random_rational(rng) if lead == 0 else 0))
+            cases.append(seq(*[wide() for _ in range(n)], base=wide() or 1))
+    seen_below = 0
+    for psi in cases:
+        n = len(psi.derivs)
+        for m in range(-4, 8):
+            if psi.base == 0 and m < 0:
+                with pytest.raises(ZeroDivisionError):
+                    lagrange_power_coefficient(psi, m, n)
+                continue
+            expected = power_coefficient_on_fractions(psi, m, n)
+            assert lagrange_power_coefficient(psi, m, n) == expected, (n, m)
+            s = next((k for k, c in enumerate(psi.taylor_coefficients(n)) if c), 0)
+            if n < s * m:
+                seen_below += 1
+                assert expected == 0
+    assert seen_below > 0
+
+
+@pytest.mark.parametrize("m", [-2000, 2000])
+def test_power_exponent_bounded_by_max_exponent(m):
+    # The power route's integers grow with |m|; MAX_EXPONENT is the bound an
+    # exponent after '^' has too, and it is accepted, one past it is refused.
+    assert exact.MAX_EXPONENT == 2000
+    psi = seq(Fraction(1, 3), Fraction(-2, 5), base=Fraction(3, 2))
+    power = power_derivatives(m, psi.base, 2)
+    expected = derivative_determinant(power, psi, 2) / 2
+    assert lagrange_power_coefficient(psi, m, 2) == expected
+    beyond = m + (1 if m > 0 else -1)
+    with pytest.raises(ValueError, match="MAX_EXPONENT"):
+        lagrange_power_coefficient(psi, beyond, 2)
+    with pytest.raises(ValueError, match="MAX_EXPONENT"):
+        power_derivatives(beyond, psi.base, 2)
 
 
 def test_partition_sum_retains_nothing_after_return():
