@@ -5,7 +5,7 @@ function psi at a point, this package computes D_y^n of phi(psi(y)) by
 five independent routes over arbitrary-precision rationals:
 
 * a sum over integer partitions of n (the closed form),
-* phi^(k) times partial Bell polynomials from Comtet's recurrence,
+* phi^(k) times partial Bell polynomials from Comtet's identity,
 * an (n+1) x (n+1) determinant over a formal polynomial ring,
 * truncated Taylor series (jet) composition, and
 * a symbolic oracle on polynomial expressions, which expands psi about

@@ -8,8 +8,11 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
   of n (the primary closed form) on integers: integer weights over the
   walk's prefixes, one running common denominator per outer order p.
 * ``derivative_bell`` sums phi^(k) * B_{n,k} over the k where phi^(k) != 0;
-  ``partial_bell`` gets B_{n,k} from Comtet's identity as integer dot
-  products, one power of a series at a time, without partitions.
+  ``partial_bell`` gets B_{n,k} from Comtet's identity, the k-th power of
+  a series read at one coefficient, and raises the series to that power by
+  J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, section 4.7) on
+  integers: O(w**2) integer products per call, w = n - k + 1, without
+  partitions, so O(n**3) for the route.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
   n-th Taylor coefficient of psi(y)**m by J.C.P. Miller's recurrence, on
   integers over one scale that it keeps itself, |m| <= MAX_EXPONENT.
@@ -20,7 +23,6 @@ The input type, ``DerivativeSequence``, lives in ``sequence``.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .exact import as_rational, check_exponent, check_order, falling_factorial, reduced, scaled
@@ -97,10 +99,15 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     k-th power of g(t) = sum_{i=1}^{w} x_i t^(i-1) / i! read at t^(n-k),
     w = n - k + 1.  It needs psi up to order w only, and runs over
     integers: with x_i = a_i / D in the integer-scaled form of
-    ``exact.scaled``, g's coefficients are a_i * (w! / i!) over D * w!, each
-    power of g is w integers over one scale, and a step is w dot products
-    with g's coefficients reversed.  ``exact.reduced`` divides out the gcd
-    after each step.
+    ``exact.scaled``, g's coefficients are G_i = a_{i+1} * (w! / (i+1)!)
+    over D * w!.  J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2,
+    section 4.7) raises g to the k-th power in one O(w**2) pass: with
+    G = t**s * W, W_0 != 0, v = (W / W_0)**k has v_0 = 1 and
+    j * W_0 * v_j = sum_{i=1}^{j} ((k+1)*i - j) * W_i * v_{j-i}, and
+    [t^(w-1)] g**k is W_0**k * v_{w-1-s*k} / (D * w!)**k, or 0 when
+    s*k > w - 1.  v_0..v_j are integers over one scale; each step
+    multiplies them and the scale by j * W_0, and ``exact.reduced``
+    divides out the gcd.
     """
     check_order(n)
     if k < 1 or k > n:
@@ -109,15 +116,22 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     psi.require_order(width, "psi")
     xs, d = scaled(psi.derivs[:width])
     top = math.factorial(width)
-    rb = [xs[i - 1] * (top // math.factorial(i)) for i in range(width, 0, -1)]
-    step = d * top
-    col, scale = [1] + [0] * (width - 1), 1  # g**0 up to t^(w-1)
-    for _ in range(k):
-        col, scale = reduced(
-            [sum(map(operator.mul, rb[-t:], col[:t])) for t in range(1, width + 1)],
-            scale * step,
-        )
-    return Fraction(col[-1] * (math.factorial(n) // math.factorial(k)), scale)
+    G = [a * (top // math.factorial(i)) for i, a in enumerate(xs, start=1)]
+    s = next((i for i, c in enumerate(G) if c), None)
+    if s is None or s * k > width - 1:
+        return Fraction(0)
+    last = width - 1 - s * k
+    W = G[s : s + last + 1]
+    w0 = W[0]
+    V, scale = [1], 1
+    for j in range(1, last + 1):
+        acc = sum(((k + 1) * i - j) * W[i] * V[j - i] for i in range(1, j + 1))
+        step = j * w0
+        V = [v * step for v in V]
+        V.append(acc)
+        V, scale = reduced(V, scale * step)
+    ratio = math.factorial(n) // math.factorial(k)
+    return Fraction(w0**k * V[-1] * ratio, scale * (d * top) ** k)
 
 
 def derivative_bell(

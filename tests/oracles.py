@@ -2,12 +2,14 @@
 
 Everything here is deliberately separate from the package under test:
 set partitions are enumerated recursively, partition counts come from the
-pentagonal-number recurrence, and multiplicity vectors are found by
-filtering a bounded product.  These double-check the fast implementations
-without sharing any code with them.  The exceptions are the earlier loops
-of three routes, kept to pin the integer arithmetic that replaced them:
+pentagonal-number recurrence, Stirling numbers of the second kind from
+their own recurrence, and multiplicity vectors are found by filtering a
+bounded product.  These double-check the fast implementations without
+sharing any code with them.  The exceptions are the earlier loops of
+three routes, kept to pin the integer arithmetic that replaced them:
 ``partition_sum_on_fractions`` (the partition walk on Fractions),
-``partial_bell_by_binomials`` (Comtet's binomial recurrence) and
+``partial_bell_by_binomials`` (Comtet's binomial recurrence, where the
+route now runs Miller's power recurrence) and
 ``power_coefficient_on_fractions`` (Miller's recurrence on Fractions).
 """
 
@@ -72,6 +74,14 @@ def pentagonal_partition_counts(max_n: int) -> list[int]:
             k += 1
         p[n] = total
     return p
+
+
+def stirling_second_kind(n: int) -> list[int]:
+    """S(n, 0)..S(n, n) by the recurrence S(m, j) = j * S(m-1, j) + S(m-1, j-1)."""
+    row = [1]  # S(0, 0)
+    for m in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < m else 0) + row[j - 1] for j in range(1, m + 1)]
+    return row
 
 
 def brute_multiplicity_vectors(n: int) -> set[tuple[int, ...]]:

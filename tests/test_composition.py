@@ -30,6 +30,7 @@ from oracles import (
     random_rational,
     random_sequence,
     set_partitions,
+    stirling_second_kind,
 )
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -354,9 +355,11 @@ def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
 def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
     # Only the partition sum may read the partition list, and it is out of
     # reach at these orders.  The determinant route gives the reference for
-    # general phi; for phi = x**m, Miller's recurrence on its own integers
-    # does, which shares no integer-scaled form with the Bell, determinant
-    # and jet routes.
+    # general phi; for phi = x**m, Lagrange's power route does.  Bell and
+    # Lagrange run the same Miller recurrence, but in separate code: Lagrange
+    # keeps its own integers and shares no integer-scaled form with the
+    # others, and the determinant and jet routes back each Bell =
+    # Lagrange * n! below.
     def refuse(order):
         raise AssertionError(f"partitions of {order} enumerated")
 
@@ -407,10 +410,13 @@ def test_power_route_uses_no_integer_scaled_form(n, monkeypatch):
         assert lagrange_power_coefficient(psi, m, n) == value
 
 
-def test_partial_bell_equals_the_binomial_recurrence_it_replaced():
-    # Comtet's identity on reversed dot products gives, at every k, the
-    # values of the column recurrence with binomial weights, on small values
-    # and on 64-bit numerators and denominators, with zeros among them.
+def test_partial_bell_equals_the_binomial_recurrence():
+    # Miller's power recurrence on Comtet's identity gives, at every k, the
+    # values of the column recurrence with binomial weights: on small values
+    # and on 64-bit numerators and denominators, with zeros among them; on psi
+    # vanishing through order s = 1, 2 and 3, where the recurrence runs on the
+    # shifted series and B_{n,k} = 0 once s*k > n - k; on all-zero psi; and on
+    # 64-bit psi with psi' = 0.
     rng = random.Random(2101)
 
     def small():
@@ -419,15 +425,30 @@ def test_partial_bell_equals_the_binomial_recurrence_it_replaced():
     def wide():
         return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) if rng.randrange(3) else 0
 
-    for make in (small, wide):
+    def vanishing(s):
+        return lambda n: seq(*([0] * s + [random_rational(rng) or 1 for _ in range(n - s)])[:n])
+
+    makers = [
+        lambda n: seq(*[small() for _ in range(n)]),
+        lambda n: seq(*[wide() for _ in range(n)]),
+        *(vanishing(s) for s in (1, 2, 3)),
+        lambda n: seq(*[0] * n),
+        lambda n: seq(0, *[wide() or 1 for _ in range(n - 1)]),
+    ]
+    for make in makers:
         for n in range(1, 31):
-            psi = seq(*[make() for _ in range(n)])
+            psi = make(n)
             for k in range(1, n + 1):
                 assert partial_bell(n, k, psi) == partial_bell_by_binomials(n, k, psi), (n, k)
-    # psi' = 0 leaves only the terms without a part of size 1.
-    psi = seq(0, *[random_rational(rng) for _ in range(11)])
-    assert partial_bell(12, 12, psi) == 0
-    assert all(partial_bell(12, k, psi) == partial_bell_by_binomials(12, k, psi) for k in range(1, 13))
+
+
+def test_partial_bell_at_max_order_is_the_stirling_number():
+    # On psi' = psi'' = ... = 1, B_{n,k} counts the partitions of an n-set
+    # into k blocks: S(n, k) from its own O(n**2) recurrence, every k at n =
+    # MAX_ORDER.
+    n = exact.MAX_ORDER
+    ones = seq(*[1] * n)
+    assert [partial_bell(n, k, ones) for k in range(1, n + 1)] == stirling_second_kind(n)[1:]
 
 
 def test_power_route_equals_the_fraction_loop_it_replaced():
