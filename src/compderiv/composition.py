@@ -17,6 +17,11 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
   n-th Taylor coefficient of psi(y)**m by J.C.P. Miller's recurrence, on
   integers over one scale that it keeps itself, |m| <= MAX_EXPONENT.
 
+Both Miller loops, in separate code, keep their integers and scale with
+gcd 1.  A step multiplies them by ``step`` and appends ``acc``, so the new
+content is gcd(step, acc), a gcd of two integers rather than one over the
+whole list.
+
 The input type, ``DerivativeSequence``, lives in ``sequence``.
 """
 
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import as_rational, check_exponent, check_order, falling_factorial, reduced, scaled
+from .exact import as_rational, check_exponent, check_order, falling_factorial, scaled
 from .partitions import pair_divisor, partition_parts
 from .sequence import DerivativeSequence, SequenceTooShortError  # both still resolve here
 
@@ -105,9 +110,10 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     G = t**s * W, W_0 != 0, v = (W / W_0)**k has v_0 = 1 and
     j * W_0 * v_j = sum_{i=1}^{j} ((k+1)*i - j) * W_i * v_{j-i}, and
     [t^(w-1)] g**k is W_0**k * v_{w-1-s*k} / (D * w!)**k, or 0 when
-    s*k > w - 1.  v_0..v_j are integers over one scale; each step
-    multiplies them and the scale by j * W_0, and ``exact.reduced``
-    divides out the gcd.
+    s*k > w - 1.  v_0..v_j are integers V over one scale with gcd 1; step
+    j multiplies them and the scale by j * W_0 and appends acc, the
+    sum above, so the content of the new list is c = gcd(j * W_0, acc):
+    the step multiplies by j * W_0 / c and appends acc / c.
     """
     check_order(n)
     if k < 1 or k > n:
@@ -127,9 +133,11 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     for j in range(1, last + 1):
         acc = sum(((k + 1) * i - j) * W[i] * V[j - i] for i in range(1, j + 1))
         step = j * w0
-        V = [v * step for v in V]
-        V.append(acc)
-        V, scale = reduced(V, scale * step)
+        c = math.gcd(step, acc)
+        f = step // c
+        V = [v * f for v in V]
+        V.append(acc // c)
+        scale *= f
     ratio = math.factorial(n) // math.factorial(k)
     return Fraction(w0**k * V[-1] * ratio, scale * (d * top) ** k)
 
@@ -155,8 +163,10 @@ def lagrange_power_coefficient(
     v_0 = 1 and k * v_k = sum_{j=1}^{k} ((m+1)*j - k) * (w_j / w_0) * v_{k-j}.
     The answer is w_0**m * v_{n - s*m}.  It runs on integers: w_j / w_0 =
     W_j / d over their least common denominator d, and v_0..v_k are
-    integers V over one scale S; each step multiplies them and S by k * d
-    and divides out their gcd.
+    integers V over one scale S with gcd 1; step k multiplies them and S
+    by k * d and appends acc, the sum above, so the content of the new
+    list is c = gcd(k * d, acc): the step multiplies by k * d / c and
+    appends acc / c.
 
     |m| is bounded by ``MAX_EXPONENT`` (2000), the bound ``x^m`` has as an
     expression: the integers grow with m, so a larger exponent is a
@@ -182,12 +192,11 @@ def lagrange_power_coefficient(
     for k in range(1, last + 1):
         acc = sum(((m + 1) * j - k) * W[j] * V[k - j] for j in range(1, k + 1))
         kd = k * d
-        V = [v * kd for v in V]
-        V.append(acc)
-        S *= kd
-        g = math.gcd(S, *V)
-        V = [v // g for v in V]
-        S //= g
+        c = math.gcd(kd, acc)
+        f = kd // c
+        V = [v * f for v in V]
+        V.append(acc // c)
+        S *= f
     return w0**m * Fraction(V[-1], S)
 
 

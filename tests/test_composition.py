@@ -323,8 +323,8 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
                 assert expected == 0
 
 
-def refuse_integer_scaled_form(monkeypatch):
-    """Make exact.scaled, reduced and convolve raise, in exact and in composition."""
+def refuse_integer_scaled_form(monkeypatch, names=("scaled", "reduced", "convolve")):
+    """Make the named exact helpers raise, in exact and in composition."""
 
     def refuser(name):
         def refuse(*args):
@@ -332,7 +332,7 @@ def refuse_integer_scaled_form(monkeypatch):
 
         return refuse
 
-    for name in ("scaled", "reduced", "convolve"):
+    for name in names:
         monkeypatch.setattr(exact, name, refuser(name))
         monkeypatch.setattr(composition, name, refuser(name), raising=False)
 
@@ -349,6 +349,21 @@ def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
     with pytest.raises(AssertionError, match="exact.scaled called"):
         derivative_bell(phi, psi, n)
     assert derivative_partition_sum(phi, psi, n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 8, 30])
+def test_bell_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch):
+    # Each Miller step in partial_bell takes its content from gcd(step, acc),
+    # so Bell reads psi through exact.scaled and needs neither the list-wide
+    # gcd of exact.reduced nor exact.convolve.
+    rng = random.Random(970 + n)
+    phi, psi = random_sequence(rng, n), random_sequence(rng, n)
+    expected = sum(
+        (d * partial_bell_by_binomials(n, k, psi) for k, d in enumerate(phi.derivs, start=1)),
+        Fraction(0),
+    )
+    refuse_integer_scaled_form(monkeypatch, ("reduced", "convolve"))
+    assert derivative_bell(phi, psi, n) == expected
 
 
 @pytest.mark.parametrize("n", [8, 40, 60, 100])
@@ -415,8 +430,11 @@ def test_partial_bell_equals_the_binomial_recurrence():
     # values of the column recurrence with binomial weights: on small values
     # and on 64-bit numerators and denominators, with zeros among them; on psi
     # vanishing through order s = 1, 2 and 3, where the recurrence runs on the
-    # shifted series and B_{n,k} = 0 once s*k > n - k; on all-zero psi; and on
-    # 64-bit psi with psi' = 0.
+    # shifted series and B_{n,k} = 0 once s*k > n - k; on all-zero psi; on
+    # 64-bit psi with psi' = 0; and on odd psi with psi' < 0.  There every
+    # even-order derivative is 0, so g is even, acc is 0 at every odd step,
+    # gcd(step, acc) = |step| and the step multiplies by -1; B_{n,k} = 0 when
+    # n - k is odd.
     rng = random.Random(2101)
 
     def small():
@@ -428,6 +446,9 @@ def test_partial_bell_equals_the_binomial_recurrence():
     def vanishing(s):
         return lambda n: seq(*([0] * s + [random_rational(rng) or 1 for _ in range(n - s)])[:n])
 
+    def odd(value):
+        return lambda n: seq(-abs(value() or 1), *[value() if j % 2 else 0 for j in range(2, n + 1)])
+
     makers = [
         lambda n: seq(*[small() for _ in range(n)]),
         lambda n: seq(*[wide() for _ in range(n)]),
@@ -435,11 +456,16 @@ def test_partial_bell_equals_the_binomial_recurrence():
         lambda n: seq(*[0] * n),
         lambda n: seq(0, *[wide() or 1 for _ in range(n - 1)]),
     ]
+    odd_makers = [odd(small), odd(wide)]
+    makers += odd_makers
     for make in makers:
         for n in range(1, 31):
             psi = make(n)
             for k in range(1, n + 1):
-                assert partial_bell(n, k, psi) == partial_bell_by_binomials(n, k, psi), (n, k)
+                expected = partial_bell_by_binomials(n, k, psi)
+                assert partial_bell(n, k, psi) == expected, (n, k)
+                if make in odd_makers and (n - k) % 2:
+                    assert expected == 0, (n, k)
 
 
 def test_partial_bell_at_max_order_is_the_stirling_number():
@@ -455,7 +481,9 @@ def test_power_route_equals_the_fraction_loop_it_replaced():
     # The integer recurrence over one scale gives the Fraction recurrence's
     # values for m = -4..7, on psi with zero leading terms (s > 0), a zero
     # base with m >= 0, psi vanishing through order n, and orders below
-    # s * m, where both give 0.
+    # s * m, where both give 0.  Up to n = 30 it also runs odd psi with a
+    # zero base and psi' < 0: w = u / t is even, so acc is 0 at every odd
+    # step and gcd(k * d, acc) = k * d.
     rng = random.Random(2102)
 
     def wide():
@@ -467,6 +495,10 @@ def test_power_route_equals_the_fraction_loop_it_replaced():
             tail = [random_rational(rng) or Fraction(1, 2) for _ in range(n)]
             cases.append(seq(*([0] * lead + tail)[:n], base=random_rational(rng) if lead == 0 else 0))
             cases.append(seq(*[wide() for _ in range(n)], base=wide() or 1))
+    for n in range(1, 31):
+        for value in (lambda: random_rational(rng), wide):
+            odd = [-abs(value() or 1), *[value() if j % 2 else 0 for j in range(2, n + 1)]]
+            cases.append(seq(*odd, base=0))
     seen_below = 0
     for psi in cases:
         n = len(psi.derivs)
