@@ -14,13 +14,12 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
   integers: O(w**2) integer products per call, w = n - k + 1, without
   partitions, so O(n**3) for the route.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
-  n-th Taylor coefficient of psi(y)**m by J.C.P. Miller's recurrence, on
-  integers over one scale that it keeps itself, |m| <= MAX_EXPONENT.
+  n-th Taylor coefficient of psi(y)**m by the same recurrence,
+  |m| <= MAX_EXPONENT.
 
-Both Miller loops, in separate code, keep their integers and scale with
-gcd 1.  A step multiplies them by ``step`` and appends ``acc``, so the new
-content is gcd(step, acc), a gcd of two integers rather than one over the
-whole list.
+Both run the recurrence through one loop, ``_miller_power``, on integers
+over one scale; each builds its own integer series W for it and scales
+the result back itself.
 
 The input type, ``DerivativeSequence``, lives in ``sequence``.
 """
@@ -32,7 +31,7 @@ from fractions import Fraction
 
 from .exact import as_rational, check_exponent, check_order, falling_factorial, scaled
 from .partitions import pair_divisor, partition_parts
-from .sequence import DerivativeSequence, SequenceTooShortError  # both still resolve here
+from .sequence import DerivativeSequence  # bench/workloads.py reads it from here
 
 __all__ = [
     "derivative_partition_sum",
@@ -105,15 +104,9 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     w = n - k + 1.  It needs psi up to order w only, and runs over
     integers: with x_i = a_i / D in the integer-scaled form of
     ``exact.scaled``, g's coefficients are G_i = a_{i+1} * (w! / (i+1)!)
-    over D * w!.  J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2,
-    section 4.7) raises g to the k-th power in one O(w**2) pass: with
-    G = t**s * W, W_0 != 0, v = (W / W_0)**k has v_0 = 1 and
-    j * W_0 * v_j = sum_{i=1}^{j} ((k+1)*i - j) * W_i * v_{j-i}, and
-    [t^(w-1)] g**k is W_0**k * v_{w-1-s*k} / (D * w!)**k, or 0 when
-    s*k > w - 1.  v_0..v_j are integers V over one scale with gcd 1; step
-    j multiplies them and the scale by j * W_0 and appends acc, the
-    sum above, so the content of the new list is c = gcd(j * W_0, acc):
-    the step multiplies by j * W_0 / c and appends acc / c.
+    over D * w!.  With G = t**s * W, W_0 != 0, ``_miller_power`` gives
+    v / scale = [t^(w-1-s*k)] (W / W_0)**k, and [t^(w-1)] g**k is
+    W_0**k * v / (scale * (D * w!)**k), or 0 when s*k > w - 1.
     """
     check_order(n)
     if k < 1 or k > n:
@@ -128,18 +121,9 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
         return Fraction(0)
     last = width - 1 - s * k
     W = G[s : s + last + 1]
-    w0 = W[0]
-    V, scale = [1], 1
-    for j in range(1, last + 1):
-        acc = sum(((k + 1) * i - j) * W[i] * V[j - i] for i in range(1, j + 1))
-        step = j * w0
-        c = math.gcd(step, acc)
-        f = step // c
-        V = [v * f for v in V]
-        V.append(acc // c)
-        scale *= f
+    v, scale = _miller_power(W, k)
     ratio = math.factorial(n) // math.factorial(k)
-    return Fraction(w0**k * V[-1] * ratio, scale * (d * top) ** k)
+    return Fraction(W[0] ** k * v * ratio, scale * (d * top) ** k)
 
 
 def derivative_bell(
@@ -157,16 +141,11 @@ def lagrange_power_coefficient(
 ) -> Fraction:
     """D^n(psi(y)**m) / n!, the outer function specialized to x**m.
 
-    J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, section 4.7)
-    on u_k = psi^(k) / k!, u_0 the base value, after factoring out the
-    lowest nonzero term, u = t**s * w with w_0 != 0: v = (w / w_0)**m has
-    v_0 = 1 and k * v_k = sum_{j=1}^{k} ((m+1)*j - k) * (w_j / w_0) * v_{k-j}.
-    The answer is w_0**m * v_{n - s*m}.  It runs on integers: w_j / w_0 =
-    W_j / d over their least common denominator d, and v_0..v_k are
-    integers V over one scale S with gcd 1; step k multiplies them and S
-    by k * d and appends acc, the sum above, so the content of the new
-    list is c = gcd(k * d, acc): the step multiplies by k * d / c and
-    appends acc / c.
+    The Taylor coefficients u_k = psi^(k) / k!, u_0 the base value, are
+    u = t**s * w with w_0 != 0, and the answer is w_0**m times
+    [t^(n-s*m)] (w / w_0)**m.  ``_miller_power`` gives that coefficient as
+    v / scale from W = [d, W_1, W_2, ...], where w_j / w_0 = W_j / d over
+    their least common denominator d.
 
     |m| is bounded by ``MAX_EXPONENT`` (2000), the bound ``x^m`` has as an
     expression: the integers grow with m, so a larger exponent is a
@@ -187,17 +166,32 @@ def lagrange_power_coefficient(
     w0 = u[s]
     ratios = [c / w0 for c in u[s + 1 : s + last + 1]]
     d = math.lcm(*(r.denominator for r in ratios))
-    W = [0] + [r.numerator * (d // r.denominator) for r in ratios]
-    V, S = [1], 1
-    for k in range(1, last + 1):
-        acc = sum(((m + 1) * j - k) * W[j] * V[k - j] for j in range(1, k + 1))
-        kd = k * d
-        c = math.gcd(kd, acc)
-        f = kd // c
+    W = [d] + [r.numerator * (d // r.denominator) for r in ratios]
+    v, scale = _miller_power(W, m)
+    return w0**m * Fraction(v, scale)
+
+
+def _miller_power(W: list[int], m: int) -> tuple[int, int]:
+    """v / scale = [t^N] (W(t) / W_0)**m, N = len(W) - 1, for integers W, W_0 != 0.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, section 4.7):
+    v = (W / W_0)**m has v_0 = 1 and
+    j * W_0 * v_j = sum_{i=1}^{j} ((m+1)*i - j) * W_i * v_{j-i}, one
+    O(N**2) pass.  v_0..v_j are integers V over one scale with gcd 1; step
+    j multiplies them and the scale by j * W_0 and appends acc, the sum
+    above, so the content of the new list is c = gcd(j * W_0, acc): the
+    step multiplies by j * W_0 / c and appends acc / c.
+    """
+    V, scale = [1], 1
+    for j in range(1, len(W)):
+        acc = sum(((m + 1) * i - j) * W[i] * V[j - i] for i in range(1, j + 1))
+        step = j * W[0]
+        c = math.gcd(step, acc)
+        f = step // c
         V = [v * f for v in V]
         V.append(acc // c)
-        S *= f
-    return w0**m * Fraction(V[-1], S)
+        scale *= f
+    return V[-1], scale
 
 
 def power_derivatives(m: int, x0: Fraction, n: int) -> DerivativeSequence:

@@ -550,17 +550,15 @@ def derivative_sequence_of(
     return DerivativeSequence(derivs=tuple(derivs), base=base)
 
 
-def taylor_polynomial(
-    seq: DerivativeSequence, at: Fraction | int | str, name: str = "y"
-) -> Expr:
+def taylor_polynomial(seq: DerivativeSequence, at: Fraction | int | str) -> Expr:
     """A polynomial whose derivatives at ``at`` reproduce ``seq`` exactly.
 
     Inverse of ``derivative_sequence_of`` up to the sequence length:
-    sum of d_k/k! * (var - at)**k, built in Horner form so later dense
+    sum of d_k/k! * (y - at)**k, built in Horner form so later dense
     expansion stays cheap.  A missing base value contributes 0.
     """
     point = as_rational(at)
-    shift = _add(Variable(name), Constant(-point))
+    shift = _add(Variable("y"), Constant(-point))
     coefficients = seq.taylor_coefficients(len(seq.derivs))
     node: Expr = Constant(coefficients[-1])
     for c in reversed(coefficients[:-1]):

@@ -68,8 +68,8 @@ def test_five_way_route_agreement():
                 assert derivative_bell(phi, psi, n) == reference
                 assert derivative_via_jets(phi, psi, n) == reference
                 symbolic = nth_derivative_of_composition(
-                    taylor_polynomial(phi, psi.base, "x"),
-                    taylor_polynomial(psi, at, "y"),
+                    taylor_polynomial(phi, psi.base),
+                    taylor_polynomial(psi, at),
                     n,
                     at,
                 )

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compderiv import composition, determinant, exact, partitions
+from compderiv import SequenceTooShortError, composition, determinant, exact, partitions
 from compderiv.composition import (
     DerivativeSequence,
-    SequenceTooShortError,
     derivative_bell,
     derivative_partition_sum,
     lagrange_power_coefficient,
@@ -371,10 +370,9 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
     # Only the partition sum may read the partition list, and it is out of
     # reach at these orders.  The determinant route gives the reference for
     # general phi; for phi = x**m, Lagrange's power route does.  Bell and
-    # Lagrange run the same Miller recurrence, but in separate code: Lagrange
-    # keeps its own integers and shares no integer-scaled form with the
-    # others, and the determinant and jet routes back each Bell =
-    # Lagrange * n! below.
+    # Lagrange share one Miller loop, _miller_power, so the determinant and
+    # jet routes, which share none of it, back each Bell = Lagrange * n!
+    # below.
     def refuse(order):
         raise AssertionError(f"partitions of {order} enumerated")
 

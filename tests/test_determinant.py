@@ -8,11 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from compderiv.composition import (
-    DerivativeSequence,
-    SequenceTooShortError,
-    derivative_partition_sum,
-)
+from compderiv import SequenceTooShortError
+from compderiv.composition import DerivativeSequence, derivative_partition_sum
 from compderiv.determinant import (
     CompositionMatrix,
     PhiPolynomial,

@@ -383,7 +383,7 @@ def test_composition_of_check_inputs_matches_the_determinant_route():
     rng = random.Random(4040)
     at = random_rational(rng)
     psi, phi = random_sequence(rng, n), random_sequence(rng, n)
-    exprs = taylor_polynomial(phi, psi.base, "x"), taylor_polynomial(psi, at, "y")
+    exprs = taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at)
     assert nth_derivative_of_composition(*exprs, n, at) == derivative_determinant(phi, psi, n)
 
 
