@@ -14,6 +14,7 @@ verification harness).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -143,8 +144,9 @@ class _Route(NamedTuple):
 
 # Every route, in reporting order.  The library checks each route's inputs;
 # with --method all (and in check), a route above its highest order is skipped.
-# A call looks its route function up on this module when it runs, so a name
-# rebound here later (a test's monkeypatch, a tracer's wrapper) sees it.
+# The keys become --method's choices once, when _build_parser first runs.  A
+# call looks its route function up on this module when it runs, so a name
+# rebound here later (a test's monkeypatch, a tracer's wrapper) still sees it.
 ROUTES = {
     "partition": _Route(
         1,
@@ -370,7 +372,15 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Nothing mutates it after the build, so one process reuses it across
+    ``main`` calls.  ``--method``'s choices (the keys of ``ROUTES``) and each
+    subcommand's ``set_defaults(func=_cmd_*)`` handler are fixed at that
+    build; the route functions themselves are looked up at call time.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit a JSON object instead of text"
@@ -433,8 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code; callable repeatedly in one process.
+
+    argparse usage errors and ``--help`` raise ``SystemExit`` (2 and 0).
+    """
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (_CliError, ValueError, ZeroDivisionError) as exc:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -756,6 +761,74 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        return exc.code
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    assert main(["bell", "-n", "1"]) == 0  # builds the parser if no earlier test has
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argvs = [
+        ["derive", "--phi", "x^2", "--psi", "y+1", "--at", "0", "-n", "2"],
+        ["expand", "-n", "3"],
+        ["check", "--max-n", "2", "--trials", "1"],
+        ["bell", "-n", "4", "-k", "2"],
+        ["derive", "-n", "0"],
+        ["derive", "--help"],
+    ]
+    assert [_exit_code(argv) for argv in argvs] == [0, 0, 0, 0, 2, 0]
+    assert built == []
+    assert "--phi-derivs" in capsys.readouterr().out
+
+
+# One of each subcommand and a usage error: (exit code, stdout, stderr) must not
+# depend on what the same process ran before.
+_REUSE_ARGVS = [
+    ["derive", "--phi", "x^3 + x", "--psi", "2*y^2 + y", "--at", "1", "-n", "4",
+     "--method", "all", "--json"],
+    ["derive", "--phi-derivs", '{"derivs":["1","1","1"]}',
+     "--psi-derivs", '{"derivs":["2","1","1"]}', "-n", "3"],
+    ["expand", "-n", "4", "--json"],
+    ["check", "--max-n", "3", "--trials", "2", "--json"],
+    ["bell", "-n", "4", "-k", "2", "--decimal", "2"],
+    ["derive", "--method", "nope", "-n", "1"],
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    in_process = []
+    for _ in range(2):
+        for argv in _REUSE_ARGVS:
+            code = _exit_code(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+    first, second = in_process[: len(_REUSE_ARGVS)], in_process[len(_REUSE_ARGVS):]
+    assert first == second
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 2]
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "compderiv", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for argv in _REUSE_ARGVS
+    ]
+    assert [(r.returncode, r.stdout, r.stderr) for r in fresh] == first
 
 
 def test_decimal_string_rounding():
