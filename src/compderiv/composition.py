@@ -5,8 +5,11 @@ functions themselves: the caller supplies psi', psi'', ... evaluated at
 the expansion point and phi', phi'', ... evaluated at psi of that point.
 
 * ``derivative_partition_sum`` sums one exact term per integer partition
-  of n (the primary closed form) on integers: integer weights over the
-  walk's prefixes, one running common denominator per outer order p.
+  of n (the primary closed form) on integers: one explicit stack fixes the
+  multiplicities of the sizes >= 3 and carries each prefix's integer
+  weight, a loop splits the rest into 2s and 1s, sizes where psi vanishes
+  are skipped, and one running common denominator is kept per outer
+  order p.
 * ``derivative_bell`` sums phi^(k) * B_{n,k} over the k where phi^(k) != 0;
   ``partial_bell`` gets B_{n,k} from Comtet's identity, the k-th power of
   a series read at one coefficient, and raises the series to that power by
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .exact import as_rational, check_exponent, check_order, falling_factorial, scaled
-from .partitions import pair_divisor, partition_parts
+from .partitions import check_partition_order, pair_divisor
 from .sequence import DerivativeSequence  # bench/workloads.py reads it from here
 
 __all__ = [
@@ -51,46 +54,63 @@ def derivative_partition_sum(
 
         n! / (prod m_j! * prod (j!)**m_j) * phi^(p) * prod psi^(j)**m_j,
 
-    and the sum runs on integers.  With psi^(j) = a_j / b_j, a stack over the
-    walk's leading pairs holds (num, den, p): num = n! / prod pair_divisor(j,
-    m_j) * prod a_j**m_j and den = prod b_j**m_j, starting at (n!, 1, 0).  Each
-    pair's three integers are computed once per call.  The floor division by
-    pair_divisor is exact at every prefix: its sizes sum to some m <= n, and
-    n! / prod divisors = (n! / m!) * (m! / prod divisors) is an integer.  The
-    walk says how many leading pairs each step kept, so the stack keeps what
-    the step left alone, and a zero prefix is not multiplied further.  The
-    terms with p parts add up to nums[p] / dens[p], dens[p] the running lcm of
-    their denominators, unreduced until the last step:
+    and the sum runs on integers.  With psi^(j) = a_j / b_j, a term is
+    num / den, num = n! / prod pair_divisor(j, m_j) * prod a_j**m_j and
+    den = prod b_j**m_j.  rows[j][m] = (pair_divisor(j, m), a_j**m, b_j**m)
+    is built once per call for each size j with psi^(j) != 0; a size with
+    psi^(j) = 0 takes m_j = 0 only, so no term that would be 0 is built.
+
+    One explicit stack walks the sizes j >= 3, largest first.  A frame is
+    a prefix: its (num, den, p) and the r units its sizes leave.  Popping
+    one pushes a frame for each m_j >= 1 of each smaller nonzero size j <= r
+    and leaves m_j = 0 for all of them; then a loop over m_2 splits r into
+    m_2 twos and m_1 = r - 2 * m_2 ones.  The frames pending at size j come
+    from one popped frame, so the stack holds at most sum_{j=3}^{n} n // j
+    < n * ln(n) frames.  The floor division by pair_divisor is exact at
+    every prefix: its sizes sum to some m <= n, and n! / prod divisors =
+    (n! / m!) * (m! / prod divisors) is an integer.  The terms with p parts
+    add up to nums[p] / dens[p], dens[p] the running lcm of their
+    denominators, unreduced until the last step:
     sum_p phi^(p) * nums[p] / dens[p].
     """
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    check_partition_order(n)
+    rows = [[(1, 1, 1)]] * (n + 2)  # m_j = 0 only, unless psi^(j) != 0; rows[2] at n = 1
+    below = [2] * (n + 1)  # below[k]: the largest j in 3..k with psi^(j) != 0, else 2
+    for j, d in enumerate(psi.derivs[:n], start=1):
+        if d:
+            a, b = d.numerator, d.denominator
+            rows[j] = [(pair_divisor(j, m), a**m, b**m) for m in range(n // j + 1)]
+        if j > 2:
+            below[j] = j if d else below[j - 1]
+    ones, twos = rows[1], rows[2]
     nums, dens = [0] * (n + 1), [1] * (n + 1)
-    stack = [(math.factorial(n), 1, 0)]  # stack[i]: num, den and parts of the first i pairs
-    for keep, parts in partition_parts(n):
-        del stack[keep + 1 :]
-        num, den, p = stack[-1]
-        for j, mj in parts[keep:]:
-            if num:  # a zero prefix stays zero
-                pair = pairs.get((j, mj))
-                if pair is None:
-                    d = psi.derivative(j)
-                    pair = pairs[j, mj] = (pair_divisor(j, mj), d.numerator**mj, d.denominator**mj)
-                divisor, top, bottom = pair
-                num = num // divisor * top
-                den *= bottom
-            p += mj
-            stack.append((num, den, p))
-        if num:
-            common = dens[p]
-            g = math.gcd(common, den)
-            if g == den:
-                nums[p] += num * (common // den)
+    stack = [(n, n, math.factorial(n), 1, 0)]  # sizes <= j left, r units, num, den, p
+    while stack:
+        j, r, num, den, p = stack.pop()
+        j = below[min(j, r)]
+        while j > 2:
+            row = rows[j]
+            for m in range(1, r // j + 1):
+                divisor, top, bottom = row[m]
+                stack.append((j - 1, r - j * m, num // divisor * top, den * bottom, p + m))
+            j = below[j - 1]
+        # m_2 runs over the values both rows hold, m_1 = r - 2 * m_2 included.
+        for m2 in range(max(0, r - len(ones) + 2) // 2, min(r // 2, len(twos) - 1) + 1):
+            divisor2, top2, bottom2 = twos[m2]
+            divisor1, top1, bottom1 = ones[r - 2 * m2]
+            term = num // divisor2 * top2 // divisor1 * top1
+            under = den * bottom2 * bottom1
+            q = p + r - m2
+            common = dens[q]
+            g = math.gcd(common, under)
+            if g == under:
+                nums[q] += term * (common // under)
             else:
-                scale = den // g
-                nums[p] = nums[p] * scale + num * (common // g)
-                dens[p] = common * scale
+                scale = under // g
+                nums[q] = nums[q] * scale + term * (common // g)
+                dens[q] = common * scale
     outer = zip(phi.derivs, nums[1:], dens[1:])
     return sum((d * Fraction(a, b) for d, a, b in outer if a and d), Fraction(0))
 

@@ -286,7 +286,9 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
     # Integer weights over a running common denominator per outer order give
     # the values the Fraction products gave, on value families that drive
     # each branch: coprime 64-bit denominators grow the common denominator,
-    # denominators of 2s and 3s mostly divide it, and zeros cut prefixes.
+    # denominators of 2s and 3s mostly divide it, and zeros prune sizes: a
+    # zero psi' or psi'' narrows the loop over the 2s and 1s, and a zero at a
+    # size j >= 3 drops every subtree with m_j > 0.
     rng = random.Random(1020)
 
     def small():
@@ -306,11 +308,23 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
     def smooth():
         return Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 4))
 
+    def zeros_at(n, sizes):
+        return seq(*[0 if j in sizes else random_rational(rng) or Fraction(1, 3) for j in range(1, n + 1)])
+
     families = {
         "small": lambda n: (seq(*[small() for _ in range(n)]), seq(*[small() for _ in range(n)])),
         "64-bit": lambda n: (seq(*[wide() for _ in range(n)]), seq(*coprime_wide(n))),
         "2s and 3s": lambda n: (seq(*[smooth() for _ in range(n)]), seq(*[smooth() for _ in range(n)])),
         "psi' = 0": lambda n: (seq(*[small() for _ in range(n)]), seq(0, *[small() for _ in range(n - 1)])),
+        "psi'' = 0": lambda n: (seq(*[small() for _ in range(n)]), zeros_at(n, {2})),
+        "one zero at a size j >= 3": lambda n: (
+            seq(*[small() for _ in range(n)]),
+            zeros_at(n, {rng.randint(3, max(n, 3))}),
+        ),
+        "only psi' and psi'' nonzero": lambda n: (
+            seq(*[small() for _ in range(n)]),
+            zeros_at(n, range(3, n + 1)),
+        ),
         "psi = 0": lambda n: (seq(*[small() for _ in range(n)]), seq(*[0] * n)),
     }
     for family, make in families.items():
@@ -320,6 +334,8 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
             assert derivative_partition_sum(phi, psi, n) == expected, (family, n)
             if family == "psi = 0":
                 assert expected == 0
+    phi, psi = families["small"](40)
+    assert derivative_partition_sum(phi, psi, 40) == partition_sum_on_fractions(phi, psi, 40)
 
 
 def refuse_integer_scaled_form(monkeypatch, names=("scaled", "reduced", "convolve")):
@@ -367,22 +383,23 @@ def test_bell_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 40, 60, 100])
 def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
-    # Only the partition sum may read the partition list, and it is out of
-    # reach at these orders.  The determinant route gives the reference for
-    # general phi; for phi = x**m, Lagrange's power route does.  Bell and
-    # Lagrange share one Miller loop, _miller_power, so the determinant and
-    # jet routes, which share none of it, back each Bell = Lagrange * n!
-    # below.
-    def refuse(order):
-        raise AssertionError(f"partitions of {order} enumerated")
+    # Only the partition sum may build a partition's term (pair_divisor) or
+    # list the partitions, and it is out of reach at these orders.  The
+    # determinant route gives the reference for general phi; for phi = x**m,
+    # Lagrange's power route does.  Bell and Lagrange share one Miller loop,
+    # _miller_power, so the determinant and jet routes, which share none of
+    # it, back each Bell = Lagrange * n! below.
+    def refuse(*args):
+        raise AssertionError(f"partition terms built from {args}")
 
     monkeypatch.setattr(partitions, "enumerate_multiplicity_vectors", refuse)
-    monkeypatch.setattr(composition, "partition_parts", refuse)
+    monkeypatch.setattr(composition, "pair_divisor", refuse)
     rng = random.Random(800 + n)
     phi, psi = random_sequence(rng, n), random_sequence(rng, n)
-    # The guard sits on the walk the partition route really reads.
-    with pytest.raises(AssertionError, match=f"partitions of {n} enumerated"):
-        derivative_partition_sum(phi, psi, n)
+    # The guard sits on the name the partition sum's walk really reads, at
+    # the highest order the sum accepts.
+    with pytest.raises(AssertionError, match="partition terms built"):
+        derivative_partition_sum(phi, psi, min(n, partitions.MAX_PARTITION_ORDER))
     psi = DerivativeSequence(derivs=psi.derivs, base=Fraction(3, 2))
     # 64-bit numerators and denominators, every third value zero; the
     # determinant on them is the slow part, so not at n = 100.

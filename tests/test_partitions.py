@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from compderiv.composition import DerivativeSequence, derivative_partition_sum
 from compderiv.partitions import (
     MAX_PARTITION_ORDER,
     enumerate_multiplicity_vectors,
@@ -102,6 +103,11 @@ def test_walk_order_bound():
         next(partition_parts(61))
     with pytest.raises(ValueError, match="MAX_PARTITION_ORDER"):
         enumerate_multiplicity_vectors(61)
+    # The sum walks sizes on its own stack and checks the same bound.
+    ones = DerivativeSequence(derivs=(1,) * 61)
+    with pytest.raises(ValueError) as err:
+        derivative_partition_sum(ones, ones, 61)
+    assert str(err.value) == "partition order 61 > MAX_PARTITION_ORDER = 60"
     with pytest.raises(ValueError):
         next(partition_parts(0))
 
