@@ -289,7 +289,7 @@ def _psi_monomial(parts: list[tuple[int, int]]) -> str:
 def _cmd_expand(args: argparse.Namespace) -> int:
     # One line, or one JSON array element, per partition as the walk reaches it.
     n = args.order
-    for index, (_, parts) in enumerate(partition_parts(n)):
+    for index, parts in enumerate(partition_parts(n)):
         m = multiplicity_vector(n, parts)
         smallest_first = parts[::-1]
         coefficient = int_text(partition_weight(n, parts))

@@ -11,10 +11,11 @@ inner derivatives times Phi.  The raw determinant equals
 
 The matrix is stored as the integer coefficients of its c * Phi entries
 over one common denominator, column by column in the order the
-expansion reads them; ``CompositionMatrix.entry`` rebuilds any entry as
-a ``PhiPolynomial`` for display, and ``PhiPolynomial`` is the type of the
-expanded determinant.  The expansion runs one power of Phi at a time, so
-the route stops it at the last power whose phi^(p) is nonzero.
+expansion reads them.  ``CompositionMatrix.entry`` rebuilds an entry as a
+``PhiPolynomial`` in the paper's layout, for the 3x3 acceptance check and
+the matrix tests; no route reads it.  The expansion, also a
+``PhiPolynomial``, runs one power of Phi at a time, so the route stops it
+at the last power whose phi^(p) is nonzero.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .exact import as_rational, format_rational, reduced, scaled
 from .sequence import DerivativeSequence
@@ -52,31 +53,15 @@ class PhiPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(
-        self,
-        coeffs: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = (),
-    ):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: Mapping[int, Fraction]):
         cleaned: dict[int, Fraction] = {}
-        for exponent, coefficient in items:
+        for exponent, coefficient in coeffs.items():
             if exponent < 0:
                 raise ValueError(f"Phi exponent must be non-negative: {exponent}")
             value = as_rational(coefficient)
             if value != 0:
                 cleaned[int(exponent)] = value
         self._coeffs = cleaned
-
-    @classmethod
-    def zero(cls) -> "PhiPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "PhiPolynomial":
-        return cls(((0, value),))
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: Fraction | int) -> "PhiPolynomial":
-        return cls(((exponent, coefficient),))
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self._coeffs.items()))
@@ -151,7 +136,7 @@ class CompositionMatrix:
         return self.n + 1
 
     def entry(self, r: int, c: int) -> PhiPolynomial:
-        """1-based access, matching the displayed determinant layout."""
+        """1-based access, in the paper's layout of the matrix."""
         if not (1 <= r <= self.size and 1 <= c <= self.size):
             raise IndexError(f"entry ({r},{c}) is outside the {self.size}x{self.size} matrix")
         if c == 1:
@@ -159,8 +144,8 @@ class CompositionMatrix:
         elif c > r:
             stored = self.columns[c - 2][r - 1]
         else:
-            return PhiPolynomial.constant(-1) if c == r else PhiPolynomial.zero()
-        return PhiPolynomial.monomial(1, Fraction(stored, self.scale))
+            return PhiPolynomial({0: -1} if c == r else {})
+        return PhiPolynomial({1: Fraction(stored, self.scale)})
 
 
 def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
@@ -221,11 +206,11 @@ def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> Phi
     columns, d = matrix.columns, matrix.scale
     sign = (-1) ** matrix.n
     # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
-    column, scale, terms = [1], 1, []
+    column, scale, terms = [1], 1, {}
     for p in range(1, top + 1):
         column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
         column, scale = reduced(column, scale * d)
-        terms.append((p, Fraction(sign * column[-1], scale)))
+        terms[p] = Fraction(sign * column[-1], scale)
     return PhiPolynomial(terms)
 
 

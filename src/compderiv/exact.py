@@ -158,7 +158,8 @@ def reduced(ints: list[int], den: int) -> tuple[list[int], int]:
 
 
 def convolve(a: Sequence[Any], b: Sequence[Any], size: int) -> list[Any]:
-    """The first ``size`` coefficients of a * b (lowest degree first)."""
+    """a * b (lowest degree first), cut after ``size`` coefficients; never padded."""
+    size = min(size, len(a) + len(b) - 1)
     out = [0] * size
     for i, x in enumerate(a[:size]):
         if x:

@@ -40,25 +40,23 @@ def check_partition_order(n: int) -> None:
         raise ValueError(f"partition order {n} > MAX_PARTITION_ORDER = {MAX_PARTITION_ORDER}")
 
 
-def partition_parts(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+def partition_parts(n: int) -> Iterator[list[tuple[int, int]]]:
     """Walk the partitions of ``n`` as (size, multiplicity) pairs, largest size first.
 
     The order is lexicographically decreasing in (m_n, ..., m_1), from [(n, 1)]
     to [(1, n)].  Each step is Zoghbi and Stojmenovic's ZS1 successor (1998) on
     one list, rewritten in place and valid until the next step, so memory is
-    O(n).  It yields ``(kept, parts)``, ``parts[:kept]`` being the pairs the step
-    left as they were.  ``check_partition_order`` bounds ``n``.
+    O(n).  It yields that list.  ``check_partition_order`` bounds ``n``.
     """
     check_partition_order(n)
-    kept, parts = 0, [(n, 1)]
+    parts = [(n, 1)]
     while True:
-        yield kept, parts
+        yield parts
         ones = parts.pop()[1] if parts[-1][0] == 1 else 0
         if not parts:
             return
         # One part of the smallest size k > 1, plus the ones, refilled greedily below k.
         k, c = parts.pop()
-        kept = len(parts)
         if c > 1:
             parts.append((k, c - 1))
         q, r = divmod(k + ones, k - 1)
@@ -78,7 +76,7 @@ def multiplicity_vector(n: int, parts: Iterable[tuple[int, int]]) -> tuple[int, 
 def enumerate_multiplicity_vectors(n: int) -> list[tuple[int, ...]]:
     """All multiplicity vectors of order ``n``, in the order of ``partition_parts``.
     Benchmark API: ``bench/tracing.py`` looks this name up."""
-    return [multiplicity_vector(n, parts) for _, parts in partition_parts(n)]
+    return [multiplicity_vector(n, parts) for parts in partition_parts(n)]
 
 
 def pair_divisor(j: int, mj: int) -> int:

@@ -449,11 +449,11 @@ def _dense_scaled(
             base, den = done[node.base]
             out = [1]
             for _ in range(node.exponent):
-                out = convolve(out, base, min(size, len(out) + len(base) - 1))
+                out = convolve(out, base, size)
             return reduced(out, den**node.exponent)
         (left, da), (right, db) = done[node.left], done[node.right]
         if kind is Mul:
-            return reduced(convolve(left, right, min(size, len(left) + len(right) - 1)), da * db)
+            return reduced(convolve(left, right, size), da * db)
         den = math.lcm(da, db)
         fa, fb = den // da, den // db
         return [a * fa + b * fb for a, b in zip_longest(left, right, fillvalue=0)], den

@@ -7,7 +7,8 @@ their own recurrence, and multiplicity vectors are found by filtering a
 bounded product.  These double-check the fast implementations without
 sharing any code with them.  The exceptions are the earlier loops of
 three routes, kept to pin the integer arithmetic that replaced them:
-``partition_sum_on_fractions`` (the partition walk on Fractions),
+``partition_sum_on_fractions`` (one Fraction product per partition that
+``partition_parts`` lists),
 ``partial_bell_by_binomials`` (Comtet's binomial recurrence, where the
 route now runs Miller's power recurrence) and
 ``power_coefficient_on_fractions`` (Miller's recurrence on Fractions).
@@ -113,7 +114,7 @@ def composition_derivative_by_set_partitions(
 def partition_sum_on_fractions(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int
 ) -> Fraction:
-    """D_y^n of phi(psi(y)) as the partition sum, one Fraction product per pair.
+    """D_y^n of phi(psi(y)) as the partition sum, one Fraction product per partition.
 
     sums[p] adds the products of the pair factors psi^(j)**m_j / (m_j! *
     (j!)**m_j) over the partitions with p parts, and the answer is n! * sum_p
@@ -123,23 +124,17 @@ def partition_sum_on_fractions(
     psi.require_order(n, "psi")
     factors: dict[tuple[int, int], Fraction] = {}
     sums = [Fraction(0)] * (n + 1)
-    stack = [(Fraction(1), 0)]  # stack[i]: product and parts of the first i pairs
-    for keep, parts in partition_parts(n):
-        del stack[keep + 1 :]
-        product, p = stack[-1]
-        for j, mj in parts[keep:]:
+    for parts in partition_parts(n):
+        product = Fraction(1)
+        for j, mj in parts:
             factor = factors.get((j, mj))
             if factor is None:
                 # One normalisation, where a power and then a division make two.
                 d = psi.derivative(j)
                 factor = Fraction(d.numerator**mj, d.denominator**mj * pair_divisor(j, mj))
                 factors[j, mj] = factor
-            if product:  # a zero prefix stays zero
-                product *= factor
-            p += mj
-            stack.append((product, p))
-        if product:
-            sums[p] += product
+            product *= factor
+        sums[sum(mj for _, mj in parts)] += product
     total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
     return math.factorial(n) * total
 

@@ -87,11 +87,10 @@ def test_second_order_determinant_example():
     with criterion("n=2 determinant example (3x3 entries + 50 random expansions)"):
         p1, p2, p3 = Fraction(2), Fraction(1), Fraction(1)
         matrix = build_matrix(DerivativeSequence(derivs=(p1, p2, p3)), 2)
-        T = PhiPolynomial.monomial
         expected = [
-            [T(1, p3), T(1, p1), T(1, 2 * p2)],
-            [T(1, p2), PhiPolynomial.constant(-1), T(1, p1)],
-            [T(1, p1), PhiPolynomial.zero(), PhiPolynomial.constant(-1)],
+            [PhiPolynomial({1: p3}), PhiPolynomial({1: p1}), PhiPolynomial({1: 2 * p2})],
+            [PhiPolynomial({1: p2}), PhiPolynomial({0: -1}), PhiPolynomial({1: p1})],
+            [PhiPolynomial({1: p1}), PhiPolynomial({}), PhiPolynomial({0: -1})],
         ]
         for r in range(1, 4):
             for c in range(1, 4):

@@ -96,6 +96,34 @@ def test_derive_method_all_expression_inputs(capsys):
     assert len(set(payload["values"].values())) == 1
 
 
+def test_derive_output_bytes_on_expression_input(capsys):
+    # --method symbolic reads only the parsed expressions; one route's --json
+    # carries --show-expansion and --decimal; --method all's --json carries
+    # one decimal per route.
+    common = ["derive", "--phi", "x^3+x", "--psi", "2*y^2+y", "--at", "1/2", "-n", "4"]
+    symbolic = run(capsys, *common, "--method", "symbolic")
+    assert symbolic == (0, "1584\n", "")
+    assert run(
+        capsys, *common, "--method", "determinant", "--show-expansion", "--json", "--decimal", "2"
+    ) == (
+        0,
+        '{"n": 4, "method": "determinant", "value": "1584", '
+        '"expansion": "-81*Phi^4 - 216*Phi^3 - 48*Phi^2", "decimal": "1584.00"}\n',
+        "",
+    )
+    code, out, err = run(capsys, *common, "--method", "all", "--json", "--decimal", "3")
+    routes = ["partition", "bell", "determinant", "series", "symbolic"]
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"n": 4, "method": "all", "values": {'
+        + ", ".join(f'"{m}": "1584"' for m in routes)
+        + '}, "agree": true, "decimal": {'
+        + ", ".join(f'"{m}": "1584.000"' for m in routes)
+        + "}}\n"
+    )
+    assert json.loads(out)["values"]["symbolic"] + "\n" == symbolic[1]
+
+
 def test_derive_method_all_sequence_inputs_excludes_expr_routes(capsys):
     code, out, _ = run(
         capsys,
@@ -144,6 +172,16 @@ def test_derive_rejects_mixed_input_styles(capsys):
     )
     assert code == 2
     assert "not both" in err
+
+    # Each input style needs all of its flags.
+    for argv, missing in [
+        (["--phi", "x", "--psi", "y"], "expression input needs all of --phi, --psi and --at"),
+        (
+            ["--phi-derivs", '{"derivs":[1,2]}'],
+            "derivative input needs both --phi-derivs and --psi-derivs",
+        ),
+    ]:
+        assert run(capsys, "derive", *argv, "-n", "2") == (2, "", f"error: {missing}\n")
 
 
 def test_derive_rejects_malformed_json(capsys):
@@ -225,6 +263,9 @@ def test_derive_rejects_bad_expression(capsys):
     )
     assert code == 2
     assert "syntax error" in err
+    assert run(capsys, "derive", "--phi=(x", "--psi=y", "--at=1", "-n", "2") == (
+        2, "", "error: syntax error at offset 2: expected ')', found 'end of input'\n"
+    )
 
     long = "1" * 4301
     for phi, at in [("x + " + long, "0"), ("x", long), ("x", "1/" + long)]:
@@ -725,10 +766,22 @@ def test_bell_json(capsys):
 
 # --- shared flag plumbing ------------------------------------------------------------
 
-def test_usage_error_exit_code_is_two():
+def test_usage_error_exit_code_is_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["derive"])  # missing required -n
     assert excinfo.value.code == 2
+    # Negative counts are refused by the argument type.
+    for argv, flag in (
+        (["check", "--seed", "-1"], "--seed"),
+        (["derive", "--phi", "x", "--psi", "y", "--at", "0", "-n", "1", "--decimal", "-1"],
+         "--decimal"),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"error: argument {flag}: must be a non-negative integer, got -1")
     # --seed belongs to check and --decimal to derive and bell only.
     for argv in (
         ["expand", "-n", "2", "--seed", "5"],

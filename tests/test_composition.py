@@ -117,6 +117,9 @@ def test_rejects_nonpositive_order():
         with pytest.raises(ValueError) as err:
             call(top + 1)
         assert str(err.value) == f"derivative order {top + 1} > MAX_ORDER = {top}"
+    # Reading derivative 0 of a sequence is an error, not derivs[-1].
+    with pytest.raises(ValueError, match="derivative order must be >= 1, got 0"):
+        seq(1, 2).derivative(0)
 
 
 @given(
@@ -622,6 +625,8 @@ def test_power_route_zero_base_negative_exponent_raises():
     for psi in (seq(2, 3, base=0), seq(0, 0, base=0)):
         with pytest.raises(ZeroDivisionError):
             lagrange_power_coefficient(psi, -1, 2)
+    with pytest.raises(ZeroDivisionError, match=r"x\*\*-1 is undefined at 0"):
+        power_derivatives(-1, 0, 3)
 
 
 def test_power_route_requires_base():

@@ -76,7 +76,7 @@ def test_canonical_order_is_decreasing_lex_in_reversed_vector(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_walk_yields_the_vectors_in_order_largest_size_first(n):
     walked = []
-    for _, parts in partition_parts(n):
+    for parts in partition_parts(n):
         assert [j for j, _ in parts] == sorted((j for j, _ in parts), reverse=True)
         walked.append(sorted(parts))
     assert walked == [
@@ -85,20 +85,9 @@ def test_walk_yields_the_vectors_in_order_largest_size_first(n):
     ]
 
 
-@pytest.mark.parametrize("n", range(1, 21))
-def test_walk_reports_the_pairs_it_kept(n):
-    previous = None
-    for kept, parts in partition_parts(n):
-        if previous is None:
-            assert kept == 0
-        else:
-            assert 0 <= kept < len(parts) and parts[:kept] == previous[:kept]
-        previous = list(parts)
-
-
 def test_walk_order_bound():
     assert MAX_PARTITION_ORDER == 60
-    assert next(partition_parts(60)) == (0, [(60, 1)])
+    assert next(partition_parts(60)) == [(60, 1)]
     with pytest.raises(ValueError, match="MAX_PARTITION_ORDER"):
         next(partition_parts(61))
     with pytest.raises(ValueError, match="MAX_PARTITION_ORDER"):

@@ -66,6 +66,9 @@ def test_parse_negative_exponent_rejected():
         parse("x^-1")
     assert err.value.offset == 2
     assert any("integer" in e for e in err.value.expected)
+    # Built directly, a negative power is refused as well.
+    with pytest.raises(ValueError, match="Pow exponent must be non-negative"):
+        Pow(X, -1)
 
 
 def test_parse_power_tower_needs_parentheses():
@@ -309,6 +312,11 @@ def test_evaluate_at_zero_gives_constant_term():
 
 def test_evaluate_cubic():
     assert evaluate(parse("6*x^3 - 1"), 2) == 47
+
+
+def test_evaluate_rejects_a_value_that_is_not_a_node():
+    with pytest.raises(TypeError, match="not an expression node: 3"):
+        evaluate(3, 1)
 
 
 # --- composition -------------------------------------------------------------------
