@@ -13,10 +13,11 @@ There is no floating point anywhere in the computational core.
 The integer-scaled form of rationals is integers over their least common
 denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
-coefficient lists.  The Bell route uses ``scaled``; the determinant and
-jet routes ``scaled`` and ``reduced``, and the symbolic expansion
-``reduced`` and ``convolve``; the partition and power routes keep
-integers of their own and use none of them.
+coefficient lists.  The Bell route uses ``scaled``; the determinant
+``scaled`` and ``reduced``; the jet route ``reduced``, since it writes
+each row of its table over the lcm of the denominators that row reads;
+and the symbolic expansion ``reduced`` and ``convolve``.  The partition
+and power routes keep integers of their own and use none of them.
 """
 
 from __future__ import annotations

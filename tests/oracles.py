@@ -6,12 +6,15 @@ pentagonal-number recurrence, Stirling numbers of the second kind from
 their own recurrence, and multiplicity vectors are found by filtering a
 bounded product.  These double-check the fast implementations without
 sharing any code with them.  The exceptions are the earlier loops of
-three routes, kept to pin the integer arithmetic that replaced them:
+four routes, kept to pin the integer arithmetic that replaced them:
 ``partition_sum_on_fractions`` (one Fraction product per partition that
 ``partition_parts`` lists),
 ``partial_bell_by_binomials`` (Comtet's binomial recurrence, where the
-route now runs Miller's power recurrence) and
-``power_coefficient_on_fractions`` (Miller's recurrence on Fractions).
+route now runs Miller's power recurrence),
+``power_coefficient_on_fractions`` (Miller's recurrence on Fractions) and
+``jet_compose_on_fractions`` (Horner's scheme on Fraction Taylor
+coefficients, where the route runs on derivative values over graded
+integer denominators).
 """
 
 from __future__ import annotations
@@ -181,6 +184,32 @@ def power_coefficient_on_fractions(psi: DerivativeSequence, m: int, n: int) -> F
         acc = sum(((m + 1) * j - k) * w[j] * v[k - j] for j in range(1, k + 1))
         v.append(acc / (k * w[0]))
     return v[-1]
+
+
+def jet_compose_on_fractions(
+    outer: DerivativeSequence, inner: DerivativeSequence
+) -> DerivativeSequence:
+    """The jet ``outer`` at the jet ``inner``, both of the same order, on Fractions.
+
+    Horner's scheme r <- r * u + b_k with Cauchy products on the Taylor
+    coefficients d_k / k!; the inner series u is centered, so its base is
+    not read.
+    """
+    order = len(inner.derivs)
+    b = [outer.base or Fraction(0)] + [
+        d / math.factorial(k) for k, d in enumerate(outer.derivs, 1)
+    ]
+    u = [Fraction(0)] + [d / math.factorial(k) for k, d in enumerate(inner.derivs, 1)]
+    r = [Fraction(0)] * (order + 1)
+    for b_k in reversed(b):
+        r = [
+            sum((r[i] * u[m - i] for i in range(m + 1)), Fraction(0))
+            for m in range(order + 1)
+        ]
+        r[0] += b_k
+    return DerivativeSequence(
+        tuple(math.factorial(m) * r[m] for m in range(1, order + 1)), outer.base
+    )
 
 
 def random_rational(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:

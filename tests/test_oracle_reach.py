@@ -32,9 +32,13 @@ def _off_by_one(result):
         (exact, "convolve", CHECK),
         (DerivativeSequence, "taylor_coefficients", CHECK),
         (math, "comb", CHECK),
+        (math, "lcm", CHECK),
         (symbolic, "derivative_sequence_of", DERIVE),
     ],
-    ids=["scaled", "reduced", "convolve", "taylor_coefficients", "comb", "derivative_sequence_of"],
+    ids=[
+        "scaled", "reduced", "convolve", "taylor_coefficients", "comb", "lcm",
+        "derivative_sequence_of",
+    ],
 )
 def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
     capsys, monkeypatch, owner, name, argv

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given
@@ -17,7 +16,7 @@ from compderiv.series import (
     jet_from_derivatives,
     jet_mul,
 )
-from oracles import random_sequence
+from oracles import jet_compose_on_fractions, random_sequence
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -102,6 +101,18 @@ jet_entries = st.one_of(
     st.builds(Fraction, st.integers(-(2**63), 2**63), st.integers(1, 2**64)),
 )
 
+# 64-bit numerators over four 64-bit primes, mixed with zeros and small values:
+# the lcm of the first m inner denominators stops growing once each prime has
+# come up, so a wide jet has rows both below and at the lcm of them all.
+PRIME_DENOMINATORS = (2**64 - 59, 2**64 - 83, 2**64 - 95, 2**63 - 25)
+shared_prime_entries = st.one_of(
+    st.just(Fraction(0)),
+    small_rationals,
+    st.builds(
+        Fraction, st.integers(-(2**63), 2**63), st.sampled_from(PRIME_DENOMINATORS)
+    ),
+)
+
 
 @given(st.integers(0, 12), st.data())
 def test_compose_matches_horner_on_fractions(order, data):
@@ -109,24 +120,16 @@ def test_compose_matches_horner_on_fractions(order, data):
         return data.draw(
             st.one_of(
                 st.lists(jet_entries, min_size=order + 1, max_size=order + 1),
+                st.lists(shared_prime_entries, min_size=order + 1, max_size=order + 1),
                 st.just([Fraction(0)] * (order + 1)),
             )
         )
 
     outer, inner = jet(*values()), jet(*values())
-    # Horner's scheme r <- r * inner + b_k with Cauchy products on the Taylor
-    # coefficients d_k / k!, on Fractions; the inner series is centered.
-    b = [outer.base] + [d / factorial(k) for k, d in enumerate(outer.derivs, 1)]
-    u = [Fraction(0)] + [d / factorial(k) for k, d in enumerate(inner.derivs, 1)]
-    r = [Fraction(0)] * (order + 1)
-    for b_k in reversed(b):
-        r = [
-            sum((r[i] * u[m - i] for i in range(m + 1)), Fraction(0))
-            for m in range(order + 1)
-        ]
-        r[0] += b_k
-    expected = jet(r[0], *(factorial(m) * r[m] for m in range(1, order + 1)))
+    expected = jet_compose_on_fractions(outer, inner)
     assert jet_compose(outer, inner) == expected
+    if order:
+        assert derivative_via_jets(outer, inner, order) == expected.derivs[-1]
 
 
 @pytest.mark.parametrize("seed", range(3))
