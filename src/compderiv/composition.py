@@ -24,6 +24,11 @@ Both run the recurrence through one loop, ``_miller_power``, on integers
 over one scale; each builds its own integer series W for it and scales
 the result back itself.
 
+The partition sum and Bell add their outer orders, phi^(p) = f_p / g_p
+times an inner coefficient N_p / D_p, with ``exact.rational_sum`` on the
+integer pairs (f_p * N_p, g_p * D_p): one running lcm and one reduced
+``Fraction`` per call.
+
 The input type, ``DerivativeSequence``, lives in ``sequence``.
 """
 
@@ -32,7 +37,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import as_rational, check_exponent, check_order, falling_factorial, scaled
+from .exact import (
+    as_rational,
+    check_exponent,
+    check_order,
+    falling_factorial,
+    rational_sum,
+    scaled,
+)
 from .partitions import check_partition_order, pair_divisor
 from .sequence import DerivativeSequence  # bench/workloads.py reads it from here
 
@@ -70,8 +82,8 @@ def derivative_partition_sum(
     every prefix: its sizes sum to some m <= n, and n! / prod divisors =
     (n! / m!) * (m! / prod divisors) is an integer.  The terms with p parts
     add up to nums[p] / dens[p], dens[p] the running lcm of their
-    denominators, unreduced until the last step:
-    sum_p phi^(p) * nums[p] / dens[p].
+    denominators, unreduced until the last step: ``exact.rational_sum``
+    adds sum_p phi^(p) * nums[p] / dens[p] over one more running lcm.
     """
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
@@ -112,7 +124,7 @@ def derivative_partition_sum(
                 nums[q] = nums[q] * scale + term * (common // g)
                 dens[q] = common * scale
     outer = zip(phi.derivs, nums[1:], dens[1:])
-    return sum((d * Fraction(a, b) for d, a, b in outer if a and d), Fraction(0))
+    return rational_sum((d.numerator * a, d.denominator * b) for d, a, b in outer)
 
 
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
@@ -126,14 +138,18 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     ``exact.scaled``, g's coefficients are G_i = a_{i+1} * (w! / (i+1)!)
     over D * w!.  With G = t**s * W, W_0 != 0, ``_miller_power`` gives
     v / scale = [t^(w-1-s*k)] (W / W_0)**k, and [t^(w-1)] g**k is
-    W_0**k * v / (scale * (D * w!)**k), or 0 when s*k > w - 1.
+    (W_0 / (D * w!))**k * v / scale, or 0 when s*k > w - 1.  The lead
+    W_0 / (D * w!) is psi^(s+1) / (s+1)!, so with psi^(s+1) = p / q,
+    B_{n,k} = p**k * v * (n!/k!) / ((q * (s+1)!)**k * scale): the k-th
+    powers are of psi^(s+1)'s own numerator and denominator, not of the
+    wider W_0 and D * w!.
     """
     check_order(n)
     if k < 1 or k > n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     width = n - k + 1
     psi.require_order(width, "psi")
-    xs, d = scaled(psi.derivs[:width])
+    xs, _ = scaled(psi.derivs[:width])
     top = math.factorial(width)
     G = [a * (top // math.factorial(i)) for i, a in enumerate(xs, start=1)]
     s = next((i for i, c in enumerate(G) if c), None)
@@ -143,7 +159,9 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     W = G[s : s + last + 1]
     v, scale = _miller_power(W, k)
     ratio = math.factorial(n) // math.factorial(k)
-    return Fraction(W[0] ** k * v * ratio, scale * (d * top) ** k)
+    lead = psi.derivs[s]
+    under = (lead.denominator * math.factorial(s + 1)) ** k * scale
+    return Fraction(lead.numerator**k * v * ratio, under)
 
 
 def derivative_bell(
@@ -153,7 +171,8 @@ def derivative_bell(
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     outer = enumerate(phi.derivs[:n], start=1)
-    return sum((d * partial_bell(n, k, psi) for k, d in outer if d), Fraction(0))
+    bells = ((d, partial_bell(n, k, psi)) for k, d in outer if d)
+    return rational_sum((d.numerator * b.numerator, d.denominator * b.denominator) for d, b in bells)
 
 
 def lagrange_power_coefficient(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .exact import as_rational, format_rational, reduced, scaled
+from .exact import as_rational, format_rational, rational_sum, reduced, scaled
 from .sequence import DerivativeSequence
 
 __all__ = [
@@ -217,17 +217,15 @@ def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> Phi
 def interpret_phi_polynomial(
     polynomial: PhiPolynomial, phi: DerivativeSequence
 ) -> Fraction:
-    """Read each exponent as a derivation order: c * Phi**p -> c * phi^(p)."""
+    """Read each exponent as a derivation order: c * Phi**p -> c * phi^(p).
+
+    The terms add up with ``exact.rational_sum``, over one running lcm.
+    """
     top = max((exponent for exponent, _ in polynomial.items()), default=0)
     if top:
         phi.require_order(top, "phi")
-    total = Fraction(0)
-    for exponent, coefficient in polynomial.items():
-        if exponent == 0:
-            total += coefficient
-        else:
-            total += coefficient * phi.derivative(exponent)
-    return total
+    terms = ((c, phi.derivative(e) if e else 1) for e, c in polynomial.items())
+    return rational_sum((c.numerator * d.numerator, c.denominator * d.denominator) for c, d in terms)
 
 
 def derivative_determinant(

@@ -18,6 +18,12 @@ coefficient lists.  The Bell route uses ``scaled``; the determinant
 each row of its table over the lcm of the denominators that row reads;
 and the symbolic expansion ``reduced`` and ``convolve``.  The partition
 and power routes keep integers of their own and use none of them.
+
+``rational_sum`` adds integer pairs num / den over one running lcm of the
+denominators and reduces once, at the end.  The partition sum, Bell and
+the determinant's ``interpret_phi_polynomial`` add their terms phi^(p)
+times an inner coefficient with it; the jet and symbolic routes do not
+read it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import decimal
 import math
 import re
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "MAX_LITERAL_DIGITS",
@@ -42,6 +48,7 @@ __all__ = [
     "scaled",
     "reduced",
     "convolve",
+    "rational_sum",
 ]
 
 # Text form is "p/q" or "p" (q=1 elided) with an optional leading minus.
@@ -168,3 +175,26 @@ def convolve(a: Sequence[Any], b: Sequence[Any], size: int) -> list[Any]:
                 if y:
                     out[j] += x * y
     return out
+
+
+def rational_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of num / den over integer pairs with den > 0, as one reduced Fraction.
+
+    The terms add up over one running lcm of their denominators, unreduced:
+    a term whose denominator divides it costs one division and one product,
+    any other lifts the sum by den / gcd.  A zero term is skipped, so it
+    does not grow the lcm.  One gcd per term and one Fraction at the end,
+    instead of a reduced Fraction and the gcds of its product and sum per term.
+    """
+    total, common = 0, 1
+    for num, den in pairs:
+        if not num:
+            continue
+        g = math.gcd(common, den)
+        if g == den:
+            total += num * (common // den)
+        else:
+            scale = den // g
+            total = total * scale + num * (common // g)
+            common *= scale
+    return Fraction(total, common)

@@ -449,7 +449,9 @@ def test_partial_bell_equals_the_binomial_recurrence():
     # and on 64-bit numerators and denominators, with zeros among them; on psi
     # vanishing through order s = 1, 2 and 3, where the recurrence runs on the
     # shifted series and B_{n,k} = 0 once s*k > n - k; on all-zero psi; on
-    # 64-bit psi with psi' = 0; and on odd psi with psi' < 0.  There every
+    # 64-bit psi with psi' = 0, and with psi' = psi'' = 0, where the lead
+    # psi^(3) / 3! cancels the factor 2 or 3 that the numerator of psi^(3)
+    # shares with 3!; and on odd psi with psi' < 0.  There every
     # even-order derivative is 0, so g is even, acc is 0 at every odd step,
     # gcd(step, acc) = |step| and the step multiplies by -1; B_{n,k} = 0 when
     # n - k is odd.
@@ -473,6 +475,7 @@ def test_partial_bell_equals_the_binomial_recurrence():
         *(vanishing(s) for s in (1, 2, 3)),
         lambda n: seq(*[0] * n),
         lambda n: seq(0, *[wide() or 1 for _ in range(n - 1)]),
+        lambda n: seq(*[0, 0, (2 + n % 2) * (wide() or 1), *[wide() for _ in range(n - 3)]][:n]),
     ]
     odd_makers = [odd(small), odd(wide)]
     makers += odd_makers

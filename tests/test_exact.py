@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from compderiv.exact import (
     format_rational,
     int_text,
     parse_rational,
+    rational_sum,
     reduced,
     scaled,
 )
@@ -212,3 +214,50 @@ def test_convolve_of_scaled_lists_matches_fraction_arithmetic(a, b, size):
     assert convolve(a, b, size) == expected
     (ia, da), (ib, db) = scaled(a), scaled(b)
     assert [Fraction(c, da * db) for c in convolve(ia, ib, size)] == expected
+
+
+# --- sums over one running lcm --------------------------------------------------
+
+
+def assert_rational_sum(pairs):
+    total = rational_sum(pairs)
+    assert total == sum((Fraction(a, b) for a, b in pairs), Fraction(0))
+    assert total.denominator > 0 and math.gcd(total.numerator, total.denominator) == 1
+    return total
+
+
+def test_rational_sum_of_no_terms_and_of_zero_terms_is_zero():
+    assert assert_rational_sum([]) == 0
+    assert assert_rational_sum([(0, 7), (0, 2**64 - 59)]) == 0
+
+
+def test_rational_sum_over_one_repeated_denominator():
+    # Every denominator after the first divides the running lcm (g == den).
+    assert assert_rational_sum([(3, 14), (-5, 14), (9, 14)]) == Fraction(1, 2)
+    assert assert_rational_sum([(1, 12), (0, 5), (1, 4), (-1, 6), (-1, 12)]) == Fraction(1, 12)
+    assert assert_rational_sum([(-4, 6), (-1, 3)]) == -1
+
+
+def test_rational_sum_over_pairwise_coprime_64_bit_denominators():
+    # Each term lifts the lcm; with every num / den reduced, the sum's
+    # denominator is the product of all of them.
+    rng = random.Random(29)
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < 12:
+        num, den = rng.randrange(-(2**63), 2**63), rng.randrange(2**63, 2**64)
+        if math.gcd(num, den) == 1 and all(math.gcd(den, d) == 1 for _, d in pairs):
+            pairs.append((num, den))
+    assert assert_rational_sum(pairs).denominator == math.prod(d for _, d in pairs)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-(2**70), 2**70),
+            st.one_of(st.integers(1, 12), st.integers(1, 2**64)),
+        ),
+        max_size=12,
+    )
+)
+def test_rational_sum_equals_the_fraction_sum(pairs):
+    assert_rational_sum(pairs)

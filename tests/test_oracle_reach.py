@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +15,8 @@ DERIVE = ["derive", "--phi", "x^3 + x", "--psi", "2*y^2 + y", "--at", "1/2", "-n
 
 
 def _off_by_one(result):
-    """``result`` with one unit added to its last entry."""
-    if isinstance(result, int):
+    """``result`` plus one unit: to the number itself, or to its last entry."""
+    if isinstance(result, (int, Fraction)):
         return result + 1
     if isinstance(result, DerivativeSequence):
         return DerivativeSequence(_off_by_one(result.derivs), result.base)
@@ -30,13 +31,14 @@ def _off_by_one(result):
         (exact, "scaled", CHECK),
         (exact, "reduced", CHECK),
         (exact, "convolve", CHECK),
+        (exact, "rational_sum", CHECK),
         (DerivativeSequence, "taylor_coefficients", CHECK),
         (math, "comb", CHECK),
         (math, "lcm", CHECK),
         (symbolic, "derivative_sequence_of", DERIVE),
     ],
     ids=[
-        "scaled", "reduced", "convolve", "taylor_coefficients", "comb", "lcm",
+        "scaled", "reduced", "convolve", "rational_sum", "taylor_coefficients", "comb", "lcm",
         "derivative_sequence_of",
     ],
 )
@@ -45,10 +47,12 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
 ):
     """The five-way check reaches every helper that two or more routes read.
 
-    The helper's result gets one unit added to its last entry, under its
-    name in every module that holds it, and the command that passed
-    before exits 3.  ``derivative_sequence_of`` is read by the four closed
-    routes on expression input, so only the symbolic route sees its fault.
+    The helper's result gets one unit added to it, or to its last entry,
+    under its name in every module that holds it, and the command that
+    passed before exits 3.  ``derivative_sequence_of`` is read by the four
+    closed routes on expression input, so only the symbolic route sees its
+    fault; ``rational_sum`` is read by the partition, Bell and determinant
+    routes, so the series and symbolic routes see its fault.
 
     Out of the oracle's reach: ``parse``, ``parse_rational`` and
     ``as_rational``, ``cli._random_sequence`` and the CLI's own comparison
