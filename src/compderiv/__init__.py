@@ -32,7 +32,6 @@ from .determinant import (
 )
 from .exact import (
     as_rational,
-    falling_factorial,
     format_rational,
     parse_rational,
 )
@@ -57,7 +56,6 @@ from .symbolic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "falling_factorial",
     "parse_rational",
     "format_rational",
     "as_rational",

@@ -111,7 +111,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
     try:
-        # JSON integers are read by parse_rational too, so they meet its digit bound.
+        # JSON integers are read by parse_rational too, so they meet its digit bound;
+        # they stay ints, so a message that shows the JSON shows 3, not Fraction(3, 1).
         data = json.loads(
             text, parse_int=lambda s: int(parse_rational(s)), object_pairs_hook=_unique_keys
         )
@@ -122,9 +123,8 @@ def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
             raise ValueError(f"unknown key {unknown[0]!r} in derivative sequence JSON")
         if not isinstance(data["derivs"], list):
             raise ValueError(f"'derivs' must be a list: {data['derivs']!r}")
-        derivs = tuple(as_rational(v) for v in data["derivs"])
-        base = as_rational(data["base"]) if "base" in data else None
-        return DerivativeSequence(derivs, base)
+        base = as_rational(data["base"]) if "base" in data else None  # "base": null is an error
+        return DerivativeSequence(data["derivs"], base)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise _CliError(f"{flag}: invalid JSON: {exc}") from exc
     except (ValueError, TypeError) as exc:

@@ -41,7 +41,6 @@ from .exact import (
     as_rational,
     check_exponent,
     check_order,
-    falling_factorial,
     rational_sum,
     scaled,
 )
@@ -183,8 +182,8 @@ def lagrange_power_coefficient(
     The Taylor coefficients u_k = psi^(k) / k!, u_0 the base value, are
     u = t**s * w with w_0 != 0, and the answer is w_0**m times
     [t^(n-s*m)] (w / w_0)**m.  ``_miller_power`` gives that coefficient as
-    v / scale from W = [d, W_1, W_2, ...], where w_j / w_0 = W_j / d over
-    their least common denominator d.
+    v / scale from the integers W_j = d * w_j, d the least common
+    denominator of w_0..w_(n-s*m): scaling w leaves w / w_0 as it is.
 
     |m| is bounded by ``MAX_EXPONENT`` (2000), the bound ``x^m`` has as an
     expression: the integers grow with m, so a larger exponent is a
@@ -199,15 +198,15 @@ def lagrange_power_coefficient(
         raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
     u = psi.taylor_coefficients(n)
     s = next((k for k, c in enumerate(u) if c), None)
+    # At m = 0 and s = n, w below is w_0 alone and Miller would give 1.
     if m == 0 or s is None or n < s * m:
         return Fraction(0)
     last = n - s * m
-    w0 = u[s]
-    ratios = [c / w0 for c in u[s + 1 : s + last + 1]]
-    d = math.lcm(*(r.denominator for r in ratios))
-    W = [d] + [r.numerator * (d // r.denominator) for r in ratios]
+    w = u[s : s + last + 1]
+    d = math.lcm(*(c.denominator for c in w))
+    W = [c.numerator * (d // c.denominator) for c in w]
     v, scale = _miller_power(W, m)
-    return w0**m * Fraction(v, scale)
+    return w[0] ** m * Fraction(v, scale)
 
 
 def _miller_power(W: list[int], m: int) -> tuple[int, int]:
@@ -236,19 +235,20 @@ def _miller_power(W: list[int], m: int) -> tuple[int, int]:
 def power_derivatives(m: int, x0: Fraction, n: int) -> DerivativeSequence:
     """Derivative sequence of x**m at x0, orders 1..n, base included.
 
-    The k-th derivative is m(m-1)...(m-k+1) * x0**(m-k).  Entries whose
-    falling factorial vanishes are 0 outright, so a zero x0 is fine for
-    m >= 0; negative m with x0 = 0 raises ZeroDivisionError.  |m| is
-    bounded by ``MAX_EXPONENT`` (2000), as for ``lagrange_power_coefficient``:
-    x0**m grows with m, so a larger exponent is a ValueError.
+    The k-th derivative is m(m-1)...(m-k+1) * x0**(m-k), the falling
+    factorial kept as one running product.  Once a factor is 0 (k > m >= 0)
+    the entries are 0 outright, so a zero x0 is fine for m >= 0; negative m
+    with x0 = 0 raises ZeroDivisionError.  |m| is bounded by
+    ``MAX_EXPONENT`` (2000), as for ``lagrange_power_coefficient``: x0**m
+    grows with m, so a larger exponent is a ValueError.
     """
     check_exponent(m)
     check_order(n)
     x0 = as_rational(x0)
     if x0 == 0 and m < 0:
         raise ZeroDivisionError(f"x**{m} is undefined at 0")
-    derivs = []
+    derivs, ff = [], 1
     for k in range(1, n + 1):
-        ff = falling_factorial(m, k)
+        ff *= m - k + 1
         derivs.append(ff * x0 ** (m - k) if ff else Fraction(0))
     return DerivativeSequence(derivs=tuple(derivs), base=x0**m)

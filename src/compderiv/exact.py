@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and their text
-form, the falling factorials of the power route, and the integer-scaled form.
+form, and the integer-scaled form.
 
 Every entry point that takes a derivative order n checks it with
 ``check_order``, and the power route checks its exponent m with
@@ -40,7 +40,6 @@ __all__ = [
     "MAX_EXPONENT",
     "check_order",
     "check_exponent",
-    "falling_factorial",
     "parse_rational",
     "format_rational",
     "int_text",
@@ -82,20 +81,6 @@ def check_exponent(m: int) -> None:
     """Raise ValueError unless |m| <= MAX_EXPONENT."""
     if abs(m) > MAX_EXPONENT:
         raise ValueError(f"exponent {m}: |m| > MAX_EXPONENT = {MAX_EXPONENT}")
-
-
-def falling_factorial(m: int, p: int) -> int:
-    """Return m * (m-1) * ... * (m-p+1), the product of p descending factors.
-
-    Defined for any integer m; the empty product (p = 0) is 1.  For
-    0 <= m < p the result is 0 because one factor is 0.
-    """
-    if p < 0:
-        raise ValueError(f"falling_factorial requires p >= 0, got {p}")
-    result = 1
-    for i in range(p):
-        result *= m - i
-    return result
 
 
 def parse_rational(text: str) -> Fraction:

@@ -14,7 +14,9 @@ route now runs Miller's power recurrence),
 ``power_coefficient_on_fractions`` (Miller's recurrence on Fractions) and
 ``jet_compose_on_fractions`` (Horner's scheme on Fraction Taylor
 coefficients, where the route runs on derivative values over graded
-integer denominators).
+integer denominators).  None of the four reads a helper its route reads:
+they keep their own factorials, lcm and gcd, so a fault in a helper such
+as ``exact.scaled`` or ``partitions.pair_divisor`` moves the route alone.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from itertools import product
 from typing import Iterator
 
 from compderiv import DerivativeSequence
-from compderiv.exact import check_order, reduced, scaled
-from compderiv.partitions import pair_divisor, partition_parts
+from compderiv.exact import check_order
+from compderiv.partitions import partition_parts
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -134,7 +136,8 @@ def partition_sum_on_fractions(
             if factor is None:
                 # One normalisation, where a power and then a division make two.
                 d = psi.derivative(j)
-                factor = Fraction(d.numerator**mj, d.denominator**mj * pair_divisor(j, mj))
+                divisor = math.factorial(mj) * math.factorial(j) ** mj
+                factor = Fraction(d.numerator**mj, d.denominator**mj * divisor)
                 factors[j, mj] = factor
             product *= factor
         sums[sum(mj for _, mj in parts)] += product
@@ -146,21 +149,25 @@ def partial_bell_by_binomials(n: int, k: int, psi: DerivativeSequence) -> Fracti
     """B_{n,k} at psi', psi'', ... by Comtet's binomial recurrence, one column at a time.
 
     B_{m,j} = sum_{i=1}^{m-j+1} C(m-1, i-1) * psi^(i) * B_{m-i,j-1}, columns
-    j = 1..k over the rows m <= n - k + j, on integers over one scale.
+    j = 1..k over the rows m <= n - k + j, on integers over one scale, psi
+    over its own lcm and each column divided by its gcd with the scale.
     """
     check_order(n)
     if k < 1 or k > n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     width = n - k + 1
     psi.require_order(width, "psi")
-    xs, d = scaled(psi.derivs[:width])
-    a = [0] + xs
+    xs = psi.derivs[:width]
+    d = math.lcm(*(x.denominator for x in xs))
+    a = [0] + [x.numerator * (d // x.denominator) for x in xs]
     col, scale = [1] + [0] * (width - 1), 1  # B_{m,0} for m = 0..n-k
     for j in range(1, k + 1):
-        col, scale = reduced([0] * j + [
+        col = [0] * j + [
             sum(math.comb(m - 1, i - 1) * a[i] * col[m - i] for i in range(1, m - j + 2))
             for m in range(j, width + j)
-        ], scale * d)
+        ]
+        g = math.gcd(scale * d, *col)
+        col, scale = [c // g for c in col], scale * d // g
     return Fraction(col[n], scale)
 
 
@@ -174,7 +181,7 @@ def power_coefficient_on_fractions(psi: DerivativeSequence, m: int, n: int) -> F
     base = psi.require_base("psi")
     if base == 0 and m < 0:
         raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
-    u = psi.taylor_coefficients(n)
+    u = [base] + [d / math.factorial(k) for k, d in enumerate(psi.derivs[:n], start=1)]
     s = next((k for k, c in enumerate(u) if c), None)
     if m == 0 or s is None or n < s * m:
         return Fraction(0)

@@ -606,6 +606,10 @@ def test_power_route_negative_exponent(m, n):
     if psi.base == 0:
         psi = DerivativeSequence(derivs=psi.derivs, base=Fraction(1, 3))
     phi_powers = power_derivatives(m, psi.base, n)
+    # D^k x**m = m(m-1)...(m-k+1) * x**(m-k), each factor below zero.
+    assert phi_powers.derivs == tuple(
+        prod(range(m, m - k, -1)) * psi.base ** (m - k) for k in range(1, n + 1)
+    )
     general = derivative_partition_sum(phi_powers, psi, n)
     assert lagrange_power_coefficient(psi, m, n) * factorial(n) == general
 
@@ -622,6 +626,12 @@ def test_power_route_zero_base_with_small_positive_exponent():
             square = seq(*[0, 2, *[0] * (n - 2)][:n], base=0)
             assert lagrange_power_coefficient(square, m, n) == (1 if n == 2 * m else 0)
             assert lagrange_power_coefficient(seq(*[0] * n, base=0), m, n) == 0
+    # At x0 = 0 and 0 <= m < n, x**m has m! at order m and an exact 0 at every
+    # order past it, where the falling factorial has a zero factor.
+    for n in range(1, 13):
+        for m in range(n):
+            expected = seq(*[factorial(m) if k == m else 0 for k in range(1, n + 1)], base=int(m == 0))
+            assert power_derivatives(m, 0, n) == expected
 
 
 def test_power_route_zero_base_negative_exponent_raises():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compderiv.composition import power_derivatives
 from compderiv.exact import (
     as_rational,
     convolve,
-    falling_factorial,
     format_rational,
     int_text,
     parse_rational,
@@ -32,35 +32,41 @@ def iterated_factorial(l: int) -> int:
     return acc
 
 
-# l! is the falling factorial of l with l factors, l * (l-1) * ... * 1.
+# The k-th derivative of x**m at x = 1 is the falling factorial m(m-1)...(m-k+1),
+# which power_derivatives keeps as one running product; l! is the one of l with l factors.
+def falling(m: int, k: int) -> Fraction:
+    derivatives = power_derivatives(m, Fraction(1), max(k, 1))
+    return derivatives.derivs[k - 1] if k else derivatives.base
+
+
 def test_factorial_empty_product():
-    assert falling_factorial(0, 0) == 1
+    assert falling(0, 0) == 1
 
 
 def test_factorial_of_three():
-    assert falling_factorial(3, 3) == 6
+    assert falling(3, 3) == 6
 
 
 def test_factorial_of_ten_matches_iterated_multiplication():
     assert iterated_factorial(10) == 3628800
-    assert falling_factorial(10, 10) == 3628800
+    assert falling(10, 10) == 3628800
 
 
 def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
+    with pytest.raises(ValueError, match="must be positive"):
+        power_derivatives(3, Fraction(1), -1)
 
 
 @pytest.mark.parametrize("l", range(1, 30))
 def test_factorial_recurrence(l):
-    assert falling_factorial(l, l) == l * falling_factorial(l - 1, l - 1)
+    assert falling(l, l) == l * falling(l - 1, l - 1)
 
 
 def test_falling_factorial_examples():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(2, 3) == 0  # hits the zero factor
-    assert falling_factorial(-2, 3) == -24
+    assert falling(5, 0) == 1
+    assert falling(5, 2) == 20
+    assert falling(2, 3) == 0  # hits the zero factor
+    assert falling(-2, 3) == -24
 
 
 @given(rationals, rationals)
