@@ -14,15 +14,15 @@ The integer-scaled form of rationals is integers over their least common
 denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
 coefficient lists.  The Bell route uses ``scaled``; the determinant
-``scaled`` and ``reduced``; the jet route ``reduced``, since it writes
-each row of its table over the lcm of the denominators that row reads;
-and the symbolic expansion ``reduced`` and ``convolve``.  The partition
-and power routes keep integers of their own and use none of them.
+``scaled`` and ``reduced``; the series route all three, for the powers of
+its inner series; and the symbolic expansion ``reduced`` and
+``convolve``.  The partition and power routes keep integers of their own
+and use none of them.
 
 ``rational_sum`` adds integer pairs num / den over one running lcm of the
 denominators and reduces once, at the end.  The partition sum, Bell and
 the determinant's ``interpret_phi_polynomial`` add their terms phi^(p)
-times an inner coefficient with it; the jet and symbolic routes do not
+times an inner coefficient with it; the series and symbolic routes do not
 read it.
 """
 

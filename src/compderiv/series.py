@@ -4,12 +4,15 @@ A jet of order N is a ``DerivativeSequence``: ``base`` holds the value
 and ``derivs[:N]`` the first N derivatives.  Composing the jets of phi
 and psi gives the derivatives of the composition, which makes this
 module a route-independent oracle for the closed forms in
-``composition``.  Composition is Horner's scheme on derivative values,
-each product by Leibniz's rule, on integers over one denominator.  Each
-step multiplies that denominator only by the lcm of the inner
-denominators it reads (graded denominators), and divides out its gcd
-with the integers.  Each step keeps only the degrees that can still
-reach the result, so the window grows by one degree per step.
+``composition``.  Composition sums b_k g^k, b_k = phi^(k) / k! and g the
+centered Taylor series of psi, by Paterson and Stockmeyer's baby steps
+and giant steps (SIAM J. Comput. 2(1), 1973), as Brent and Kung apply
+them to series composition (JACM 25(4), 1978, section 2): the baby
+powers g^0..g^(r-1) and the giant powers U^j of U = g^r, on integers
+over one denominator each (``exact.scaled``, ``exact.convolve``,
+``exact.reduced``), cut at degree n.  Each term b_k g^k, k = jr + i, of
+a degree is one integer dot product of g^i and U^j, and the terms add
+up over one running lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import reduced
+from .exact import convolve, reduced, scaled
 from .sequence import DerivativeSequence, SequenceTooShortError
 
 __all__ = [
@@ -45,62 +48,72 @@ def jet_mul(a: DerivativeSequence, b: DerivativeSequence) -> DerivativeSequence:
 
 
 def jet_compose(outer: DerivativeSequence, inner: DerivativeSequence) -> DerivativeSequence:
-    """Evaluate the jet ``outer`` at the jet ``inner`` by Horner's scheme.
+    """Evaluate the jet ``outer`` at the jet ``inner``: every degree of ``_compose``.
 
     The outer derivatives are taken at the inner function's value, so the
     inner base is not read, and the composite's base is the outer one.
-    With b_k = outer^(k) / k! and A^(i) = inner^(i), A^(0) = 0, the steps
-    R <- R * A + b_k run on derivative values r_m / den of R: the product
-    is Leibniz's rule R^(m) <- sum_i C(m, i) * R^(i) * A^(m-i), and b_k is
-    added to R^(0).
-
-    R^(m) of the product reads A^(1..m) only, so row m of the Leibniz
-    table holds them over L_m, the lcm of the first m inner denominators.
-    L_m divides L_(m+1), and L_n is the lcm d of all n.  The step that
-    reads rows 0..t multiplies den by L_t, not by d, and lifts each row
-    over a proper divisor L_m of L_t by L_t / L_m.  Each step divides r
-    and den by their gcd, so no power of d builds up in them.  Because
-    A^(0) = 0, each of the k products left after adding b_k raises the
-    degree by at least one, so that step computes only R^(0..n-k): about
-    n^3/6 Leibniz products instead of n^3/2.
     """
-    r, den = _horner(outer, inner)
-    return DerivativeSequence(tuple(Fraction(c, den) for c in r[1:]), outer.base)
-
-
-def _horner(outer: DerivativeSequence, inner: DerivativeSequence) -> tuple[list[int], int]:
-    """``jet_compose``'s loop: integers r and den, r[m] / den its m-th derivative."""
     n = _require_same_order(outer, inner)
-    # grade[m] = L_m, a divisor of each later one; am holds a_1..a_m, A^(j) = a_j / L_m.
-    grade, am, leibniz = [1], [], [[]]
-    for m, v in enumerate(inner.derivs, 1):
-        lm = math.lcm(grade[-1], v.denominator)
-        if lm != grade[-1]:
-            grow = lm // grade[-1]
-            am = [c * grow for c in am]
-        am.append(v.numerator * (lm // v.denominator))
-        grade.append(lm)
-        # R^(m) of R * A is r . leibniz[m] / (den * L_m); A^(0) = 0 drops i = m.
-        leibniz.append([math.comb(m, i) * am[m - 1 - i] for i in range(m)])
+    return DerivativeSequence(tuple(_compose(outer, inner, n, range(1, n + 1))), outer.base)
+
+
+def _compose(
+    outer: DerivativeSequence, inner: DerivativeSequence, n: int, degrees: range | tuple[int, ...]
+) -> list[Fraction]:
+    """m! [t^m] sum_k b_k g^k for each m in ``degrees`` (1 <= m <= n), by baby and giant steps.
+
+    b_k = outer^(k) / k! and g = sum_(i >= 1) a_i t^i, a_i = inner^(i) / i!,
+    read up to order n.  With r = isqrt(n // 2) + 1, a fixed function of n,
+    write k = j*r + i with 0 <= i < r.  The baby powers g^0..g^(r-1) and the
+    giant powers U^j of U = g^r are integer lists over one denominator each,
+    cut at degree n.  Since g has no constant term, g^i has no term below
+    t^i and U^j none below t^(jr), so each list starts there: the product
+    that makes U^(j+1) computes degrees (j+1)r..n only.  [t^m](g^i U^j) is
+    then one dot product of the two lists, and the term b_k times it over
+    the two denominators adds to a running sum over the lcm of the
+    denominators so far: one Fraction per degree, at the end.  Giant steps
+    stop at the last k <= n with b_k != 0.
+    """
     b = outer.taylor_coefficients(n)
-    r, den = [b[n].numerator], b[n].denominator
-    # width = n - k + 1: R^(0..n-k) at the step that adds b_k.
-    for width, b_k in enumerate(reversed(b[:n]), 2):
-        top = grade[width - 1]
-        r = [sum(map(operator.mul, r, row)) for row in leibniz[:width]]
-        # Lift the rows over a proper divisor of L_t = top; they come first.
-        for m in range(1, width):
-            if grade[m] == top:
-                break
-            r[m] *= top // grade[m]
-        den *= top
-        lift = b_k.denominator // math.gcd(den, b_k.denominator)
-        if lift > 1:
-            r = [c * lift for c in r]
-            den *= lift
-        r[0] += b_k.numerator * (den // b_k.denominator)
-        r, den = reduced(r, den)
-    return r, den
+    top = n
+    while top and not b[top]:
+        top -= 1
+    r = math.isqrt(n // 2) + 1
+    # g over d, from degree 1: a_i = inner^(i) * (n! / i!) / (n! * lcm of their denominators).
+    xs, d = scaled(inner.derivs[:n])
+    w = math.factorial(n)
+    g, d = reduced([x * (w // math.factorial(i)) for i, x in enumerate(xs, 1)], d * w)
+    unit = [1] + [0] * n
+    baby = [(unit, 1), (g, d)]  # baby[i]: g^i from degree i and its denominator
+    for i in range(2, min(r, top) + 1):
+        power, den = baby[-1]
+        baby.append(reduced(convolve(power, g, n + 1 - i), den * d))
+    step = baby.pop() if top >= r else None  # U = g^r from degree r
+    sums = [[0, 1] for _ in degrees]  # [total, common]: the sum is total / common
+    giant, gden = unit, 1  # U^j from degree j*r
+    for j in range(top // r + 1):
+        for i, (power, pden) in enumerate(baby[: top - j * r + 1]):
+            k = j * r + i
+            if not b[k]:
+                continue
+            num, den = b[k].numerator, b[k].denominator * pden * gden
+            for m, acc in zip(degrees, sums):
+                e = m - k
+                if e < 0:
+                    continue
+                dot = sum(map(operator.mul, power[: e + 1], reversed(giant[: e + 1])))
+                if not dot:
+                    continue
+                total, common = acc
+                c = math.gcd(common, den)
+                if c == den:
+                    acc[0] = total + num * dot * (common // den)
+                else:
+                    acc[0] = total * (den // c) + num * dot * (common // c)
+                    acc[1] = common * (den // c)
+        if (j + 1) * r <= top:
+            giant, gden = reduced(convolve(giant, step[0], n + 1 - (j + 1) * r), gden * step[1])
+    return [Fraction(math.factorial(m) * total, common) for m, (total, common) in zip(degrees, sums)]
 
 
 def jet_from_derivatives(seq: DerivativeSequence, order: int) -> DerivativeSequence:
@@ -118,5 +131,4 @@ def derivative_via_jets(
     """D_y^n of phi(psi(y)): the n-th derivative of the composed order-n jets."""
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    r, den = _horner(jet_from_derivatives(phi, n), jet_from_derivatives(psi, n))
-    return Fraction(r[n], den)
+    return _compose(phi, psi, n, (n,))[0]

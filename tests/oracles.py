@@ -13,8 +13,8 @@ four routes, kept to pin the integer arithmetic that replaced them:
 route now runs Miller's power recurrence),
 ``power_coefficient_on_fractions`` (Miller's recurrence on Fractions) and
 ``jet_compose_on_fractions`` (Horner's scheme on Fraction Taylor
-coefficients, where the route runs on derivative values over graded
-integer denominators).  None of the four reads a helper its route reads:
+coefficients, where the route sums baby-step giant-step powers of the
+inner series on integers).  None of the four reads a helper its route reads:
 they keep their own factorials, lcm and gcd, so a fault in a helper such
 as ``exact.scaled`` or ``partitions.pair_divisor`` moves the route alone.
 """

@@ -51,12 +51,13 @@ def _add_a_fault(monkeypatch, owner, name):
         (exact, "rational_sum", CHECK),
         (DerivativeSequence, "taylor_coefficients", CHECK),
         (math, "comb", CHECK),
+        (math, "factorial", CHECK),
         (math, "lcm", CHECK),
         (symbolic, "derivative_sequence_of", DERIVE),
     ],
     ids=[
-        "scaled", "reduced", "convolve", "rational_sum", "taylor_coefficients", "comb", "lcm",
-        "derivative_sequence_of",
+        "scaled", "reduced", "convolve", "rational_sum", "taylor_coefficients", "comb",
+        "factorial", "lcm", "derivative_sequence_of",
     ],
 )
 def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
@@ -66,12 +67,15 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
 
     The helper's result gets one unit added to it, or to its last entry,
     under its name in every module that holds it, and the command that
-    passed before exits 3.  ``exact.convolve`` is the one helper here that a
-    single route reads, the symbolic expansion: its fault moves that route
-    off the four that do not read it.  ``derivative_sequence_of`` is read by the four
-    closed routes on expression input, so only the symbolic route sees its
-    fault; ``rational_sum`` is read by the partition, Bell and determinant
-    routes, so the series and symbolic routes see its fault.
+    passed before exits 3.  Some helpers here are read by fewer routes than
+    others, and a fault moves the routes that read one off those that do
+    not: ``exact.convolve`` is read by the series and symbolic routes,
+    ``exact.scaled`` by Bell, the determinant and the series route,
+    ``math.comb`` by the determinant alone, and ``math.factorial`` by every
+    route but the determinant.  ``derivative_sequence_of`` is read by the
+    four closed routes on expression input, so only the symbolic route sees
+    its fault; ``rational_sum`` is read by the partition, Bell and
+    determinant routes, so the series and symbolic routes see its fault.
 
     Out of the oracle's reach: ``parse``, ``parse_rational`` and
     ``as_rational``, ``cli._random_sequence`` and the CLI's own comparison

@@ -132,6 +132,40 @@ def test_compose_matches_horner_on_fractions(order, data):
         assert derivative_via_jets(outer, inner, order) == expected.derivs[-1]
 
 
+def _jet_cases(order, rng):
+    """Outer and inner jets of ``order`` that reach each part of the composition loop."""
+
+    def small():
+        return Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 4))
+
+    def wide():
+        return Fraction(rng.randrange(-(2**63), 2**63), rng.randrange(1, 2**64))
+
+    def seq(value, zero=lambda k: False):
+        return jet(value(), *(Fraction(0) if zero(k) else value() for k in range(1, order + 1)))
+
+    return [
+        (seq(small), seq(small)),
+        (seq(wide, lambda k: k % 3 == 0), seq(wide, lambda k: k % 3 == 1)),
+        # Every other b_k zero, and psi' = 0: g starts at t^2, g^k at t^(2k).
+        (seq(small, lambda k: k % 2 == 0), seq(small, lambda k: k == 1)),
+        # b_k = 0 past k = 1: no giant step is taken.
+        (seq(small, lambda k: k > 1), seq(small)),
+        (seq(small), seq(lambda: Fraction(0))),
+    ]
+
+
+@pytest.mark.parametrize("order", range(1, 25))
+def test_baby_and_giant_steps_match_horner_on_fractions_at_every_order(order):
+    # Orders 1..24 take the block size r = isqrt(n // 2) + 1 through 1..4, the
+    # number of giant steps n // r through 0..7, and a partial last block.
+    rng = random.Random(3100 + order)
+    for outer, inner in _jet_cases(order, rng):
+        expected = jet_compose_on_fractions(outer, inner)
+        assert jet_compose(outer, inner) == expected
+        assert derivative_via_jets(outer, inner, order) == expected.derivs[-1]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_every_degree_of_an_order_30_jet_matches_the_determinant_route(seed):
     # The degree window builds the low degrees last; check each against an
