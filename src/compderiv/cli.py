@@ -310,8 +310,13 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Fraction(p, q) at index 4 * (p + 6) + q - 1, for |p| <= 6 and 1 <= q <= 4.
+_DRAWS = tuple(Fraction(p, q) for p in range(-6, 7) for q in range(1, 5))
+
+
 def _random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    """Fraction(rng.randint(-6, 6), rng.randint(1, 4)), read from a table."""
+    return _DRAWS[4 * (rng.randint(-6, 6) + 6) + rng.randint(1, 4) - 1]
 
 
 def _random_sequence(rng: random.Random, n: int) -> DerivativeSequence:

@@ -13,9 +13,12 @@ The matrix is stored as the integer coefficients of its c * Phi entries
 over one common denominator, column by column in the order the
 expansion reads them.  ``CompositionMatrix.entry`` rebuilds an entry as a
 ``PhiPolynomial`` in the paper's layout, for the 3x3 acceptance check and
-the matrix tests; no route reads it.  The expansion, also a
-``PhiPolynomial``, runs one power of Phi at a time, so the route stops it
-at the last power whose phi^(p) is nonzero.
+the matrix tests; no route reads it.  The expansion runs one power of Phi
+at a time, as integers over one scale, and the route stops it at the last
+power whose phi^(p) is nonzero.  The route adds each power's integers
+times phi^(p) with ``exact.rational_sum``; ``determinant_expand`` turns the
+same powers into a ``PhiPolynomial`` for ``derive --show-expansion`` and
+the acceptance check, and ``interpret_phi_polynomial`` reads one back.
 """
 
 from __future__ import annotations
@@ -175,6 +178,21 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
     return CompositionMatrix(n=n, columns=tuple(columns), scale=d)
 
 
+def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int]]:
+    """(p, c, scale) for p = 1..top: H_(n+1) has Phi^p coefficient c / scale.
+
+    The leading-minor recurrence of ``determinant_expand``, one power of Phi
+    at a time; the determinant's coefficient is (-1)^n times this one.
+    """
+    columns, d = matrix.columns, matrix.scale
+    # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
+    column, scale = [1], 1
+    for p in range(1, top + 1):
+        column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
+        column, scale = reduced(column, scale * d)
+        yield p, column[-1], scale
+
+
 def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> PhiPolynomial:
     """Exact determinant of the matrix as a Phi-polynomial, cut after Phi^top.
 
@@ -203,15 +221,8 @@ def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> Phi
     top = matrix.size if top is None else top
     if not 0 <= top <= matrix.size:
         raise ValueError(f"top must satisfy 0 <= top <= {matrix.size}, got {top}")
-    columns, d = matrix.columns, matrix.scale
     sign = (-1) ** matrix.n
-    # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
-    column, scale, terms = [1], 1, {}
-    for p in range(1, top + 1):
-        column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
-        column, scale = reduced(column, scale * d)
-        terms[p] = Fraction(sign * column[-1], scale)
-    return PhiPolynomial(terms)
+    return PhiPolynomial({p: Fraction(sign * c, scale) for p, c, scale in _powers(matrix, top)})
 
 
 def interpret_phi_polynomial(
@@ -234,21 +245,24 @@ def derivative_determinant(
     """D_y^{order} of phi(psi(y)) through the determinant form.
 
     The determinant of the matrix built for n = order - 1 equals
-    (-1)^n * D_y^{n+1}; expanding, reinterpreting Phi exponents and
-    normalizing the sign recovers the derivative.  The expansion stops at
-    the last power p <= order with phi^(p) != 0, since only those powers
-    are read.  Orders below 2 are rejected: the determinant form starts at
-    the second derivative.
+    (-1)^n * D_y^{n+1} = (-1)^n * H_{n+1} (see ``determinant_expand``), so
+    the derivative is H_{n+1} with each Phi^p read as phi^(p), and no sign
+    is applied.  Each power's integer pair times phi^(p)'s goes straight to
+    ``exact.rational_sum``: one Fraction per call.  The recurrence stops at
+    the last power p <= order with phi^(p) != 0, since only those powers are
+    read.  Orders below 2 are rejected: the determinant form starts at the
+    second derivative.
     """
     if order < MIN_DETERMINANT_ORDER:
         raise ValueError(
             f"determinant route needs order >= {MIN_DETERMINANT_ORDER}, got {order}; "
             "use the partition route for the first derivative"
         )
-    n = order - 1
     phi.require_order(order, "phi")
     psi.require_order(order, "psi")
-    top = max((k for k, d in enumerate(phi.derivs[:order], start=1) if d), default=0)
-    expanded = determinant_expand(build_matrix(psi, n), top)
-    value = interpret_phi_polynomial(expanded, phi)
-    return -value if n % 2 == 1 else value
+    derivs = phi.derivs
+    top = max((k for k, d in enumerate(derivs[:order], start=1) if d), default=0)
+    powers = _powers(build_matrix(psi, order - 1), top)
+    return rational_sum(
+        (derivs[p - 1].numerator * c, derivs[p - 1].denominator * scale) for p, c, scale in powers
+    )

@@ -21,9 +21,8 @@ and use none of them.
 
 ``rational_sum`` adds integer pairs num / den over one running lcm of the
 denominators and reduces once, at the end.  The partition sum, Bell and
-the determinant's ``interpret_phi_polynomial`` add their terms phi^(p)
-times an inner coefficient with it; the series and symbolic routes do not
-read it.
+the determinant add their terms phi^(p) times an inner coefficient with
+it; the series and symbolic routes do not read it.
 """
 
 from __future__ import annotations

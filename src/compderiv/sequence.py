@@ -68,5 +68,12 @@ class DerivativeSequence:
 
     def taylor_coefficients(self, n: int) -> list[Fraction]:
         """c_0..c_n: the base value (0 when absent), then c_k = d_k / k!."""
+        if n < 0:
+            raise ValueError(f"Taylor degree must be non-negative, got {n}")
+        if len(self.derivs) < n:
+            raise SequenceTooShortError("Taylor", n, len(self.derivs))
         c0 = self.base or Fraction(0)
-        return [c0] + [self.derivs[k - 1] / math.factorial(k) for k in range(1, n + 1)]
+        return [c0] + [
+            Fraction(d.numerator, d.denominator * math.factorial(k))
+            for k, d in enumerate(self.derivs[:n], start=1)
+        ]

@@ -71,12 +71,13 @@ def _compose(
     that makes U^(j+1) computes degrees (j+1)r..n only.  [t^m](g^i U^j) is
     then one dot product of the two lists, and the term b_k times it over
     the two denominators adds to a running sum over the lcm of the
-    denominators so far: one Fraction per degree, at the end.  Giant steps
-    stop at the last k <= n with b_k != 0.
+    denominators so far: one Fraction per degree, at the end.  b_k is read
+    from outer^(k) as the integers (numerator, denominator * k!), with no
+    Fraction of its own.  Giant steps stop at the last k <= n with b_k != 0.
     """
-    b = outer.taylor_coefficients(n)
+    phis = outer.derivs  # b_k = phis[k-1] / k!, read as integers; b_0 adds to no degree >= 1
     top = n
-    while top and not b[top]:
+    while top and not phis[top - 1]:
         top -= 1
     r = math.isqrt(n // 2) + 1
     # g over d, from degree 1: a_i = inner^(i) * (n! / i!) / (n! * lcm of their denominators).
@@ -94,9 +95,10 @@ def _compose(
     for j in range(top // r + 1):
         for i, (power, pden) in enumerate(baby[: top - j * r + 1]):
             k = j * r + i
-            if not b[k]:
+            if not k or not phis[k - 1]:
                 continue
-            num, den = b[k].numerator, b[k].denominator * pden * gden
+            phi_k = phis[k - 1]
+            num, den = phi_k.numerator, phi_k.denominator * math.factorial(k) * pden * gden
             for m, acc in zip(degrees, sums):
                 e = m - k
                 if e < 0:

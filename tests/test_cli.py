@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -658,6 +659,14 @@ def test_check_same_seed_is_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_check_draws_equal_a_fraction_of_two_randints():
+    # The table read consumes the generator as Fraction(randint, randint) did.
+    table, plain = random.Random(32), random.Random(32)
+    for _ in range(2000):
+        assert cli._random_rational(table) == Fraction(plain.randint(-6, 6), plain.randint(1, 4))
+    assert table.getstate() == plain.getstate()
 
 
 def test_check_json_is_schema_stable(capsys):

@@ -223,13 +223,13 @@ def test_determinant_expands_only_the_powers_phi_reads(monkeypatch):
     # a phi of all zeros reads none, and the value is 0.
     rng = random.Random(30)
     psi = seq(*(Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) for _ in range(30)))
-    tops, expand = [], determinant.determinant_expand
+    tops, powers = [], determinant._powers
 
-    def recording(matrix, top=None):
+    def recording(matrix, top):
         tops.append(top)
-        return expand(matrix, top)
+        return powers(matrix, top)
 
-    monkeypatch.setattr(determinant, "determinant_expand", recording)
+    monkeypatch.setattr(determinant, "_powers", recording)
     phi = power_derivatives(2, Fraction(7, 3), 30)
     assert derivative_determinant(phi, psi, 30) == derivative_bell(phi, psi, 30)
     assert tops == [2]
@@ -656,3 +656,13 @@ def test_sequence_coerces_to_fractions():
     # Taylor coefficients: the base, then d_k / k!; 0 stands in for a missing base.
     assert s.taylor_coefficients(2) == [2, 1, Fraction(3, 4)]
     assert DerivativeSequence(derivs=(6,)).taylor_coefficients(1) == [0, 6]
+    assert s.taylor_coefficients(0) == [2]
+
+
+def test_taylor_coefficients_bound_the_degree():
+    s = DerivativeSequence(derivs=(1, 2), base=3)
+    with pytest.raises(SequenceTooShortError) as info:
+        s.taylor_coefficients(3)
+    assert (info.value.needed, info.value.available) == (3, 2)
+    with pytest.raises(ValueError, match="must be non-negative, got -1"):
+        s.taylor_coefficients(-1)

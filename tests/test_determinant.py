@@ -277,6 +277,30 @@ def test_sequences_too_short_rejected():
         derivative_determinant(seq(1, 1), seq(1, 1, 1), 3)
 
 
+def _small(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def _wide(rng):
+    if rng.randrange(3) == 0:
+        return Fraction(0)
+    return Fraction(rng.randrange(-(2**63), 2**63), rng.randrange(1, 2**64))
+
+
+@pytest.mark.parametrize("draw", [_small, _wide], ids=["small", "64-bit"])
+@pytest.mark.parametrize("order", range(2, 13))
+def test_route_equals_the_sign_corrected_expansion(order, draw):
+    # The route sums the expansion's powers as integer pairs; reading the same
+    # powers through PhiPolynomial and interpret_phi_polynomial gives its value.
+    rng = random.Random(3200 + order)
+    n = order - 1
+    for _ in range(10):
+        phi = seq(*(draw(rng) for _ in range(order)))
+        psi = seq(*(draw(rng) for _ in range(order)))
+        raw = interpret_phi_polynomial(determinant_expand(build_matrix(psi, n)), phi)
+        assert derivative_determinant(phi, psi, order) == (-1) ** n * raw
+
+
 @pytest.mark.parametrize("order", range(2, 12))
 def test_matches_partition_route(order):
     rng = random.Random(1200 + order)

@@ -51,3 +51,43 @@ def test_the_ladder_marks_a_library_bound_and_a_predicted_overrun(tmp_path):
     assert cells["partition", "small", 61]["skip"] == "library bound: n > MAX_PARTITION_ORDER = 60"
     assert cells["series", "small", 61]["skip"].startswith("predicted ")
     assert "median_s" in cells["series", "small", 1]
+
+
+def test_compare_prints_new_over_old_per_cell(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    base = [sys.executable, str(LADDER), "--orders", "3,4", "--calls", "1"]
+    subprocess.run([*base, "--out", str(old)], check=True)
+    report = json.loads(old.read_text())
+    # One cell skipped on the old side, one absent from it, one at a known time.
+    cells = {(c["subject"], c["set"], c["n"]): c for c in report["cells"]}
+    cells["bell", "small", 3].update(skip="library bound: a test marker")
+    del cells["bell", "small", 3]["median_s"]
+    report["cells"].remove(cells["series", "64-bit", 4])
+    cells["determinant", "small", 4]["median_s"] = 0.5
+    old.write_text(json.dumps(report))
+
+    result = subprocess.run(
+        [*base, "--out", str(new), "--compare", str(old)],
+        check=True, capture_output=True, text=True,
+    )
+    lines = result.stdout.splitlines()
+    assert lines[0].split() == ["subject", "set", "n", "new", "ms", "old", "ms", "new/old"]
+    rows = {tuple(line.split()[:3]): line.split()[3:] for line in lines[1:]}
+    new_cells = json.loads(new.read_text())["cells"]
+    assert len(rows) == len(lines) - 1 == len(new_cells)
+    assert " ".join(rows["bell", "small", "3"]) == "skip (old): library bound: a test marker"
+    assert " ".join(rows["series", "64-bit", "4"]) == "not in the compared file"
+    key = ("determinant", "small", 4)
+    new_s = next(c["median_s"] for c in new_cells if (c["subject"], c["set"], c["n"]) == key)
+    assert rows["determinant", "small", "4"] == [
+        f"{new_s * 1e3:.3f}", "500.000", f"{new_s / 0.5:.2f}"
+    ]
+
+
+def test_compare_needs_out_for_the_json(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(LADDER), "--orders", "3", "--compare", str(tmp_path / "old.json")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert "--compare prints to standard output, so it needs --out" in result.stderr

@@ -67,15 +67,21 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
 
     The helper's result gets one unit added to it, or to its last entry,
     under its name in every module that holds it, and the command that
-    passed before exits 3.  Some helpers here are read by fewer routes than
-    others, and a fault moves the routes that read one off those that do
-    not: ``exact.convolve`` is read by the series and symbolic routes,
-    ``exact.scaled`` by Bell, the determinant and the series route,
-    ``math.comb`` by the determinant alone, and ``math.factorial`` by every
-    route but the determinant.  ``derivative_sequence_of`` is read by the
-    four closed routes on expression input, so only the symbolic route sees
-    its fault; ``rational_sum`` is read by the partition, Bell and
-    determinant routes, so the series and symbolic routes see its fault.
+    passed before exits 3.  A ``sys.setprofile`` trace of each
+    ``cli.ROUTES`` entry on ``check``'s draws at n = 2, 5 and 9 finds the
+    readers, and a fault moves the routes that read a helper off those that
+    do not: ``math.factorial`` is read by every route but the determinant,
+    ``math.lcm`` by every route but the partition sum, ``exact.scaled`` by
+    Bell, the determinant and the series route, ``exact.reduced`` by the
+    determinant, the series and the symbolic route, ``rational_sum`` by the
+    partition, Bell and determinant routes, ``exact.convolve`` by the
+    series and symbolic routes, and ``math.comb`` by the determinant alone.
+    ``derivative_sequence_of`` is read by the four closed routes on
+    expression input, so only the symbolic route sees its fault.
+    ``DerivativeSequence.taylor_coefficients`` is read by no route: ``check``
+    builds the symbolic route's Taylor polynomials with it
+    (``symbolic.taylor_polynomial``), so its fault reaches the symbolic
+    route through its inputs alone, and ``check`` still exits 3.
 
     Out of the oracle's reach: ``parse``, ``parse_rational`` and
     ``as_rational``, ``cli._random_sequence`` and the CLI's own comparison

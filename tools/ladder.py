@@ -2,6 +2,7 @@
 
     python3 tools/ladder.py --out BENCH_31.json
     python3 tools/ladder.py --src ../other-checkout/src --orders 12,20 --calls 5
+    python3 tools/ladder.py --out BENCH_32.json --compare BENCH_31.json
 
 Stdlib only.  Imports ``compderiv`` from ``--src`` (default: this
 checkout's ``src``) and times, at each order n of ``--orders`` and on
@@ -25,6 +26,13 @@ from the last cell run in that row, by its time times (n / its n)^3.
 Route values at each (set, n) are compared, and ``agree`` records
 whether all routes that ran gave the same value.  The JSON also holds
 the machine facts and ``git rev-parse HEAD`` of the ``--src`` checkout.
+
+``--compare FILE`` reads an earlier report and, once the JSON is written
+to ``--out``, prints one line per cell of this run, matched to FILE's
+cell by (subject, set, n): both medians and new/old, or the skip marker
+of the side that did not run, or that FILE has no such cell.  The two
+runs are not interleaved, so a ratio holds the drift of the machine
+between them as well as the change.
 """
 
 from __future__ import annotations
@@ -147,6 +155,24 @@ def ladder(orders: list[int], calls: int, budget: float) -> tuple[list[dict], li
     return cells, agreement
 
 
+def compare(cells: list[dict], old_cells: list[dict]) -> list[str]:
+    """A header, then one line per cell of ``cells`` against its match in ``old_cells``."""
+    old = {(c["subject"], c["set"], c["n"]): c for c in old_cells}
+    lines = [f"{'subject':<26} {'set':<14} {'n':>3} {'new ms':>10} {'old ms':>10} {'new/old':>7}"]
+    for cell in cells:
+        head = f"{cell['subject']:<26} {cell['set']:<14} {cell['n']:>3}"
+        was = old.get((cell["subject"], cell["set"], cell["n"]))
+        if was is None:
+            lines.append(f"{head} not in the compared file")
+        elif "skip" in cell or "skip" in was:
+            side, reason = ("new", cell["skip"]) if "skip" in cell else ("old", was["skip"])
+            lines.append(f"{head} skip ({side}): {reason}")
+        else:
+            new_s, old_s = cell["median_s"], was["median_s"]
+            lines.append(f"{head} {new_s * 1e3:>10.3f} {old_s * 1e3:>10.3f} {new_s / old_s:>7.2f}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     here = Path(__file__).resolve().parent.parent
@@ -155,9 +181,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--calls", type=int, default=3, help="calls per cell (k), default 3")
     parser.add_argument("--budget", type=float, default=10.0, help="seconds a cell may be predicted to take")
     parser.add_argument("--out", type=Path, help="JSON file to write (default: standard output)")
+    parser.add_argument(
+        "--compare", type=Path, metavar="FILE", help="an earlier report to print new/old against"
+    )
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be at least 1")
+    if args.compare and not args.out:
+        parser.error("--compare prints to standard output, so it needs --out for the JSON")
+    old_cells = json.loads(args.compare.read_text())["cells"] if args.compare else None
     orders = [int(text) for text in args.orders.split(",")]
     sys.path.insert(0, str(args.src.resolve()))
     cells, agreement = ladder(orders, args.calls, args.budget)
@@ -176,6 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
+    if old_cells is not None:
+        print("\n".join(compare(cells, old_cells)))
     return 0 if all(row["agree"] for row in agreement) else 1
 
 
