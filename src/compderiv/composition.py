@@ -182,8 +182,9 @@ def lagrange_power_coefficient(
     The Taylor coefficients u_k = psi^(k) / k!, u_0 the base value, are
     u = t**s * w with w_0 != 0, and the answer is w_0**m times
     [t^(n-s*m)] (w / w_0)**m.  ``_miller_power`` gives that coefficient as
-    v / scale from the integers W_j = d * w_j, d the least common
-    denominator of w_0..w_(n-s*m): scaling w leaves w / w_0 as it is.
+    v / scale from the integers W_j = d * w_j of ``exact.scaled``, d the
+    least common denominator of w_0..w_(n-s*m): scaling w leaves w / w_0 as
+    it is.
 
     |m| is bounded by ``MAX_EXPONENT`` (2000), the bound ``x^m`` has as an
     expression: the integers grow with m, so a larger exponent is a
@@ -203,8 +204,7 @@ def lagrange_power_coefficient(
         return Fraction(0)
     last = n - s * m
     w = u[s : s + last + 1]
-    d = math.lcm(*(c.denominator for c in w))
-    W = [c.numerator * (d // c.denominator) for c in w]
+    W, _ = scaled(w)
     v, scale = _miller_power(W, m)
     return w[0] ** m * Fraction(v, scale)
 

@@ -11,14 +11,12 @@ inner derivatives times Phi.  The raw determinant equals
 
 The matrix is stored as the integer coefficients of its c * Phi entries
 over one common denominator, column by column in the order the
-expansion reads them.  ``CompositionMatrix.entry`` rebuilds an entry as a
-``PhiPolynomial`` in the paper's layout, for the 3x3 acceptance check and
-the matrix tests; no route reads it.  The expansion runs one power of Phi
-at a time, as integers over one scale, and the route stops it at the last
-power whose phi^(p) is nonzero.  The route adds each power's integers
-times phi^(p) with ``exact.rational_sum``; ``determinant_expand`` turns the
-same powers into a ``PhiPolynomial`` for ``derive --show-expansion`` and
-the acceptance check, and ``interpret_phi_polynomial`` reads one back.
+expansion reads them.  The expansion runs one power of Phi at a time, as
+integers over one scale, and the route stops it at the last power whose
+phi^(p) is nonzero.  The route adds each power's integers times phi^(p)
+with ``exact.rational_sum``; ``determinant_expand`` turns the same powers
+into a ``PhiPolynomial`` for ``derive --show-expansion`` and the
+acceptance check, and ``interpret_phi_polynomial`` reads one back.
 """
 
 from __future__ import annotations
@@ -59,11 +57,14 @@ class PhiPolynomial:
     def __init__(self, coeffs: Mapping[int, Fraction]):
         cleaned: dict[int, Fraction] = {}
         for exponent, coefficient in coeffs.items():
+            # An int only, as in as_rational: 1.5 or True is not read as 1.
+            if not isinstance(exponent, int) or isinstance(exponent, bool):
+                raise TypeError(f"Phi exponent must be an int: {exponent!r}")
             if exponent < 0:
                 raise ValueError(f"Phi exponent must be non-negative: {exponent}")
             value = as_rational(coefficient)
             if value != 0:
-                cleaned[int(exponent)] = value
+                cleaned[exponent] = value
         self._coeffs = cleaned
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
@@ -108,47 +109,32 @@ class PhiPolynomial:
 
 @dataclass(frozen=True)
 class CompositionMatrix:
-    """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}.
+    """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}, with
+    n = ``len(columns) - 1``.
 
     Every entry the expansion reads is c * Phi, so the matrix keeps only
     those c, as integers over one ``scale``, in the order the leading-minor
-    recurrence reads them: ``columns[k-1]`` holds A[1..k][k] with
-    A[i][k] = entry(i, k+1) for k <= n, and ``columns[n]`` holds column 1,
-    entry(1..n+1, 1).  The -1 diagonal below row 1 and the zeros below it
-    outside column 1 are implied, so no stored value can break them.
+    recurrence reads them: ``columns[k-1]`` holds A[1..k][k], A[i][k] the
+    entry at row i and column k+1, for k <= n, and ``columns[n]`` holds
+    column 1, rows 1..n+1.  The -1 diagonal below row 1 and the zeros below
+    it outside column 1 are implied, so no stored value can break them.
     """
 
-    n: int
     columns: tuple[tuple[int, ...], ...]
     scale: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"matrix order must be non-negative, got n={self.n}")
         if self.scale < 1:
             raise ValueError(f"matrix scale must be positive, got {self.scale}")
-        if len(self.columns) != self.n + 1 or any(
+        if not self.columns or any(
             len(column) != k for k, column in enumerate(self.columns, start=1)
         ):
-            raise ValueError(
-                f"matrix for n={self.n} needs n+1 columns of lengths 1..{self.n + 1}"
-            )
+            lengths = [len(column) for column in self.columns]
+            raise ValueError(f"matrix needs columns of lengths 1, 2, ..., n+1, got {lengths}")
 
     @property
-    def size(self) -> int:
-        return self.n + 1
-
-    def entry(self, r: int, c: int) -> PhiPolynomial:
-        """1-based access, in the paper's layout of the matrix."""
-        if not (1 <= r <= self.size and 1 <= c <= self.size):
-            raise IndexError(f"entry ({r},{c}) is outside the {self.size}x{self.size} matrix")
-        if c == 1:
-            stored = self.columns[self.n][r - 1]
-        elif c > r:
-            stored = self.columns[c - 2][r - 1]
-        else:
-            return PhiPolynomial({0: -1} if c == r else {})
-        return PhiPolynomial({1: Fraction(stored, self.scale)})
+    def n(self) -> int:
+        return len(self.columns) - 1
 
 
 def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
@@ -175,14 +161,15 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
         for k in range(1, n + 1)
     ]
     columns.append(tuple(reversed(a)))
-    return CompositionMatrix(n=n, columns=tuple(columns), scale=d)
+    return CompositionMatrix(columns=tuple(columns), scale=d)
 
 
 def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int]]:
     """(p, c, scale) for p = 1..top: H_(n+1) has Phi^p coefficient c / scale.
 
     The leading-minor recurrence of ``determinant_expand``, one power of Phi
-    at a time; the determinant's coefficient is (-1)^n times this one.
+    at a time; the determinant's coefficient is (-1)^n times this one.  The
+    first ``top`` powers cost O(n^2 * top) integer multiplications.
     """
     columns, d = matrix.columns, matrix.scale
     # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
@@ -193,10 +180,8 @@ def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int
         yield p, column[-1], scale
 
 
-def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> PhiPolynomial:
-    """Exact determinant of the matrix as a Phi-polynomial, cut after Phi^top.
-
-    ``top`` defaults to the full expansion, n + 1 = ``matrix.size``.
+def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
+    """Exact determinant of the matrix as a Phi-polynomial.
 
     Cofactor expansion down column 1: deleting row r and column 1 leaves a
     minor whose trailing rows are upper triangular with -1 diagonal, so
@@ -204,7 +189,7 @@ def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> Phi
     matrix with column 1 removed.  Those minors satisfy the first-order
     recurrence
 
-        H_k = sum_{i=1..k} A[i][k] * H_{i-1},    A[i][j] = entry(i, j+1),
+        H_k = sum_{i=1..k} A[i][k] * H_{i-1},    A[i][j] at row i, column j+1,
 
     and reading column 1 as column n+2 makes the expansion the last step
     of that recurrence: det = (-1)^n * H_{n+1}.  ``matrix.columns`` holds
@@ -215,14 +200,12 @@ def determinant_expand(matrix: CompositionMatrix, top: int | None = None) -> Phi
     coefficients is integers over one scale, d times the scale of
     Phi^(p-1), and both are divided by their gcd before the next power,
     so the integers grow with the true denominators, not with a power of
-    d.  That costs O(n^3) integer multiplications, O(n^2 * top) when cut;
-    no general O(n!) expansion ever happens.
+    d.  That costs O(n^3) integer multiplications; no general O(n!)
+    expansion ever happens.
     """
-    top = matrix.size if top is None else top
-    if not 0 <= top <= matrix.size:
-        raise ValueError(f"top must satisfy 0 <= top <= {matrix.size}, got {top}")
     sign = (-1) ** matrix.n
-    return PhiPolynomial({p: Fraction(sign * c, scale) for p, c, scale in _powers(matrix, top)})
+    powers = _powers(matrix, matrix.n + 1)
+    return PhiPolynomial({p: Fraction(sign * c, scale) for p, c, scale in powers})
 
 
 def interpret_phi_polynomial(
@@ -230,13 +213,13 @@ def interpret_phi_polynomial(
 ) -> Fraction:
     """Read each exponent as a derivation order: c * Phi**p -> c * phi^(p).
 
-    The terms add up with ``exact.rational_sum``, over one running lcm.
+    The terms add up as a plain ``Fraction`` sum, which shares no code with
+    the route's ``exact.rational_sum``.
     """
     top = max((exponent for exponent, _ in polynomial.items()), default=0)
     if top:
         phi.require_order(top, "phi")
-    terms = ((c, phi.derivative(e) if e else 1) for e, c in polynomial.items())
-    return rational_sum((c.numerator * d.numerator, c.denominator * d.denominator) for c, d in terms)
+    return sum((c * (phi.derivative(e) if e else 1) for e, c in polynomial.items()), Fraction(0))
 
 
 def derivative_determinant(

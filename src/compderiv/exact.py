@@ -13,11 +13,11 @@ There is no floating point anywhere in the computational core.
 The integer-scaled form of rationals is integers over their least common
 denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
-coefficient lists.  The Bell route uses ``scaled``; the determinant
-``scaled`` and ``reduced``; the series route all three, for the powers of
-its inner series; and the symbolic expansion ``reduced`` and
-``convolve``.  The partition and power routes keep integers of their own
-and use none of them.
+coefficient lists.  The Bell and power routes use ``scaled``; the
+determinant ``scaled`` and ``reduced``; the series route all three, for
+the powers of its inner series; and the symbolic expansion ``reduced`` and
+``convolve``.  The partition route keeps integers of its own and uses none
+of them.
 
 ``rational_sum`` adds integer pairs num / den over one running lcm of the
 denominators and reduces once, at the end.  The partition sum, Bell and

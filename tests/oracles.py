@@ -17,6 +17,8 @@ coefficients, where the route sums baby-step giant-step powers of the
 inner series on integers).  None of the four reads a helper its route reads:
 they keep their own factorials, lcm and gcd, so a fault in a helper such
 as ``exact.scaled`` or ``partitions.pair_divisor`` moves the route alone.
+``matrix_entry`` is no oracle: it reads a built determinant matrix back in
+the paper's layout, for the matrix tests and the acceptance 3x3 check.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from itertools import product
 from typing import Iterator
 
 from compderiv import DerivativeSequence
+from compderiv.determinant import CompositionMatrix, PhiPolynomial
 from compderiv.exact import check_order
 from compderiv.partitions import partition_parts
 
@@ -217,6 +220,19 @@ def jet_compose_on_fractions(
     return DerivativeSequence(
         tuple(math.factorial(m) * r[m] for m in range(1, order + 1)), outer.base
     )
+
+
+def matrix_entry(matrix: CompositionMatrix, r: int, c: int) -> PhiPolynomial:
+    """The entry at 1-based row r, column c of ``matrix`` in the paper's layout:
+    a stored coefficient times Phi in column 1 and above the diagonal, -1 on
+    the diagonal below row 1, and 0 elsewhere."""
+    if c == 1:
+        stored = matrix.columns[matrix.n][r - 1]
+    elif c > r:
+        stored = matrix.columns[c - 2][r - 1]
+    else:
+        return PhiPolynomial({0: -1} if c == r else {})
+    return PhiPolynomial({1: Fraction(stored, matrix.scale)})
 
 
 def random_rational(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:

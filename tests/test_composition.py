@@ -429,16 +429,15 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 8, 20])
-def test_power_route_uses_no_integer_scaled_form(n, monkeypatch):
-    # Lagrange is the reference for phi = x**m where the partition sum is out
-    # of reach, so it keeps its own lcm and gcd and never reaches the
-    # integer-scaled form the Bell, determinant and jet routes share.
+def test_power_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch):
+    # Lagrange writes w over its least common denominator with exact.scaled,
+    # as Bell writes psi, and keeps its own gcd in the Miller loop, so it needs
+    # neither exact.reduced nor exact.convolve.  Its Fraction oracle reads
+    # none of the three (see test_oracle_reach for a fault in scaled).
     rng = random.Random(960 + n)
     psi = DerivativeSequence(derivs=random_sequence(rng, n).derivs, base=Fraction(-5, 3))
     expected = {m: power_coefficient_on_fractions(psi, m, n) for m in (-3, 2, 5)}
-    refuse_integer_scaled_form(monkeypatch)
-    with pytest.raises(AssertionError, match="exact.scaled called"):
-        partial_bell(n, 1, psi)
+    refuse_integer_scaled_form(monkeypatch, ("reduced", "convolve"))
     for m, value in expected.items():
         assert lagrange_power_coefficient(psi, m, n) == value
 

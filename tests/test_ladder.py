@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
 LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+
+
+def _load_ladder():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_the_ladder_writes_every_cell_at_two_low_orders(tmp_path):
@@ -51,6 +61,25 @@ def test_the_ladder_marks_a_library_bound_and_a_predicted_overrun(tmp_path):
     assert cells["partition", "small", 61]["skip"] == "library bound: n > MAX_PARTITION_ORDER = 60"
     assert cells["series", "small", 61]["skip"].startswith("predicted ")
     assert "median_s" in cells["series", "small", 1]
+
+
+@pytest.mark.parametrize(
+    "runs, n, predicted",
+    [
+        # Medians (s) of BENCH_32.json's rows at n = 30 and 50, and the prediction at 100.
+        pytest.param([(30, 0.13003), (50, 1.05273)], 100, 18.0, id="jet_compose/64-bit-nonzero"),
+        pytest.param([(30, 0.18588), (50, 1.68611)], 100, 33.6, id="symbolic/64-bit"),
+        pytest.param([(30, 0.04261), (50, 0.36585)], 100, 6.8, id="series/64-bit-nonzero"),
+        pytest.param([(30, 0.08669), (50, 0.59864)], 100, 8.2, id="determinant/64-bit-nonzero"),
+        pytest.param([(30, 0.05012), (50, 0.37731)], 100, 5.8, id="bell/64-bit-nonzero"),
+        # Bell on 64-bit values grows as n^1.6 from n = 12 to 20: the cube still holds.
+        pytest.param([(12, 0.000752), (20, 0.001691)], 30, 0.001691 * 1.5**3, id="bell/64-bit"),
+        # One cell run: the cube.
+        pytest.param([(50, 1.0)], 100, 8.0, id="one cell"),
+    ],
+)
+def test_the_prediction_grows_at_least_as_the_cube(runs, n, predicted):
+    assert _load_ladder().predict(runs, n) == pytest.approx(predicted, rel=0.01)
 
 
 def test_compare_prints_new_over_old_per_cell(tmp_path):

@@ -8,12 +8,88 @@ from fractions import Fraction
 import pytest
 
 from compderiv import cli, exact, symbolic
-from compderiv.composition import DerivativeSequence, partial_bell
-from oracles import partial_bell_by_binomials, random_rational
+from compderiv.composition import DerivativeSequence, lagrange_power_coefficient, partial_bell
+from compderiv.symbolic import taylor_polynomial
+from oracles import partial_bell_by_binomials, power_coefficient_on_fractions, random_rational
 
 CHECK = ["check", "--max-n", "8", "--trials", "5"]
 DERIVE = ["derive", "--phi", "x^3 + x", "--psi", "2*y^2 + y", "--at", "1/2", "-n", "4",
           "--method", "all"]
+
+# (owner, name, command): a one-unit fault in owner.name makes the command exit 3.
+FAULTS = [
+    (exact, "scaled", CHECK),
+    (exact, "reduced", CHECK),
+    (exact, "convolve", CHECK),
+    (exact, "rational_sum", CHECK),
+    (DerivativeSequence, "taylor_coefficients", CHECK),
+    (math, "comb", CHECK),
+    (math, "factorial", CHECK),
+    (math, "lcm", CHECK),
+    (symbolic, "derivative_sequence_of", DERIVE),
+]
+
+# Functions two or more routes reach that have no fault case, each with the reason.
+UNFAULTED = {
+    "exact.check_order": "an order bound: it raises or returns None, so no value to fault",
+    "sequence.require_order": "a length bound: it raises or returns None, so no value to fault",
+    "cli.<lambda>": "the ROUTES table's adapters, one per route, each passing its inputs on",
+    "math.gcd": "read through Fraction by every route, so a fault there moves them all alike",
+}
+
+# Python 3.12 and later run list, set and dict comprehensions in their caller's
+# frame, so the map leaves comprehension frames out on every version.
+_COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
+
+
+def _name(function) -> str:
+    """``module.name`` of a compderiv function or a ``math`` builtin, as ``reach_map`` keys it."""
+    return f"{function.__module__.removeprefix('compderiv.')}.{function.__name__}"
+
+
+def reach_map() -> dict[str, set[str]]:
+    """Each function a ``cli.ROUTES`` entry reaches, mapped to the routes that reach it.
+
+    Every route runs on ``check``'s draws at n = 2, 5 and 9 under a
+    ``sys.setprofile`` trace.  A compderiv function is keyed by its module
+    and code name (Python 3.10 has no ``co_qualname``), a ``math`` builtin
+    by ``math.<name>``.  The symbolic route reads the Taylor polynomials of
+    the drawn sequences, built before the trace starts, as ``check`` does.
+    """
+    reached: dict[str, set[str]] = {}
+    for n in (2, 5, 9):
+        rng = random.Random(n)
+        at = cli._random_rational(rng)
+        psi = cli._random_sequence(rng, n)
+        phi = cli._random_sequence(rng, n)
+        exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
+        for route_name, route in cli.ROUTES.items():
+            if n < route.lowest_order:
+                continue
+
+            def profile(frame, event, arg, route_name=route_name):
+                if event == "call":
+                    module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+                    if module.startswith("compderiv.") and name not in _COMPREHENSIONS:
+                        key = f"{module.removeprefix('compderiv.')}.{name}"
+                        reached.setdefault(key, set()).add(route_name)
+                elif event == "c_call" and getattr(arg, "__module__", None) == "math":
+                    reached.setdefault(_name(arg), set()).add(route_name)
+
+            sys.setprofile(profile)
+            try:
+                route.call(phi, psi, n, exprs)
+            finally:
+                sys.setprofile(None)
+    return reached
+
+
+def test_every_function_two_routes_reach_has_a_fault_case_or_a_reason():
+    shared = {name for name, routes in reach_map().items() if len(routes) >= 2}
+    faulted = {_name(getattr(owner, name)) for owner, name, _ in FAULTS}
+    assert shared - faulted - set(UNFAULTED) == set()
+    # An entry no longer reached by two routes comes off the list.
+    assert set(UNFAULTED) <= shared
 
 
 def _off_by_one(result):
@@ -42,24 +118,7 @@ def _add_a_fault(monkeypatch, owner, name):
                 monkeypatch.setattr(module, name, faulty)
 
 
-@pytest.mark.parametrize(
-    "owner, name, argv",
-    [
-        (exact, "scaled", CHECK),
-        (exact, "reduced", CHECK),
-        (exact, "convolve", CHECK),
-        (exact, "rational_sum", CHECK),
-        (DerivativeSequence, "taylor_coefficients", CHECK),
-        (math, "comb", CHECK),
-        (math, "factorial", CHECK),
-        (math, "lcm", CHECK),
-        (symbolic, "derivative_sequence_of", DERIVE),
-    ],
-    ids=[
-        "scaled", "reduced", "convolve", "rational_sum", "taylor_coefficients", "comb",
-        "factorial", "lcm", "derivative_sequence_of",
-    ],
-)
+@pytest.mark.parametrize("owner, name, argv", FAULTS, ids=[name for _, name, _ in FAULTS])
 def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
     capsys, monkeypatch, owner, name, argv
 ):
@@ -67,16 +126,9 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
 
     The helper's result gets one unit added to it, or to its last entry,
     under its name in every module that holds it, and the command that
-    passed before exits 3.  A ``sys.setprofile`` trace of each
-    ``cli.ROUTES`` entry on ``check``'s draws at n = 2, 5 and 9 finds the
-    readers, and a fault moves the routes that read a helper off those that
-    do not: ``math.factorial`` is read by every route but the determinant,
-    ``math.lcm`` by every route but the partition sum, ``exact.scaled`` by
-    Bell, the determinant and the series route, ``exact.reduced`` by the
-    determinant, the series and the symbolic route, ``rational_sum`` by the
-    partition, Bell and determinant routes, ``exact.convolve`` by the
-    series and symbolic routes, and ``math.comb`` by the determinant alone.
-    ``derivative_sequence_of`` is read by the four closed routes on
+    passed before exits 3.  ``reach_map`` traces which routes read which
+    helper, and a fault moves the routes that read a helper off those that
+    do not.  ``derivative_sequence_of`` is read by the four closed routes on
     expression input, so only the symbolic route sees its fault.
     ``DerivativeSequence.taylor_coefficients`` is read by no route: ``check``
     builds the symbolic route's Taylor polynomials with it
@@ -110,3 +162,20 @@ def test_a_one_unit_fault_in_scaled_moves_partial_bell_off_its_oracle(monkeypatc
     assert all(partial_bell(*args) == partial_bell_by_binomials(*args) for args in cases)
     _add_a_fault(monkeypatch, exact, "scaled")
     assert all(partial_bell(*args) != partial_bell_by_binomials(*args) for args in cases)
+
+
+def test_a_one_unit_fault_in_scaled_moves_the_power_route_off_its_oracle(monkeypatch):
+    """``power_coefficient_on_fractions`` reads none of the helpers
+    ``lagrange_power_coefficient`` reads.
+
+    With the fault in ``exact.scaled``, W_last / W_0 is 1 / W_0 off, and so
+    is the coefficient, by m * w_0**m / W_0, at every n and m != 0.
+    """
+    rng = random.Random(3131)
+    cases = []
+    for n in range(1, 12):
+        psi = DerivativeSequence(tuple(random_rational(rng) for _ in range(n)), Fraction(-5, 3))
+        cases += [(psi, m, n) for m in (-3, 2, 5)]
+    assert all(lagrange_power_coefficient(*a) == power_coefficient_on_fractions(*a) for a in cases)
+    _add_a_fault(monkeypatch, exact, "scaled")
+    assert all(lagrange_power_coefficient(*a) != power_coefficient_on_fractions(*a) for a in cases)

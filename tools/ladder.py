@@ -22,7 +22,8 @@ derivatives, phi before psi):
 Each cell is the median wall time of ``--calls`` calls, with that count.
 A cell not run holds a skip marker with its reason: an order outside a
 route's library bounds, or a time predicted above ``--budget`` seconds
-from the last cell run in that row, by its time times (n / its n)^3.
+from the cells run before it in that row (``predict``).  The budget bounds
+the prediction, not the time a cell takes.
 Route values at each (set, n) are compared, and ``agree`` records
 whether all routes that ran gave the same value.  The JSON also holds
 the machine facts and ``git rev-parse HEAD`` of the ``--src`` checkout.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import random
@@ -114,6 +116,23 @@ def subjects(n: int, phi, psi):
     yield "lagrange_power_coefficient", None, lambda: lagrange_power_coefficient(psi, EXPONENT, n)
 
 
+def predict(runs: list[tuple[int, float]], n: int) -> float:
+    """Seconds a cell at order n is predicted to take from its row's cells
+    run so far, (order, median seconds) in the order they ran.
+
+    The last time times (n / its order)^e, with e the growth exponent
+    between the last two cells, ln(t1/t0) / ln(n1/n0), but never below 3;
+    e = 3 after one cell.  On 64-bit values some rows grow as n^4 from
+    n = 30 to 50, and the cube alone then predicts a quarter of the time.
+    """
+    n1, t1 = runs[-1]
+    e = 3.0
+    if len(runs) > 1 and runs[-2][0] != n1:
+        n0, t0 = runs[-2]
+        e = max(e, math.log(t1 / t0) / math.log(n1 / n0))
+    return t1 * (n / n1) ** e
+
+
 def ladder(orders: list[int], calls: int, budget: float) -> tuple[list[dict], list[dict]]:
     from compderiv import DerivativeSequence, cli
 
@@ -122,7 +141,7 @@ def ladder(orders: list[int], calls: int, budget: float) -> tuple[list[dict], li
         return DerivativeSequence(tuple(draw(rng) for _ in range(n)), base)
 
     cells, agreement = [], []
-    last: dict[tuple[str, str], tuple[int, float]] = {}  # (set, subject) -> (n, median_s)
+    runs: dict[tuple[str, str], list[tuple[int, float]]] = {}  # (set, subject) -> [(n, median_s)]
     for set_name, draw in SETS.items():
         for n in orders:
             rng = random.Random(n)
@@ -132,10 +151,10 @@ def ladder(orders: list[int], calls: int, budget: float) -> tuple[list[dict], li
             for name, bound, call in subjects(n, phi, psi):
                 cell = {"subject": name, "set": set_name, "n": n}
                 cells.append(cell)
-                if not bound and (set_name, name) in last:
-                    m, t = last[set_name, name]
-                    predicted = t * (n / m) ** 3
+                if not bound and (set_name, name) in runs:
+                    predicted = predict(runs[set_name, name], n)
                     if predicted > budget:
+                        m = runs[set_name, name][-1][0]
                         bound = f"predicted {predicted:.3g} s > budget {budget:g} s from n = {m}"
                 if bound:
                     cell["skip"] = bound
@@ -146,7 +165,7 @@ def ladder(orders: list[int], calls: int, budget: float) -> tuple[list[dict], li
                     value = call()
                     times.append(time.perf_counter() - start)
                 cell.update(median_s=statistics.median(times), calls=calls)
-                last[set_name, name] = n, cell["median_s"]
+                runs.setdefault((set_name, name), []).append((n, cell["median_s"]))
                 if name in cli.ROUTES:
                     values[name] = value
             agreement.append(
