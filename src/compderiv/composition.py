@@ -21,8 +21,8 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
   |m| <= MAX_EXPONENT.
 
 Both run the recurrence through one loop, ``_miller_power``, on integers
-over one scale; each builds its own integer series W for it and scales
-the result back itself.
+over one scale; each reads psi's Taylor coefficients as integers from
+``exact.taylor_scaled`` and scales the result back itself.
 
 The partition sum and Bell add their outer orders, phi^(p) = f_p / g_p
 times an inner coefficient N_p / D_p, with ``exact.rational_sum`` on the
@@ -42,7 +42,7 @@ from .exact import (
     check_exponent,
     check_order,
     rational_sum,
-    scaled,
+    taylor_scaled,
 )
 from .partitions import check_partition_order, pair_divisor
 from .sequence import DerivativeSequence  # bench/workloads.py reads it from here
@@ -133,10 +133,10 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     x_i = psi^(i): B_{n,k} = n!/k! * [t^n] (sum_i x_i t^i / i!)**k, the
     k-th power of g(t) = sum_{i=1}^{w} x_i t^(i-1) / i! read at t^(n-k),
     w = n - k + 1.  It needs psi up to order w only, and runs over
-    integers: with x_i = a_i / D in the integer-scaled form of
-    ``exact.scaled``, g's coefficients are G_i = a_{i+1} * (w! / (i+1)!)
-    over D * w!.  With G = t**s * W, W_0 != 0, ``_miller_power`` gives
-    v / scale = [t^(w-1-s*k)] (W / W_0)**k, and [t^(w-1)] g**k is
+    integers: ``exact.taylor_scaled`` writes g's coefficients as integers
+    G_i over D * w!, D the least common denominator of x_1..x_w.  With
+    G = t**s * W, W_0 != 0, ``_miller_power`` gives v / scale =
+    [t^(w-1-s*k)] (W / W_0)**k, and [t^(w-1)] g**k is
     (W_0 / (D * w!))**k * v / scale, or 0 when s*k > w - 1.  The lead
     W_0 / (D * w!) is psi^(s+1) / (s+1)!, so with psi^(s+1) = p / q,
     B_{n,k} = p**k * v * (n!/k!) / ((q * (s+1)!)**k * scale): the k-th
@@ -148,9 +148,7 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     width = n - k + 1
     psi.require_order(width, "psi")
-    xs, _ = scaled(psi.derivs[:width])
-    top = math.factorial(width)
-    G = [a * (top // math.factorial(i)) for i, a in enumerate(xs, start=1)]
+    G, _ = taylor_scaled(psi.derivs[:width], 1)
     s = next((i for i, c in enumerate(G) if c), None)
     if s is None or s * k > width - 1:
         return Fraction(0)
@@ -182,9 +180,8 @@ def lagrange_power_coefficient(
     The Taylor coefficients u_k = psi^(k) / k!, u_0 the base value, are
     u = t**s * w with w_0 != 0, and the answer is w_0**m times
     [t^(n-s*m)] (w / w_0)**m.  ``_miller_power`` gives that coefficient as
-    v / scale from the integers W_j = d * w_j of ``exact.scaled``, d the
-    least common denominator of w_0..w_(n-s*m): scaling w leaves w / w_0 as
-    it is.
+    v / scale from the integers W_j = d * w_j of ``exact.taylor_scaled``:
+    scaling w leaves w / w_0 as it is, and w_0 = W_0 / d.
 
     |m| is bounded by ``MAX_EXPONENT`` (2000), the bound ``x^m`` has as an
     expression: the integers grow with m, so a larger exponent is a
@@ -197,16 +194,14 @@ def lagrange_power_coefficient(
     base = psi.require_base("psi")
     if base == 0 and m < 0:
         raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
-    u = psi.taylor_coefficients(n)
-    s = next((k for k, c in enumerate(u) if c), None)
+    values = (base, *psi.derivs[:n])
+    s = next((k for k, c in enumerate(values) if c), None)
     # At m = 0 and s = n, w below is w_0 alone and Miller would give 1.
     if m == 0 or s is None or n < s * m:
         return Fraction(0)
-    last = n - s * m
-    w = u[s : s + last + 1]
-    W, _ = scaled(w)
+    W, d = taylor_scaled(values[s : n - s * m + s + 1], s)
     v, scale = _miller_power(W, m)
-    return w[0] ** m * Fraction(v, scale)
+    return Fraction(W[0], d) ** m * Fraction(v, scale)
 
 
 def _miller_power(W: list[int], m: int) -> tuple[int, int]:

@@ -155,7 +155,7 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
     and a_(n+2-i) for i = 1..n+1 (column 1), all over d.
     """
     psi.require_order(n + 1, "psi")
-    a, d = scaled([psi.derivative(j) for j in range(1, n + 2)])  # a[j-1] = a_j
+    a, d = scaled(psi.derivs[: n + 1])  # a[j-1] = a_j
     columns = [
         tuple(math.comb(n - i + 1, k - i) * a[k - i] for i in range(1, k + 1))
         for k in range(1, n + 1)

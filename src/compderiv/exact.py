@@ -13,16 +13,17 @@ There is no floating point anywhere in the computational core.
 The integer-scaled form of rationals is integers over their least common
 denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
-coefficient lists.  The Bell and power routes use ``scaled``; the
-determinant ``scaled`` and ``reduced``; the series route all three, for
-the powers of its inner series; and the symbolic expansion ``reduced`` and
-``convolve``.  The partition route keeps integers of its own and uses none
-of them.
+coefficient lists, and ``taylor_scaled`` writes Taylor coefficients
+d_k / k! in the form.  Bell and the power route read psi through
+``taylor_scaled``; the determinant uses ``scaled`` and ``reduced``; the
+series route ``taylor_scaled``, ``reduced`` and ``convolve``; and the
+symbolic expansion ``reduced`` and ``convolve``.  The partition route
+keeps integers of its own and uses none of them.
 
 ``rational_sum`` adds integer pairs num / den over one running lcm of the
-denominators and reduces once, at the end.  The partition sum, Bell and
-the determinant add their terms phi^(p) times an inner coefficient with
-it; the series and symbolic routes do not read it.
+denominators and reduces once, at the end.  The partition sum, Bell, the
+determinant and the series route add their terms with it; the symbolic
+route does not read it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "int_text",
     "as_rational",
     "scaled",
+    "taylor_scaled",
     "reduced",
     "convolve",
     "rational_sum",
@@ -139,6 +141,16 @@ def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers a_i and the least d >= 1 with values[i] == a_i / d."""
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def taylor_scaled(values: Sequence[Fraction], start: int) -> tuple[list[int], int]:
+    """Integers a_i and d with values[i] / (start + i)! == a_i / d.
+
+    d is ``scaled``'s least common denominator times (start + len - 1)!, not reduced.
+    """
+    xs, d = scaled(values)
+    top = math.factorial(start + len(values) - 1)
+    return [x * (top // math.factorial(k)) for k, x in enumerate(xs, start)], d * top
 
 
 def reduced(ints: list[int], den: int) -> tuple[list[int], int]:

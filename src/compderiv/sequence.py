@@ -3,12 +3,13 @@
 A ``DerivativeSequence`` holds psi', psi'', ... (or phi', phi'', ...)
 evaluated at the expansion point, with the 0-th value optional.  It lives
 in a module of its own so that no route module imports another route's
-module to read its inputs.
+module to read its inputs.  It holds values and their bounds only: the
+routes read its Taylor coefficients d_k / k! through
+``exact.taylor_scaled``, and ``symbolic.taylor_polynomial`` builds its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,15 +66,3 @@ class DerivativeSequence:
         if self.base is None:
             raise ValueError(f"{role} sequence needs a base value (0-th derivative)")
         return self.base
-
-    def taylor_coefficients(self, n: int) -> list[Fraction]:
-        """c_0..c_n: the base value (0 when absent), then c_k = d_k / k!."""
-        if n < 0:
-            raise ValueError(f"Taylor degree must be non-negative, got {n}")
-        if len(self.derivs) < n:
-            raise SequenceTooShortError("Taylor", n, len(self.derivs))
-        c0 = self.base or Fraction(0)
-        return [c0] + [
-            Fraction(d.numerator, d.denominator * math.factorial(k))
-            for k, d in enumerate(self.derivs[:n], start=1)
-        ]

@@ -9,10 +9,10 @@ centered Taylor series of psi, by Paterson and Stockmeyer's baby steps
 and giant steps (SIAM J. Comput. 2(1), 1973), as Brent and Kung apply
 them to series composition (JACM 25(4), 1978, section 2): the baby
 powers g^0..g^(r-1) and the giant powers U^j of U = g^r, on integers
-over one denominator each (``exact.scaled``, ``exact.convolve``,
+over one denominator each (``exact.taylor_scaled``, ``exact.convolve``,
 ``exact.reduced``), cut at degree n.  Each term b_k g^k, k = jr + i, of
-a degree is one integer dot product of g^i and U^j, and the terms add
-up over one running lcm of their denominators.
+a degree is one integer dot product of g^i and U^j, and
+``exact.rational_sum`` adds a degree's terms.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import convolve, reduced, scaled
+from .exact import convolve, rational_sum, reduced, taylor_scaled
 from .sequence import DerivativeSequence, SequenceTooShortError
 
 __all__ = [
@@ -69,53 +69,38 @@ def _compose(
     cut at degree n.  Since g has no constant term, g^i has no term below
     t^i and U^j none below t^(jr), so each list starts there: the product
     that makes U^(j+1) computes degrees (j+1)r..n only.  [t^m](g^i U^j) is
-    then one dot product of the two lists, and the term b_k times it over
-    the two denominators adds to a running sum over the lcm of the
-    denominators so far: one Fraction per degree, at the end.  b_k is read
-    from outer^(k) as the integers (numerator, denominator * k!), with no
-    Fraction of its own.  Giant steps stop at the last k <= n with b_k != 0.
+    then one dot product of the two lists, and ``exact.rational_sum`` adds
+    m! b_k times it over m's k as integer pairs: the numerator of outer^(k)
+    times m! / k! times the dot product, over the denominator of outer^(k)
+    times those of the two lists.  Giant steps stop at the last k <= n with
+    b_k != 0.
     """
     phis = outer.derivs  # b_k = phis[k-1] / k!, read as integers; b_0 adds to no degree >= 1
     top = n
     while top and not phis[top - 1]:
         top -= 1
     r = math.isqrt(n // 2) + 1
-    # g over d, from degree 1: a_i = inner^(i) * (n! / i!) / (n! * lcm of their denominators).
-    xs, d = scaled(inner.derivs[:n])
-    w = math.factorial(n)
-    g, d = reduced([x * (w // math.factorial(i)) for i, x in enumerate(xs, 1)], d * w)
+    g, d = reduced(*taylor_scaled(inner.derivs[:n], 1))  # g over d, from degree 1
     unit = [1] + [0] * n
     baby = [(unit, 1), (g, d)]  # baby[i]: g^i from degree i and its denominator
     for i in range(2, min(r, top) + 1):
         power, den = baby[-1]
         baby.append(reduced(convolve(power, g, n + 1 - i), den * d))
-    step = baby.pop() if top >= r else None  # U = g^r from degree r
-    sums = [[0, 1] for _ in degrees]  # [total, common]: the sum is total / common
-    giant, gden = unit, 1  # U^j from degree j*r
-    for j in range(top // r + 1):
-        for i, (power, pden) in enumerate(baby[: top - j * r + 1]):
-            k = j * r + i
-            if not k or not phis[k - 1]:
-                continue
-            phi_k = phis[k - 1]
-            num, den = phi_k.numerator, phi_k.denominator * math.factorial(k) * pden * gden
-            for m, acc in zip(degrees, sums):
-                e = m - k
-                if e < 0:
-                    continue
-                dot = sum(map(operator.mul, power[: e + 1], reversed(giant[: e + 1])))
-                if not dot:
-                    continue
-                total, common = acc
-                c = math.gcd(common, den)
-                if c == den:
-                    acc[0] = total + num * dot * (common // den)
-                else:
-                    acc[0] = total * (den // c) + num * dot * (common // c)
-                    acc[1] = common * (den // c)
-        if (j + 1) * r <= top:
-            giant, gden = reduced(convolve(giant, step[0], n + 1 - (j + 1) * r), gden * step[1])
-    return [Fraction(math.factorial(m) * total, common) for m, (total, common) in zip(degrees, sums)]
+    step, sden = baby.pop() if top >= r else (unit, 1)  # U = g^r from degree r, read if top >= r
+    giants = [(unit, 1)]  # giants[j]: U^j from degree j*r and its denominator
+    while len(giants) * r <= top:
+        giant, gden = giants[-1]
+        giants.append(reduced(convolve(giant, step, n + 1 - len(giants) * r), gden * sden))
+
+    def terms(m: int):
+        for k in range(1, min(m, top) + 1):
+            if phis[k - 1]:
+                (power, pden), (giant, gden) = baby[k % r], giants[k // r]
+                dot = sum(map(operator.mul, power[: m - k + 1], reversed(giant[: m - k + 1])))
+                lift = math.factorial(m) // math.factorial(k)
+                yield phis[k - 1].numerator * lift * dot, phis[k - 1].denominator * pden * gden
+
+    return [rational_sum(terms(m)) for m in degrees]
 
 
 def jet_from_derivatives(seq: DerivativeSequence, order: int) -> DerivativeSequence:

@@ -555,11 +555,12 @@ def taylor_polynomial(seq: DerivativeSequence, at: Fraction | int | str) -> Expr
 
     Inverse of ``derivative_sequence_of`` up to the sequence length:
     sum of d_k/k! * (y - at)**k, built in Horner form so later dense
-    expansion stays cheap.  A missing base value contributes 0.
+    expansion stays cheap.  A missing base value contributes 0.  The d_k/k!
+    are Fractions of its own, from no helper that a closed route reads.
     """
     point = as_rational(at)
     shift = _add(Variable("y"), Constant(-point))
-    coefficients = seq.taylor_coefficients(len(seq.derivs))
+    coefficients = [seq.base or 0, *(d / math.factorial(k) for k, d in enumerate(seq.derivs, 1))]
     node: Expr = Constant(coefficients[-1])
     for c in reversed(coefficients[:-1]):
         node = _add(Constant(c), _mul(shift, node))

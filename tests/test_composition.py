@@ -529,7 +529,7 @@ def test_power_route_equals_the_fraction_loop_it_replaced():
                 continue
             expected = power_coefficient_on_fractions(psi, m, n)
             assert lagrange_power_coefficient(psi, m, n) == expected, (n, m)
-            s = next((k for k, c in enumerate(psi.taylor_coefficients(n)) if c), 0)
+            s = next((k for k, c in enumerate((psi.base, *psi.derivs)) if c), 0)
             if n < s * m:
                 seen_below += 1
                 assert expected == 0
@@ -652,16 +652,3 @@ def test_sequence_coerces_to_fractions():
     s = DerivativeSequence(derivs=(1, "3/2"), base="2")
     assert s.derivs == (Fraction(1), Fraction(3, 2))
     assert s.base == Fraction(2)
-    # Taylor coefficients: the base, then d_k / k!; 0 stands in for a missing base.
-    assert s.taylor_coefficients(2) == [2, 1, Fraction(3, 4)]
-    assert DerivativeSequence(derivs=(6,)).taylor_coefficients(1) == [0, 6]
-    assert s.taylor_coefficients(0) == [2]
-
-
-def test_taylor_coefficients_bound_the_degree():
-    s = DerivativeSequence(derivs=(1, 2), base=3)
-    with pytest.raises(SequenceTooShortError) as info:
-        s.taylor_coefficients(3)
-    assert (info.value.needed, info.value.available) == (3, 2)
-    with pytest.raises(ValueError, match="must be non-negative, got -1"):
-        s.taylor_coefficients(-1)

@@ -18,6 +18,7 @@ from compderiv.exact import (
     rational_sum,
     reduced,
     scaled,
+    taylor_scaled,
 )
 
 rationals = st.fractions(
@@ -171,6 +172,29 @@ def test_scaled_clears_the_least_common_denominator():
     assert scaled([Fraction(-4), Fraction(0)]) == ([-4, 0], 1)
     assert scaled([Fraction(0), Fraction(0)]) == ([0, 0], 1)
     assert scaled([]) == ([], 1)
+
+
+def test_taylor_scaled_writes_d_k_over_k_factorial_over_one_denominator():
+    # The base, then d_k / k!: [2, 1, 3/2] from order 0 is [2, 1, 3/4] over
+    # scaled's lcm 2 times 2!, and a missing base enters as 0.
+    assert taylor_scaled([Fraction(2), Fraction(1), Fraction(3, 2)], 0) == ([8, 4, 3], 4)
+    assert taylor_scaled([Fraction(0), Fraction(6)], 0) == ([0, 6], 1)
+    assert taylor_scaled([Fraction(2)], 0) == ([2], 1)
+    # An order-0 jet has no derivatives to scale.
+    assert taylor_scaled([], 1) == ([], 1)
+    rng = random.Random(34)
+    for start in (0, 1, 5):
+        for size in range(1, 12):
+            values = [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else Fraction(0)
+                for _ in range(size)
+            ]
+            ints, d = taylor_scaled(values, start)
+            assert d >= 1 and all(isinstance(x, int) for x in ints)
+            assert d == scaled(values)[1] * math.factorial(start + size - 1)
+            assert [Fraction(x, d) for x in ints] == [
+                v / math.factorial(k) for k, v in enumerate(values, start)
+            ]
 
 
 def test_convolve_truncates_and_pads():

@@ -22,7 +22,7 @@ FAULTS = [
     (exact, "reduced", CHECK),
     (exact, "convolve", CHECK),
     (exact, "rational_sum", CHECK),
-    (DerivativeSequence, "taylor_coefficients", CHECK),
+    (exact, "taylor_scaled", CHECK),
     (math, "comb", CHECK),
     (math, "factorial", CHECK),
     (math, "lcm", CHECK),
@@ -85,11 +85,14 @@ def reach_map() -> dict[str, set[str]]:
 
 
 def test_every_function_two_routes_reach_has_a_fault_case_or_a_reason():
-    shared = {name for name, routes in reach_map().items() if len(routes) >= 2}
+    reached = reach_map()
+    shared = {name for name, routes in reached.items() if len(routes) >= 2}
     faulted = {_name(getattr(owner, name)) for owner, name, _ in FAULTS}
     assert shared - faulted - set(UNFAULTED) == set()
     # An entry no longer reached by two routes comes off the list.
     assert set(UNFAULTED) <= shared
+    # The symbolic route is the one the closed routes' shared sum and scaling must miss.
+    assert "symbolic" not in reached["exact.rational_sum"] | reached["exact.taylor_scaled"]
 
 
 def _off_by_one(result):
@@ -130,10 +133,10 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
     helper, and a fault moves the routes that read a helper off those that
     do not.  ``derivative_sequence_of`` is read by the four closed routes on
     expression input, so only the symbolic route sees its fault.
-    ``DerivativeSequence.taylor_coefficients`` is read by no route: ``check``
-    builds the symbolic route's Taylor polynomials with it
-    (``symbolic.taylor_polynomial``), so its fault reaches the symbolic
-    route through its inputs alone, and ``check`` still exits 3.
+    ``exact.taylor_scaled`` is read by Bell and the series route, and
+    ``exact.rational_sum`` by every closed route, but by neither the
+    symbolic route nor ``symbolic.taylor_polynomial``, which builds that
+    route's inputs in ``check`` from Fractions of its own.
 
     Out of the oracle's reach: ``parse``, ``parse_rational`` and
     ``as_rational``, ``cli._random_sequence`` and the CLI's own comparison
@@ -147,12 +150,14 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
     assert "route disagreement" in capsys.readouterr().err
 
 
-def test_a_one_unit_fault_in_scaled_moves_partial_bell_off_its_oracle(monkeypatch):
+@pytest.mark.parametrize("name", ["scaled", "taylor_scaled"])
+def test_a_one_unit_fault_in_scaled_moves_partial_bell_off_its_oracle(monkeypatch, name):
     """``partial_bell_by_binomials`` reads none of the helpers ``partial_bell`` reads.
 
-    The fault goes into ``exact.scaled`` as above, the test oracles included,
-    and B_{n,k} differs from the oracle's value for every k < n; B_{n,n} is
-    psi'**n, which partial_bell reads from psi' itself.
+    The fault goes into ``exact.scaled`` or ``exact.taylor_scaled`` as above,
+    the test oracles included, and B_{n,k} differs from the oracle's value
+    for every k < n; B_{n,n} is psi'**n, which partial_bell reads from psi'
+    itself.
     """
     rng = random.Random(3030)
     cases = []
@@ -160,16 +165,18 @@ def test_a_one_unit_fault_in_scaled_moves_partial_bell_off_its_oracle(monkeypatc
         psi = DerivativeSequence(tuple(random_rational(rng) or 1 for _ in range(n)))
         cases += [(n, k, psi) for k in range(1, n)]
     assert all(partial_bell(*args) == partial_bell_by_binomials(*args) for args in cases)
-    _add_a_fault(monkeypatch, exact, "scaled")
+    _add_a_fault(monkeypatch, exact, name)
     assert all(partial_bell(*args) != partial_bell_by_binomials(*args) for args in cases)
 
 
-def test_a_one_unit_fault_in_scaled_moves_the_power_route_off_its_oracle(monkeypatch):
+@pytest.mark.parametrize("name", ["scaled", "taylor_scaled"])
+def test_a_one_unit_fault_in_scaled_moves_the_power_route_off_its_oracle(monkeypatch, name):
     """``power_coefficient_on_fractions`` reads none of the helpers
     ``lagrange_power_coefficient`` reads.
 
-    With the fault in ``exact.scaled``, W_last / W_0 is 1 / W_0 off, and so
-    is the coefficient, by m * w_0**m / W_0, at every n and m != 0.
+    With the fault in ``exact.scaled`` or ``exact.taylor_scaled``, W_last /
+    W_0 is 1 / W_0 off, and so is the coefficient, by m * w_0**m / W_0, at
+    every n and m != 0.
     """
     rng = random.Random(3131)
     cases = []
@@ -177,5 +184,5 @@ def test_a_one_unit_fault_in_scaled_moves_the_power_route_off_its_oracle(monkeyp
         psi = DerivativeSequence(tuple(random_rational(rng) for _ in range(n)), Fraction(-5, 3))
         cases += [(psi, m, n) for m in (-3, 2, 5)]
     assert all(lagrange_power_coefficient(*a) == power_coefficient_on_fractions(*a) for a in cases)
-    _add_a_fault(monkeypatch, exact, "scaled")
+    _add_a_fault(monkeypatch, exact, name)
     assert all(lagrange_power_coefficient(*a) != power_coefficient_on_fractions(*a) for a in cases)
