@@ -7,9 +7,9 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
 * ``derivative_partition_sum`` sums one exact term per integer partition
   of n (the primary closed form) on integers: one explicit stack fixes the
   multiplicities of the sizes >= 3 and carries each prefix's integer
-  weight, a loop splits the rest into 2s and 1s, sizes where psi vanishes
-  are skipped, and one running common denominator is kept per outer
-  order p.
+  weight, a per-call table of the splits of r units into 2s and 1s
+  finishes each prefix, sizes where psi vanishes are skipped, and one
+  running common denominator is kept per outer order p.
 * ``derivative_bell`` sums phi^(k) * B_{n,k} over the k where phi^(k) != 0;
   ``partial_bell`` gets B_{n,k} from Comtet's identity, the k-th power of
   a series read at one coefficient, and raises the series to that power by
@@ -74,15 +74,20 @@ def derivative_partition_sum(
     One explicit stack walks the sizes j >= 3, largest first.  A frame is
     a prefix: its (num, den, p) and the r units its sizes leave.  Popping
     one pushes a frame for each m_j >= 1 of each smaller nonzero size j <= r
-    and leaves m_j = 0 for all of them; then a loop over m_2 splits r into
-    m_2 twos and m_1 = r - 2 * m_2 ones.  The frames pending at size j come
-    from one popped frame, so the stack holds at most sum_{j=3}^{n} n // j
-    < n * ln(n) frames.  The floor division by pair_divisor is exact at
-    every prefix: its sizes sum to some m <= n, and n! / prod divisors =
-    (n! / m!) * (m! / prod divisors) is an integer.  The terms with p parts
-    add up to nums[p] / dens[p], dens[p] the running lcm of their
-    denominators, unreduced until the last step: ``exact.rational_sum``
-    adds sum_p phi^(p) * nums[p] / dens[p] over one more running lcm.
+    and leaves m_j = 0 for all of them; then the r units left are split into
+    m_2 twos and m_1 = r - 2 * m_2 ones.  tails[r] holds those splits, one
+    (divisor, top, bottom, m_1 + m_2) per m_2 that rows[2] and rows[1] both
+    hold, each the product of the two row entries; it is built the first
+    time the walk reaches r, so a term costs one floor division and two
+    products before it is added.  The frames pending at size j come from one popped frame, so
+    the stack holds at most sum_{j=3}^{n} n // j < n * ln(n) frames.  The
+    floor division by a divisor is exact at every prefix: its sizes sum to
+    some m <= n, and n! / prod divisors = (n! / m!) * (m! / prod divisors)
+    is an integer.  The terms with p parts add up to nums[p] / dens[p],
+    dens[p] the running lcm of their denominators, unreduced until the last
+    step; a term whose denominator divides dens[p] costs one divmod and no
+    gcd.  ``exact.rational_sum`` adds sum_p phi^(p) * nums[p] / dens[p] over
+    one more running lcm.
     """
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
@@ -96,6 +101,7 @@ def derivative_partition_sum(
         if j > 2:
             below[j] = j if d else below[j - 1]
     ones, twos = rows[1], rows[2]
+    tails = [None] * (n + 1)  # tails[r]: _tail_row(ones, twos, r), built when the walk first reaches r
     nums, dens = [0] * (n + 1), [1] * (n + 1)
     stack = [(n, n, math.factorial(n), 1, 0)]  # sizes <= j left, r units, num, den, p
     while stack:
@@ -107,23 +113,37 @@ def derivative_partition_sum(
                 divisor, top, bottom = row[m]
                 stack.append((j - 1, r - j * m, num // divisor * top, den * bottom, p + m))
             j = below[j - 1]
-        # m_2 runs over the values both rows hold, m_1 = r - 2 * m_2 included.
-        for m2 in range(max(0, r - len(ones) + 2) // 2, min(r // 2, len(twos) - 1) + 1):
-            divisor2, top2, bottom2 = twos[m2]
-            divisor1, top1, bottom1 = ones[r - 2 * m2]
-            term = num // divisor2 * top2 // divisor1 * top1
-            under = den * bottom2 * bottom1
-            q = p + r - m2
+        tail = tails[r]
+        if tail is None:
+            tail = tails[r] = _tail_row(ones, twos, r)
+        for divisor, top, bottom, parts in tail:
+            term = num // divisor * top
+            under = den * bottom
+            q = p + parts
             common = dens[q]
-            g = math.gcd(common, under)
-            if g == under:
-                nums[q] += term * (common // under)
-            else:
+            quotient, rest = divmod(common, under)
+            if rest:
+                g = math.gcd(common, under)
                 scale = under // g
                 nums[q] = nums[q] * scale + term * (common // g)
                 dens[q] = common * scale
+            else:
+                nums[q] += term * quotient
     outer = zip(phi.derivs, nums[1:], dens[1:])
     return rational_sum((d.numerator * a, d.denominator * b) for d, a, b in outer)
+
+
+def _tail_row(
+    ones: list[tuple[int, int, int]], twos: list[tuple[int, int, int]], r: int
+) -> list[tuple[int, int, int, int]]:
+    """The splits of r units into m_2 twos and m_1 = r - 2 * m_2 ones, one per m_2
+    that both rows hold: (pair_divisor(2, m_2) * pair_divisor(1, m_1),
+    a_2**m_2 * a_1**m_1, b_2**m_2 * b_1**m_1, m_1 + m_2)."""
+    tail = []
+    for m2 in range(max(0, r - len(ones) + 2) // 2, min(r // 2, len(twos) - 1) + 1):
+        (divisor2, top2, bottom2), (divisor1, top1, bottom1) = twos[m2], ones[r - 2 * m2]
+        tail.append((divisor2 * divisor1, top2 * top1, bottom2 * bottom1, r - m2))
+    return tail
 
 
 def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:

@@ -26,9 +26,9 @@ __all__ = [
 ]
 
 # Highest order the partition sum and the walk accept, a bound on their time: the
-# sum over p(60) = 966,467 partitions takes about 1.5 s (1.2-1.7 s on a 2-vCPU host,
-# every value nonzero) and ``expand`` prints them in about 26 s; p(100) is about
-# 1.9e8 and would take many minutes.
+# sum over p(60) = 966,467 partitions takes about 0.7 s (0.63-0.71 s on a 2-vCPU
+# host, every value nonzero) and ``expand`` prints them in about 26 s; p(100) is
+# about 1.9e8 and would take many minutes.
 MAX_PARTITION_ORDER = 60
 
 

@@ -290,8 +290,11 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
     # the values the Fraction products gave, on value families that drive
     # each branch: coprime 64-bit denominators grow the common denominator,
     # denominators of 2s and 3s mostly divide it, and zeros prune sizes: a
-    # zero psi' or psi'' narrows the loop over the 2s and 1s, and a zero at a
-    # size j >= 3 drops every subtree with m_j > 0.
+    # zero psi' or psi'' narrows the table of splits into 2s and 1s, and a
+    # zero at a size j >= 3 drops every subtree with m_j > 0.  Every n in
+    # 1..12 runs for each family, so each edge of that table comes up on
+    # every run: r = 0, odd r with psi' = 0 (an empty row), psi'' = 0, and
+    # n = 1, where the row of size 2 is the padding row.
     rng = random.Random(1020)
 
     def small():
@@ -331,7 +334,7 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
         "psi = 0": lambda n: (seq(*[small() for _ in range(n)]), seq(*[0] * n)),
     }
     for family, make in families.items():
-        for n in [*(rng.randint(1, 20) for _ in range(30)), 30]:
+        for n in [*(rng.randint(1, 20) for _ in range(30)), *range(1, 13), 30]:
             phi, psi = make(n)
             expected = partition_sum_on_fractions(phi, psi, n)
             assert derivative_partition_sum(phi, psi, n) == expected, (family, n)
