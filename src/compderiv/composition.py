@@ -79,15 +79,15 @@ def derivative_partition_sum(
     (divisor, top, bottom, m_1 + m_2) per m_2 that rows[2] and rows[1] both
     hold, each the product of the two row entries; it is built the first
     time the walk reaches r, so a term costs one floor division and two
-    products before it is added.  The frames pending at size j come from one popped frame, so
-    the stack holds at most sum_{j=3}^{n} n // j < n * ln(n) frames.  The
-    floor division by a divisor is exact at every prefix: its sizes sum to
-    some m <= n, and n! / prod divisors = (n! / m!) * (m! / prod divisors)
-    is an integer.  The terms with p parts add up to nums[p] / dens[p],
-    dens[p] the running lcm of their denominators, unreduced until the last
-    step; a term whose denominator divides dens[p] costs one divmod and no
-    gcd.  ``exact.rational_sum`` adds sum_p phi^(p) * nums[p] / dens[p] over
-    one more running lcm.
+    products before it is added.  The frames pending at size j come from
+    one popped frame, so the stack holds at most sum_{j=3}^{n} n // j
+    < n * ln(n) frames.  The floor division by a divisor is exact at every
+    prefix: its sizes sum to some m <= n, and n! / prod divisors =
+    (n! / m!) * (m! / prod divisors) is an integer.  The terms with p parts
+    add up to nums[p] / dens[p], dens[p] the running lcm of their
+    denominators, unreduced until the last step; a term whose denominator
+    divides dens[p] costs one divmod and no gcd.  ``exact.rational_sum``
+    adds sum_p phi^(p) * nums[p] / dens[p] over one more running lcm.
     """
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
@@ -101,7 +101,7 @@ def derivative_partition_sum(
         if j > 2:
             below[j] = j if d else below[j - 1]
     ones, twos = rows[1], rows[2]
-    tails = [None] * (n + 1)  # tails[r]: _tail_row(ones, twos, r), built when the walk first reaches r
+    tails = [None] * (n + 1)  # tails[r] = _tail_row(ones, twos, r), built on first use
     nums, dens = [0] * (n + 1), [1] * (n + 1)
     stack = [(n, n, math.factorial(n), 1, 0)]  # sizes <= j left, r units, num, den, p
     while stack:
