@@ -22,9 +22,6 @@ class SequenceTooShortError(ValueError):
     """A route asked for a derivative order the sequence does not hold."""
 
     def __init__(self, role: str, needed: int, available: int):
-        self.role = role
-        self.needed = needed
-        self.available = available
         super().__init__(
             f"{role} derivative sequence too short: order {needed} requested "
             f"but only {available} derivative(s) supplied"

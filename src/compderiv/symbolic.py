@@ -9,10 +9,14 @@ into integer coefficients over one common denominator cut after order n.
 
 ``differentiate`` applies the ordinary sum, product and power rules to the
 AST with constant folding only, and ``evaluate`` computes a value at a
-point.  ``derivative_sequence_of`` turns an expression into its derivative
+point on reduced integer pairs, building one ``Fraction`` at the root.
+``derivative_sequence_of`` turns an expression into its derivative
 sequence by calling both once per order, with one derivative memo and one
 value memo for the length of the call: each node is differentiated and
-evaluated once, and the trees D^k share their nodes.
+evaluated once, and the trees D^k share their nodes.  A ``differentiate``
+call builds no node it throws away: its leaf derivatives are one zero and
+one one ``Constant``, a zero or one operand folds without building, and
+each sum or product is looked up before it is built.
 
 Every walk over an expression runs on an explicit stack: the folds go
 through ``_fold``, which visits each distinct node object once, ``repr``
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 from typing import Any, Callable
 
@@ -105,7 +110,8 @@ class Constant(Expr):
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", as_rational(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", as_rational(self.value))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -243,8 +249,11 @@ def parse(text: str) -> Expr:
         # Close what the base completes: its factor, the unary '-' around
         # that factor (whose own factor may take a '^' again), then the
         # term, the sum and the enclosing '(' when no operator follows.
+        # Each pass peeks once and branches on the character it finds.
         while True:
-            if p.take("^"):
+            char = p.peek()
+            if char == "^":
+                p.pos += 1
                 p.skip_ws()
                 offset, exponent = p.pos, p.uint()
                 if max(exponent, 1) * power > MAX_EXPONENT:
@@ -254,6 +263,7 @@ def parse(text: str) -> Expr:
                     raise ParseError(text, offset, (wanted,))
                 node = Pow(node, exponent)
                 power *= max(exponent, 1)
+                char = p.peek()
             level = stack[-1]
             if level is None:
                 stack.pop()
@@ -261,23 +271,23 @@ def parse(text: str) -> Expr:
                 continue
             level[2] = node if level[2] is None else Mul(level[2], node)
             level[3] = max(level[3], power)
-            if p.take("*"):
+            if char == "*":
+                p.pos += 1
                 break
             term = _negate(level[2]) if level[1] else level[2]
             level[0] = term if level[0] is None else Add(level[0], term)
             level[2] = None
-            if p.take("+"):
-                level[1] = False
-                break
-            if p.take("-"):
-                level[1] = True
+            if char == "+" or char == "-":
+                p.pos += 1
+                level[1] = char == "-"
                 break
             if len(stack) == 1:
-                if p.peek() != "":
+                if char:
                     raise p.fail("'+'", "'-'", "'*'", "end of input")
                 return level[0]
-            if not p.take(")"):
+            if char != ")":
                 raise p.fail("')'")
+            p.pos += 1
             stack.pop()
             node, power = level[0], level[3]
 
@@ -296,10 +306,13 @@ def _fold(
 
     ``done`` may hold the values of an earlier fold with the same
     ``visit``; its nodes are not visited again, and the new values are
-    added to it.
+    added to it.  Only children not yet in ``done`` are pushed; one that
+    two parents pushed before its visit is popped once it is done.
     """
     if done is None:
         done = {}
+    elif e in done:
+        return done[e]
     stack = [e]
     while stack:
         node = stack[-1]
@@ -308,9 +321,15 @@ def _fold(
             continue
         kind = type(node)
         if kind is Add or kind is Mul:
-            if node.left not in done or node.right not in done:
-                stack.append(node.right)
-                stack.append(node.left)
+            left, right = node.left, node.right
+            ready = True
+            if right not in done:
+                stack.append(right)
+                ready = False
+            if left not in done:
+                stack.append(left)
+                ready = False
+            if not ready:
                 continue
         elif kind is Pow:
             if node.base not in done:
@@ -324,31 +343,35 @@ def _fold(
 
 
 # Smart constructors: constant folding only, so derivatives stay readable
-# without ever rearranging non-constant structure.
+# without ever rearranging non-constant structure.  A zero or a one operand
+# is returned as it is, so folding it builds nothing; ``make`` builds what
+# is left.
 
-def _add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return Constant(a.value + b.value)
-    if isinstance(a, Constant) and a.value == 0:
-        return b
-    if isinstance(b, Constant) and b.value == 0:
+def _add(a: Expr, b: Expr, make: Callable[[Expr, Expr], Expr] = Add) -> Expr:
+    if type(b) is Constant and not b.value:
         return a
-    return Add(a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Constant) and not isinstance(a, Constant):
-        a, b = b, a
-    if isinstance(a, Constant):
-        if a.value == 0:
-            return Constant(Fraction(0))
-        if a.value == 1:
+    if type(a) is Constant:
+        if not a.value:
             return b
-        if isinstance(b, Constant):
-            return Constant(a.value * b.value)
-        if isinstance(b, Mul) and isinstance(b.left, Constant):
-            return Mul(Constant(a.value * b.left.value), b.right)
-    return Mul(a, b)
+        if type(b) is Constant:
+            return Constant(a.value + b.value)
+    return make(a, b)
+
+
+def _mul(a: Expr, b: Expr, make: Callable[[Expr, Expr], Expr] = Mul) -> Expr:
+    if type(b) is Constant and type(a) is not Constant:
+        a, b = b, a
+    if type(a) is Constant:
+        value = a.value
+        if not value:
+            return a
+        if value == 1:
+            return b
+        if type(b) is Constant:
+            return Constant(value * b.value)
+        if type(b) is Mul and type(b.left) is Constant:
+            return make(Constant(value * b.left.value), b.right)
+    return make(a, b)
 
 
 def _pow(base: Expr, exponent: int) -> Expr:
@@ -356,7 +379,7 @@ def _pow(base: Expr, exponent: int) -> Expr:
         return Constant(Fraction(1))
     if exponent == 1:
         return base
-    if isinstance(base, Constant):
+    if type(base) is Constant:
         return Constant(base.value**exponent)
     return Pow(base, exponent)
 
@@ -368,33 +391,38 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
     result, so repeated differentiation grows a shared-node tree.  ``memo``
     maps each node already differentiated to its derivative (see
     ``_fold``); it carries that sharing across calls.  Within the call,
-    each sum or product of the same two child objects is built once: the
-    product rule reaches A' * B' from both A' * B and A * B', and two
-    copies would double the tree at every order.
+    each sum or product of the same two child objects is built once, on
+    the first lookup that misses: the product rule reaches A' * B' from
+    both A' * B and A * B', and two copies would double the tree at every
+    order.  Every leaf derivative is the call's one zero or one ``Constant``.
     """
     built: dict[tuple[type, Expr, Expr], Expr] = {}
 
-    def share(node: Expr) -> Expr:
-        kind = type(node)
-        if kind is Add or kind is Mul:
-            return built.setdefault((kind, node.left, node.right), node)
+    def share(kind: type, left: Expr, right: Expr) -> Expr:
+        key = (kind, left, right)
+        node = built.get(key)
+        if node is None:
+            node = built[key] = kind(left, right)
         return node
+
+    add, mul = partial(share, Add), partial(share, Mul)
+    # Nodes compare by identity and a fold visits each distinct node once,
+    # so every leaf derivative can be the same object.
+    zero, one = Constant(Fraction(0)), Constant(Fraction(1))
 
     def visit(node: Expr, done: dict[Expr, Expr]) -> Expr:
         kind = type(node)
-        if kind is Constant:
-            return Constant(Fraction(0))
-        if kind is Variable:
-            return Constant(Fraction(1))
-        if kind is Add:
-            return share(_add(done[node.left], done[node.right]))
         if kind is Mul:
-            return share(_add(
-                share(_mul(done[node.left], node.right)),
-                share(_mul(node.left, done[node.right])),
-            ))
+            left, right = node.left, node.right
+            return _add(_mul(done[left], right, mul), _mul(left, done[right], mul), add)
+        if kind is Add:
+            return _add(done[node.left], done[node.right], add)
+        if kind is Constant:
+            return zero
+        if kind is Variable:
+            return one
         if node.exponent == 0:
-            return Constant(Fraction(0))
+            return zero
         outer = _mul(Constant(Fraction(node.exponent)), _pow(node.base, node.exponent - 1))
         return _mul(outer, done[node.base])
 
@@ -402,28 +430,52 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
 
 
 def evaluate(
-    e: Expr, at: Fraction | int | str, memo: dict[Expr, Fraction] | None = None
+    e: Expr, at: Fraction | int | str, memo: dict[Expr, tuple[int, int]] | None = None
 ) -> Fraction:
     """Exact value of the expression at a rational point.
 
-    ``memo`` maps each node already evaluated at this same point to its
-    value (see ``_fold``).
+    The fold runs on reduced ``(numerator, denominator)`` integer pairs with
+    positive denominators, and builds one ``Fraction``, at the root.  A sum
+    or a product stays reduced by Knuth's method (TAOCP Vol. 2, 4.5.1), as
+    ``fractions`` does it: each gcd is taken against an operand's
+    denominator or a divisor of it, never between the result's full
+    numerator and denominator.  ``memo`` maps each node already evaluated
+    at this same point to its pair (see ``_fold``).
     """
     point = as_rational(at)
+    variable = point.numerator, point.denominator
+    gcd = math.gcd
 
-    def visit(node: Expr, done: dict[Expr, Fraction]) -> Fraction:
+    def visit(node: Expr, done: dict[Expr, tuple[int, int]]) -> tuple[int, int]:
         kind = type(node)
-        if kind is Constant:
-            return node.value
-        if kind is Variable:
-            return point
         if kind is Add:
-            return done[node.left] + done[node.right]
+            (na, da), (nb, db) = done[node.left], done[node.right]
+            g = gcd(da, db)
+            if g == 1:
+                return na * db + da * nb, da * db
+            s = da // g
+            t = na * (db // g) + nb * s
+            g = gcd(t, g)
+            if g == 1:
+                return t, s * db
+            return t // g, s * (db // g)
         if kind is Mul:
-            return done[node.left] * done[node.right]
-        return done[node.base] ** node.exponent
+            (na, da), (nb, db) = done[node.left], done[node.right]
+            g = gcd(na, db)
+            if g > 1:
+                na, db = na // g, db // g
+            g = gcd(nb, da)
+            if g > 1:
+                nb, da = nb // g, da // g
+            return na * nb, da * db
+        if kind is Constant:
+            return node.value.numerator, node.value.denominator
+        if kind is Variable:
+            return variable
+        numerator, denominator = done[node.base]
+        return numerator**node.exponent, denominator**node.exponent
 
-    return _fold(e, visit, memo)
+    return Fraction(*_fold(e, visit, memo))
 
 
 def _dense_scaled(
@@ -528,20 +580,22 @@ def derivative_sequence_of(
     """Derivative values of an expression at a point, orders 1..n plus base.
 
     The n calls to ``differentiate`` share one derivative memo and the
-    n + 1 calls to ``evaluate`` one value memo, both for this call only.
-    A node of D^(k-1) seen at an earlier order keeps its derivative object,
-    so the trees D^k share their nodes, and each order differentiates and
-    evaluates only the nodes it adds: a product of 16 linear factors at
-    n = 16 takes milliseconds, where fresh folds copied the shared subtrees
-    at every order and took seconds.
+    n + 1 calls to ``evaluate`` one value memo, both for this call only;
+    the value memo holds each node's reduced ``(numerator, denominator)``
+    pair.  A node of D^(k-1) seen at an earlier order keeps its derivative
+    object, so the trees D^k share their nodes, and each order
+    differentiates and evaluates only the nodes it adds: a product of 16
+    linear factors at n = 16 takes milliseconds, where fresh folds copied
+    the shared subtrees at every order and took seconds.
 
     The four closed routes read their sequences from here; the symbolic
     route reads the AST through truncated series instead, so the two paths
     share no arithmetic and a fault on either makes the routes disagree.
     """
     check_order(n)
+    at = as_rational(at)
     derivatives: dict[Expr, Expr] = {}
-    values: dict[Expr, Fraction] = {}
+    values: dict[Expr, tuple[int, int]] = {}
     base = evaluate(e, at, values)
     derivs = []
     for _ in range(n):
@@ -555,12 +609,17 @@ def taylor_polynomial(seq: DerivativeSequence, at: Fraction | int | str) -> Expr
 
     Inverse of ``derivative_sequence_of`` up to the sequence length:
     sum of d_k/k! * (y - at)**k, built in Horner form so later dense
-    expansion stays cheap.  A missing base value contributes 0.  The d_k/k!
-    are Fractions of its own, from no helper that a closed route reads.
+    expansion stays cheap.  A missing base value contributes 0.  Each d_k/k!
+    is one ``Fraction`` of its own, d_k's numerator over its denominator
+    times a running factorial, from no helper that a closed route reads.
     """
     point = as_rational(at)
     shift = _add(Variable("y"), Constant(-point))
-    coefficients = [seq.base or 0, *(d / math.factorial(k) for k, d in enumerate(seq.derivs, 1))]
+    coefficients = [seq.base or 0]
+    factorial = 1
+    for k, d in enumerate(seq.derivs, 1):
+        factorial *= k
+        coefficients.append(Fraction(d.numerator, d.denominator * factorial))
     node: Expr = Constant(coefficients[-1])
     for c in reversed(coefficients[:-1]):
         node = _add(Constant(c), _mul(shift, node))

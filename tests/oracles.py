@@ -17,6 +17,9 @@ coefficients, where the route sums baby-step giant-step powers of the
 inner series on integers).  None of the four reads a helper its route reads:
 they keep their own factorials, lcm and gcd, so a fault in a helper such
 as ``exact.scaled`` or ``partitions.pair_divisor`` moves the route alone.
+``evaluate_on_fractions`` walks a symbolic expression as a plain tree on
+``Fraction`` arithmetic, where ``symbolic.evaluate`` folds reduced integer
+pairs once per distinct node.
 ``matrix_entry`` is no oracle: it reads a built determinant matrix back in
 the paper's layout, for the matrix tests and the acceptance 3x3 check.
 """
@@ -33,6 +36,7 @@ from compderiv import DerivativeSequence
 from compderiv.determinant import CompositionMatrix, PhiPolynomial
 from compderiv.exact import check_order
 from compderiv.partitions import partition_parts
+from compderiv.symbolic import Add, Constant, Expr, Mul, Pow, Variable
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -220,6 +224,39 @@ def jet_compose_on_fractions(
     return DerivativeSequence(
         tuple(math.factorial(m) * r[m] for m in range(1, order + 1)), outer.base
     )
+
+
+def evaluate_on_fractions(e: Expr, at: Fraction) -> Fraction:
+    """The value of an expression at ``at``, one Fraction operation per node on a path.
+
+    No memo: a subtree shared by several parents is evaluated once per
+    path to it.  Each operator node is pushed again under a ``None`` marker
+    before its children, and on that second pop it combines the values its
+    children left on ``values``; no recursion.
+    """
+    values: list[Fraction] = []
+    stack: list[Expr | None] = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            if isinstance(node, Pow):
+                values.append(values.pop() ** node.exponent)
+            else:
+                right, left = values.pop(), values.pop()
+                values.append(left + right if isinstance(node, Add) else left * right)
+        elif isinstance(node, Constant):
+            values.append(Fraction(node.value))
+        elif isinstance(node, Variable):
+            values.append(at)
+        elif isinstance(node, Pow):
+            stack += [node, None, node.base]
+        elif isinstance(node, (Add, Mul)):
+            stack += [node, None, node.right, node.left]
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    (value,) = values
+    return value
 
 
 def matrix_entry(matrix: CompositionMatrix, r: int, c: int) -> PhiPolynomial:

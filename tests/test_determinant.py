@@ -206,7 +206,7 @@ def test_interpreting_needs_phi_up_to_the_highest_exponent():
     expanded = determinant_expand(build_matrix(seq(1, 2, 3), 2))  # up to Phi^3
     with pytest.raises(SequenceTooShortError) as info:
         interpret_phi_polynomial(expanded, seq(1))
-    assert (info.value.needed, info.value.available) == (3, 1)
+    assert str(info.value).endswith("order 3 requested but only 1 derivative(s) supplied")
     assert interpret_phi_polynomial(PhiPolynomial({0: 5}), seq()) == 5
 
 

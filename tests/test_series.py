@@ -204,7 +204,9 @@ def test_length_mismatch_rejected():
     s = DerivativeSequence(derivs=(Fraction(1),))
     with pytest.raises(SequenceTooShortError) as info:
         jet_from_derivatives(s, 3)
-    assert (info.value.needed, info.value.available) == (3, 1)
+    assert str(info.value) == (
+        "jet derivative sequence too short: order 3 requested but only 1 derivative(s) supplied"
+    )
     with pytest.raises(ValueError):
         jet_from_derivatives(s, -1)
 

@@ -31,7 +31,7 @@ from compderiv.symbolic import (
     parse,
     taylor_polynomial,
 )
-from oracles import random_rational, random_sequence
+from oracles import evaluate_on_fractions, random_rational, random_sequence
 
 X = Variable("x")
 Y = Variable("y")
@@ -75,6 +75,44 @@ def test_parse_power_tower_needs_parentheses():
     with pytest.raises(ParseError):
         parse("x^2^3")
     assert repr(parse("(x^2)^3")) == repr(Pow(Pow(X, 2), 3))
+
+
+AFTER_TOP_LEVEL = ("'+'", "'-'", "'*'", "end of input")
+BASE = ("number", "variable", "'('", "'-'")
+
+
+@pytest.mark.parametrize(
+    "text, offset, expected",
+    [
+        ("x^2^3", 3, AFTER_TOP_LEVEL),  # a second '^' on a power
+        ("(x + 1", 6, ("')'",)),  # a missing ')'
+        ("((x) * 2", 8, ("')'",)),
+        ("x + 1)", 5, AFTER_TOP_LEVEL),  # a stray ')' at top level
+        ("(x))", 3, AFTER_TOP_LEVEL),
+        ("x +", 3, BASE),  # a trailing operator
+        ("(x*", 3, BASE),
+        ("x 5", 2, AFTER_TOP_LEVEL),  # junk after a complete expression
+        ("(x) (x)", 4, AFTER_TOP_LEVEL),
+        # Whitespace before each token is skipped, so the offset is the token's.
+        ("( x + 1 ) ^ 2 ^ 3", 14, AFTER_TOP_LEVEL),
+        (" ( x + 1 \t", 10, ("')'",)),
+        ("x  ) ", 3, AFTER_TOP_LEVEL),
+        ("x -  ", 5, BASE),
+    ],
+)
+def test_parse_closing_loop_errors_carry_offset_and_expectations(text, offset, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected) == (offset, expected)
+
+
+def test_parse_skips_whitespace_around_every_operator():
+    spaced = parse(" ( x + 1 / 2 ) ^ 2 * - x - 3 * x ^ 0 ")
+    assert repr(spaced) == repr(parse("(x+1/2)^2*-x-3*x^0"))
+    assert repr(spaced) == repr(Add(
+        Mul(Pow(Add(X, Constant(Fraction(1, 2))), 2), Mul(Constant(Fraction(-1)), X)),
+        Mul(Constant(Fraction(-1)), Mul(Constant(Fraction(3)), Pow(X, 0))),
+    ))
 
 
 def test_parse_bounds_the_exponent_product_on_every_path():
@@ -449,13 +487,19 @@ def test_sequence_of_quadratic():
     assert s.derivs == (Fraction(5), Fraction(4))
 
 
-def _sequence_by_fresh_folds(e, at, n):
-    """The derivative sequence with no memo: each order differentiates the whole tree again."""
-    derivs, current = [], e
+def _fresh_derivative_trees(e, n):
+    """D^1 e .. D^n e with no memo: each order differentiates the whole tree again."""
+    trees, current = [], e
     for _ in range(n):
         current = differentiate(current)
-        derivs.append(evaluate(current, at))
-    return DerivativeSequence(derivs=tuple(derivs), base=evaluate(e, at))
+        trees.append(current)
+    return trees
+
+
+def _sequence_by_fresh_folds(e, at, n):
+    """The derivative sequence with no memo across orders or calls."""
+    derivs = tuple(evaluate(tree, at) for tree in _fresh_derivative_trees(e, n))
+    return DerivativeSequence(derivs=derivs, base=evaluate(e, at))
 
 
 @st.composite
@@ -497,6 +541,58 @@ def test_value_size_bounds_the_value(phi, psi, at):
         patch.setattr(symbolic, "MAX_VALUE_BITS", height - 1)
         with pytest.raises(ValueError, match="MAX_VALUE_BITS"):
             check_size(phi[0], psi[0], at)
+
+
+def _is_reduced(value):
+    return (
+        type(value) is Fraction
+        and value.denominator > 0
+        and math.gcd(value.numerator, value.denominator) == 1
+    )
+
+
+def _random_shared_expression(rng, max_degree=8):
+    """A sum of the last three nodes of a pool whose nodes read earlier ones,
+    with zero and negative constants and exponents 0-5, and its degree."""
+    pool = [(X, 1), (Constant(Fraction(0)), 0), (Constant(random_rational(rng)), 0)]
+    for _ in range(rng.randint(2, 10)):
+        (a, da), (b, db) = rng.choice(pool), rng.choice(pool)
+        kind = rng.choice(["add", "mul", "mul", "neg", "pow", "pow", "constant"])
+        if kind == "add":
+            node = (Add(a, b), max(da, db))
+        elif kind == "mul":
+            node = (Mul(a, b), da + db)
+        elif kind == "neg":
+            node = (Mul(Constant(Fraction(-1)), a), da)
+        elif kind == "pow":
+            exponent = rng.randint(0, 5)
+            node = (Pow(a, exponent), da * exponent)
+        else:
+            node = (Constant(random_rational(rng)), 0)
+        if node[1] <= max_degree:
+            pool.append(node)
+    (a, da), (b, db), (c, dc) = pool[-3:]
+    return Add(Add(a, b), c), max(da, db, dc)
+
+
+@pytest.mark.parametrize(
+    "at", [Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(-1234567890123456789, 1000000007)]
+)
+def test_the_pair_fold_equals_a_fraction_tree_walk(at):
+    # evaluate folds reduced integer pairs; the oracle adds and multiplies
+    # Fractions along every path of the tree, with no memo.  Constants over
+    # 1..4 make sums whose denominators share a factor without being equal.
+    rng = random.Random(3700)
+    for _ in range(300):
+        e, degree = _random_shared_expression(rng)
+        value = evaluate(e, at)
+        assert value == evaluate_on_fractions(e, at) and _is_reduced(value)
+        n = rng.randint(1, degree + 2)  # past the degree: trailing zeros
+        seq = derivative_sequence_of(e, at, n)
+        assert _is_reduced(seq.base) and seq.base == value
+        trees = _fresh_derivative_trees(e, n)
+        assert seq.derivs == tuple(evaluate_on_fractions(tree, at) for tree in trees)
+        assert all(_is_reduced(d) for d in seq.derivs)
 
 
 def test_sequence_of_a_16_factor_product_matches_its_expansion():
