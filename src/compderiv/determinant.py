@@ -219,7 +219,7 @@ def interpret_phi_polynomial(
     top = max((exponent for exponent, _ in polynomial.items()), default=0)
     if top:
         phi.require_order(top, "phi")
-    return sum((c * (phi.derivative(e) if e else 1) for e, c in polynomial.items()), Fraction(0))
+    return sum((c * (phi.derivs[e - 1] if e else 1) for e, c in polynomial.items()), Fraction(0))
 
 
 def derivative_determinant(

@@ -48,12 +48,6 @@ class DerivativeSequence:
         if self.base is not None:
             object.__setattr__(self, "base", as_rational(self.base))
 
-    def derivative(self, k: int) -> Fraction:
-        """The k-th derivative value, k >= 1."""
-        if k < 1:
-            raise ValueError(f"derivative order must be >= 1, got {k}")
-        return self.derivs[k - 1]
-
     def require_order(self, n: int, role: str) -> None:
         check_order(n)
         if len(self.derivs) < n:

@@ -9,8 +9,9 @@ into integer coefficients over one common denominator cut after order n.
 
 ``differentiate`` applies the ordinary sum, product and power rules to the
 AST with constant folding only, and ``evaluate`` computes a value at a
-point on reduced integer pairs, building one ``Fraction`` at the root.
-``derivative_sequence_of`` turns an expression into its derivative
+point on unreduced integer pairs, whose size ``check_size`` bounds: it
+reduces only each power's base and the one ``Fraction`` it builds at the
+root.  ``derivative_sequence_of`` turns an expression into its derivative
 sequence by calling both once per order, with one derivative memo and one
 value memo for the length of the call: each node is differentiated and
 evaluated once, and the trees D^k share their nodes.  A ``differentiate``
@@ -18,12 +19,12 @@ call builds no node it throws away: its leaf derivatives are one zero and
 one one ``Constant``, a zero or one operand folds without building, and
 each sum or product is looked up before it is built.
 
-Every walk over an expression runs on an explicit stack: the folds go
-through ``_fold``, which visits each distinct node object once, ``repr``
-streams its pieces, and the parser nests on a stack too.  Neither size
-nor depth meets the interpreter's recursion limit, and no interpreter
-state is changed.  Nesting of '(' and unary '-' is bounded by
-``MAX_DEPTH`` (256); length is not bounded.
+Every walk over an expression runs on an explicit stack: each walk is one
+loop over ``_new_nodes``, which lists each distinct node object once,
+children first; ``repr`` streams its pieces, and the parser nests on a
+stack too.  Neither size nor depth meets the interpreter's recursion
+limit, and no interpreter state is changed.  Nesting of '(' and unary '-'
+is bounded by ``MAX_DEPTH`` (256); length is not bounded.
 
 Grammar (whitespace-insensitive, explicit '*' required):
 
@@ -80,7 +81,7 @@ class Expr:
     """Base class for the five polynomial AST nodes (see the module docstring).
 
     Nodes compare and hash by identity: two parses of the same text are
-    two different nodes, and a fold's memo keyed by node keeps its nodes
+    two different nodes, and a walk's memo keyed by node keeps its nodes
     alive.  ``repr`` is structural, in the form dataclasses generate, but
     streams its pieces from an explicit stack, so it works at any size and
     depth the parser accepts.
@@ -292,54 +293,55 @@ def parse(text: str) -> Expr:
             node, power = level[0], level[3]
 
 
-def _fold(
-    e: Expr,
-    visit: Callable[[Any, dict[Expr, Any]], Any],
-    done: dict[Expr, Any] | None = None,
-) -> Any:
-    """Post-order fold over the distinct nodes of ``e``, without recursion.
+def _new_nodes(e: Expr, done: dict[Expr, Any]) -> list[Expr]:
+    """The distinct nodes of ``e`` not in ``done``, each listed after its children.
 
-    ``visit(node, done)`` returns the node's value, reading each child's
-    value as ``done[child]``.  A node object shared by several parents
-    is visited once, so the cost is linear in the number of distinct nodes,
-    also for the shared-node trees that repeated differentiation builds.
+    The walk runs on an explicit stack, not recursion.  A node object shared
+    by several parents is listed once, so the cost is linear in the number
+    of distinct nodes, also for the shared-node trees that repeated
+    differentiation builds.  ``listed`` maps each node seen to whether it
+    is listed yet.  An operator seen for the first time is pushed again
+    below its children, and listed when it is popped the second time; a
+    child already seen, or in ``done``, is not pushed, and a node popped
+    after it was listed is skipped.  The nodes form no cycle, so a child
+    seen earlier is listed before its parent's second pop.
 
-    ``done`` may hold the values of an earlier fold with the same
-    ``visit``; its nodes are not visited again, and the new values are
-    added to it.  Only children not yet in ``done`` are pushed; one that
-    two parents pushed before its visit is popped once it is done.
+    Each caller writes ``done[node]`` for every listed node in order,
+    reading its children's values from ``done``.  ``done`` may hold the
+    values of an earlier call of the same caller; its nodes are not listed.
     """
-    if done is None:
-        done = {}
-    elif e in done:
-        return done[e]
+    order: list[Expr] = []
+    if e in done:
+        return order
+    listed: dict[Expr, bool] = {}
     stack = [e]
     while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Add or kind is Mul:
-            left, right = node.left, node.right
-            ready = True
-            if right not in done:
-                stack.append(right)
-                ready = False
-            if left not in done:
-                stack.append(left)
-                ready = False
-            if not ready:
-                continue
-        elif kind is Pow:
-            if node.base not in done:
-                stack.append(node.base)
-                continue
-        elif kind is not Constant and kind is not Variable:
-            raise TypeError(f"not an expression node: {node!r}")
-        stack.pop()
-        done[node] = visit(node, done)
-    return done[e]
+        node = stack.pop()
+        state = listed.get(node)
+        if state is False:
+            listed[node] = True
+            order.append(node)
+        elif state is None:
+            kind = type(node)
+            if kind is Add or kind is Mul:
+                listed[node] = False
+                stack.append(node)
+                right, left = node.right, node.left
+                if right not in done and right not in listed:
+                    stack.append(right)
+                if left not in done and left not in listed:
+                    stack.append(left)
+            elif kind is Pow:
+                listed[node] = False
+                stack.append(node)
+                if node.base not in done and node.base not in listed:
+                    stack.append(node.base)
+            elif kind is Constant or kind is Variable:
+                listed[node] = True
+                order.append(node)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+    return order
 
 
 # Smart constructors: constant folding only, so derivatives stay readable
@@ -390,7 +392,7 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
     A subtree shared in ``e`` has one derivative object shared in the
     result, so repeated differentiation grows a shared-node tree.  ``memo``
     maps each node already differentiated to its derivative (see
-    ``_fold``); it carries that sharing across calls.  Within the call,
+    ``_new_nodes``); it carries that sharing across calls.  Within the call,
     each sum or product of the same two child objects is built once, on
     the first lookup that misses: the product rule reaches A' * B' from
     both A' * B and A * B', and two copies would double the tree at every
@@ -406,27 +408,25 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
         return node
 
     add, mul = partial(share, Add), partial(share, Mul)
-    # Nodes compare by identity and a fold visits each distinct node once,
-    # so every leaf derivative can be the same object.
+    # Nodes compare by identity and the result may share any node, so every
+    # leaf derivative can be the same object.
     zero, one = Constant(Fraction(0)), Constant(Fraction(1))
-
-    def visit(node: Expr, done: dict[Expr, Expr]) -> Expr:
+    done = {} if memo is None else memo
+    for node in _new_nodes(e, done):
         kind = type(node)
         if kind is Mul:
             left, right = node.left, node.right
-            return _add(_mul(done[left], right, mul), _mul(left, done[right], mul), add)
-        if kind is Add:
-            return _add(done[node.left], done[node.right], add)
-        if kind is Constant:
-            return zero
-        if kind is Variable:
-            return one
-        if node.exponent == 0:
-            return zero
-        outer = _mul(Constant(Fraction(node.exponent)), _pow(node.base, node.exponent - 1))
-        return _mul(outer, done[node.base])
-
-    return _fold(e, visit, memo)
+            done[node] = _add(_mul(done[left], right, mul), _mul(left, done[right], mul), add)
+        elif kind is Add:
+            done[node] = _add(done[node.left], done[node.right], add)
+        elif kind is Variable:
+            done[node] = one
+        elif kind is Constant or node.exponent == 0:
+            done[node] = zero
+        else:
+            outer = _mul(Constant(Fraction(node.exponent)), _pow(node.base, node.exponent - 1))
+            done[node] = _mul(outer, done[node.base])
+    return done[e]
 
 
 def evaluate(
@@ -434,48 +434,39 @@ def evaluate(
 ) -> Fraction:
     """Exact value of the expression at a rational point.
 
-    The fold runs on reduced ``(numerator, denominator)`` integer pairs with
-    positive denominators, and builds one ``Fraction``, at the root.  A sum
-    or a product stays reduced by Knuth's method (TAOCP Vol. 2, 4.5.1), as
-    ``fractions`` does it: each gcd is taken against an operand's
-    denominator or a divisor of it, never between the result's full
-    numerator and denominator.  ``memo`` maps each node already evaluated
-    at this same point to its pair (see ``_fold``).
+    Each node's value is an unreduced ``(numerator, denominator)`` integer
+    pair with a positive denominator: a sum is the two numerators over the
+    lcm of the two denominators, a product the plain products, and a sum or
+    product that is zero is ``(0, 1)``.  A power's base loses its gcd once,
+    before it is raised.  The one ``Fraction`` built at the root does the
+    only other reduction.  ``check_size`` bounds the bits of these pairs.
+    ``memo`` maps each node already evaluated at this same point to its
+    pair (see ``_new_nodes``).
     """
     point = as_rational(at)
     variable = point.numerator, point.denominator
-    gcd = math.gcd
-
-    def visit(node: Expr, done: dict[Expr, tuple[int, int]]) -> tuple[int, int]:
+    gcd, lcm = math.gcd, math.lcm
+    done = {} if memo is None else memo
+    for node in _new_nodes(e, done):
         kind = type(node)
         if kind is Add:
             (na, da), (nb, db) = done[node.left], done[node.right]
-            g = gcd(da, db)
-            if g == 1:
-                return na * db + da * nb, da * db
-            s = da // g
-            t = na * (db // g) + nb * s
-            g = gcd(t, g)
-            if g == 1:
-                return t, s * db
-            return t // g, s * (db // g)
-        if kind is Mul:
+            den = lcm(da, db)
+            num = na * (den // da) + nb * (den // db)
+            done[node] = (num, den) if num else (0, 1)
+        elif kind is Mul:
             (na, da), (nb, db) = done[node.left], done[node.right]
-            g = gcd(na, db)
-            if g > 1:
-                na, db = na // g, db // g
-            g = gcd(nb, da)
-            if g > 1:
-                nb, da = nb // g, da // g
-            return na * nb, da * db
-        if kind is Constant:
-            return node.value.numerator, node.value.denominator
-        if kind is Variable:
-            return variable
-        numerator, denominator = done[node.base]
-        return numerator**node.exponent, denominator**node.exponent
-
-    return Fraction(*_fold(e, visit, memo))
+            num = na * nb
+            done[node] = (num, da * db) if num else (0, 1)
+        elif kind is Constant:
+            done[node] = node.value.numerator, node.value.denominator
+        elif kind is Variable:
+            done[node] = variable
+        else:
+            num, den = done[node.base]
+            g = gcd(num, den)
+            done[node] = (num // g) ** node.exponent, (den // g) ** node.exponent
+    return Fraction(*done[e])
 
 
 def _dense_scaled(
@@ -490,27 +481,28 @@ def _dense_scaled(
     product and power keeps ``size`` coefficients at most, each product
     loses its gcd with its denominator, and no list is mutated once built.
     """
-
-    def visit(node: Expr, done: dict[Expr, tuple[list[int], int]]) -> tuple[list[int], int]:
+    done: dict[Expr, tuple[list[int], int]] = {}
+    for node in _new_nodes(e, done):
         kind = type(node)
         if kind is Constant:
-            return [node.value.numerator], node.value.denominator
-        if kind is Variable:
-            return variable
-        if kind is Pow:
+            done[node] = [node.value.numerator], node.value.denominator
+        elif kind is Variable:
+            done[node] = variable
+        elif kind is Pow:
             base, den = done[node.base]
             out = [1]
             for _ in range(node.exponent):
                 out = convolve(out, base, size)
-            return reduced(out, den**node.exponent)
-        (left, da), (right, db) = done[node.left], done[node.right]
-        if kind is Mul:
-            return reduced(convolve(left, right, size), da * db)
-        den = math.lcm(da, db)
-        fa, fb = den // da, den // db
-        return [a * fa + b * fb for a, b in zip_longest(left, right, fillvalue=0)], den
-
-    return _fold(e, visit)
+            done[node] = reduced(out, den**node.exponent)
+        else:
+            (left, da), (right, db) = done[node.left], done[node.right]
+            if kind is Mul:
+                done[node] = reduced(convolve(left, right, size), da * db)
+            else:
+                den = math.lcm(da, db)
+                fa, fb = den // da, den // db
+                done[node] = [a * fa + b * fb for a, b in zip_longest(left, right, fillvalue=0)], den
+    return done[e]
 
 
 def _height(value: Fraction) -> int:
@@ -520,16 +512,18 @@ def _height(value: Fraction) -> int:
 def check_size(phi: Expr, psi: Expr, at: Fraction | int | str) -> None:
     """Raise ``ValueError`` if psi or phi(psi) at ``at`` may pass ``MAX_VALUE_BITS`` bits.
 
-    A fold over psi, its variable standing for the point, then over phi,
+    A walk over psi, its variable standing for the point, then over phi,
     its variable standing for psi, bounds each node's bit height (the
     longer of numerator and denominator) without evaluating anything: a
     constant's own, a sum's terms' total plus 1, a product's total (so a
     negation, a product by -1, adds 1), a power's e times its base's (e = 0
-    counting as 1).
+    counting as 1).  These are also the most bits of the unreduced pair
+    that ``evaluate`` keeps for the node.
     """
 
     def heights(e: Expr, variable: int) -> int:
-        def visit(node: Expr, done: dict[Expr, int]) -> int:
+        done: dict[Expr, int] = {}
+        for node in _new_nodes(e, done):
             kind = type(node)
             if kind is Constant:
                 bits = _height(node.value)
@@ -543,9 +537,8 @@ def check_size(phi: Expr, psi: Expr, at: Fraction | int | str) -> None:
                 bits = max(node.exponent, 1) * done[node.base]
             if bits > MAX_VALUE_BITS:
                 raise ValueError(f"value of up to {bits} bits > MAX_VALUE_BITS = {MAX_VALUE_BITS}")
-            return bits
-
-        return _fold(e, visit)
+            done[node] = bits
+        return done[e]
 
     heights(phi, heights(psi, _height(as_rational(at))))
 
@@ -581,12 +574,13 @@ def derivative_sequence_of(
 
     The n calls to ``differentiate`` share one derivative memo and the
     n + 1 calls to ``evaluate`` one value memo, both for this call only;
-    the value memo holds each node's reduced ``(numerator, denominator)``
-    pair.  A node of D^(k-1) seen at an earlier order keeps its derivative
-    object, so the trees D^k share their nodes, and each order
-    differentiates and evaluates only the nodes it adds: a product of 16
-    linear factors at n = 16 takes milliseconds, where fresh folds copied
-    the shared subtrees at every order and took seconds.
+    the value memo holds each node's unreduced ``(numerator, denominator)``
+    pair, whose size ``check_size``'s model bounds.  A node of D^(k-1)
+    seen at an earlier order keeps its derivative object, so the trees D^k
+    share their nodes, and each order differentiates and evaluates only the
+    nodes it adds: a product of 16 linear factors at n = 16 takes
+    milliseconds, where fresh walks copied the shared subtrees at every
+    order and took seconds.
 
     The four closed routes read their sequences from here; the symbolic
     route reads the AST through truncated series instead, so the two paths

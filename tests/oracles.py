@@ -116,9 +116,9 @@ def composition_derivative_by_set_partitions(
     """
     total = Fraction(0)
     for sp in set_partitions(list(range(n))):
-        term = phi.derivative(len(sp))
+        term = phi.derivs[len(sp) - 1]
         for block in sp:
-            term *= psi.derivative(len(block))
+            term *= psi.derivs[len(block) - 1]
         total += term
     return total
 
@@ -142,13 +142,13 @@ def partition_sum_on_fractions(
             factor = factors.get((j, mj))
             if factor is None:
                 # One normalisation, where a power and then a division make two.
-                d = psi.derivative(j)
+                d = psi.derivs[j - 1]
                 divisor = math.factorial(mj) * math.factorial(j) ** mj
                 factor = Fraction(d.numerator**mj, d.denominator**mj * divisor)
                 factors[j, mj] = factor
             product *= factor
         sums[sum(mj for _, mj in parts)] += product
-    total = sum((phi.derivative(p) * s for p, s in enumerate(sums) if s), Fraction(0))
+    total = sum((phi.derivs[p - 1] * s for p, s in enumerate(sums) if s), Fraction(0))
     return math.factorial(n) * total
 
 

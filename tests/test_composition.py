@@ -62,7 +62,7 @@ def test_identity_outer_returns_inner_derivative(n):
     rng = random.Random(100 + n)
     psi = random_sequence(rng, n)
     phi = seq(*([1] + [0] * (n - 1)))
-    assert derivative_partition_sum(phi, psi, n) == psi.derivative(n)
+    assert derivative_partition_sum(phi, psi, n) == psi.derivs[n - 1]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -116,9 +116,6 @@ def test_rejects_nonpositive_order():
         with pytest.raises(ValueError) as err:
             call(top + 1)
         assert str(err.value) == f"derivative order {top + 1} > MAX_ORDER = {top}"
-    # Reading derivative 0 of a sequence is an error, not derivs[-1].
-    with pytest.raises(ValueError, match="derivative order must be >= 1, got 0"):
-        seq(1, 2).derivative(0)
 
 
 @given(
@@ -154,7 +151,7 @@ def test_linear_inner_function(n):
     phi = random_sequence(rng, n)
     c = random_rational(rng)
     psi = seq(*([c] + [0] * (n - 1)))
-    assert derivative_partition_sum(phi, psi, n) == phi.derivative(n) * c**n
+    assert derivative_partition_sum(phi, psi, n) == phi.derivs[n - 1] * c**n
 
 
 # --- partial Bell polynomials and the Bell route ------------------------------
@@ -163,14 +160,14 @@ def test_linear_inner_function(n):
 def test_single_block_bell_is_top_derivative(n):
     rng = random.Random(400 + n)
     psi = random_sequence(rng, n)
-    assert partial_bell(n, 1, psi) == psi.derivative(n)
+    assert partial_bell(n, 1, psi) == psi.derivs[n - 1]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_all_singletons_bell_is_first_derivative_power(n):
     rng = random.Random(500 + n)
     psi = random_sequence(rng, n)
-    assert partial_bell(n, n, psi) == psi.derivative(1) ** n
+    assert partial_bell(n, n, psi) == psi.derivs[0] ** n
 
 
 def test_b42_counts_two_block_set_partitions():
@@ -279,7 +276,7 @@ def test_partition_route_with_vanishing_inner_derivatives(n):
     # psi^(j) = 0 for j > 1: only the all-ones partition is left.
     slope = Fraction(-5, 3)
     psi = seq(slope, *[0] * (n - 1))
-    expected = phi.derivative(n) * slope**n
+    expected = phi.derivs[n - 1] * slope**n
     assert derivative_partition_sum(phi, psi, n) == expected
     assert derivative_bell(phi, psi, n) == expected
 
@@ -293,7 +290,9 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
     # zero at a size j >= 3 drops every subtree with m_j > 0.  Every n in
     # 1..12 runs for each family, so each edge of that table comes up on
     # every run: r = 0, odd r with psi' = 0 (an empty row), psi'' = 0, and
-    # n = 1, where the row of size 2 is the padding row.
+    # n = 1, where the row of size 2 is the padding row.  The last family
+    # gives phi a zero tail above a random order k < n, as an expression
+    # phi of degree k has: the terms with more than k parts are all zero.
     rng = random.Random(1020)
 
     def small():
@@ -316,6 +315,9 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
     def zeros_at(n, sizes):
         return seq(*[0 if j in sizes else random_rational(rng) or Fraction(1, 3) for j in range(1, n + 1)])
 
+    def phi_through(n, k):
+        return seq(*[small() or Fraction(1, 3) if j <= k else 0 for j in range(1, n + 1)])
+
     families = {
         "small": lambda n: (seq(*[small() for _ in range(n)]), seq(*[small() for _ in range(n)])),
         "64-bit": lambda n: (seq(*[wide() for _ in range(n)]), seq(*coprime_wide(n))),
@@ -331,6 +333,10 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
             zeros_at(n, range(3, n + 1)),
         ),
         "psi = 0": lambda n: (seq(*[small() for _ in range(n)]), seq(*[0] * n)),
+        "phi = 0 above an order k < n": lambda n: (
+            phi_through(n, rng.randrange(n)),
+            seq(*[small() for _ in range(n)]),
+        ),
     }
     for family, make in families.items():
         for n in [*(rng.randint(1, 20) for _ in range(30)), *range(1, 13), 30]:
@@ -585,7 +591,7 @@ def test_power_route_worked_example():
 def test_power_route_identity_exponent(n):
     rng = random.Random(700 + n)
     psi = random_sequence(rng, n)
-    expected = psi.derivative(n) / factorial(n)
+    expected = psi.derivs[n - 1] / factorial(n)
     assert lagrange_power_coefficient(psi, 1, n) == expected
 
 

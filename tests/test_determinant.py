@@ -107,13 +107,13 @@ def test_structure_invariants(n):
     size = matrix.n + 1
     minus_one = PhiPolynomial({0: -1})
     for r in range(1, size + 1):
-        assert matrix_entry(matrix, r, 1) == PhiPolynomial({1: psi.derivative(n + 2 - r)})
+        assert matrix_entry(matrix, r, 1) == PhiPolynomial({1: psi.derivs[n + 1 - r]})
         if r >= 2:
             assert matrix_entry(matrix, r, r) == minus_one
         for c in range(2, r):
             assert matrix_entry(matrix, r, c) == PhiPolynomial({})
         for c in range(r + 1, size + 1):
-            expected = math.comb(n - r + 1, c - r - 1) * psi.derivative(c - r)
+            expected = math.comb(n - r + 1, c - r - 1) * psi.derivs[c - r - 1]
             assert matrix_entry(matrix, r, c) == PhiPolynomial({1: expected})
 
 
@@ -268,7 +268,7 @@ def test_linear_inner_function():
 def test_identity_outer_function():
     rng = random.Random(1100)
     psi = random_sequence(rng, 2)
-    assert derivative_determinant(seq(1, 0), psi, 2) == psi.derivative(2)
+    assert derivative_determinant(seq(1, 0), psi, 2) == psi.derivs[1]
 
 
 def test_orders_below_two_rejected():

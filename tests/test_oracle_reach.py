@@ -26,8 +26,12 @@ FAULTS = [
     (math, "comb", CHECK),
     (math, "factorial", CHECK),
     (math, "lcm", CHECK),
+    (math, "lcm", DERIVE),
     (symbolic, "derivative_sequence_of", DERIVE),
 ]
+# A helper faulted under both commands has its DERIVE case named <name>-derive.
+IDS = [f"{name}-derive" if argv is DERIVE and (owner, name, CHECK) in FAULTS else name
+       for owner, name, argv in FAULTS]
 
 # Functions two or more routes reach that have no fault case, each with the reason.
 UNFAULTED = {
@@ -121,7 +125,7 @@ def _add_a_fault(monkeypatch, owner, name):
                 monkeypatch.setattr(module, name, faulty)
 
 
-@pytest.mark.parametrize("owner, name, argv", FAULTS, ids=[name for _, name, _ in FAULTS])
+@pytest.mark.parametrize("owner, name, argv", FAULTS, ids=IDS)
 def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
     capsys, monkeypatch, owner, name, argv
 ):

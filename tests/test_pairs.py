@@ -8,12 +8,16 @@ from pathlib import Path
 
 PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
 
-# A stand-in for bench/run.py: it appends "<tree> <seed>" to ../calls.log and
-# prints a summary line, then the result line of the tree's result.json, in
-# which "wall_s" is a list indexed by the seed.
+# A stand-in for bench/run.py: it checks that it may read no cached bytecode,
+# appends "<tree> <seed>" to ../calls.log and prints a summary line, then the
+# result line of the tree's result.json, in which "wall_s" is a list indexed
+# by the seed.
 STUB = textwrap.dedent("""
-    import json, sys
+    import json, os, sys
     from pathlib import Path
+    prefix = Path(os.environ["PYTHONPYCACHEPREFIX"])
+    assert prefix.is_dir() and not any(prefix.iterdir()), prefix
+    assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
     here = Path.cwd()
     seed = int(sys.argv[sys.argv.index("--seed") + 1])
     with open(here.parent / "calls.log", "a") as log:

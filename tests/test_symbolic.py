@@ -368,7 +368,7 @@ def test_composition_second_derivative_of_shifted_square():
 
 def test_composition_identity_outer_gives_inner_derivative():
     psi = parse("2*y^3 - y + 4")
-    third = derivative_sequence_of(psi, Fraction(1, 2), 3).derivative(3)
+    third = derivative_sequence_of(psi, Fraction(1, 2), 3).derivs[2]
     assert nth_derivative_of_composition(parse("x"), psi, 3, Fraction(1, 2)) == third
     assert third == 12
 
@@ -579,7 +579,7 @@ def _random_shared_expression(rng, max_degree=8):
     "at", [Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(-1234567890123456789, 1000000007)]
 )
 def test_the_pair_fold_equals_a_fraction_tree_walk(at):
-    # evaluate folds reduced integer pairs; the oracle adds and multiplies
+    # evaluate walks unreduced integer pairs; the oracle adds and multiplies
     # Fractions along every path of the tree, with no memo.  Constants over
     # 1..4 make sums whose denominators share a factor without being equal.
     rng = random.Random(3700)
@@ -595,6 +595,25 @@ def test_the_pair_fold_equals_a_fraction_tree_walk(at):
         assert all(_is_reduced(d) for d in seq.derivs)
 
 
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("(7*x-1)^300*(x-1/7)^300", Fraction(1, 7)),  # a factor with a root at the point
+        ("(7*x)^2000", Fraction(1, 7)),  # a power's base is 7/7 before its gcd
+        ("(x+1/3)*(x-1/6) - x^2 - 1/6*x + 1/18", Fraction(-2, 5)),  # cancels to 0 at every order
+    ],
+)
+def test_unreduced_pairs_reduce_to_the_fraction_tree_walk(text, at):
+    # evaluate keeps sums and products unreduced and reduces a power's base
+    # and the root; these are the cases where a missing reduction would show.
+    e = parse(text)
+    seq = derivative_sequence_of(e, at, 6)
+    assert seq.base == evaluate_on_fractions(e, at) and _is_reduced(seq.base)
+    trees = _fresh_derivative_trees(e, 6)
+    assert seq.derivs == tuple(evaluate_on_fractions(tree, at) for tree in trees)
+    assert all(_is_reduced(d) for d in seq.derivs)
+
+
 def test_sequence_of_a_16_factor_product_matches_its_expansion():
     # Fresh folds copy the subtrees D^(k-1) shares with D^k at every order,
     # which took 19 s here; one memo per call differentiates each node once.
@@ -603,7 +622,7 @@ def test_sequence_of_a_16_factor_product_matches_its_expansion():
     seq = derivative_sequence_of(e, 0, 16)
     assert seq.base == Fraction(coefficients[0], den)
     for k in range(1, 17):
-        assert seq.derivative(k) == math.factorial(k) * Fraction(coefficients[k], den)
+        assert seq.derivs[k - 1] == math.factorial(k) * Fraction(coefficients[k], den)
 
 
 def test_differentiate_shares_the_sums_and_products_it_builds():

@@ -14,13 +14,12 @@ Pair i uses seed ``--seed`` + i on both sides.  The order alternates:
 the change runs first in even pairs (AB) and the baseline first in odd ones
 (BA), so a drift of the machine's speed falls on both sides alike.
 
-The runs write no bytecode (``PYTHONDONTWRITEBYTECODE=1``), but they read
-what a tree's ``__pycache__`` already holds, and ``bench/run.py`` imports
-the program nine times for ``setup_s``.  So compare trees in the same
-state, e.g. two fresh ``git archive`` copies: a module whose cached
-bytecode is missing or stale is compiled at each import, which moved
-``wide_rationals`` ``setup_s`` by about 40 % and ``peak_rss_mb`` by about
-6 % on a 2-vCPU host.
+Every run writes no bytecode (``PYTHONDONTWRITEBYTECODE=1``) and looks for
+it only under one empty temporary directory (``PYTHONPYCACHEPREFIX``), so
+neither tree's ``__pycache__`` is read and each import compiles from source
+on both sides alike.  ``bench/run.py`` imports the program nine times for
+``setup_s``, and a stale cache in one tree moved ``wide_rationals``
+``setup_s`` by about 40 % on a 2-vCPU host.
 
 For each metric the runs report, it prints each side's median and quartiles
 (``statistics.quantiles``, inclusive method), change/baseline, how many pairs
@@ -43,6 +42,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,11 +52,12 @@ class RunFailed(RuntimeError):
     """A bench run printed no result, crashed, or reported a wrong value."""
 
 
-def run_bench(tree: Path, workload: str, seconds: int, seed: int) -> dict[str, float]:
-    """One ``bench/run.py`` run in ``tree``: its metric values by name."""
+def run_bench(tree: Path, workload: str, seconds: int, seed: int, pycache: str) -> dict[str, float]:
+    """One ``bench/run.py`` run in ``tree``, reading bytecode only under the
+    empty directory ``pycache``: its metric values by name."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds),
             "--seed", str(seed), "--trace", "0"]
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -130,17 +131,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
     trees = {"change": args.tree.resolve(), "baseline": args.baseline.resolve()}
     runs: dict[str, list[dict[str, float]]] = {"change": [], "baseline": []}
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("change", "baseline") if i % 2 == 0 else ("baseline", "change")
-        for side in order:
-            try:
-                runs[side].append(run_bench(trees[side], args.workload, args.seconds, seed))
-            except RunFailed as exc:
-                print(f"error: {side} run failed: {exc}", file=sys.stderr)
-                return 1
-        print(f"# pair {i + 1}/{args.pairs} seed {seed} order {'AB' if i % 2 == 0 else 'BA'}",
-              file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as pycache:
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("change", "baseline") if i % 2 == 0 else ("baseline", "change")
+            for side in order:
+                try:
+                    runs[side].append(run_bench(trees[side], args.workload, args.seconds, seed, pycache))
+                except RunFailed as exc:
+                    print(f"error: {side} run failed: {exc}", file=sys.stderr)
+                    return 1
+            print(f"# pair {i + 1}/{args.pairs} seed {seed} order {'AB' if i % 2 == 0 else 'BA'}",
+                  file=sys.stderr)
     print(f"# {args.workload}: {args.pairs} alternated pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"--seconds {args.seconds}")
     print(f"# change   {trees['change']}\n# baseline {trees['baseline']}")
