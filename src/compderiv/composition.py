@@ -20,9 +20,9 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
   n-th Taylor coefficient of psi(y)**m by the same recurrence,
   |m| <= MAX_EXPONENT.
 
-Both run the recurrence through one loop, ``_miller_power``, on integers
-over one scale; each reads psi's Taylor coefficients as integers from
-``exact.taylor_scaled`` and scales the result back itself.
+Both read [t^n] u**m, u psi's Taylor series, from ``_power_coefficient``:
+it writes u as integers with ``exact.taylor_scaled``, runs the recurrence
+in ``_miller_power`` and scales the result back.
 
 The partition sum and Bell add their outer orders, phi^(p) = f_p / g_p
 times an inner coefficient N_p / D_p, with ``exact.rational_sum`` on the
@@ -150,35 +150,17 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     """The partial Bell polynomial B_{n,k} evaluated at psi', psi'', ...
 
     Comtet's identity (Advanced Combinatorics, 1974, section 3.3) on
-    x_i = psi^(i): B_{n,k} = n!/k! * [t^n] (sum_i x_i t^i / i!)**k, the
-    k-th power of g(t) = sum_{i=1}^{w} x_i t^(i-1) / i! read at t^(n-k),
-    w = n - k + 1.  It needs psi up to order w only, and runs over
-    integers: ``exact.taylor_scaled`` writes g's coefficients as integers
-    G_i over D * w!, D the least common denominator of x_1..x_w.  With
-    G = t**s * W, W_0 != 0, ``_miller_power`` gives v / scale =
-    [t^(w-1-s*k)] (W / W_0)**k, and [t^(w-1)] g**k is
-    (W_0 / (D * w!))**k * v / scale, or 0 when s*k > w - 1.  The lead
-    W_0 / (D * w!) is psi^(s+1) / (s+1)!, so with psi^(s+1) = p / q,
-    B_{n,k} = p**k * v * (n!/k!) / ((q * (s+1)!)**k * scale): the k-th
-    powers are of psi^(s+1)'s own numerator and denominator, not of the
-    wider W_0 and D * w!.
+    x_i = psi^(i): B_{n,k} = n!/k! * [t^n] (sum_i x_i t^i / i!)**k, read by
+    ``_power_coefficient``.  The other k - 1 factors give at least t^(k-1),
+    so it reads psi up to order n - k + 1 only.
     """
     check_order(n)
     if k < 1 or k > n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     width = n - k + 1
     psi.require_order(width, "psi")
-    G, _ = taylor_scaled(psi.derivs[:width], 1)
-    s = next((i for i, c in enumerate(G) if c), None)
-    if s is None or s * k > width - 1:
-        return Fraction(0)
-    last = width - 1 - s * k
-    W = G[s : s + last + 1]
-    v, scale = _miller_power(W, k)
-    ratio = math.factorial(n) // math.factorial(k)
-    lead = psi.derivs[s]
-    under = (lead.denominator * math.factorial(s + 1)) ** k * scale
-    return Fraction(lead.numerator**k * v * ratio, under)
+    num, den = _power_coefficient((0, *psi.derivs[:width]), k, n)
+    return Fraction(num * (math.factorial(n) // math.factorial(k)), den)
 
 
 def derivative_bell(
@@ -192,36 +174,49 @@ def derivative_bell(
     return rational_sum((d.numerator * b.numerator, d.denominator * b.denominator) for d, b in bells)
 
 
-def lagrange_power_coefficient(
-    psi: DerivativeSequence, m: int, n: int
-) -> Fraction:
-    """D^n(psi(y)**m) / n!, the outer function specialized to x**m.
-
-    The Taylor coefficients u_k = psi^(k) / k!, u_0 the base value, are
-    u = t**s * w with w_0 != 0, and the answer is w_0**m times
-    [t^(n-s*m)] (w / w_0)**m.  ``_miller_power`` gives that coefficient as
-    v / scale from the integers W_j = d * w_j of ``exact.taylor_scaled``:
-    scaling w leaves w / w_0 as it is, and w_0 = W_0 / d.
+def lagrange_power_coefficient(psi: DerivativeSequence, m: int, n: int) -> Fraction:
+    """D^n(psi(y)**m) / n!, the outer function specialized to x**m: [t^n] u**m
+    for psi's Taylor series u about the point, read by ``_power_coefficient``.
 
     |m| is bounded by ``MAX_EXPONENT`` (2000), the bound ``x^m`` has as an
     expression: the integers grow with m, so a larger exponent is a
     ValueError rather than a run of minutes.  m < 0 with a zero base raises
     ZeroDivisionError, and the result is 0 when m = 0, when psi vanishes
-    through order n, or when n < s*m.
+    through order n, or when n < s*m, s the order of the first nonzero term.
     """
     check_exponent(m)
     psi.require_order(n, "psi")
     base = psi.require_base("psi")
     if base == 0 and m < 0:
         raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
-    values = (base, *psi.derivs[:n])
-    s = next((k for k, c in enumerate(values) if c), None)
-    # At m = 0 and s = n, w below is w_0 alone and Miller would give 1.
-    if m == 0 or s is None or n < s * m:
+    # u**0 = 1 has no t^n term, but _power_coefficient would give 1 at s = n.
+    if m == 0:
         return Fraction(0)
-    W, d = taylor_scaled(values[s : n - s * m + s + 1], s)
+    return Fraction(*_power_coefficient((base, *psi.derivs[:n]), m, n))
+
+
+def _power_coefficient(values: tuple[Fraction, ...], m: int, n: int) -> tuple[int, int]:
+    """num / den = [t^n] u**m, u = sum_k values[k] t^k / k!, on integers.
+
+    With s the first k where values[k] != 0, u = t**s * w and w_0 != 0, so
+    [t^n] u**m = w_0**m * [t^(n-s*m)] (w / w_0)**m, or 0 when no value is
+    nonzero or n < s*m; the terms of w past t^(n-s*m) do not reach it.
+    ``exact.taylor_scaled`` writes those terms as integers W over one scale,
+    and ``_miller_power`` reads v / scale = [t^(n-s*m)] (W / W_0)**m from
+    them: scaling w leaves w / w_0 as it is.  w_0 is values[s] / s! =
+    p / (q * s!), so the powers are of p and q * s!, not of the wider W_0 and
+    its scale: num / den = p**m * v / ((q * s!)**m * scale), with p and
+    q * s! swapped for m < 0.  den is negative when m < 0 and p < 0.
+    """
+    s = next((k for k, c in enumerate(values) if c), None)
+    if s is None or n < s * m:
+        return 0, 1
+    W, _ = taylor_scaled(values[s : n - s * m + s + 1], s)
     v, scale = _miller_power(W, m)
-    return Fraction(W[0], d) ** m * Fraction(v, scale)
+    top, bottom = values[s].numerator, values[s].denominator * math.factorial(s)
+    if m < 0:
+        top, bottom, m = bottom, top, -m
+    return top**m * v, bottom**m * scale
 
 
 def _miller_power(W: list[int], m: int) -> tuple[int, int]:

@@ -59,8 +59,9 @@ _RATIONAL_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?$")
 # conversion, which this package checks itself instead of changing it.
 MAX_LITERAL_DIGITS = 4300
 
-# Highest order any entry point accepts, a time bound: on a 2-vCPU host bell -n 100
-# takes about 0.2 s (0.21-0.25 s), and -n 200 took 1.9 s.
+# Highest order any entry point accepts, a time bound on small values only: bell -n 100
+# takes 0.21-0.25 s on a 2-vCPU host and -n 200 took 1.9 s, but Bell at n = 100 on nonzero
+# 64-bit values takes about 17 s; no bound covers their bits yet (ROADMAP items 2 and 3).
 MAX_ORDER = 100
 
 # Largest |m| of a power x**m: the largest exponent after '^' in an expression

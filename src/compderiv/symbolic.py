@@ -72,8 +72,9 @@ __all__ = [
 ]
 
 MAX_DEPTH = 256
-# Most bits ``check_size`` lets a value at the point have, a time bound: x^2000
-# at a 19-digit point takes 2.6 s under ``derive --method all -n 100`` (5.9 s at 2**18).
+# Most bits ``check_size`` lets a value at the point have, a time bound at n = 100 only:
+# x^2000 at a 19-digit point takes 2.6 s under ``derive --method all -n 100`` (5.9 s at
+# 2**18), but inside it the partition route took 177 s at n = 60 (ROADMAP items 2 and 3).
 MAX_VALUE_BITS = 2**17
 
 

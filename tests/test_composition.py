@@ -379,9 +379,9 @@ def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_bell_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch):
-    # Each Miller step in partial_bell takes its content from gcd(step, acc),
-    # so Bell reads psi through exact.scaled and needs neither the list-wide
-    # gcd of exact.reduced nor exact.convolve.
+    # Each Miller step in _power_coefficient takes its content from
+    # gcd(step, acc), so Bell reads psi through exact.scaled and needs neither
+    # the list-wide gcd of exact.reduced nor exact.convolve.
     rng = random.Random(970 + n)
     phi, psi = random_sequence(rng, n), random_sequence(rng, n)
     expected = sum(
@@ -397,9 +397,9 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
     # Only the partition sum may build a partition's term (pair_divisor) or
     # list the partitions, and it is out of reach at these orders.  The
     # determinant route gives the reference for general phi; for phi = x**m,
-    # Lagrange's power route does.  Bell and Lagrange share one Miller loop,
-    # _miller_power, so the determinant and jet routes, which share none of
-    # it, back each Bell = Lagrange * n! below.
+    # Lagrange's power route does.  Bell and Lagrange read [t^n] u**m from one
+    # helper, _power_coefficient, so the determinant and jet routes, which
+    # share none of it, back each Bell = Lagrange * n! below.
     def refuse(*args):
         raise AssertionError(f"partition terms built from {args}")
 
@@ -438,10 +438,12 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 8, 20])
 def test_power_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch):
-    # Lagrange writes w over its least common denominator with exact.scaled,
-    # as Bell writes psi, and keeps its own gcd in the Miller loop, so it needs
-    # neither exact.reduced nor exact.convolve.  Its Fraction oracle reads
-    # none of the three (see test_oracle_reach for a fault in scaled).
+    # Lagrange reads [t^n] u**m through _power_coefficient, the helper Bell
+    # reads too: it writes u over its least common denominator with
+    # exact.scaled and takes its content from the gcd of each Miller step,
+    # so it needs neither exact.reduced nor exact.convolve.  Its Fraction
+    # oracle reads none of the three (see test_oracle_reach for a fault in
+    # scaled).
     rng = random.Random(960 + n)
     psi = DerivativeSequence(derivs=random_sequence(rng, n).derivs, base=Fraction(-5, 3))
     expected = {m: power_coefficient_on_fractions(psi, m, n) for m in (-3, 2, 5)}

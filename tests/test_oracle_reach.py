@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from compderiv import cli, exact, symbolic
+from compderiv import cli, composition, exact, symbolic
 from compderiv.composition import DerivativeSequence, lagrange_power_coefficient, partial_bell
 from compderiv.symbolic import taylor_polynomial
 from oracles import partial_bell_by_binomials, power_coefficient_on_fractions, random_rational
@@ -23,6 +23,7 @@ FAULTS = [
     (exact, "convolve", CHECK),
     (exact, "rational_sum", CHECK),
     (exact, "taylor_scaled", CHECK),
+    (composition, "_power_coefficient", CHECK),
     (math, "comb", CHECK),
     (math, "factorial", CHECK),
     (math, "lcm", CHECK),
@@ -141,6 +142,10 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
     ``exact.rational_sum`` by every closed route, but by neither the
     symbolic route nor ``symbolic.taylor_polynomial``, which builds that
     route's inputs in ``check`` from Fractions of its own.
+    ``composition._power_coefficient``, the [t^n] u**m pipeline that Bell
+    shares with the power route, is read by Bell alone among the routes:
+    its case shows that ``check`` guards that pipeline, though no ``check``
+    route runs the power route itself.
 
     Out of the oracle's reach: ``parse``, ``parse_rational`` and
     ``as_rational``, ``cli._random_sequence`` and the CLI's own comparison
