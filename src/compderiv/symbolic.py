@@ -12,12 +12,13 @@ AST with constant folding only, and ``evaluate`` computes a value at a
 point on unreduced integer pairs, whose size ``check_size`` bounds: it
 reduces only each power's base and the one ``Fraction`` it builds at the
 root.  ``derivative_sequence_of`` turns an expression into its derivative
-sequence by calling both once per order, with one derivative memo and one
-value memo for the length of the call: each node is differentiated and
+sequence by calling ``differentiate`` once per order and evaluating the
+nodes each call adds to its memo: each node is listed, differentiated and
 evaluated once, and the trees D^k share their nodes.  A ``differentiate``
-call builds no node it throws away: its leaf derivatives are one zero and
-one one ``Constant``, a zero or one operand folds without building, and
-each sum or product is looked up before it is built.
+call builds no node it throws away: its leaf derivatives are one
+module-level zero and one one ``Constant``, a zero or one operand folds
+without building, two constants fold on integers, and each sum or product
+is looked up before it is built.
 
 Every walk over an expression runs on an explicit stack: each walk is one
 loop over ``_new_nodes``, which lists each distinct node object once,
@@ -48,8 +49,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
-from typing import Any, Callable
+from itertools import islice, zip_longest
+from typing import Any, Callable, Iterable
 
 from .exact import MAX_EXPONENT, MAX_LITERAL_DIGITS, as_rational, check_order, convolve, reduced
 from .sequence import DerivativeSequence
@@ -348,7 +349,8 @@ def _new_nodes(e: Expr, done: dict[Expr, Any]) -> list[Expr]:
 # Smart constructors: constant folding only, so derivatives stay readable
 # without ever rearranging non-constant structure.  A zero or a one operand
 # is returned as it is, so folding it builds nothing; ``make`` builds what
-# is left.
+# is left.  Two constants fold into one ``Fraction`` of integer products,
+# which reduces it as ``Fraction``'s own ``+`` and ``*`` would.
 
 def _add(a: Expr, b: Expr, make: Callable[[Expr, Expr], Expr] = Add) -> Expr:
     if type(b) is Constant and not b.value:
@@ -357,8 +359,14 @@ def _add(a: Expr, b: Expr, make: Callable[[Expr, Expr], Expr] = Add) -> Expr:
         if not a.value:
             return b
         if type(b) is Constant:
-            return Constant(a.value + b.value)
+            x, y = a.value, b.value
+            return Constant(Fraction(x.numerator * y.denominator + y.numerator * x.denominator,
+                                     x.denominator * y.denominator))
     return make(a, b)
+
+
+def _product(x: Fraction, y: Fraction) -> Constant:
+    return Constant(Fraction(x.numerator * y.numerator, x.denominator * y.denominator))
 
 
 def _mul(a: Expr, b: Expr, make: Callable[[Expr, Expr], Expr] = Mul) -> Expr:
@@ -371,9 +379,9 @@ def _mul(a: Expr, b: Expr, make: Callable[[Expr, Expr], Expr] = Mul) -> Expr:
         if value == 1:
             return b
         if type(b) is Constant:
-            return Constant(value * b.value)
+            return _product(value, b.value)
         if type(b) is Mul and type(b.left) is Constant:
-            return make(Constant(value * b.left.value), b.right)
+            return make(_product(value, b.left.value), b.right)
     return make(a, b)
 
 
@@ -387,6 +395,10 @@ def _pow(base: Expr, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
+# Every leaf derivative: nodes compare by identity, and a constant means the same in any memo.
+_ZERO, _ONE = Constant(Fraction(0)), Constant(Fraction(1))
+
+
 def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
     """Exact derivative by the sum, product and power rules.
 
@@ -397,7 +409,8 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
     each sum or product of the same two child objects is built once, on
     the first lookup that misses: the product rule reaches A' * B' from
     both A' * B and A * B', and two copies would double the tree at every
-    order.  Every leaf derivative is the call's one zero or one ``Constant``.
+    order.  Every leaf derivative is one module-level zero or one
+    ``Constant``, shared by every call.
     """
     built: dict[tuple[type, Expr, Expr], Expr] = {}
 
@@ -409,9 +422,6 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
         return node
 
     add, mul = partial(share, Add), partial(share, Mul)
-    # Nodes compare by identity and the result may share any node, so every
-    # leaf derivative can be the same object.
-    zero, one = Constant(Fraction(0)), Constant(Fraction(1))
     done = {} if memo is None else memo
     for node in _new_nodes(e, done):
         kind = type(node)
@@ -421,9 +431,9 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
         elif kind is Add:
             done[node] = _add(done[node.left], done[node.right], add)
         elif kind is Variable:
-            done[node] = one
+            done[node] = _ONE
         elif kind is Constant or node.exponent == 0:
-            done[node] = zero
+            done[node] = _ZERO
         else:
             outer = _mul(Constant(Fraction(node.exponent)), _pow(node.base, node.exponent - 1))
             done[node] = _mul(outer, done[node.base])
@@ -445,10 +455,17 @@ def evaluate(
     pair (see ``_new_nodes``).
     """
     point = as_rational(at)
-    variable = point.numerator, point.denominator
-    gcd, lcm = math.gcd, math.lcm
     done = {} if memo is None else memo
-    for node in _new_nodes(e, done):
+    _evaluate_nodes(_new_nodes(e, done), (point.numerator, point.denominator), done)
+    return Fraction(*done[e])
+
+
+def _evaluate_nodes(
+    nodes: Iterable[Expr], variable: tuple[int, int], done: dict[Expr, tuple[int, int]]
+) -> None:
+    """``evaluate``'s loop: ``done[node]`` for each node, its children already in ``done``."""
+    gcd, lcm = math.gcd, math.lcm
+    for node in nodes:
         kind = type(node)
         if kind is Add:
             (na, da), (nb, db) = done[node.left], done[node.right]
@@ -467,7 +484,6 @@ def evaluate(
             num, den = done[node.base]
             g = gcd(num, den)
             done[node] = (num // g) ** node.exponent, (den // g) ** node.exponent
-    return Fraction(*done[e])
 
 
 def _dense_scaled(
@@ -573,15 +589,15 @@ def derivative_sequence_of(
 ) -> DerivativeSequence:
     """Derivative values of an expression at a point, orders 1..n plus base.
 
-    The n calls to ``differentiate`` share one derivative memo and the
-    n + 1 calls to ``evaluate`` one value memo, both for this call only;
-    the value memo holds each node's unreduced ``(numerator, denominator)``
-    pair, whose size ``check_size``'s model bounds.  A node of D^(k-1)
-    seen at an earlier order keeps its derivative object, so the trees D^k
-    share their nodes, and each order differentiates and evaluates only the
-    nodes it adds: a product of 16 linear factors at n = 16 takes
-    milliseconds, where fresh walks copied the shared subtrees at every
-    order and took seconds.
+    The n calls to ``differentiate`` share one derivative memo, for this
+    call only.  After each, the keys it added, D^(k-1)'s nodes with no
+    value yet in ``_new_nodes``' order, are evaluated into one value memo
+    of unreduced pairs, whose size ``check_size``'s model bounds; only D^n
+    is listed by ``evaluate``, so n + 1 trees take n + 1 node listings.
+    The trees D^k share their nodes, and each order differentiates and
+    evaluates only the nodes it adds: a product of 16 linear factors at
+    n = 16 takes milliseconds, where fresh walks copied the shared
+    subtrees at every order and took seconds.
 
     The four closed routes read their sequences from here; the symbolic
     route reads the AST through truncated series instead, so the two paths
@@ -589,13 +605,16 @@ def derivative_sequence_of(
     """
     check_order(n)
     at = as_rational(at)
+    variable = at.numerator, at.denominator
     derivatives: dict[Expr, Expr] = {}
     values: dict[Expr, tuple[int, int]] = {}
-    base = evaluate(e, at, values)
-    derivs = []
+    trees = [e]
     for _ in range(n):
-        e = differentiate(e, derivatives)
-        derivs.append(evaluate(e, at, values))
+        known = len(derivatives)
+        trees.append(differentiate(trees[-1], derivatives))
+        _evaluate_nodes(islice(derivatives, known, None), variable, values)
+    evaluate(trees[-1], at, values)
+    base, *derivs = (Fraction(*values[tree]) for tree in trees)
     return DerivativeSequence(derivs=tuple(derivs), base=base)
 
 

@@ -634,6 +634,72 @@ def test_differentiate_shares_the_sums_and_products_it_builds():
     assert len(memo) < 2000
 
 
+def _distinct_nodes(roots):
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(v for v in vars(node).values() if isinstance(v, Expr))
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x - 5/4)*(x + 3)*x*(x - 1/2)*(x + 5/3)*(x - 2)*(x + 1/4)",  # like the bench's inputs
+        "(3 - 2*x + 5*x^2)^3*(x + 1)^4 - 2*(x^2 - 1/3)^5 + x^0*(7/2*x)^2",
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_sequence_lists_each_node_once(monkeypatch, text, n):
+    # differentiate, called through the module attribute that the bench
+    # counts, lists D^(k-1)'s new nodes; the sequence evaluates those very
+    # nodes, so only D^n is listed again, by evaluate.
+    listings, trees = [], []
+    new_nodes, differentiate_ = symbolic._new_nodes, symbolic.differentiate
+
+    def listing(e, done):
+        order = new_nodes(e, done)
+        listings.append(len(order))
+        return order
+
+    def spy(e, memo=None):
+        trees.append(differentiate_(e, memo))
+        return trees[-1]
+
+    monkeypatch.setattr(symbolic, "_new_nodes", listing)
+    monkeypatch.setattr(symbolic, "differentiate", spy)
+    e = parse(text)
+    seq = derivative_sequence_of(e, Fraction(2, 3), n)
+    assert len(trees) == n
+    assert len(listings) == n + 1
+    assert sum(listings) == _distinct_nodes([e, *trees])
+    assert seq == _sequence_by_fresh_folds(e, Fraction(2, 3), n)
+
+
+def test_constant_folding_equals_fraction_arithmetic():
+    rng = random.Random(4000)
+    pairs = []
+    for _ in range(300):
+        a = random_rational(rng, 30, 12)
+        b = rng.choice([random_rational(rng, 30, 12), -a, 1 / a if a else a, Fraction(0)])
+        pairs.append((a, b))
+    for a, b in pairs:
+        total = symbolic._add(Constant(a), Constant(b))
+        assert type(total) is Constant and total.value == a + b and _is_reduced(total.value)
+        product = symbolic._mul(Constant(a), Constant(b))
+        assert type(product) is Constant and product.value == a * b and _is_reduced(product.value)
+        scaled = symbolic._mul(Constant(a), Mul(Constant(b), X))
+        if a:
+            assert type(scaled) is Mul and scaled.right is X
+            scaled = scaled.left
+        assert scaled.value == a * b and _is_reduced(scaled.value)
+    # Every leaf derivative is one of two shared objects.
+    assert differentiate(parse("x")) is differentiate(Variable("y"))
+    assert differentiate(parse("3/4")) is differentiate(parse("(y+1)^0")) is differentiate(Constant(1))
+
+
 # --- Taylor realization ------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(1, 9))
