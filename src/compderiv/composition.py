@@ -189,9 +189,6 @@ def lagrange_power_coefficient(psi: DerivativeSequence, m: int, n: int) -> Fract
     base = psi.require_base("psi")
     if base == 0 and m < 0:
         raise ZeroDivisionError(f"psi**{m} needs a nonzero base value, but it is 0")
-    # u**0 = 1 has no t^n term, but _power_coefficient would give 1 at s = n.
-    if m == 0:
-        return Fraction(0)
     return Fraction(*_power_coefficient((base, *psi.derivs[:n]), m, n))
 
 
@@ -199,8 +196,9 @@ def _power_coefficient(values: tuple[Fraction, ...], m: int, n: int) -> tuple[in
     """num / den = [t^n] u**m, u = sum_k values[k] t^k / k!, on integers.
 
     With s the first k where values[k] != 0, u = t**s * w and w_0 != 0, so
-    [t^n] u**m = w_0**m * [t^(n-s*m)] (w / w_0)**m, or 0 when no value is
-    nonzero or n < s*m; the terms of w past t^(n-s*m) do not reach it.
+    [t^n] u**m = w_0**m * [t^(n-s*m)] (w / w_0)**m, or 0 when m = 0, when
+    no value is nonzero or when n < s*m; the terms of w past t^(n-s*m) do
+    not reach it.
     ``exact.taylor_scaled`` writes those terms as integers W over one scale,
     and ``_miller_power`` reads v / scale = [t^(n-s*m)] (W / W_0)**m from
     them: scaling w leaves w / w_0 as it is.  w_0 is values[s] / s! =
@@ -209,7 +207,7 @@ def _power_coefficient(values: tuple[Fraction, ...], m: int, n: int) -> tuple[in
     q * s! swapped for m < 0.  den is negative when m < 0 and p < 0.
     """
     s = next((k for k, c in enumerate(values) if c), None)
-    if s is None or n < s * m:
+    if not m or s is None or n < s * m:
         return 0, 1
     W, _ = taylor_scaled(values[s : n - s * m + s + 1], s)
     v, scale = _miller_power(W, m)

@@ -22,12 +22,14 @@ is looked up before it is built.
 
 Every walk over an expression runs on an explicit stack: each walk is one
 loop over ``_new_nodes``, which lists each distinct node object once,
-children first; ``repr`` streams its pieces, and the parser nests on a
-stack too.  Neither size nor depth meets the interpreter's recursion
+children first; ``repr`` streams its pieces, and the parser reads one
+token list, lexed by one regex pass, and nests on a stack.  Neither size nor depth meets the interpreter's recursion
 limit, and no interpreter state is changed.  Nesting of '(' and unary '-'
 is bounded by ``MAX_DEPTH`` (256); length is not bounded.
 
-Grammar (whitespace-insensitive, explicit '*' required):
+Grammar (explicit '*' required).  A token is a UINT or one other
+character, and whitespace (what ``str.isspace`` accepts) may stand
+between any two tokens:
 
     expr   := term (('+'|'-') term)* ;
     term   := factor ('*' factor)* ;
@@ -46,6 +48,7 @@ negated number is a negative ``Constant``, any other term a ``Mul`` by
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -73,6 +76,8 @@ __all__ = [
 ]
 
 MAX_DEPTH = 256
+# One token: a run of ASCII digits or one other non-whitespace character.
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
 # Most bits ``check_size`` lets a value at the point have, a time bound at n = 100 only:
 # x^2000 at a 19-digit point takes 2.6 s under ``derive --method all -n 100`` (5.9 s at
 # 2**18), but inside it the partition route took 177 s at n = 60 (ROADMAP items 2 and 3).
@@ -155,53 +160,6 @@ class ParseError(ValueError):
         super().__init__(f"syntax error at offset {offset}: expected {wanted}, found {found!r}")
 
 
-class _Parser:
-    """Read position over the text; every token read skips whitespace first."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def fail(self, *expected: str) -> ParseError:
-        self.skip_ws()
-        return ParseError(self.text, self.pos, expected)
-
-    def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise self.fail("unsigned integer")
-        if self.pos - start > MAX_LITERAL_DIGITS:
-            raise ParseError(self.text, start, (f"at most {MAX_LITERAL_DIGITS} digits",))
-        return int(self.text[start:self.pos])
-
-    def rational(self) -> Constant:
-        numerator = self.uint()
-        if not self.take("/"):
-            return Constant(Fraction(numerator))
-        denom_offset = self.pos
-        denominator = self.uint()
-        if denominator == 0:
-            raise ParseError(self.text, denom_offset, ("nonzero denominator",))
-        return Constant(Fraction(numerator, denominator))
-
-
 def _negate(node: Expr) -> Expr:
     """-node: a negative constant, or a product by -1."""
     if isinstance(node, Constant):
@@ -211,6 +169,11 @@ def _negate(node: Expr) -> Expr:
 
 def parse(text: str) -> Expr:
     """Parse an expression, or raise ParseError with offset and expectations.
+
+    One ``findall`` of ``_TOKEN`` lexes the text: each token is a run of
+    ASCII digits or one other character, with the whitespace before it
+    dropped, and an empty token ends the list.  Token offsets are found
+    again only when an error is raised.
 
     The grammar's nesting lives on an explicit stack.  Its bottom entry is
     the top level and each open '(' pushes another; both are lists
@@ -226,47 +189,71 @@ def parse(text: str) -> Expr:
     its outer exponent: it would expand to degree 4000000 and evaluate to
     millions of bits.
     """
-    p = _Parser(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+
+    def fail(i: int, *expected: str, shift: int = 0) -> ParseError:
+        """The error at token i's offset plus ``shift``; past the last token, at the text's end."""
+        match = next(islice(_TOKEN.finditer(text), i, None), None)
+        return ParseError(text, shift + (match.start(1) if match else len(text)), expected)
+
+    def uint(i: int) -> int:
+        token = tokens[i]
+        if not "0" <= token[:1] <= "9":
+            raise fail(i, "unsigned integer")
+        if len(token) > MAX_LITERAL_DIGITS:
+            raise fail(i, f"at most {MAX_LITERAL_DIGITS} digits")
+        return int(token)
+
+    i = 0
     stack: list[list[Any] | None] = [[None, False, None, 1]]
     seen_var: str | None = None
     while True:
         # Read one base, opening '(' and unary '-' on the way to it.
-        char = p.peek()
-        if "0" <= char <= "9":
-            node: Expr = p.rational()
-        elif char == "x" or char == "y":
-            if seen_var is not None and seen_var != char:
-                raise p.fail(f"variable {seen_var!r} (one variable per expression)")
-            seen_var = char
-            p.pos += 1
-            node = Variable(char)
-        elif char == "(" or char == "-":
+        token = tokens[i]
+        if "0" <= token[:1] <= "9":
+            numerator = uint(i)
+            i += 1
+            if tokens[i] == "/":
+                denominator = uint(i + 1)
+                if not denominator:
+                    raise fail(i, "nonzero denominator", shift=1)
+                i += 2
+                node: Expr = Constant(Fraction(numerator, denominator))
+            else:
+                node = Constant(Fraction(numerator))
+        elif token == "x" or token == "y":
+            if seen_var is not None and seen_var != token:
+                raise fail(i, f"variable {seen_var!r} (one variable per expression)")
+            seen_var = token
+            i += 1
+            node = Variable(token)
+        elif token == "(" or token == "-":
             if len(stack) > MAX_DEPTH:
-                raise ParseError(text, p.pos, ("shallower nesting",))
-            p.pos += 1
-            stack.append([None, False, None, 1] if char == "(" else None)
+                raise fail(i, "shallower nesting")
+            i += 1
+            stack.append([None, False, None, 1] if token == "(" else None)
             continue
         else:
-            raise p.fail("number", "variable", "'('", "'-'")
+            raise fail(i, "number", "variable", "'('", "'-'")
         power = 1  # the largest product of exponents on a path into node
         # Close what the base completes: its factor, the unary '-' around
         # that factor (whose own factor may take a '^' again), then the
         # term, the sum and the enclosing '(' when no operator follows.
-        # Each pass peeks once and branches on the character it finds.
+        # Each pass reads one token and branches on it.
         while True:
-            char = p.peek()
-            if char == "^":
-                p.pos += 1
-                p.skip_ws()
-                offset, exponent = p.pos, p.uint()
+            token = tokens[i]
+            if token == "^":
+                exponent = uint(i + 1)
                 if max(exponent, 1) * power > MAX_EXPONENT:
                     wanted = f"an exponent of at most {MAX_EXPONENT // power}"
                     if power > 1:
                         wanted += f" (the exponents on a path multiply to at most {MAX_EXPONENT})"
-                    raise ParseError(text, offset, (wanted,))
+                    raise fail(i + 1, wanted)
                 node = Pow(node, exponent)
                 power *= max(exponent, 1)
-                char = p.peek()
+                i += 2
+                token = tokens[i]
             level = stack[-1]
             if level is None:
                 stack.pop()
@@ -274,23 +261,23 @@ def parse(text: str) -> Expr:
                 continue
             level[2] = node if level[2] is None else Mul(level[2], node)
             level[3] = max(level[3], power)
-            if char == "*":
-                p.pos += 1
+            if token == "*":
+                i += 1
                 break
             term = _negate(level[2]) if level[1] else level[2]
             level[0] = term if level[0] is None else Add(level[0], term)
             level[2] = None
-            if char == "+" or char == "-":
-                p.pos += 1
-                level[1] = char == "-"
+            if token == "+" or token == "-":
+                i += 1
+                level[1] = token == "-"
                 break
             if len(stack) == 1:
-                if char:
-                    raise p.fail("'+'", "'-'", "'*'", "end of input")
+                if token:
+                    raise fail(i, "'+'", "'-'", "'*'", "end of input")
                 return level[0]
-            if char != ")":
-                raise p.fail("')'")
-            p.pos += 1
+            if token != ")":
+                raise fail(i, "')'")
+            i += 1
             stack.pop()
             node, power = level[0], level[3]
 
@@ -440,9 +427,7 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
     return done[e]
 
 
-def evaluate(
-    e: Expr, at: Fraction | int | str, memo: dict[Expr, tuple[int, int]] | None = None
-) -> Fraction:
+def evaluate(e: Expr, at: Fraction | int | str) -> Fraction:
     """Exact value of the expression at a rational point.
 
     Each node's value is an unreduced ``(numerator, denominator)`` integer
@@ -451,11 +436,9 @@ def evaluate(
     product that is zero is ``(0, 1)``.  A power's base loses its gcd once,
     before it is raised.  The one ``Fraction`` built at the root does the
     only other reduction.  ``check_size`` bounds the bits of these pairs.
-    ``memo`` maps each node already evaluated at this same point to its
-    pair (see ``_new_nodes``).
     """
     point = as_rational(at)
-    done = {} if memo is None else memo
+    done: dict[Expr, tuple[int, int]] = {}
     _evaluate_nodes(_new_nodes(e, done), (point.numerator, point.denominator), done)
     return Fraction(*done[e])
 
@@ -570,7 +553,7 @@ def nth_derivative_of_composition(
     the expressions themselves, whose t^n coefficient times n! is the
     answer.  The routes stay independent: this one reads the AST through
     truncated series (``convolve``, ``reduced``), the four closed routes
-    read ``derivative_sequence_of`` (``differentiate``, ``evaluate``), and
+    read ``derivative_sequence_of`` (``differentiate``, ``_evaluate_nodes``), and
     the partition route calls neither ``convolve`` nor ``reduced``.
 
     ``derive`` calls ``check_size`` for every route; this route does not: the
@@ -593,7 +576,7 @@ def derivative_sequence_of(
     call only.  After each, the keys it added, D^(k-1)'s nodes with no
     value yet in ``_new_nodes``' order, are evaluated into one value memo
     of unreduced pairs, whose size ``check_size``'s model bounds; only D^n
-    is listed by ``evaluate``, so n + 1 trees take n + 1 node listings.
+    is listed for it, so n + 1 trees take n + 1 node listings.
     The trees D^k share their nodes, and each order differentiates and
     evaluates only the nodes it adds: a product of 16 linear factors at
     n = 16 takes milliseconds, where fresh walks copied the shared
@@ -613,7 +596,7 @@ def derivative_sequence_of(
         known = len(derivatives)
         trees.append(differentiate(trees[-1], derivatives))
         _evaluate_nodes(islice(derivatives, known, None), variable, values)
-    evaluate(trees[-1], at, values)
+    _evaluate_nodes(_new_nodes(trees[-1], values), variable, values)
     base, *derivs = (Fraction(*values[tree]) for tree in trees)
     return DerivativeSequence(derivs=tuple(derivs), base=base)
 

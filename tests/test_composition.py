@@ -587,6 +587,8 @@ def test_power_route_first_order_is_product_rule():
 def test_power_route_worked_example():
     assert lagrange_power_coefficient(seq(2, 3, base=1), 2, 2) == 7
     assert lagrange_power_coefficient(seq(2, 3, base=1), 0, 2) == 0  # psi**0 = 1
+    # Also when t^n is the first term of psi's series.
+    assert lagrange_power_coefficient(seq(0, 0, 5, base=0), 0, 3) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -98,6 +98,7 @@ BASE = ("number", "variable", "'('", "'-'")
         (" ( x + 1 \t", 10, ("')'",)),
         ("x  ) ", 3, AFTER_TOP_LEVEL),
         ("x -  ", 5, BASE),
+        (" \u00a0", 2, BASE),  # a space, then a no-break space: the end of input
     ],
 )
 def test_parse_closing_loop_errors_carry_offset_and_expectations(text, offset, expected):
@@ -174,6 +175,8 @@ def test_parse_rejects_mixed_variables():
 
 def test_parse_unary_minus_binds_looser_than_power():
     assert repr(parse("-x^2")) == repr(Mul(Constant(Fraction(-1)), Pow(X, 2)))
+    # The negated factor may take a '^' again.
+    assert repr(parse("-x^2^3")) == repr(Pow(Mul(Constant(Fraction(-1)), Pow(X, 2)), 3))
 
 
 def test_parse_negated_number_is_a_negative_constant():
@@ -185,6 +188,26 @@ def test_parse_negated_number_is_a_negative_constant():
 def test_parse_zero_denominator_rejected():
     with pytest.raises(ParseError):
         parse("1/0")
+    # The offset is the one just past '/', not the denominator's.
+    with pytest.raises(ParseError) as err:
+        parse("1/ 0")
+    assert (err.value.offset, err.value.expected) == (2, ("nonzero denominator",))
+
+
+def test_parse_whitespace_is_what_str_isspace_accepts():
+    # Every whitespace code point lies below U+3001.
+    expected = repr(parse("x+1"))
+    offsets = {}
+    for c in map(chr, range(0x3001)):
+        if c.isspace():
+            assert repr(parse(f"{c}x{c}+{c}1{c}")) == expected
+            continue
+        try:
+            parse("x" + c)
+        except ParseError as err:
+            offsets[c] = err.offset
+    others = (chr(k) for k in range(0x3001) if not chr(k).isspace())
+    assert offsets == {c: 2 if c in "+-*^" else 1 for c in others}
 
 
 def test_parse_depth_limit():
