@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .exact import as_rational, format_rational, rational_sum, reduced, scaled
-from .sequence import DerivativeSequence
+from .sequence import DerivativeSequence, Record
 
 __all__ = [
     "MIN_DETERMINANT_ORDER",
@@ -107,8 +106,7 @@ class PhiPolynomial:
         return " ".join(pieces)
 
 
-@dataclass(frozen=True)
-class CompositionMatrix:
+class CompositionMatrix(Record):
     """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}, with
     n = ``len(columns) - 1``.
 
@@ -120,21 +118,26 @@ class CompositionMatrix:
     it outside column 1 are implied, so no stored value can break them.
     """
 
+    __slots__ = ("columns", "scale")
     columns: tuple[tuple[int, ...], ...]
     scale: int
 
-    def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise ValueError(f"matrix scale must be positive, got {self.scale}")
-        if not self.columns or any(
-            len(column) != k for k, column in enumerate(self.columns, start=1)
-        ):
-            lengths = [len(column) for column in self.columns]
+    def __init__(self, columns: tuple[tuple[int, ...], ...], scale: int) -> None:
+        if scale < 1:
+            raise ValueError(f"matrix scale must be positive, got {scale}")
+        if not columns or any(len(column) != k for k, column in enumerate(columns, start=1)):
+            lengths = [len(column) for column in columns]
             raise ValueError(f"matrix needs columns of lengths 1, 2, ..., n+1, got {lengths}")
+        _set_columns(self, columns)
+        _set_scale(self, scale)
 
     @property
     def n(self) -> int:
         return len(self.columns) - 1
+
+
+# The slot descriptors' setters that ``__init__`` stores through.
+_set_columns, _set_scale = CompositionMatrix.columns.__set__, CompositionMatrix.scale.__set__
 
 
 def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:

@@ -10,8 +10,8 @@ routes read its Taylor coefficients d_k / k! through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Iterable
 
 from .exact import as_rational, check_order
 
@@ -28,8 +28,43 @@ class SequenceTooShortError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class DerivativeSequence:
+class Record:
+    """An immutable record whose fields are its class's ``__slots__``: the base
+    of ``DerivativeSequence``, ``determinant.CompositionMatrix`` and the nodes.
+
+    Each ``__init__`` stores its fields through their slot descriptors; any
+    other assignment or deletion raises ``AttributeError``.  Records compare
+    and hash by their field values and ``repr`` as ``Name(field=value, ...)``.
+    ``__reduce__`` rebuilds one through its constructor for ``pickle`` and ``copy``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class DerivativeSequence(Record):
     """Derivative values at a point: ``derivs[k-1]`` is the k-th derivative.
 
     ``base`` is the 0-th value (the function value itself); it is optional
@@ -38,15 +73,15 @@ class DerivativeSequence:
     strings compare structurally.
     """
 
+    __slots__ = ("derivs", "base")
     derivs: tuple[Fraction, ...]
-    base: Fraction | None = None
+    base: Fraction | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "derivs", tuple(as_rational(v) for v in self.derivs)
-        )
-        if self.base is not None:
-            object.__setattr__(self, "base", as_rational(self.base))
+    def __init__(
+        self, derivs: Iterable[Fraction | int | str], base: Fraction | int | str | None = None
+    ) -> None:
+        _set_derivs(self, tuple(as_rational(v) for v in derivs))
+        _set_base(self, None if base is None else as_rational(base))
 
     def require_order(self, n: int, role: str) -> None:
         check_order(n)
@@ -57,3 +92,7 @@ class DerivativeSequence:
         if self.base is None:
             raise ValueError(f"{role} sequence needs a base value (0-th derivative)")
         return self.base
+
+
+# The slot descriptors' setters that ``__init__`` stores through.
+_set_derivs, _set_base = DerivativeSequence.derivs.__set__, DerivativeSequence.base.__set__

@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, zip_longest
 from typing import Any, Callable, Iterable
 
 from .exact import MAX_EXPONENT, MAX_LITERAL_DIGITS, as_rational, check_order, convolve, reduced
-from .sequence import DerivativeSequence
+from .sequence import DerivativeSequence, Record
 
 __all__ = [
     "Expr",
@@ -84,17 +83,21 @@ _TOKEN = re.compile(r"\s*([0-9]+|\S)")
 MAX_VALUE_BITS = 2**17
 
 
-class Expr:
+class Expr(Record):
     """Base class for the five polynomial AST nodes (see the module docstring).
 
-    Nodes compare and hash by identity: two parses of the same text are
-    two different nodes, and a walk's memo keyed by node keeps its nodes
-    alive.  ``repr`` is structural, in the form dataclasses generate, but
-    streams its pieces from an explicit stack, so it works at any size and
-    depth the parser accepts.
+    Nodes are immutable ``Record``s, but compare and hash by identity: two
+    parses of the same text are two different nodes, and a walk's memo
+    keyed by node keeps its nodes alive.  ``repr`` is structural,
+    ``Kind(field=value, ...)`` with each child's ``repr`` in its place, as
+    in ``Add(left=Variable(name='x'), right=Constant(value=Fraction(1, 1)))``,
+    and streams its pieces from an explicit stack, so it works at any size
+    and depth the parser accepts.
     """
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -105,7 +108,8 @@ class Expr:
                 out.append(item)
                 continue
             pieces: list[Expr | str] = [f"{type(item).__qualname__}("]
-            for i, (name, value) in enumerate(vars(item).items()):
+            for i, name in enumerate(item.__slots__):
+                value = getattr(item, name)
                 pieces.append(f", {name}=" if i else f"{name}=")
                 pieces.append(value if isinstance(value, Expr) else repr(value))
             pieces.append(")")
@@ -113,40 +117,62 @@ class Expr:
         return "".join(out)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Constant(Expr):
+    __slots__ = ("value",)
     value: Fraction
 
-    def __post_init__(self) -> None:
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", as_rational(self.value))
+    def __init__(self, value: Fraction | int | str) -> None:
+        _set_constant_value(self, value if type(value) is Fraction else as_rational(value))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Variable(Expr):
-    name: str = "x"
+    __slots__ = ("name",)
+    name: str
+
+    def __init__(self, name: str = "x") -> None:
+        _set_variable_name(self, name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
+    def __init__(self, left: Expr, right: Expr) -> None:
+        _set_add_left(self, left)
+        _set_add_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class Mul(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
+    def __init__(self, left: Expr, right: Expr) -> None:
+        _set_mul_left(self, left)
+        _set_mul_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class Pow(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: int
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
-            raise ValueError(f"Pow exponent must be non-negative: {self.exponent}")
+    def __init__(self, base: Expr, exponent: int) -> None:
+        # An int only, as in PhiPolynomial: 2.0 or True is not read as an exponent.
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            raise TypeError(f"Pow exponent must be an int: {exponent!r}")
+        if exponent < 0:
+            raise ValueError(f"Pow exponent must be non-negative: {exponent}")
+        _set_pow_base(self, base)
+        _set_pow_exponent(self, exponent)
+
+
+# The slot descriptors' setters that each node's ``__init__`` stores through.
+_set_constant_value, _set_variable_name = Constant.value.__set__, Variable.name.__set__
+_set_add_left, _set_add_right = Add.left.__set__, Add.right.__set__
+_set_mul_left, _set_mul_right = Mul.left.__set__, Mul.right.__set__
+_set_pow_base, _set_pow_exponent = Pow.base.__set__, Pow.exponent.__set__
 
 
 class ParseError(ValueError):

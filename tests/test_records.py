@@ -1,0 +1,78 @@
+"""The immutable records: the five expression nodes, ``DerivativeSequence``
+and ``CompositionMatrix``.  Fields cannot be assigned, and ``pickle`` and
+``copy`` rebuild equal values through the constructors."""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import compderiv
+from compderiv import DerivativeSequence, build_matrix, parse
+from compderiv.symbolic import Add, Constant, Mul, Pow, Variable
+
+X = Variable("x")
+SEQUENCE = DerivativeSequence(derivs=(1, "1/2", -3), base=2)
+ROUND_TRIPS = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+RECORDS = [
+    Constant(Fraction(3, 4)),
+    X,
+    Add(X, Constant(1)),
+    Mul(X, X),
+    Pow(X, 2),
+    SEQUENCE,
+    build_matrix(SEQUENCE, 2),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_no_field_can_be_assigned_or_deleted(record):
+    for name in record.__slots__:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, X)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_nodes_survive_pickle_and_copy(round_trip):
+    e = parse("(x+1)*(x+1)")
+    assert repr(round_trip(e)) == repr(e)
+    shared = Add(e, Pow(e, 3))
+    again = round_trip(shared)
+    assert repr(again) == repr(shared)
+    assert again.left is again.right.base  # one subtree, still shared
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_records_survive_pickle_and_copy(round_trip):
+    again = round_trip(SEQUENCE)
+    assert again == SEQUENCE and hash(again) == hash(SEQUENCE)
+    matrix = build_matrix(SEQUENCE, 2)
+    assert round_trip(matrix) == matrix
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # Both cost every CLI process its import time and nothing uses them.
+    src = str(Path(compderiv.__file__).resolve().parents[1])
+    probe = "import sys, compderiv.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -71,6 +71,14 @@ def test_parse_negative_exponent_rejected():
         Pow(X, -1)
 
 
+@pytest.mark.parametrize("exponent", [True, False, 2.0, Fraction(2), "2", None])
+def test_pow_rejects_an_exponent_that_is_not_an_int(exponent):
+    # As in PhiPolynomial: True is not read as x^1, nor 2.0 left to fail in evaluate.
+    with pytest.raises(TypeError) as info:
+        Pow(X, exponent)
+    assert str(info.value) == f"Pow exponent must be an int: {exponent!r}"
+
+
 def test_parse_power_tower_needs_parentheses():
     with pytest.raises(ParseError):
         parse("x^2^3")
@@ -663,7 +671,8 @@ def _distinct_nodes(roots):
         node = stack.pop()
         if node not in seen:
             seen.add(node)
-            stack.extend(v for v in vars(node).values() if isinstance(v, Expr))
+            values = (getattr(node, name) for name in node.__slots__)
+            stack.extend(v for v in values if isinstance(v, Expr))
     return len(seen)
 
 
