@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .exact import as_rational, format_rational, rational_sum, reduced, scaled
 from .sequence import DerivativeSequence, Record
@@ -44,55 +44,46 @@ __all__ = [
 MIN_DETERMINANT_ORDER = 2
 
 
-class PhiPolynomial:
+class PhiPolynomial(Record):
     """Polynomial in the formal symbol Phi with exact rational coefficients.
 
-    Immutable; zero coefficients are never stored, so equality is plain
-    dict comparison.
+    ``terms`` holds its nonzero ``(exponent, coefficient)`` pairs sorted by
+    exponent, so equal polynomials have equal terms.  The constructor takes
+    a mapping from exponent to coefficient, or such pairs with no exponent
+    repeated; zero coefficients are dropped.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("terms",)
+    terms: tuple[tuple[int, Fraction], ...]
 
-    def __init__(self, coeffs: Mapping[int, Fraction]):
-        cleaned: dict[int, Fraction] = {}
-        for exponent, coefficient in coeffs.items():
+    def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]]) -> None:
+        coefficients: dict[int, Fraction] = {}
+        for exponent, coefficient in terms.items() if isinstance(terms, Mapping) else terms:
             # An int only, as in as_rational: 1.5 or True is not read as 1.
             if not isinstance(exponent, int) or isinstance(exponent, bool):
                 raise TypeError(f"Phi exponent must be an int: {exponent!r}")
             if exponent < 0:
                 raise ValueError(f"Phi exponent must be non-negative: {exponent}")
-            value = as_rational(coefficient)
-            if value != 0:
-                cleaned[exponent] = value
-        self._coeffs = cleaned
-
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PhiPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
+            if exponent in coefficients:
+                raise ValueError(f"Phi exponent repeated: {exponent}")
+            coefficients[exponent] = as_rational(coefficient)
+        PhiPolynomial.terms.__set__(self, tuple(sorted((e, c) for e, c in coefficients.items() if c)))
 
     def __mul__(self, other: "PhiPolynomial") -> "PhiPolynomial":
         """The ring product.  Benchmark API: ``bench/tracing.py`` looks this name up."""
         out: dict[int, Fraction] = {}
-        for ea, ca in self._coeffs.items():
-            for eb, cb in other._coeffs.items():
+        for ea, ca in self.terms:
+            for eb, cb in other.terms:
                 exponent = ea + eb
                 out[exponent] = out.get(exponent, Fraction(0)) + ca * cb
         return PhiPolynomial(out)
 
-    def __repr__(self) -> str:
-        return f"PhiPolynomial({self._coeffs!r})"
-
     def __str__(self) -> str:
         """Text form with descending exponents: "8*Phi^3 + 6*Phi^2 + 1*Phi"."""
-        if not self._coeffs:
+        if not self.terms:
             return "0"
         pieces: list[str] = []
-        for exponent in sorted(self._coeffs, reverse=True):
-            coefficient = self._coeffs[exponent]
+        for exponent, coefficient in reversed(self.terms):
             if exponent == 0:
                 body = format_rational(abs(coefficient))
             elif exponent == 1:
@@ -219,10 +210,10 @@ def interpret_phi_polynomial(
     The terms add up as a plain ``Fraction`` sum, which shares no code with
     the route's ``exact.rational_sum``.
     """
-    top = max((exponent for exponent, _ in polynomial.items()), default=0)
+    top = polynomial.terms[-1][0] if polynomial.terms else 0
     if top:
         phi.require_order(top, "phi")
-    return sum((c * (phi.derivs[e - 1] if e else 1) for e, c in polynomial.items()), Fraction(0))
+    return sum((c * (phi.derivs[e - 1] if e else 1) for e, c in polynomial.terms), Fraction(0))
 
 
 def derivative_determinant(

@@ -30,12 +30,16 @@ class SequenceTooShortError(ValueError):
 
 class Record:
     """An immutable record whose fields are its class's ``__slots__``: the base
-    of ``DerivativeSequence``, ``determinant.CompositionMatrix`` and the nodes.
+    of ``DerivativeSequence``, ``determinant.CompositionMatrix``,
+    ``determinant.PhiPolynomial`` and the expression nodes.
 
     Each ``__init__`` stores its fields through their slot descriptors; any
     other assignment or deletion raises ``AttributeError``.  Records compare
-    and hash by their field values and ``repr`` as ``Name(field=value, ...)``.
-    ``__reduce__`` rebuilds one through its constructor for ``pickle`` and ``copy``.
+    and hash by their field values, and ``__reduce__`` rebuilds one through
+    its constructor for ``pickle`` and ``copy``.  ``repr`` is
+    ``Name(field=value, ...)`` with each field that is itself a record in
+    its place, as in ``Add(left=Variable(name='x'), right=Constant(value=Fraction(1, 1)))``;
+    it streams its pieces from an explicit stack, so it works at any depth.
     """
 
     __slots__ = ()
@@ -60,8 +64,21 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        out: list[str] = []
+        stack: list[Record | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces: list[Record | str] = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item.__slots__):
+                value = getattr(item, name)
+                pieces.append(f", {name}=" if i else f"{name}=")
+                pieces.append(value if isinstance(value, Record) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
 
 class DerivativeSequence(Record):

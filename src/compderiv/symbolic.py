@@ -20,12 +20,14 @@ module-level zero and one one ``Constant``, a zero or one operand folds
 without building, two constants fold on integers, and each sum or product
 is looked up before it is built.
 
-Every walk over an expression runs on an explicit stack: each walk is one
-loop over ``_new_nodes``, which lists each distinct node object once,
-children first; ``repr`` streams its pieces, and the parser reads one
-token list, lexed by one regex pass, and nests on a stack.  Neither size nor depth meets the interpreter's recursion
-limit, and no interpreter state is changed.  Nesting of '(' and unary '-'
-is bounded by ``MAX_DEPTH`` (256); length is not bounded.
+Every walk over an expression runs on an explicit stack: each walk,
+``pickle`` and ``copy`` included, is one loop over ``_new_nodes``, which
+lists each distinct node object once, children first; ``Record``'s
+``repr`` streams its pieces, and the parser reads one token list, lexed
+by one regex pass, and nests on a stack.  Neither size nor depth meets
+the interpreter's recursion limit, and no interpreter state is changed.
+Nesting of '(' and unary '-' is bounded by ``MAX_DEPTH`` (256); length
+is not bounded.
 
 Grammar (explicit '*' required).  A token is a UINT or one other
 character, and whitespace (what ``str.isspace`` accepts) may stand
@@ -88,33 +90,24 @@ class Expr(Record):
 
     Nodes are immutable ``Record``s, but compare and hash by identity: two
     parses of the same text are two different nodes, and a walk's memo
-    keyed by node keeps its nodes alive.  ``repr`` is structural,
-    ``Kind(field=value, ...)`` with each child's ``repr`` in its place, as
-    in ``Add(left=Variable(name='x'), right=Constant(value=Fraction(1, 1)))``,
-    and streams its pieces from an explicit stack, so it works at any size
-    and depth the parser accepts.
+    keyed by node keeps its nodes alive.  ``__reduce__`` hands ``pickle``
+    and ``copy`` the flat ``_new_nodes`` listing, each child as its index
+    in it, so they work at any size and depth and keep shared nodes shared.
     """
 
     __slots__ = ()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __repr__(self) -> str:
-        out: list[str] = []
-        stack: list[Expr | str] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            pieces: list[Expr | str] = [f"{type(item).__qualname__}("]
-            for i, name in enumerate(item.__slots__):
-                value = getattr(item, name)
-                pieces.append(f", {name}=" if i else f"{name}=")
-                pieces.append(value if isinstance(value, Expr) else repr(value))
-            pieces.append(")")
-            stack.extend(reversed(pieces))
-        return "".join(out)
+    def __reduce__(self) -> tuple[Callable[..., Expr], tuple[Any, ...]]:
+        nodes = _new_nodes(self, {})
+        index = {node: i for i, node in enumerate(nodes)}
+        rows = []
+        for node in nodes:
+            fields = node._fields()
+            children = tuple(index[v] for v in fields if isinstance(v, Expr))
+            rows.append((type(node), children, tuple(v for v in fields if not isinstance(v, Expr))))
+        return _rebuild_nodes, (tuple(rows),)
 
 
 class Constant(Expr):
@@ -173,6 +166,15 @@ _set_constant_value, _set_variable_name = Constant.value.__set__, Variable.name.
 _set_add_left, _set_add_right = Add.left.__set__, Add.right.__set__
 _set_mul_left, _set_mul_right = Mul.left.__set__, Mul.right.__set__
 _set_pow_base, _set_pow_exponent = Pow.base.__set__, Pow.exponent.__set__
+
+
+def _rebuild_nodes(rows: tuple[tuple[type[Expr], tuple[int, ...], tuple[Any, ...]], ...]) -> Expr:
+    """The root of ``Expr.__reduce__``'s rows, rebuilt children first through
+    the constructors; every node's children are its leading fields."""
+    nodes: list[Expr] = []
+    for kind, children, rest in rows:
+        nodes.append(kind(*[nodes[i] for i in children], *rest))
+    return nodes[-1]
 
 
 class ParseError(ValueError):

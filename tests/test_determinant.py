@@ -29,8 +29,9 @@ def seq(*values, base=None):
 
 def test_polynomial_drops_zero_coefficients():
     p = PhiPolynomial({2: Fraction(0), 1: Fraction(3)})
-    assert list(p.items()) == [(1, Fraction(3))]
+    assert p.terms == ((1, Fraction(3)),)
     assert p == PhiPolynomial({1: Fraction(3)})
+    assert PhiPolynomial([(1, 3), (2, 0)]) == p  # the pairs its repr and pickle pass back
     assert PhiPolynomial({0: Fraction(0)}) == PhiPolynomial({})
 
 
@@ -43,6 +44,9 @@ def test_polynomial_arithmetic():
 def test_polynomial_rejects_negative_exponent():
     with pytest.raises(ValueError):
         PhiPolynomial({-1: 1})
+    # Pairs name each exponent once, as a mapping does: no term is summed or dropped.
+    with pytest.raises(ValueError, match="Phi exponent repeated: 2"):
+        PhiPolynomial([(2, 1), (0, 1), (2, -1)])
 
 
 @pytest.mark.parametrize("exponent", [1.5, True, "2"])
@@ -171,7 +175,7 @@ def test_expand_golden_third_order():
 def test_exponents_stay_in_range(n):
     rng = random.Random(900 + n)
     expanded = determinant_expand(build_matrix(random_sequence(rng, n + 1), n))
-    exponents = [e for e, _ in expanded.items()]
+    exponents = [e for e, _ in expanded.terms]
     assert exponents  # never collapses to the zero polynomial generically
     assert all(1 <= e <= n + 1 for e in exponents)
 
@@ -250,7 +254,7 @@ def test_expand_matches_fraction_minors_on_wide_rationals(values, flat_start):
         values = [Fraction(0), *values[1:]]  # psi' = 0
     n = len(values) - 1
     expanded = determinant_expand(build_matrix(seq(*values), n))
-    assert dict(expanded.items()) == fraction_minor_expansion(values, n)
+    assert dict(expanded.terms) == fraction_minor_expansion(values, n)
 
 
 # --- full route -------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The immutable records: the five expression nodes, ``DerivativeSequence``
-and ``CompositionMatrix``.  Fields cannot be assigned, and ``pickle`` and
-``copy`` rebuild equal values through the constructors."""
+"""The immutable records: the five expression nodes, ``DerivativeSequence``,
+``CompositionMatrix`` and ``PhiPolynomial``.  Fields cannot be assigned,
+``repr`` has one text form, and ``pickle`` and ``copy`` rebuild equal values
+through the constructors."""
 
 from __future__ import annotations
 
@@ -15,11 +16,12 @@ from pathlib import Path
 import pytest
 
 import compderiv
-from compderiv import DerivativeSequence, build_matrix, parse
+from compderiv import DerivativeSequence, PhiPolynomial, build_matrix, parse
 from compderiv.symbolic import Add, Constant, Mul, Pow, Variable
 
 X = Variable("x")
 SEQUENCE = DerivativeSequence(derivs=(1, "1/2", -3), base=2)
+POLYNOMIAL = PhiPolynomial({2: Fraction(1, 2), 0: -4})
 ROUND_TRIPS = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
     "copy": copy.copy,
@@ -33,6 +35,7 @@ RECORDS = [
     Pow(X, 2),
     SEQUENCE,
     build_matrix(SEQUENCE, 2),
+    POLYNOMIAL,
 ]
 
 
@@ -49,8 +52,31 @@ def test_no_field_can_be_assigned_or_deleted(record):
         record.extra = 1
 
 
+def test_repr_text():
+    assert repr(parse("(x+1/2)*2")) == (
+        "Mul(left=Add(left=Variable(name='x'), right=Constant(value=Fraction(1, 2))), "
+        "right=Constant(value=Fraction(2, 1)))"
+    )
+    assert repr(SEQUENCE) == (
+        "DerivativeSequence(derivs=(Fraction(1, 1), Fraction(1, 2), Fraction(-3, 1)), "
+        "base=Fraction(2, 1))"
+    )
+    assert repr(build_matrix(SEQUENCE, 2)) == (
+        "CompositionMatrix(columns=((2,), (2, 2), (-6, 1, 2)), scale=2)"
+    )
+
+
+def test_phi_polynomial_repr_reads_back():
+    assert repr(POLYNOMIAL) == "PhiPolynomial(terms=((0, Fraction(-4, 1)), (2, Fraction(1, 2))))"
+    assert eval(repr(POLYNOMIAL), {"PhiPolynomial": PhiPolynomial, "Fraction": Fraction}) == POLYNOMIAL
+
+
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
 def test_nodes_survive_pickle_and_copy(round_trip):
+    # A long sum and the deepest nesting the parser accepts run on no recursion.
+    for text in ["+".join(["x"] * 3000), "(x*" * 256 + "x" + ")" * 256]:
+        long = parse(text)
+        assert repr(round_trip(long)) == repr(long)
     e = parse("(x+1)*(x+1)")
     assert repr(round_trip(e)) == repr(e)
     shared = Add(e, Pow(e, 3))
@@ -65,6 +91,8 @@ def test_records_survive_pickle_and_copy(round_trip):
     assert again == SEQUENCE and hash(again) == hash(SEQUENCE)
     matrix = build_matrix(SEQUENCE, 2)
     assert round_trip(matrix) == matrix
+    again = round_trip(POLYNOMIAL)
+    assert again == POLYNOMIAL and hash(again) == hash(POLYNOMIAL)
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
