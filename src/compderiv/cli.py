@@ -51,10 +51,6 @@ EXIT_DISAGREEMENT = 3
 MAX_DECIMAL_DIGITS = 100000
 
 
-class _CliError(Exception):
-    """Input or usage problem; reported on stderr with exit code 2."""
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -100,6 +96,24 @@ def _render(value: Fraction, args: argparse.Namespace) -> str:
     return format_rational(value)
 
 
+def _print_value(
+    args: argparse.Namespace, fields: dict[str, Any], value: Fraction, expansion: str | None = None
+) -> None:
+    """One value on stdout: in JSON, ``fields``, then "value", then the expansion
+    and the decimal if there are any; as text, the expansion line, then the value."""
+    if args.json:
+        payload = {**fields, "value": format_rational(value)}
+        if expansion is not None:
+            payload["expansion"] = expansion
+        if args.decimal is not None:
+            payload["decimal"] = decimal_string(value, args.decimal)
+        print(json.dumps(payload))
+    else:
+        if expansion is not None:
+            print(expansion)
+        print(_render(value, args))
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """A JSON object; a repeated key is rejected, not read as its last value."""
     data = dict(pairs)
@@ -126,12 +140,13 @@ def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
         base = as_rational(data["base"]) if "base" in data else None  # "base": null is an error
         return DerivativeSequence(data["derivs"], base)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise _CliError(f"{flag}: invalid JSON: {exc}") from exc
+        raise ValueError(f"{flag}: invalid JSON: {exc}") from exc
     except (ValueError, TypeError) as exc:
-        raise _CliError(f"{flag}: {exc}") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
-# (phi, psi, at) as parsed from --phi/--psi/--at.
+# (phi, psi, at): parsed from --phi/--psi/--at in derive, and in check the
+# Taylor polynomials of the drawn sequences with the drawn point.
 Exprs = tuple[Expr, Expr, Fraction]
 
 
@@ -184,10 +199,10 @@ def _derive_inputs(
     derivs_flags = [args.phi_derivs, args.psi_derivs]
     has_exprs = any(v is not None for v in expr_flags)
     if has_exprs and any(v is not None for v in derivs_flags):
-        raise _CliError("give either --phi/--psi/--at or --phi-derivs/--psi-derivs, not both")
+        raise ValueError("give either --phi/--psi/--at or --phi-derivs/--psi-derivs, not both")
     if has_exprs:
         if any(v is None for v in expr_flags):
-            raise _CliError("expression input needs all of --phi, --psi and --at")
+            raise ValueError("expression input needs all of --phi, --psi and --at")
         phi_expr = parse(args.phi)
         psi_expr = parse(args.psi)
         at = parse_rational(args.at)
@@ -198,11 +213,11 @@ def _derive_inputs(
         phi_seq = derivative_sequence_of(phi_expr, psi_seq.base, args.order)
         return phi_seq, psi_seq, (phi_expr, psi_expr, at)
     if any(v is None for v in derivs_flags):
-        raise _CliError("derivative input needs both --phi-derivs and --psi-derivs")
+        raise ValueError("derivative input needs both --phi-derivs and --psi-derivs")
     phi_seq = _parse_sequence_json(args.phi_derivs, "--phi-derivs")
     psi_seq = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
     if only_exprs:
-        raise _CliError(f"the {args.method} route requires expression inputs (--phi/--psi/--at)")
+        raise ValueError(f"the {args.method} route requires expression inputs (--phi/--psi/--at)")
     return phi_seq, psi_seq, None
 
 
@@ -223,16 +238,17 @@ def _route_values(
     return values, skipped
 
 
-def _print_values(values: dict[str, Fraction]) -> None:
-    """The per-route lines under a disagreement header, on stderr."""
-    for route, value in values.items():
-        print(f"  {route} = {format_rational(value)}", file=sys.stderr)
+def _disagreement(header: list[str], values: dict[str, Fraction]) -> int:
+    """Report a disagreement on stderr, the header lines and then one line per route."""
+    routes = (f"  {route} = {format_rational(value)}" for route, value in values.items())
+    print(*header, *routes, sep="\n", file=sys.stderr)
+    return EXIT_DISAGREEMENT
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     n = args.order
     if args.show_expansion and args.method != "determinant":
-        raise _CliError("--show-expansion only applies to --method determinant")
+        raise ValueError("--show-expansion only applies to --method determinant")
     phi, psi, exprs = _derive_inputs(args)
     if args.method == "all":
         values, skipped = _route_values(phi, psi, n, exprs)
@@ -257,27 +273,13 @@ def _cmd_derive(args: argparse.Namespace) -> int:
                     print(f"{m}: {_render(values[m], args)}")
                 elif m in skipped:
                     print(f"{m}: skipped ({skipped[m]})")
-        if not agree:
-            print("route disagreement detected", file=sys.stderr)
-            _print_values(values)
-            return EXIT_DISAGREEMENT
-        return EXIT_OK
+        return EXIT_OK if agree else _disagreement(["route disagreement detected"], values)
 
     value = ROUTES[args.method].call(phi, psi, n, exprs)
     expansion = None
     if args.show_expansion:
         expansion = str(determinant_expand(build_matrix(psi, n - 1)))
-    if args.json:
-        payload = {"n": n, "method": args.method, "value": format_rational(value)}
-        if expansion is not None:
-            payload["expansion"] = expansion
-        if args.decimal is not None:
-            payload["decimal"] = decimal_string(value, args.decimal)
-        print(json.dumps(payload))
-    else:
-        if expansion is not None:
-            print(expansion)
-        print(_render(value, args))
+    _print_value(args, {"n": n, "method": args.method}, value, expansion)
     return EXIT_OK
 
 
@@ -337,14 +339,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
             exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
             values, _ = _route_values(phi, psi, n, exprs)
             if len(set(values.values())) != 1:
-                print(f"route disagreement at order {n}, trial {trial}:", file=sys.stderr)
-                print(f"  at   = {format_rational(at)}", file=sys.stderr)
+                header = [f"route disagreement at order {n}, trial {trial}:"]
+                header.append(f"  at   = {format_rational(at)}")
                 for role, seq in (("phi", phi), ("psi", psi)):
                     derivs = [format_rational(v) for v in seq.derivs]
                     data = {"base": format_rational(seq.base), "derivs": derivs}
-                    print(f"  {role}  = {json.dumps(data)}", file=sys.stderr)
-                _print_values(values)
-                return EXIT_DISAGREEMENT
+                    header.append(f"  {role}  = {json.dumps(data)}")
+                return _disagreement(header, values)
         report.append({"n": n, "trials": args.trials, "routes": list(values), "ok": True})
     if args.json:
         summary = {"max_n": args.max_n, "trials": args.trials, "seed": args.seed}
@@ -367,13 +368,7 @@ def _cmd_bell(args: argparse.Namespace) -> int:
         value = derivative_bell(ones, psi, n)
     else:
         value = partial_bell(n, k, psi)
-    if args.json:
-        payload: dict[str, Any] = {"n": n, "k": k, "value": format_rational(value)}
-        if args.decimal is not None:
-            payload["decimal"] = decimal_string(value, args.decimal)
-        print(json.dumps(payload))
-    else:
-        print(_render(value, args))
+    _print_value(args, {"n": n, "k": k}, value)
     return EXIT_OK
 
 
@@ -398,6 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIGITS",
         help="also render values as fixed-point decimals (display only)",
     )
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("-n", "--order", type=_positive_int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="compderiv",
@@ -406,9 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_derive = sub.add_parser(
-        "derive", parents=[common, decimal], help="compute D_y^n of phi(psi(y))"
+        "derive", parents=[common, decimal, order], help="compute D_y^n of phi(psi(y))"
     )
-    p_derive.add_argument("-n", "--order", type=_positive_int, required=True)
     p_derive.add_argument("--method", choices=(*ROUTES, "all"), default="partition")
     p_derive.add_argument("--phi", help="outer polynomial, e.g. 'x^3 + x'")
     p_derive.add_argument("--psi", help="inner polynomial, e.g. '2*y^2 + y'")
@@ -423,9 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=_cmd_derive)
 
     p_expand = sub.add_parser(
-        "expand", parents=[common], help="print the partition expansion of D_y^n"
+        "expand", parents=[common, order], help="print the partition expansion of D_y^n"
     )
-    p_expand.add_argument("-n", "--order", type=_positive_int, required=True)
     p_expand.set_defaults(func=_cmd_expand)
 
     p_check = sub.add_parser(
@@ -437,9 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_bell = sub.add_parser(
-        "bell", parents=[common, decimal], help="partial or complete Bell polynomial values"
+        "bell", parents=[common, decimal, order], help="partial or complete Bell polynomial values"
     )
-    p_bell.add_argument("-n", "--order", type=_positive_int, required=True)
     p_bell.add_argument("-k", "--parts", type=int, default=None)
     p_bell.add_argument("--psi-derivs", help='inner derivatives JSON {"derivs": [...]}')
     p_bell.set_defaults(func=_cmd_bell)
@@ -455,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_CliError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,6 +40,7 @@ from fractions import Fraction
 from .exact import (
     as_rational,
     check_exponent,
+    check_int,
     check_order,
     rational_sum,
     taylor_scaled,
@@ -155,6 +156,7 @@ def partial_bell(n: int, k: int, psi: DerivativeSequence) -> Fraction:
     so it reads psi up to order n - k + 1 only.
     """
     check_order(n)
+    check_int(k, "k")
     if k < 1 or k > n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     width = n - k + 1

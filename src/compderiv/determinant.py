@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .exact import as_rational, format_rational, rational_sum, reduced, scaled
+from .exact import as_rational, check_int, format_rational, rational_sum, reduced, scaled
 from .sequence import DerivativeSequence, Record
 
 __all__ = [
@@ -59,9 +59,7 @@ class PhiPolynomial(Record):
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]]) -> None:
         coefficients: dict[int, Fraction] = {}
         for exponent, coefficient in terms.items() if isinstance(terms, Mapping) else terms:
-            # An int only, as in as_rational: 1.5 or True is not read as 1.
-            if not isinstance(exponent, int) or isinstance(exponent, bool):
-                raise TypeError(f"Phi exponent must be an int: {exponent!r}")
+            check_int(exponent, "Phi exponent")  # 1.5 or True is not read as Phi^1
             if exponent < 0:
                 raise ValueError(f"Phi exponent must be non-negative: {exponent}")
             if exponent in coefficients:
@@ -148,6 +146,7 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
     are C(n-i+1, k-i) * a_(k+1-i) for i = 1..k (column k+1 of the matrix)
     and a_(n+2-i) for i = 1..n+1 (column 1), all over d.
     """
+    check_int(n, "matrix order")
     psi.require_order(n + 1, "psi")
     a, d = scaled(psi.derivs[: n + 1])  # a[j-1] = a_j
     columns = [
@@ -230,6 +229,7 @@ def derivative_determinant(
     read.  Orders below 2 are rejected: the determinant form starts at the
     second derivative.
     """
+    check_int(order, "derivative order")  # before the bound below reads True as 1
     if order < MIN_DETERMINANT_ORDER:
         raise ValueError(
             f"determinant route needs order >= {MIN_DETERMINANT_ORDER}, got {order}; "

@@ -3,7 +3,8 @@ form, and the integer-scaled form.
 
 Every entry point that takes a derivative order n checks it with
 ``check_order``, and the power route checks its exponent m with
-``check_exponent``.
+``check_exponent``.  Both, like every integer argument the package checks,
+apply ``check_int``'s rule: an ``int``, not a ``bool``.
 
 The coefficient field is ``fractions.Fraction``.  Fractions are always
 stored reduced with a positive denominator, which makes equality
@@ -38,6 +39,7 @@ __all__ = [
     "MAX_LITERAL_DIGITS",
     "MAX_ORDER",
     "MAX_EXPONENT",
+    "check_int",
     "check_order",
     "check_exponent",
     "parse_rational",
@@ -71,8 +73,15 @@ MAX_ORDER = 100
 MAX_EXPONENT = 2000
 
 
+def check_int(value: Any, what: str) -> None:
+    """Raise TypeError unless ``value`` is an int and not a bool: 2.0 and True are not 2 and 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int: {value!r}")
+
+
 def check_order(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_ORDER."""
+    """Raise TypeError unless n is an int, ValueError unless 1 <= n <= MAX_ORDER."""
+    check_int(n, "derivative order")
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
     if n > MAX_ORDER:
@@ -80,7 +89,8 @@ def check_order(n: int) -> None:
 
 
 def check_exponent(m: int) -> None:
-    """Raise ValueError unless |m| <= MAX_EXPONENT."""
+    """Raise TypeError unless m is an int, ValueError unless |m| <= MAX_EXPONENT."""
+    check_int(m, "exponent")
     if abs(m) > MAX_EXPONENT:
         raise ValueError(f"exponent {m}: |m| > MAX_EXPONENT = {MAX_EXPONENT}")
 

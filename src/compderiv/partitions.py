@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .exact import check_int
+
 __all__ = [
     "MAX_PARTITION_ORDER",
     "check_partition_order",
@@ -33,7 +35,8 @@ MAX_PARTITION_ORDER = 60
 
 
 def check_partition_order(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_PARTITION_ORDER."""
+    """Raise TypeError unless n is an int, ValueError unless 1 <= n <= MAX_PARTITION_ORDER."""
+    check_int(n, "partition order")
     if n < 1:
         raise ValueError(f"partition order must be positive, got n={n}")
     if n > MAX_PARTITION_ORDER:

@@ -21,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import convolve, rational_sum, reduced, taylor_scaled
+from .exact import check_int, convolve, rational_sum, reduced, taylor_scaled
 from .sequence import DerivativeSequence, SequenceTooShortError
 
 __all__ = [
@@ -105,6 +105,7 @@ def _compose(
 
 def jet_from_derivatives(seq: DerivativeSequence, order: int) -> DerivativeSequence:
     """The jet of order ``order``: ``seq``'s base and its first ``order`` derivatives."""
+    check_int(order, "jet order")
     if order < 0:
         raise ValueError(f"jet order must be non-negative, got {order}")
     if len(seq.derivs) < order:

@@ -722,8 +722,32 @@ def test_derive_all_detects_disagreement(capsys, monkeypatch):
         "-n", "3", "--method", "all",
     )
     assert code == 3
-    assert "disagreement" in err
-    assert "999" in err
+    assert out == "partition: 15\nbell: 999\ndeterminant: 15\nseries: 15\n"
+    assert err == (
+        "route disagreement detected\n"
+        "  partition = 15\n"
+        "  bell = 999\n"
+        "  determinant = 15\n"
+        "  series = 15\n"
+    )
+
+
+def test_check_disagreement_report_bytes(capsys, monkeypatch):
+    # The first draw's witness, then every route's value, on stderr only.
+    monkeypatch.setattr(cli, "derivative_bell", lambda phi, psi, n: Fraction(999))
+    code, out, err = run(capsys, "check", "--max-n", "3", "--trials", "2", "--seed", "5")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "route disagreement at order 1, trial 0:\n"
+        "  at   = 1\n"
+        '  phi  = {"base": "4", "derivs": ["1/2"]}\n'
+        '  psi  = {"base": "6", "derivs": ["5/3"]}\n'
+        "  partition = 5/6\n"
+        "  bell = 999\n"
+        "  series = 5/6\n"
+        "  symbolic = 5/6\n"
+    )
 
 
 # --- bell -------------------------------------------------------------------------
@@ -865,6 +889,7 @@ _REUSE_ARGVS = [
     ["expand", "-n", "4", "--json"],
     ["check", "--max-n", "3", "--trials", "2", "--json"],
     ["bell", "-n", "4", "-k", "2", "--decimal", "2"],
+    ["bell", "-n", "5"],
     ["derive", "--method", "nope", "-n", "1"],
 ]
 
@@ -879,7 +904,8 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
             in_process.append((code, captured.out, captured.err))
     first, second = in_process[: len(_REUSE_ARGVS)], in_process[len(_REUSE_ARGVS):]
     assert first == second
-    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 2]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 2]
+    assert first[-2][1] == "52\n"  # bell -n 5, the Bell number B_5
 
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}

@@ -18,8 +18,8 @@ from compderiv.composition import (
     partial_bell,
     power_derivatives,
 )
-from compderiv.determinant import derivative_determinant
-from compderiv.series import derivative_via_jets
+from compderiv.determinant import build_matrix, derivative_determinant
+from compderiv.series import derivative_via_jets, jet_from_derivatives
 from compderiv.symbolic import derivative_sequence_of, nth_derivative_of_composition, parse
 from oracles import (
     composition_derivative_by_set_partitions,
@@ -116,6 +116,29 @@ def test_rejects_nonpositive_order():
         with pytest.raises(ValueError) as err:
             call(top + 1)
         assert str(err.value) == f"derivative order {top + 1} > MAX_ORDER = {top}"
+        # An int only: True is not read as 1, and 2.0 fails here, not inside a route.
+        for value in (True, 2.0):
+            with pytest.raises(TypeError) as err:
+                call(value)
+            assert str(err.value) == f"derivative order must be an int: {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_other_integer_arguments_must_be_ints(value):
+    # The order rule's check_int, on the power route's m, partial_bell's k and
+    # the sizes of a matrix and a jet.
+    ones = seq(1, 1, 1, base=1)
+    calls = [
+        ("exponent", lambda m: lagrange_power_coefficient(ones, m, 3)),
+        ("exponent", lambda m: power_derivatives(m, 1, 3)),
+        ("k", lambda k: partial_bell(3, k, ones)),
+        ("matrix order", lambda n: build_matrix(ones, n)),
+        ("jet order", lambda order: jet_from_derivatives(ones, order)),
+    ]
+    for what, call in calls:
+        with pytest.raises(TypeError) as err:
+            call(value)
+        assert str(err.value) == f"{what} must be an int: {value!r}"
 
 
 @given(

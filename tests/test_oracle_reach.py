@@ -37,6 +37,7 @@ IDS = [f"{name}-derive" if argv is DERIVE and (owner, name, CHECK) in FAULTS els
 # Functions two or more routes reach that have no fault case, each with the reason.
 UNFAULTED = {
     "exact.check_order": "an order bound: it raises or returns None, so no value to fault",
+    "exact.check_int": "a type check: it raises or returns None, so no value to fault",
     "sequence.require_order": "a length bound: it raises or returns None, so no value to fault",
     "cli.<lambda>": "the ROUTES table's adapters, one per route, each passing its inputs on",
     "math.gcd": "read through Fraction by every route, so a fault there moves them all alike",
@@ -69,9 +70,6 @@ def reach_map() -> dict[str, set[str]]:
         phi = cli._random_sequence(rng, n)
         exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
         for route_name, route in cli.ROUTES.items():
-            if n < route.lowest_order:
-                continue
-
             def profile(frame, event, arg, route_name=route_name):
                 if event == "call":
                     module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name

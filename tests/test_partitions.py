@@ -99,6 +99,9 @@ def test_walk_order_bound():
     assert str(err.value) == "partition order 61 > MAX_PARTITION_ORDER = 60"
     with pytest.raises(ValueError):
         next(partition_parts(0))
+    # An int only: True is not the partitions of 1.
+    with pytest.raises(TypeError, match="^partition order must be an int: True$"):
+        next(partition_parts(True))
 
 
 def test_enumeration_returns_fresh_list():

@@ -95,6 +95,17 @@ def test_records_survive_pickle_and_copy(round_trip):
     assert again == POLYNOMIAL and hash(again) == hash(POLYNOMIAL)
 
 
+def test_a_record_equals_only_a_record_of_its_own_class():
+    class Subclass(DerivativeSequence):
+        pass
+
+    same_fields = Subclass(SEQUENCE.derivs, SEQUENCE.base)
+    assert same_fields._fields() == SEQUENCE._fields()
+    for other in [SEQUENCE._fields(), same_fields, POLYNOMIAL]:
+        assert SEQUENCE != other and other != SEQUENCE
+    assert POLYNOMIAL != POLYNOMIAL.terms
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # Both cost every CLI process its import time and nothing uses them.
     src = str(Path(compderiv.__file__).resolve().parents[1])
