@@ -59,9 +59,7 @@ class PhiPolynomial(Record):
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]]) -> None:
         coefficients: dict[int, Fraction] = {}
         for exponent, coefficient in terms.items() if isinstance(terms, Mapping) else terms:
-            check_int(exponent, "Phi exponent")  # 1.5 or True is not read as Phi^1
-            if exponent < 0:
-                raise ValueError(f"Phi exponent must be non-negative: {exponent}")
+            check_int(exponent, "Phi exponent", 0)  # 1.5 or True is not read as Phi^1
             if exponent in coefficients:
                 raise ValueError(f"Phi exponent repeated: {exponent}")
             coefficients[exponent] = as_rational(coefficient)
@@ -112,8 +110,7 @@ class CompositionMatrix(Record):
     scale: int
 
     def __init__(self, columns: tuple[tuple[int, ...], ...], scale: int) -> None:
-        if scale < 1:
-            raise ValueError(f"matrix scale must be positive, got {scale}")
+        check_int(scale, "matrix scale", 1)
         if not columns or any(len(column) != k for k, column in enumerate(columns, start=1)):
             lengths = [len(column) for column in columns]
             raise ValueError(f"matrix needs columns of lengths 1, 2, ..., n+1, got {lengths}")
@@ -146,7 +143,7 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
     are C(n-i+1, k-i) * a_(k+1-i) for i = 1..k (column k+1 of the matrix)
     and a_(n+2-i) for i = 1..n+1 (column 1), all over d.
     """
-    check_int(n, "matrix order")
+    check_int(n, "matrix order", 0)
     psi.require_order(n + 1, "psi")
     a, d = scaled(psi.derivs[: n + 1])  # a[j-1] = a_j
     columns = [

@@ -4,7 +4,7 @@ form, and the integer-scaled form.
 Every entry point that takes a derivative order n checks it with
 ``check_order``, and the power route checks its exponent m with
 ``check_exponent``.  Both, like every integer argument the package checks,
-apply ``check_int``'s rule: an ``int``, not a ``bool``.
+apply ``check_int``'s rule: an ``int``, not a ``bool``, within its bounds.
 
 The coefficient field is ``fractions.Fraction``.  Fractions are always
 stored reduced with a positive denominator, which makes equality
@@ -73,19 +73,22 @@ MAX_ORDER = 100
 MAX_EXPONENT = 2000
 
 
-def check_int(value: Any, what: str) -> None:
-    """Raise TypeError unless ``value`` is an int and not a bool: 2.0 and True are not 2 and 1."""
+def check_int(
+    value: Any, what: str, low: int | None = None, high: tuple[str, int] | None = None
+) -> None:
+    """Raise TypeError unless ``value`` is an int, not a bool (2.0 and True are not 2 and 1),
+    and ValueError below ``low`` (0 or 1) or above ``high``, a (constant name, limit) pair."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int: {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be {'positive' if low else 'non-negative'}, got {value}")
+    if high is not None and value > high[1]:
+        raise ValueError(f"{what} {value} > {high[0]} = {high[1]}")
 
 
 def check_order(n: int) -> None:
     """Raise TypeError unless n is an int, ValueError unless 1 <= n <= MAX_ORDER."""
-    check_int(n, "derivative order")
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
-    if n > MAX_ORDER:
-        raise ValueError(f"derivative order {n} > MAX_ORDER = {MAX_ORDER}")
+    check_int(n, "derivative order", 1, ("MAX_ORDER", MAX_ORDER))
 
 
 def check_exponent(m: int) -> None:

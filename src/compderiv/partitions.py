@@ -36,11 +36,7 @@ MAX_PARTITION_ORDER = 60
 
 def check_partition_order(n: int) -> None:
     """Raise TypeError unless n is an int, ValueError unless 1 <= n <= MAX_PARTITION_ORDER."""
-    check_int(n, "partition order")
-    if n < 1:
-        raise ValueError(f"partition order must be positive, got n={n}")
-    if n > MAX_PARTITION_ORDER:
-        raise ValueError(f"partition order {n} > MAX_PARTITION_ORDER = {MAX_PARTITION_ORDER}")
+    check_int(n, "partition order", 1, ("MAX_PARTITION_ORDER", MAX_PARTITION_ORDER))
 
 
 def partition_parts(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -97,9 +93,11 @@ def partition_weight(n: int, parts: Iterable[tuple[int, int]]) -> int:
 
 def multinomial_weight(m: tuple[int, ...]) -> Fraction:
     """``partition_weight`` of the multiplicity vector ``m`` of n = len(m), as a Fraction.
-    Raises ``ValueError`` unless n >= 1, no m_j is negative and sum(j * m_j) = n.
-    Benchmark API: ``bench/tracing.py`` looks this name up."""
+    Raises ``TypeError`` unless each m_j is an int, ``ValueError`` unless n >= 1, no m_j is
+    negative and sum(j * m_j) = n.  Benchmark API: ``bench/tracing.py`` looks this name up."""
     n = len(m)
-    if n < 1 or min(m) < 0 or sum(j * mj for j, mj in enumerate(m, start=1)) != n:
+    for mj in m:
+        check_int(mj, "multiplicity", 0)
+    if n < 1 or sum(j * mj for j, mj in enumerate(m, start=1)) != n:
         raise ValueError(f"not a multiplicity vector of n={n}: m={m}")
     return Fraction(partition_weight(n, enumerate(m, start=1)))

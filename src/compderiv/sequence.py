@@ -10,8 +10,9 @@ routes read its Taylor coefficients d_k / k! through
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Set
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any
 
 from .exact import as_rational, check_order
 
@@ -87,7 +88,8 @@ class DerivativeSequence(Record):
     ``base`` is the 0-th value (the function value itself); it is optional
     and only the power route requires it.  Values are normalized to
     ``Fraction`` on construction, so sequences built from ints or "p/q"
-    strings compare structurally.
+    strings compare structurally.  ``derivs`` is a list, tuple or other
+    iterable of values; a string, bytes, mapping or set is a TypeError.
     """
 
     __slots__ = ("derivs", "base")
@@ -97,6 +99,8 @@ class DerivativeSequence(Record):
     def __init__(
         self, derivs: Iterable[Fraction | int | str], base: Fraction | int | str | None = None
     ) -> None:
+        if isinstance(derivs, (str, bytes, bytearray, Mapping, Set)):  # "12" is not ("1", "2")
+            raise TypeError(f"derivs must be a sequence of values, not a {type(derivs).__name__}")
         _set_derivs(self, tuple(as_rational(v) for v in derivs))
         _set_base(self, None if base is None else as_rational(base))
 

@@ -105,9 +105,7 @@ def _compose(
 
 def jet_from_derivatives(seq: DerivativeSequence, order: int) -> DerivativeSequence:
     """The jet of order ``order``: ``seq``'s base and its first ``order`` derivatives."""
-    check_int(order, "jet order")
-    if order < 0:
-        raise ValueError(f"jet order must be non-negative, got {order}")
+    check_int(order, "jet order", 0)
     if len(seq.derivs) < order:
         raise SequenceTooShortError("jet", order, len(seq.derivs))
     return DerivativeSequence(seq.derivs[:order], seq.base)

@@ -154,9 +154,7 @@ class Pow(Expr):
     exponent: int
 
     def __init__(self, base: Expr, exponent: int) -> None:
-        check_int(exponent, "Pow exponent")  # 2.0 or True is not read as an exponent
-        if exponent < 0:
-            raise ValueError(f"Pow exponent must be non-negative: {exponent}")
+        check_int(exponent, "Pow exponent", 0)  # 2.0 or True is not read as an exponent
         _set_pow_base(self, base)
         _set_pow_exponent(self, exponent)
 

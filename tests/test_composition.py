@@ -18,9 +18,15 @@ from compderiv.composition import (
     partial_bell,
     power_derivatives,
 )
-from compderiv.determinant import build_matrix, derivative_determinant
+from compderiv.determinant import (
+    CompositionMatrix,
+    PhiPolynomial,
+    build_matrix,
+    derivative_determinant,
+)
+from compderiv.partitions import multinomial_weight, partition_parts
 from compderiv.series import derivative_via_jets, jet_from_derivatives
-from compderiv.symbolic import derivative_sequence_of, nth_derivative_of_composition, parse
+from compderiv.symbolic import Pow, derivative_sequence_of, nth_derivative_of_composition, parse
 from oracles import (
     composition_derivative_by_set_partitions,
     partial_bell_by_binomials,
@@ -125,8 +131,8 @@ def test_rejects_nonpositive_order():
 
 @pytest.mark.parametrize("value", [True, 2.0])
 def test_other_integer_arguments_must_be_ints(value):
-    # The order rule's check_int, on the power route's m, partial_bell's k and
-    # the sizes of a matrix and a jet.
+    # The order rule's check_int, on the power route's m, partial_bell's k, the
+    # sizes of a matrix and a jet, a matrix's scale and a partition's multiplicities.
     ones = seq(1, 1, 1, base=1)
     calls = [
         ("exponent", lambda m: lagrange_power_coefficient(ones, m, 3)),
@@ -134,11 +140,31 @@ def test_other_integer_arguments_must_be_ints(value):
         ("k", lambda k: partial_bell(3, k, ones)),
         ("matrix order", lambda n: build_matrix(ones, n)),
         ("jet order", lambda order: jet_from_derivatives(ones, order)),
+        ("matrix scale", lambda scale: CompositionMatrix(((1,),), scale)),
+        ("multiplicity", lambda mj: multinomial_weight((mj,))),
     ]
     for what, call in calls:
         with pytest.raises(TypeError) as err:
             call(value)
         assert str(err.value) == f"{what} must be an int: {value!r}"
+
+
+def test_integer_arguments_below_their_lower_bound():
+    # check_int's lower bound, 0 or 1, names the argument and the value it got.
+    ones = seq(1, 1, 1)
+    calls = [
+        ("matrix order must be non-negative, got -1", lambda: build_matrix(ones, -1)),
+        ("jet order must be non-negative, got -1", lambda: jet_from_derivatives(ones, -1)),
+        ("Pow exponent must be non-negative, got -1", lambda: Pow(parse("x"), -1)),
+        ("Phi exponent must be non-negative, got -1", lambda: PhiPolynomial({-1: 1})),
+        ("matrix scale must be positive, got 0", lambda: CompositionMatrix(((1,),), 0)),
+        ("multiplicity must be non-negative, got -1", lambda: multinomial_weight((-1, 2, 0))),
+        ("partition order must be positive, got 0", lambda: next(partition_parts(0))),
+    ]
+    for message, call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 @given(
@@ -687,3 +713,16 @@ def test_sequence_coerces_to_fractions():
     s = DerivativeSequence(derivs=(1, "3/2"), base="2")
     assert s.derivs == (Fraction(1), Fraction(3, 2))
     assert s.base == Fraction(2)
+    assert DerivativeSequence(v for v in [1, "3/2"]) == DerivativeSequence([1, "3/2"])
+
+
+@pytest.mark.parametrize(
+    "derivs",
+    ["12", b"12", bytearray(b"12"), {3: "a"}, {1, 2}, frozenset({1})],
+    ids=lambda v: type(v).__name__,
+)
+def test_sequence_rejects_text_mappings_and_sets(derivs):
+    # A string is not its digits, a mapping not its keys, a set not its hash order.
+    with pytest.raises(TypeError) as err:
+        DerivativeSequence(derivs)
+    assert str(err.value) == f"derivs must be a sequence of values, not a {type(derivs).__name__}"

@@ -37,7 +37,7 @@ IDS = [f"{name}-derive" if argv is DERIVE and (owner, name, CHECK) in FAULTS els
 # Functions two or more routes reach that have no fault case, each with the reason.
 UNFAULTED = {
     "exact.check_order": "an order bound: it raises or returns None, so no value to fault",
-    "exact.check_int": "a type check: it raises or returns None, so no value to fault",
+    "exact.check_int": "a type and bound check: it raises or returns None, so no value to fault",
     "sequence.require_order": "a length bound: it raises or returns None, so no value to fault",
     "cli.<lambda>": "the ROUTES table's adapters, one per route, each passing its inputs on",
     "math.gcd": "read through Fraction by every route, so a fault there moves them all alike",
