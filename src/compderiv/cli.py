@@ -1,9 +1,9 @@
 """Command-line surface: derive | expand | check | bell.
 
-``derive`` computes D_y^n of a composition by any route (or all routes at
-once), ``expand`` prints the symbolic partition expansion, ``check`` is
-the randomized cross-route verification harness, and ``bell`` evaluates
-partial or complete Bell polynomials.
+``derive`` computes D_y^n of a composition, from expressions or sequences,
+by any route (or all at once), ``expand`` prints the symbolic partition
+expansion, ``check`` is the randomized cross-route verification harness,
+and ``bell`` evaluates partial or complete Bell polynomials.
 
 Exit codes: 0 success, 2 usage or input errors, 3 mathematical
 disagreement between routes (a correctness alarm, distinct from bad
@@ -116,10 +116,11 @@ def _print_value(
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """A JSON object; a repeated key is rejected, not read as its last value."""
-    data = dict(pairs)
-    if len(data) < len(pairs):
-        key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
-        raise ValueError(f"duplicate key {key!r} in derivative sequence JSON")
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r} in derivative sequence JSON")
+        data[key] = value
     return data
 
 
@@ -145,56 +146,60 @@ def _parse_sequence_json(text: str, flag: str) -> DerivativeSequence:
         raise ValueError(f"{flag}: {exc}") from exc
 
 
-# (phi, psi, at): parsed from --phi/--psi/--at in derive, and in check the
-# Taylor polynomials of the drawn sequences with the drawn point.
-Exprs = tuple[Expr, Expr, Fraction]
+class Inputs(NamedTuple):
+    """One run's inputs: phi and psi as derivative sequences for the closed routes
+    and as polynomials about ``at`` for the symbolic route.  The sequences are None
+    only under ``derive --method symbolic`` on expressions, which builds none."""
+
+    phi: DerivativeSequence | None
+    psi: DerivativeSequence | None
+    phi_poly: Expr
+    psi_poly: Expr
+    at: Fraction
+
+
+def _sequence_inputs(
+    phi: DerivativeSequence, psi: DerivativeSequence, n: int, at: Fraction
+) -> Inputs:
+    """Inputs at order n from sequences: psi's Taylor polynomial about ``at``, phi's
+    about psi's base (0 if none).  A sequence shorter than n is an error for every
+    route alike, since its polynomial would read the missing orders as 0."""
+    phi.require_order(n, "phi")
+    psi.require_order(n, "psi")
+    return Inputs(phi, psi, taylor_polynomial(phi, psi.base or 0), taylor_polynomial(psi, at), at)
 
 
 class _Route(NamedTuple):
     lowest_order: int
     highest_order: tuple[str, int] | None  # (name, value) of the bound ``all`` skips above
-    reads_exprs: bool  # reads the parsed expressions, not the derivative sequences
-    call: Callable[[Any, Any, int, Any], Fraction]  # (phi, psi, n, exprs) -> value
+    call: Callable[[Inputs, int], Fraction]
 
 
-# Every route, in reporting order.  The library checks each route's inputs;
-# with --method all (and in check), a route above its highest order is skipped.
-# The keys become --method's choices once, when _build_parser first runs.  A
-# call looks its route function up on this module when it runs, so a name
-# rebound here later (a test's monkeypatch, a tracer's wrapper) still sees it.
+# Every route, in reporting order; each runs on every input.  The library
+# checks each route's inputs; with --method all (and in check), a route above
+# its highest order is skipped.  The keys become --method's choices once, when
+# _build_parser first runs.  A call looks its route function up on this module
+# when it runs, so a name rebound here later (a test's monkeypatch, a tracer's
+# wrapper) still sees it.
 ROUTES = {
     "partition": _Route(
         1,
         ("MAX_PARTITION_ORDER", MAX_PARTITION_ORDER),
-        False,
-        lambda phi, psi, n, _: derivative_partition_sum(phi, psi, n),
+        lambda i, n: derivative_partition_sum(i.phi, i.psi, n),
     ),
-    "bell": _Route(1, None, False, lambda phi, psi, n, _: derivative_bell(phi, psi, n)),
+    "bell": _Route(1, None, lambda i, n: derivative_bell(i.phi, i.psi, n)),
     "determinant": _Route(
-        MIN_DETERMINANT_ORDER,
-        None,
-        False,
-        lambda phi, psi, n, _: derivative_determinant(phi, psi, n),
+        MIN_DETERMINANT_ORDER, None, lambda i, n: derivative_determinant(i.phi, i.psi, n)
     ),
-    "series": _Route(1, None, False, lambda phi, psi, n, _: derivative_via_jets(phi, psi, n)),
+    "series": _Route(1, None, lambda i, n: derivative_via_jets(i.phi, i.psi, n)),
     "symbolic": _Route(
-        1,
-        None,
-        True,
-        lambda _phi, _psi, n, ex: nth_derivative_of_composition(ex[0], ex[1], n, ex[2]),
+        1, None, lambda i, n: nth_derivative_of_composition(i.phi_poly, i.psi_poly, n, i.at)
     ),
 }
 
 
-def _derive_inputs(
-    args: argparse.Namespace,
-) -> tuple[DerivativeSequence | None, DerivativeSequence | None, Exprs | None]:
-    """Return (phi sequence, psi sequence, parsed expressions or None).
-
-    Sequences are None when the one route asked for reads only the parsed
-    expressions.
-    """
-    only_exprs = args.method != "all" and ROUTES[args.method].reads_exprs
+def _derive_inputs(args: argparse.Namespace) -> Inputs:
+    """The inputs ``derive``'s flags give; sequences are expanded about 0."""
     expr_flags = [args.phi, args.psi, args.at]
     derivs_flags = [args.phi_derivs, args.psi_derivs]
     has_exprs = any(v is not None for v in expr_flags)
@@ -203,38 +208,32 @@ def _derive_inputs(
     if has_exprs:
         if any(v is None for v in expr_flags):
             raise ValueError("expression input needs all of --phi, --psi and --at")
-        phi_expr = parse(args.phi)
-        psi_expr = parse(args.psi)
-        at = parse_rational(args.at)
+        phi_expr, psi_expr, at = parse(args.phi), parse(args.psi), parse_rational(args.at)
         check_size(phi_expr, psi_expr, at)  # before any route's work, not after it
-        if only_exprs:
-            return None, None, (phi_expr, psi_expr, at)
+        if args.method == "symbolic":
+            return Inputs(None, None, phi_expr, psi_expr, at)
         psi_seq = derivative_sequence_of(psi_expr, at, args.order)
         phi_seq = derivative_sequence_of(phi_expr, psi_seq.base, args.order)
-        return phi_seq, psi_seq, (phi_expr, psi_expr, at)
+        return Inputs(phi_seq, psi_seq, phi_expr, psi_expr, at)
     if any(v is None for v in derivs_flags):
         raise ValueError("derivative input needs both --phi-derivs and --psi-derivs")
     phi_seq = _parse_sequence_json(args.phi_derivs, "--phi-derivs")
     psi_seq = _parse_sequence_json(args.psi_derivs, "--psi-derivs")
-    if only_exprs:
-        raise ValueError(f"the {args.method} route requires expression inputs (--phi/--psi/--at)")
-    return phi_seq, psi_seq, None
+    return _sequence_inputs(phi_seq, psi_seq, args.order, Fraction(0))
 
 
-def _route_values(
-    phi: DerivativeSequence, psi: DerivativeSequence, n: int, exprs: Exprs | None
-) -> tuple[dict[str, Fraction], dict[str, str]]:
+def _route_values(inputs: Inputs, n: int) -> tuple[dict[str, Fraction], dict[str, str]]:
     """The value of every route that applies at order n, in reporting order,
     and the reason for each route skipped above its highest order."""
     values, skipped = {}, {}
     for name, route in ROUTES.items():
-        if n < route.lowest_order or (exprs is None and route.reads_exprs):
+        if n < route.lowest_order:
             continue
         if route.highest_order is not None and n > route.highest_order[1]:
             bound, limit = route.highest_order
             skipped[name] = f"order {n} > {bound} = {limit}"
         else:
-            values[name] = route.call(phi, psi, n, exprs)
+            values[name] = route.call(inputs, n)
     return values, skipped
 
 
@@ -249,9 +248,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     n = args.order
     if args.show_expansion and args.method != "determinant":
         raise ValueError("--show-expansion only applies to --method determinant")
-    phi, psi, exprs = _derive_inputs(args)
+    inputs = _derive_inputs(args)
     if args.method == "all":
-        values, skipped = _route_values(phi, psi, n, exprs)
+        values, skipped = _route_values(inputs, n)
         agree = len(set(values.values())) == 1
         if args.json:
             payload: dict[str, Any] = {
@@ -275,10 +274,10 @@ def _cmd_derive(args: argparse.Namespace) -> int:
                     print(f"{m}: skipped ({skipped[m]})")
         return EXIT_OK if agree else _disagreement(["route disagreement detected"], values)
 
-    value = ROUTES[args.method].call(phi, psi, n, exprs)
+    value = ROUTES[args.method].call(inputs, n)
     expansion = None
     if args.show_expansion:
-        expansion = str(determinant_expand(build_matrix(psi, n - 1)))
+        expansion = str(determinant_expand(build_matrix(inputs.psi, n - 1)))
     _print_value(args, {"n": n, "method": args.method}, value, expansion)
     return EXIT_OK
 
@@ -336,8 +335,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             at = _random_rational(rng)
             psi = _random_sequence(rng, n)
             phi = _random_sequence(rng, n)
-            exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
-            values, _ = _route_values(phi, psi, n, exprs)
+            values, _ = _route_values(_sequence_inputs(phi, psi, n, at), n)
             if len(set(values.values())) != 1:
                 header = [f"route disagreement at order {n}, trial {trial}:"]
                 header.append(f"  at   = {format_rational(at)}")

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -125,7 +126,7 @@ def test_derive_output_bytes_on_expression_input(capsys):
     assert json.loads(out)["values"]["symbolic"] + "\n" == symbolic[1]
 
 
-def test_derive_method_all_sequence_inputs_excludes_expr_routes(capsys):
+def test_derive_method_all_sequence_inputs_runs_every_route(capsys):
     code, out, _ = run(
         capsys,
         "derive",
@@ -135,11 +136,13 @@ def test_derive_method_all_sequence_inputs_excludes_expr_routes(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload["values"]) == {"partition", "bell", "determinant", "series"}
+    assert payload["values"] == dict.fromkeys(cli.ROUTES, "15")
+    assert payload["agree"] is True
 
 
-def test_derive_series_requires_expressions(capsys):
-    # Only the symbolic route needs expressions; series runs on sequences.
+def test_derive_symbolic_runs_on_sequences(capsys):
+    # The symbolic route reads the sequences' Taylor polynomials, psi's about 0
+    # and phi's about psi's base, and prints what the series route prints.
     sequences = [
         "derive",
         "--phi-derivs", '{"derivs":["1","1","1"]}',
@@ -147,9 +150,26 @@ def test_derive_series_requires_expressions(capsys):
         "-n", "3",
     ]
     assert run(capsys, *sequences, "--method", "series") == (0, "15\n", "")
-    code, _, err = run(capsys, *sequences, "--method", "symbolic")
-    assert code == 2
-    assert "expression" in err
+    assert run(capsys, *sequences, "--method", "symbolic") == (0, "15\n", "")
+    with_base = [
+        "derive", "--phi-derivs", '{"derivs":["1/2","-3","2/7","5"],"base":"4"}',
+        "--psi-derivs", '{"derivs":["5/3","-1","0","3/4"],"base":"-2/5"}', "-n", "4",
+    ]
+    for flags in ([], ["--json"], ["--decimal", "4"], ["--json", "--decimal", "4"]):
+        series = run(capsys, *with_base, *flags, "--method", "series")
+        assert series[0] == 0
+        assert run(capsys, *with_base, *flags, "--method", "symbolic") == (
+            0, series[1].replace('"series"', '"symbolic"'), ""
+        )
+
+
+def test_derive_symbolic_on_expressions_builds_no_derivative_sequence(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("built a derivative sequence")
+
+    monkeypatch.setattr(cli, "derivative_sequence_of", fail)
+    argv = ["derive", "--phi", "x^3+x", "--psi", "2*y^2+y", "--at", "1/2", "-n", "4"]
+    assert run(capsys, *argv, "--method", "symbolic") == (0, "1584\n", "")
 
 
 def test_derive_determinant_needs_order_two(capsys):
@@ -245,6 +265,14 @@ def test_derive_rejects_malformed_json(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}: duplicate key 'derivs'") and "Traceback" not in err
+    # Thousands of keys, then a repeat: one pass over the keys finds it.
+    many = "{%s}" % ",".join(f'"k{i}":0' for i in [*range(13000), 12999])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derive", "--phi-derivs", many, "--psi-derivs", "{}", "-n", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        2, "", "error: --phi-derivs: duplicate key 'k12999' in derivative sequence JSON\n"
+    )
 
     # More than 4300 digits, as a JSON integer or in a rational string.
     for derivs in ["1" * 4301, '"1/%s"' % ("1" * 4301)]:
@@ -416,15 +444,21 @@ def test_fuzzed_argv_exits_cleanly(argv):
 
 
 def test_derive_reports_short_sequences(capsys):
-    code, _, err = run(
-        capsys,
-        "derive",
-        "--phi-derivs", '{"derivs":["1"]}',
-        "--psi-derivs", '{"derivs":["1"]}',
-        "-n", "3",
-    )
-    assert code == 2
-    assert "too short" in err
+    # Every route refuses a short sequence alike, the symbolic one included,
+    # whose Taylor polynomial would otherwise read the missing orders as 0.
+    for method in [*cli.ROUTES, "all"]:
+        assert run(
+            capsys,
+            "derive",
+            "--phi-derivs", '{"derivs":["1"]}',
+            "--psi-derivs", '{"derivs":["1"]}',
+            "-n", "3", "--method", method,
+        ) == (
+            2,
+            "",
+            "error: phi derivative sequence too short: order 3 requested "
+            "but only 1 derivative(s) supplied\n",
+        )
 
     # Orders above the partition walk's bound are refused, not walked.
     for argv in (
@@ -708,8 +742,7 @@ def test_check_detects_a_corrupted_route(capsys, monkeypatch):
         "--method", "all",
     )
     assert code == 3 and replay.startswith("route disagreement detected\n")
-    # Sequence input leaves out only the symbolic route, which needs expressions.
-    assert replay.splitlines()[1:] == [line for line in lines[4:] if "symbolic" not in line]
+    assert replay.splitlines()[1:] == lines[4:]
 
 
 def test_derive_all_detects_disagreement(capsys, monkeypatch):
@@ -722,13 +755,14 @@ def test_derive_all_detects_disagreement(capsys, monkeypatch):
         "-n", "3", "--method", "all",
     )
     assert code == 3
-    assert out == "partition: 15\nbell: 999\ndeterminant: 15\nseries: 15\n"
+    assert out == "partition: 15\nbell: 999\ndeterminant: 15\nseries: 15\nsymbolic: 15\n"
     assert err == (
         "route disagreement detected\n"
         "  partition = 15\n"
         "  bell = 999\n"
         "  determinant = 15\n"
         "  series = 15\n"
+        "  symbolic = 15\n"
     )
 
 

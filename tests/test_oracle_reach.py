@@ -9,7 +9,6 @@ import pytest
 
 from compderiv import cli, composition, exact, symbolic
 from compderiv.composition import DerivativeSequence, lagrange_power_coefficient, partial_bell
-from compderiv.symbolic import taylor_polynomial
 from oracles import partial_bell_by_binomials, power_coefficient_on_fractions, random_rational
 
 CHECK = ["check", "--max-n", "8", "--trials", "5"]
@@ -59,8 +58,8 @@ def reach_map() -> dict[str, set[str]]:
     Every route runs on ``check``'s draws at n = 2, 5 and 9 under a
     ``sys.setprofile`` trace.  A compderiv function is keyed by its module
     and code name (Python 3.10 has no ``co_qualname``), a ``math`` builtin
-    by ``math.<name>``.  The symbolic route reads the Taylor polynomials of
-    the drawn sequences, built before the trace starts, as ``check`` does.
+    by ``math.<name>``.  The routes read the inputs ``check`` builds from
+    its draws, built before the trace starts.
     """
     reached: dict[str, set[str]] = {}
     for n in (2, 5, 9):
@@ -68,7 +67,7 @@ def reach_map() -> dict[str, set[str]]:
         at = cli._random_rational(rng)
         psi = cli._random_sequence(rng, n)
         phi = cli._random_sequence(rng, n)
-        exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, at), at)
+        inputs = cli._sequence_inputs(phi, psi, n, at)
         for route_name, route in cli.ROUTES.items():
             def profile(frame, event, arg, route_name=route_name):
                 if event == "call":
@@ -81,7 +80,7 @@ def reach_map() -> dict[str, set[str]]:
 
             sys.setprofile(profile)
             try:
-                route.call(phi, psi, n, exprs)
+                route.call(inputs, n)
             finally:
                 sys.setprofile(None)
     return reached

@@ -7,9 +7,10 @@
 Stdlib only.  Imports ``compderiv`` from ``--src`` (default: this
 checkout's ``src``) and times, at each order n of ``--orders`` and on
 each input set below:
-- every ``cli.ROUTES`` entry, through the table's own call; the symbolic
-  route reads the Taylor polynomials of the same sequences, psi's about
-  1/3 and phi's about psi's value;
+- every ``cli.ROUTES`` entry, through the table's own call, on the
+  inputs ``check`` builds from its draws: the symbolic route reads the
+  Taylor polynomials of the same sequences, psi's about 1/3 and phi's
+  about psi's value;
 - ``jet_compose`` on the order-n jets of phi and psi;
 - ``lagrange_power_coefficient(psi, 5, n)``.
 
@@ -101,16 +102,15 @@ def subjects(n: int, phi, psi):
     """(name, bound, call) for each thing timed at order n; bound is a skip reason or None."""
     from compderiv import cli, lagrange_power_coefficient
     from compderiv.series import jet_compose, jet_from_derivatives
-    from compderiv.symbolic import taylor_polynomial
 
-    exprs = (taylor_polynomial(phi, psi.base), taylor_polynomial(psi, AT), AT)
+    inputs = cli._sequence_inputs(phi, psi, n, AT)
     for name, route in cli.ROUTES.items():
         bound = None
         if n < route.lowest_order:
             bound = f"library bound: n < {route.lowest_order}"
         elif route.highest_order and n > route.highest_order[1]:
             bound = f"library bound: n > {route.highest_order[0]} = {route.highest_order[1]}"
-        yield name, bound, (lambda r=route: r.call(phi, psi, n, exprs))
+        yield name, bound, (lambda r=route: r.call(inputs, n))
     jets = (jet_from_derivatives(phi, n), jet_from_derivatives(psi, n))
     yield "jet_compose", None, lambda: jet_compose(*jets)
     yield "lagrange_power_coefficient", None, lambda: lagrange_power_coefficient(psi, EXPONENT, n)
