@@ -161,12 +161,13 @@ class Inputs(NamedTuple):
 def _sequence_inputs(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int, at: Fraction
 ) -> Inputs:
-    """Inputs at order n from sequences: psi's Taylor polynomial about ``at``, phi's
-    about psi's base (0 if none).  A sequence shorter than n is an error for every
-    route alike, since its polynomial would read the missing orders as 0."""
+    """Inputs at order n from sequences: psi's degree-n Taylor polynomial about ``at``,
+    phi's about psi's base (0 if none).  A sequence shorter than n is an error for
+    every route alike, since its polynomial would read the missing orders as 0."""
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    return Inputs(phi, psi, taylor_polynomial(phi, psi.base or 0), taylor_polynomial(psi, at), at)
+    phi_n, psi_n = (DerivativeSequence(s.derivs[:n], s.base) for s in (phi, psi))
+    return Inputs(phi, psi, taylor_polynomial(phi_n, psi.base or 0), taylor_polynomial(psi_n, at), at)
 
 
 class _Route(NamedTuple):

@@ -163,6 +163,35 @@ def test_derive_symbolic_runs_on_sequences(capsys):
         )
 
 
+def test_derive_reads_only_n_values_of_long_sequences(capsys, monkeypatch):
+    # The polynomials have degree n however long the sequences are: at the
+    # order-3 value of 10,000-value sequences, every route answers at once.
+    lengths, build = [], cli.taylor_polynomial
+
+    def taylor_polynomial(seq, at):
+        lengths.append(len(seq.derivs))
+        return build(seq, at)
+
+    monkeypatch.setattr(cli, "taylor_polynomial", taylor_polynomial)
+    values = range(10_000)
+    sequences = [
+        "derive",
+        "--phi-derivs", json.dumps({"derivs": [f"{k % 7 + 1}/{k % 5 + 2}" for k in values]}),
+        "--psi-derivs", json.dumps({"derivs": [str(k % 3 + 1) for k in values]}),
+        "-n", "3",
+    ]
+    for method in ("partition", "series", "symbolic"):
+        start = time.perf_counter()
+        assert run(capsys, *sequences, "--method", method) == (0, "25/4\n", "")
+        assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, *sequences, "--method", "all")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{route}: 25/4" for route in cli.ROUTES]
+    assert lengths == [3, 3] * 4
+
+
 def test_derive_symbolic_on_expressions_builds_no_derivative_sequence(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("built a derivative sequence")
