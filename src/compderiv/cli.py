@@ -162,11 +162,15 @@ def _sequence_inputs(
     phi: DerivativeSequence, psi: DerivativeSequence, n: int, at: Fraction
 ) -> Inputs:
     """Inputs at order n from sequences: psi's degree-n Taylor polynomial about ``at``,
-    phi's about psi's base (0 if none).  A sequence shorter than n is an error for
-    every route alike, since its polynomial would read the missing orders as 0."""
+    phi's about psi's base (0 if none), each built from a sequence's first n values
+    (the sequence itself when it holds exactly n).  A sequence shorter than n is an
+    error for every route alike, since its polynomial would read the missing orders
+    as 0."""
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
-    phi_n, psi_n = (DerivativeSequence(s.derivs[:n], s.base) for s in (phi, psi))
+    phi_n, psi_n = (
+        s if len(s.derivs) == n else DerivativeSequence(s.derivs[:n], s.base) for s in (phi, psi)
+    )
     return Inputs(phi, psi, taylor_polynomial(phi_n, psi.base or 0), taylor_polynomial(psi_n, at), at)
 
 
@@ -238,6 +242,12 @@ def _route_values(inputs: Inputs, n: int) -> tuple[dict[str, Fraction], dict[str
     return values, skipped
 
 
+def _agree(values: dict[str, Fraction]) -> bool:
+    """Whether every route's value equals the first one; no Fraction is hashed."""
+    first, *rest = values.values()
+    return all(value == first for value in rest)
+
+
 def _disagreement(header: list[str], values: dict[str, Fraction]) -> int:
     """Report a disagreement on stderr, the header lines and then one line per route."""
     routes = (f"  {route} = {format_rational(value)}" for route, value in values.items())
@@ -252,7 +262,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     inputs = _derive_inputs(args)
     if args.method == "all":
         values, skipped = _route_values(inputs, n)
-        agree = len(set(values.values())) == 1
+        agree = _agree(values)
         if args.json:
             payload: dict[str, Any] = {
                 "n": n,
@@ -337,7 +347,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             psi = _random_sequence(rng, n)
             phi = _random_sequence(rng, n)
             values, _ = _route_values(_sequence_inputs(phi, psi, n, at), n)
-            if len(set(values.values())) != 1:
+            if not _agree(values):
                 header = [f"route disagreement at order {n}, trial {trial}:"]
                 header.append(f"  at   = {format_rational(at)}")
                 for role, seq in (("phi", phi), ("psi", psi)):

@@ -8,14 +8,15 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
   of n (the primary closed form) on integers: one explicit stack fixes the
   multiplicities of the sizes >= 3 and carries each prefix's integer
   weight, a per-call table of the splits of r units into 2s and 1s
-  finishes each prefix, sizes where psi vanishes are skipped, and one
-  running common denominator is kept per outer order p.
+  finishes each prefix, sizes where psi vanishes are skipped, no partition
+  has more parts than phi's last nonzero order, and one running common
+  denominator is kept per outer order p.
 * ``derivative_bell`` sums phi^(k) * B_{n,k} over the k where phi^(k) != 0;
   ``partial_bell`` gets B_{n,k} from Comtet's identity, the k-th power of
   a series read at one coefficient, and raises the series to that power by
   J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, section 4.7) on
-  integers: O(w**2) integer products per call, w = n - k + 1, without
-  partitions, so O(n**3) for the route.
+  integers: at most O(w**2) integer products per call, w = n - k + 1, and
+  fewer where psi vanishes, without partitions, so O(n**3) for the route.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
   n-th Taylor coefficient of psi(y)**m by the same recurrence,
   |m| <= MAX_EXPONENT.
@@ -71,56 +72,79 @@ def derivative_partition_sum(
     den = prod b_j**m_j.  rows[j][m] = (pair_divisor(j, m), a_j**m, b_j**m)
     is built once per call for each size j with psi^(j) != 0; a size with
     psi^(j) = 0 takes m_j = 0 only, so no term that would be 0 is built.
+    Likewise phi^(p) = 0 for p past ``most``, the last order k <= n with
+    phi^(k) != 0, so the walk visits only the partitions with at most
+    ``most`` parts, and the sum is 0 when there is no such order; rows[j]
+    stops at m = min(n // j, most).
 
     One explicit stack walks the sizes j >= 3, largest first.  A frame is
-    a prefix: its (num, den, p) and the r units its sizes leave.  Popping
-    one pushes a frame for each m_j >= 1 of each smaller nonzero size j <= r
-    and leaves m_j = 0 for all of them; then the r units left are split into
-    m_2 twos and m_1 = r - 2 * m_2 ones.  tails[r] holds those splits, one
-    (divisor, top, bottom, m_1 + m_2) per m_2 that rows[2] and rows[1] both
-    hold, each the product of the two row entries; it is built the first
-    time the walk reaches r, so a term costs one floor division and two
+    a prefix: its (num, den), the r units its sizes leave, and its slack,
+    ``most`` less its parts.  Popping one pushes a frame for each m_j >= 1
+    of each smaller nonzero size j <= r and leaves m_j = 0 for all of them;
+    then the r units left are split into m_2 twos and m_1 = r - 2 * m_2
+    ones.  No split of r units has more than r parts, so while r <= slack
+    nothing is cut.  Otherwise m parts of size j and the r - j * m units
+    left in parts below j make at least ceil((r - m) / (j - 1)) parts, so m
+    runs from r - slack * (j - 1), and to slack at most.  tails[r] holds the
+    splits into twos and ones, one (divisor, top, bottom, m_1 + m_2) per
+    m_2 that rows[2] and rows[1] both hold and that makes at most ``most``
+    parts, each the product of the two row entries; it is built the first
+    time the walk reaches r, and a frame drops its leading entries with
+    more than slack parts.  So a term costs one floor division and two
     products before it is added.  The frames pending at size j come from
     one popped frame, so the stack holds at most sum_{j=3}^{n} n // j
     < n * ln(n) frames.  The floor division by a divisor is exact at every
     prefix: its sizes sum to some m <= n, and n! / prod divisors =
     (n! / m!) * (m! / prod divisors) is an integer.  The terms with p parts
-    add up to nums[p] / dens[p], dens[p] the running lcm of their
-    denominators, unreduced until the last step; a term whose denominator
-    divides dens[p] costs one divmod and no gcd.  ``exact.rational_sum``
-    adds sum_p phi^(p) * nums[p] / dens[p] over one more running lcm.
+    add up to nums[most - p] / dens[most - p], indexed by the slack they
+    leave, dens[most - p] the running lcm of their denominators, unreduced
+    until the last step; a term whose denominator divides it costs one
+    divmod and no gcd.  ``exact.rational_sum`` adds
+    sum_p phi^(p) * nums[most - p] / dens[most - p] over one more running lcm.
     """
     phi.require_order(n, "phi")
     psi.require_order(n, "psi")
     check_partition_order(n)
+    most = n
+    while most and not phi.derivs[most - 1]:
+        most -= 1
+    if not most:
+        return Fraction(0)
     rows = [[(1, 1, 1)]] * (n + 2)  # m_j = 0 only, unless psi^(j) != 0; rows[2] at n = 1
     below = [2] * (n + 1)  # below[k]: the largest j in 3..k with psi^(j) != 0, else 2
     for j, d in enumerate(psi.derivs[:n], start=1):
         if d:
             a, b = d.numerator, d.denominator
-            rows[j] = [(pair_divisor(j, m), a**m, b**m) for m in range(n // j + 1)]
+            count = n // j if j * most >= n else most  # min(n // j, most), without a call
+            rows[j] = [(pair_divisor(j, m), a**m, b**m) for m in range(count + 1)]
         if j > 2:
             below[j] = j if d else below[j - 1]
     ones, twos = rows[1], rows[2]
-    tails = [None] * (n + 1)  # tails[r] = _tail_row(ones, twos, r), built on first use
-    nums, dens = [0] * (n + 1), [1] * (n + 1)
-    stack = [(n, n, math.factorial(n), 1, 0)]  # sizes <= j left, r units, num, den, p
+    tails = [None] * (n + 1)  # tails[r] = _tail_row(ones, twos, r, most), built on first use
+    nums, dens = [0] * most, [1] * most
+    stack = [(n, n, math.factorial(n), 1, most)]  # sizes <= j left, r units, num, den, slack
     while stack:
-        j, r, num, den, p = stack.pop()
-        j = below[min(j, r)]
+        j, r, num, den, slack = stack.pop()
+        j = below[j if j < r else r]
         while j > 2:
             row = rows[j]
-            for m in range(1, r // j + 1):
+            if r <= slack:
+                ms = range(1, r // j + 1)
+            else:
+                ms = range(max(1, r - slack * (j - 1)), min(r // j, slack) + 1)
+            for m in ms:
                 divisor, top, bottom = row[m]
-                stack.append((j - 1, r - j * m, num // divisor * top, den * bottom, p + m))
+                stack.append((j - 1, r - j * m, num // divisor * top, den * bottom, slack - m))
             j = below[j - 1]
         tail = tails[r]
         if tail is None:
-            tail = tails[r] = _tail_row(ones, twos, r)
+            tail = tails[r] = _tail_row(ones, twos, r, most)
+        if r > slack and tail:  # the parts fall by 1 per entry
+            tail = tail[max(0, tail[0][3] - slack) :]
         for divisor, top, bottom, parts in tail:
             term = num // divisor * top
             under = den * bottom
-            q = p + parts
+            q = slack - parts
             common = dens[q]
             quotient, rest = divmod(common, under)
             if rest:
@@ -130,18 +154,19 @@ def derivative_partition_sum(
                 dens[q] = common * scale
             else:
                 nums[q] += term * quotient
-    outer = zip(phi.derivs, nums[1:], dens[1:])
+    outer = zip(reversed(phi.derivs[:most]), nums, dens)
     return rational_sum((d.numerator * a, d.denominator * b) for d, a, b in outer)
 
 
 def _tail_row(
-    ones: list[tuple[int, int, int]], twos: list[tuple[int, int, int]], r: int
+    ones: list[tuple[int, int, int]], twos: list[tuple[int, int, int]], r: int, most: int
 ) -> list[tuple[int, int, int, int]]:
     """The splits of r units into m_2 twos and m_1 = r - 2 * m_2 ones, one per m_2
-    that both rows hold: (pair_divisor(2, m_2) * pair_divisor(1, m_1),
-    a_2**m_2 * a_1**m_1, b_2**m_2 * b_1**m_1, m_1 + m_2)."""
+    that both rows hold and with m_1 + m_2 = r - m_2 <= most, m_2 rising:
+    (pair_divisor(2, m_2) * pair_divisor(1, m_1), a_2**m_2 * a_1**m_1,
+    b_2**m_2 * b_1**m_1, m_1 + m_2)."""
     tail = []
-    for m2 in range(max(0, r - len(ones) + 2) // 2, min(r // 2, len(twos) - 1) + 1):
+    for m2 in range(max(0, r - most, (r - len(ones) + 2) // 2), min(r // 2, len(twos) - 1) + 1):
         (divisor2, top2, bottom2), (divisor1, top1, bottom1) = twos[m2], ones[r - 2 * m2]
         tail.append((divisor2 * divisor1, top2 * top1, bottom2 * bottom1, r - m2))
     return tail
@@ -224,21 +249,30 @@ def _miller_power(W: list[int], m: int) -> tuple[int, int]:
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, section 4.7):
     v = (W / W_0)**m has v_0 = 1 and
-    j * W_0 * v_j = sum_{i=1}^{j} ((m+1)*i - j) * W_i * v_{j-i}, one
-    O(N**2) pass.  v_0..v_j are integers V over one scale with gcd 1; step
-    j multiplies them and the scale by j * W_0 and appends acc, the sum
-    above, so the content of the new list is c = gcd(j * W_0, acc): the
-    step multiplies by j * W_0 / c and appends acc / c.
+    j * W_0 * v_j = sum_{i=1}^{j} ((m+1)*i - j) * W_i * v_{j-i}, one pass
+    that skips each W_i = 0, so it takes O(N * z) integer products, z the
+    number of nonzero W_i with i >= 1, and O(N**2) only when W is dense.
+    v_0..v_j are integers V over one scale with gcd 1; step j multiplies
+    them and the scale by j * W_0 and appends acc, the sum above, so the
+    content of the new list is c = gcd(j * W_0, acc): the step multiplies
+    V in place by f = j * W_0 / c, unless f = 1, and appends acc / c.
     """
     V, scale = [1], 1
+    m1 = m + 1
     for j in range(1, len(W)):
-        acc = sum(((m + 1) * i - j) * W[i] * V[j - i] for i in range(1, j + 1))
+        acc = 0
+        for i in range(1, j + 1):
+            w = W[i]
+            if w:
+                acc += (m1 * i - j) * w * V[j - i]
         step = j * W[0]
         c = math.gcd(step, acc)
         f = step // c
-        V = [v * f for v in V]
+        if f != 1:
+            for i, v in enumerate(V):
+                V[i] = v * f
+            scale *= f
         V.append(acc // c)
-        scale *= f
     return V[-1], scale
 
 

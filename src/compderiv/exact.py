@@ -160,11 +160,17 @@ def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def taylor_scaled(values: Sequence[Fraction], start: int) -> tuple[list[int], int]:
     """Integers a_i and d with values[i] / (start + i)! == a_i / d.
 
-    d is ``scaled``'s least common denominator times (start + len - 1)!, not reduced.
+    d is ``scaled``'s least common denominator times top = (start + len - 1)!,
+    not reduced.  The weights top / k! are one running product, from the last
+    order down: k = start + len - 1 takes 1, and each lower k one more factor.
     """
     xs, d = scaled(values)
-    top = math.factorial(start + len(values) - 1)
-    return [x * (top // math.factorial(k)) for k, x in enumerate(xs, start)], d * top
+    last = start + len(xs) - 1
+    weight = 1
+    for k in range(last, start - 1, -1):
+        xs[k - start] *= weight
+        weight *= k
+    return xs, d * math.factorial(last)
 
 
 def reduced(ints: list[int], den: int) -> tuple[list[int], int]:

@@ -192,6 +192,25 @@ def test_derive_reads_only_n_values_of_long_sequences(capsys, monkeypatch):
     assert lengths == [3, 3] * 4
 
 
+def test_derive_partition_route_stops_at_phis_last_nonzero_order(capsys):
+    # phi = x^2 has phi^(k) = 0 for k > 2, so the partition sum visits only the
+    # partitions of 30 into at most 2 parts, not all p(30) = 5604 of them on
+    # 19-digit values.  It takes about 0.03 s and the five routes about 2 s on a
+    # 2-vCPU host.
+    argv = ["derive", "--phi", "x^2", "--psi", "y^1000", "--at", "1234567890123456789", "-n", "30"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--method", "partition")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    start = time.perf_counter()
+    code, out_all, err = run(capsys, *argv, "--method", "all", "--json")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    report = json.loads(out_all)
+    assert report["agree"] is True and list(report["values"]) == list(cli.ROUTES)
+    assert report["values"]["partition"] == out.strip()
+
+
 def test_derive_symbolic_on_expressions_builds_no_derivative_sequence(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("built a derivative sequence")

@@ -339,9 +339,10 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
     # zero at a size j >= 3 drops every subtree with m_j > 0.  Every n in
     # 1..12 runs for each family, so each edge of that table comes up on
     # every run: r = 0, odd r with psi' = 0 (an empty row), psi'' = 0, and
-    # n = 1, where the row of size 2 is the padding row.  The last family
-    # gives phi a zero tail above a random order k < n, as an expression
-    # phi of degree k has: the terms with more than k parts are all zero.
+    # n = 1, where the row of size 2 is the padding row.  The last two
+    # families give phi a zero tail above a random order k < n, as an
+    # expression phi of degree k has: the terms with more than k parts are
+    # all zero, and the walk visits none of them.
     rng = random.Random(1020)
 
     def small():
@@ -385,6 +386,10 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
         "phi = 0 above an order k < n": lambda n: (
             phi_through(n, rng.randrange(n)),
             seq(*[small() for _ in range(n)]),
+        ),
+        "phi = 0 above an order k < n, psi' = 0": lambda n: (
+            phi_through(n, rng.randrange(n)),
+            zeros_at(n, {1, rng.randint(3, max(n, 3))}),
         ),
     }
     for family, make in families.items():

@@ -10,8 +10,8 @@ PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
 
 # A stand-in for bench/run.py: it checks that it may read no cached bytecode,
 # appends "<tree> <seed>" to ../calls.log and prints a summary line, then the
-# result line of the tree's result.json, in which "wall_s" is a list indexed
-# by the seed.
+# result line of the tree's result.json, in which a metric given as a list is
+# indexed by the seed.
 STUB = textwrap.dedent("""
     import json, os, sys
     from pathlib import Path
@@ -24,21 +24,23 @@ STUB = textwrap.dedent("""
         log.write(f"{here.name} {seed}\\n")
     result = json.loads((here / "result.json").read_text())
     exit_code = result.pop("exit", 0)
-    walls = result["metrics"]["wall_s"]["value"]
-    result["metrics"]["wall_s"]["value"] = walls[seed % len(walls)]
+    for metric in result["metrics"].values():
+        if isinstance(metric["value"], list):
+            metric["value"] = metric["value"][seed % len(metric["value"])]
     print("wall_s ...")
     print(json.dumps(result))
     sys.exit(exit_code)
 """)
 
 
-def _tree(root: Path, name: str, walls: list[float], rss: float, **extra) -> Path:
+def _tree(root: Path, name: str, walls: list[float], rss: float | list[float],
+          ops: float | list[float] = 100.0, **extra) -> Path:
     tree = root / name
     (tree / "bench").mkdir(parents=True)
     (tree / "bench" / "run.py").write_text(STUB)
     result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
         "wall_s": {"value": walls, "unit": "s"},
-        "ops_per_s": {"value": 100.0, "unit": "1/s"},
+        "ops_per_s": {"value": ops, "unit": "1/s"},
         "peak_rss_mb": {"value": rss, "unit": "MB"},
     }}
     result.update(extra)
@@ -70,9 +72,31 @@ def test_pairs_alternate_and_report_medians_quartiles_wins_and_bounds(tmp_path):
     assert rows["ops_per_s"].split()[-3:] == ["1.000", "0/4", "no"]
     # peak_rss_mb is 8.3 % worse against a 5 % bound, and its quartiles are equal.
     assert rows["peak_rss_mb"].split()[-2:] == ["0/4", "yes"]
-    assert proc.stdout.splitlines()[-2:] == [
+    assert proc.stdout.splitlines()[-3:] == [
+        "gains (at least 9/10 pairs won, medians apart by more than the baseline IQR): none",
         "bounds crossed: 1",
         "  peak_rss_mb: change median 26 is 8.3% worse than the baseline's 24, past the bound 5%",
+    ]
+
+
+def test_pairs_name_the_gains_by_wins_and_the_baseline_iqr(tmp_path):
+    # Ten pairs read index 1, ..., 9, 0 of each list.  wall_s wins all ten, but
+    # its medians, 0.99 and 1.0, lie within the baseline's quartiles 0.9 and 1.1.
+    # ops_per_s (higher is better) wins nine and ties one; peak_rss_mb wins
+    # eight and ties two, and a tie counts for neither side.
+    walls = [1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.2, 0.8, 1.1, 0.9]
+    change = _tree(tmp_path, "change", [w - 0.01 for w in walls], rss=[23.0] * 8 + [24.0] * 2,
+                   ops=[110.0] * 9 + [100.0])
+    baseline = _tree(tmp_path, "baseline", walls, rss=24.0)
+    proc = _pairs(change, baseline, "--pairs", "10")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()}
+    assert rows["wall_s"][-2:] == ["10/10", "no"]
+    assert rows["ops_per_s"][-2:] == ["9/10", "yes"]
+    assert rows["peak_rss_mb"][-2:] == ["8/10", "yes"]
+    assert proc.stdout.splitlines()[-2:] == [
+        "gains (at least 9/10 pairs won, medians apart by more than the baseline IQR): ops_per_s",
+        "bounds crossed: none",
     ]
 
 

@@ -25,9 +25,12 @@ For each metric the runs report, it prints each side's median and quartiles
 (``statistics.quantiles``, inclusive method), change/baseline, how many pairs
 the change won, and whether the two medians differ by more than the
 baseline's interquartile range.  The bounds and the better direction come
-from this checkout's ``BENCHMARK.json``: then it lists every metric whose
-change median is worse than the baseline median by more than its bound, as
-a fraction of the baseline median.
+from this checkout's ``BENCHMARK.json``.  Then one line names the gains:
+each metric whose change won at least 9/10 of the pairs in its better
+direction (a tie counts for neither side) and whose median is better than
+the baseline's by more than the baseline's interquartile range.  Last, it
+lists every metric whose change median is worse than the baseline median
+by more than its bound, as a fraction of the baseline median.
 
 Exit status 1 if a run fails (no result line, or an exit status other than
 0 or 1) or does not report ``"correct": true``, after printing that run's command
@@ -88,8 +91,8 @@ def bounds(benchmark: Path) -> dict[str, tuple[str, float]]:
 
 
 def summarize(change: list[dict[str, float]], baseline: list[dict[str, float]],
-              limits: dict[str, tuple[str, float]]) -> tuple[list[str], list[str]]:
-    """The table's lines, and one line per metric past its bound.
+              limits: dict[str, tuple[str, float]]) -> tuple[list[str], list[str], list[str]]:
+    """The table's lines, the names of the gains, and one line per metric past its bound.
 
     A metric of a ``--workload all`` run is named ``workload.metric``; its
     bound is the one of ``metric``.  A metric with no bound is taken as
@@ -97,7 +100,7 @@ def summarize(change: list[dict[str, float]], baseline: list[dict[str, float]],
     """
     lines = [f"{'metric':<24} {'change median [q1, q3]':<34} {'baseline median [q1, q3]':<34} "
              f"{'ratio':>6} {'wins':>6}  beyond baseline IQR"]
-    crossed = []
+    gains, crossed = [], []
     for name in change[0]:
         better, bound = limits.get(name.rsplit(".", 1)[-1], ("lower", None))
         new = [run[name] for run in change]
@@ -112,10 +115,12 @@ def summarize(change: list[dict[str, float]], baseline: list[dict[str, float]],
         lines.append(f"{name:<24} {cells[0]:<34} {cells[1]:<34} {ratio:>6.3f} "
                      f"{f'{wins}/{len(new)}':>6}  {beyond}")
         worse = sign * (nmed - omed)
+        if 10 * wins >= 9 * len(new) and -worse > oq3 - oq1:
+            gains.append(name)
         if bound is not None and worse > bound * abs(omed):
             crossed.append(f"{name}: change median {nmed:.6g} is {worse / abs(omed):.1%} worse "
                            f"than the baseline's {omed:.6g}, past the bound {bound:.0%}")
-    return lines, crossed
+    return lines, gains, crossed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -146,8 +151,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# {args.workload}: {args.pairs} alternated pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"--seconds {args.seconds}")
     print(f"# change   {trees['change']}\n# baseline {trees['baseline']}")
-    lines, crossed = summarize(runs["change"], runs["baseline"], bounds(ROOT / "BENCHMARK.json"))
+    lines, gains, crossed = summarize(runs["change"], runs["baseline"], bounds(ROOT / "BENCHMARK.json"))
     print("\n".join(lines))
+    print("gains (at least 9/10 pairs won, medians apart by more than the baseline IQR): "
+          + (", ".join(gains) or "none"))
     print("bounds crossed: " + ("none" if not crossed else f"{len(crossed)}"))
     for line in crossed:
         print(f"  {line}")
