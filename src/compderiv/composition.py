@@ -15,15 +15,19 @@ the expansion point and phi', phi'', ... evaluated at psi of that point.
   ``partial_bell`` gets B_{n,k} from Comtet's identity, the k-th power of
   a series read at one coefficient, and raises the series to that power by
   J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, section 4.7) on
-  integers: at most O(w**2) integer products per call, w = n - k + 1, and
-  fewer where psi vanishes, without partitions, so O(n**3) for the route.
+  integers, each coefficient over its own scale: O(w * z) products by
+  psi's values per call, w = n - k + 1 and z the nonzero values among
+  psi^(1..w), so O(w**2) at most and O(n**3) for the route, without
+  partitions; k = 1 needs no recurrence.
 * ``lagrange_power_coefficient`` is the special case phi(x) = x**m: the
   n-th Taylor coefficient of psi(y)**m by the same recurrence,
   |m| <= MAX_EXPONENT.
 
 Both read [t^n] u**m, u psi's Taylor series, from ``_power_coefficient``:
 it writes u as integers with ``exact.taylor_scaled``, runs the recurrence
-in ``_miller_power`` and scales the result back.
+in ``_miller_power`` and scales the result back.  The recurrence keeps v_t
+over S_t, the product of the factors its steps 1..t took out, and never
+rescales the v_t it has; each step sums over the nonzero terms of u only.
 
 The partition sum and Bell add their outer orders, phi^(p) = f_p / g_p
 times an inner coefficient N_p / D_p, with ``exact.rational_sum`` on the
@@ -231,7 +235,9 @@ def _power_coefficient(values: tuple[Fraction, ...], m: int, n: int) -> tuple[in
     them: scaling w leaves w / w_0 as it is.  w_0 is values[s] / s! =
     p / (q * s!), so the powers are of p and q * s!, not of the wider W_0 and
     its scale: num / den = p**m * v / ((q * s!)**m * scale), with p and
-    q * s! swapped for m < 0.  den is negative when m < 0 and p < 0.
+    q * s! swapped for m < 0.  den may be negative.  ``_miller_power`` takes
+    O((n - s*m) * z) products by the z nonzero values past values[s], and
+    m = 1 takes none.
     """
     s = next((k for k, c in enumerate(values) if c), None)
     if not m or s is None or n < s * m:
@@ -249,30 +255,55 @@ def _miller_power(W: list[int], m: int) -> tuple[int, int]:
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, section 4.7):
     v = (W / W_0)**m has v_0 = 1 and
-    j * W_0 * v_j = sum_{i=1}^{j} ((m+1)*i - j) * W_i * v_{j-i}, one pass
-    that skips each W_i = 0, so it takes O(N * z) integer products, z the
-    number of nonzero W_i with i >= 1, and O(N**2) only when W is dense.
-    v_0..v_j are integers V over one scale with gcd 1; step j multiplies
-    them and the scale by j * W_0 and appends acc, the sum above, so the
-    content of the new list is c = gcd(j * W_0, acc): the step multiplies
-    V in place by f = j * W_0 / c, unless f = 1, and appends acc / c.
+    j * W_0 * v_j = sum_{i=1}^{j} ((m+1)*i - j) * W_i * v_{j-i}.
+    Each v_t is an integer V[t] over its own scale S_t = F[1] * ... * F[t],
+    S_0 = 1, and V is never rescaled.  Step j forms acc, the sum above over
+    S_{j-1}, from the nonzero W_i only, i falling, so t = j - i rises: it
+    lifts the running sum Horner-style by F[u] for each u it passes (no
+    product where F[u] = 1, none before the first term) and once more up to
+    S_{j-1} after the last.  So acc is the sum that multiplying all of V by
+    each F[j] in turn would give.  Then c = gcd(j * W_0, acc),
+    F[j] = j * W_0 / c, V[j] = acc / c and scale = S_j.  That is O(N * z)
+    products by W_i and steps, z the number of nonzero W_i with i >= 1,
+    plus at most one lift per u < j, each by a factor no wider than
+    j * W_0; O(N**2) only when W is dense.  m = 1 needs no recurrence:
+    W_N / W_0.
     """
-    V, scale = [1], 1
+    if m == 1:
+        return W[-1], W[0]
+    V, F, scale = [1], [1], 1  # F[0] = 1, so a first term at t = 0 takes no lift
     m1 = m + 1
+    terms, last = [], 0  # (i, W_i, gap to the previous nonzero order) for i falling
+    for i in range(len(W) - 1, 0, -1):
+        if W[i]:
+            terms.append((i, W[i], last - i if last else 0))
+            last = i
+    first = len(terms)  # terms[first:] are the orders i <= j
     for j in range(1, len(W)):
+        if first and terms[first - 1][0] == j:
+            first -= 1
         acc = 0
-        for i in range(1, j + 1):
-            w = W[i]
-            if w:
-                acc += (m1 * i - j) * w * V[j - i]
+        for i, w, gap in terms[first:]:
+            t = j - i  # acc is over S_{t - gap}; lift it to S_t
+            if gap == 1:
+                f = F[t]
+                if f != 1:
+                    acc *= f
+            elif acc:  # a zero sum needs no lift; a first term past t = 0 has no previous t
+                for f in F[t - gap + 1 : t + 1]:
+                    if f != 1:
+                        acc *= f
+            acc += (m1 * i - j) * w * V[t]
+        if last > 1 and acc:  # from S_{j - last} up to S_{j-1}
+            for f in F[j - last + 1 : j]:
+                if f != 1:
+                    acc *= f
         step = j * W[0]
         c = math.gcd(step, acc)
         f = step // c
-        if f != 1:
-            for i, v in enumerate(V):
-                V[i] = v * f
-            scale *= f
+        F.append(f)
         V.append(acc // c)
+        scale *= f
     return V[-1], scale
 
 

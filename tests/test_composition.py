@@ -506,6 +506,67 @@ def test_power_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch)
         assert lagrange_power_coefficient(psi, m, n) == value
 
 
+# Orders where a gapped psi is nonzero: two adjacent orders, one order, and
+# three orders with gaps of 2 and 5 between them.
+GAPS = ({1, 2}, {3}, {2, 5, 11})
+
+
+def test_miller_fold_equals_the_rescaling_loop_it_replaced():
+    # The graded fold keeps each v_t over its own scale S_t and lifts its
+    # running sum, where the loop it replaced multiplied all of V by each
+    # step's factor; both form the same sum over S_{j-1}, so they return the
+    # same raw (v, scale) pair for every m != 1.  m = 1 returns (W_N, W_0),
+    # the same value.  W is small or 64-bit, dense, about 60 % zeros, or one
+    # nonzero order past W_0; W_0 may be negative, and N = 0 is included.
+    def rescaling_loop(W, m):
+        V, scale = [1], 1
+        m1 = m + 1
+        for j in range(1, len(W)):
+            acc = 0
+            for i in range(1, j + 1):
+                w = W[i]
+                if w:
+                    acc += (m1 * i - j) * w * V[j - i]
+            step = j * W[0]
+            c = gcd(step, acc)
+            f = step // c
+            if f != 1:
+                for i, v in enumerate(V):
+                    V[i] = v * f
+                scale *= f
+            V.append(acc // c)
+        return V[-1], scale
+
+    rng = random.Random(2103)
+    seen = set()
+    for trial in range(1500):
+        bound = (8, 2**64)[trial % 2]
+        N = trial % 23
+
+        def value():
+            return rng.randrange(-bound, bound)
+
+        W = [value() or -1]
+        shape = trial // 2 % 3
+        if shape == 0:
+            W += [value() for _ in range(N)]
+        elif shape == 1:
+            W += [value() if rng.random() < 0.4 else 0 for _ in range(N)]
+        else:
+            W += [0] * N
+            if N:
+                W[rng.randrange(1, N + 1)] = value() or 1
+        seen.add((bound, shape, N == 0, W[0] < 0))
+        for m in range(-6, 9):
+            got = composition._miller_power(W, m)
+            expected = rescaling_loop(W, m)
+            if m == 1:
+                assert Fraction(*got) == Fraction(*expected), (W, m)
+            else:
+                assert got == expected, (W, m)
+    assert len(seen) == 24
+
+
 def test_partial_bell_equals_the_binomial_recurrence():
     # Miller's power recurrence on Comtet's identity gives, at every k, the
     # values of the column recurrence with binomial weights: on small values
@@ -517,7 +578,9 @@ def test_partial_bell_equals_the_binomial_recurrence():
     # shares with 3!; and on odd psi with psi' < 0.  There every
     # even-order derivative is 0, so g is even, acc is 0 at every odd step,
     # gcd(step, acc) = |step| and the step multiplies by -1; B_{n,k} = 0 when
-    # n - k is odd.
+    # n - k is odd.  Up to n = 40 it also runs gapped psi, nonzero only at
+    # orders {1, 2}, {3} or {2, 5, 11}, small and 64-bit: Miller's sum then
+    # passes runs of orders with no term and must lift across each of them.
     rng = random.Random(2101)
 
     def small():
@@ -532,6 +595,15 @@ def test_partial_bell_equals_the_binomial_recurrence():
     def odd(value):
         return lambda n: seq(-abs(value() or 1), *[value() if j % 2 else 0 for j in range(2, n + 1)])
 
+    def nonzero_small():
+        return random_rational(rng) or Fraction(-1, 3)
+
+    def nonzero_wide():
+        return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) or 1
+
+    def gapped(orders, value):
+        return lambda n: seq(*[value() if j in orders else 0 for j in range(1, n + 1)])
+
     makers = [
         lambda n: seq(*[small() for _ in range(n)]),
         lambda n: seq(*[wide() for _ in range(n)]),
@@ -542,8 +614,10 @@ def test_partial_bell_equals_the_binomial_recurrence():
     ]
     odd_makers = [odd(small), odd(wide)]
     makers += odd_makers
+    gapped_makers = [gapped(orders, value) for orders in GAPS for value in (nonzero_small, nonzero_wide)]
+    makers += gapped_makers
     for make in makers:
-        for n in range(1, 31):
+        for n in range(1, 41 if make in gapped_makers else 31):
             psi = make(n)
             for k in range(1, n + 1):
                 expected = partial_bell_by_binomials(n, k, psi)
@@ -567,11 +641,17 @@ def test_power_route_equals_the_fraction_loop_it_replaced():
     # base with m >= 0, psi vanishing through order n, and orders below
     # s * m, where both give 0.  Up to n = 30 it also runs odd psi with a
     # zero base and psi' < 0: w = u / t is even, so acc is 0 at every odd
-    # step and gcd(k * d, acc) = k * d.
+    # step and gcd(k * d, acc) = k * d.  Up to n = 40 it runs gapped psi,
+    # nonzero only at orders {1, 2}, {3} or {2, 5, 11}, small and 64-bit,
+    # with a nonzero base and with a zero one (then w starts at psi's first
+    # nonzero order and its own gaps are the same).
     rng = random.Random(2102)
 
     def wide():
         return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) if rng.randrange(3) else 0
+
+    def nonzero_wide():
+        return wide() or Fraction(-(2**63) + 1, 2**64 - 1)
 
     cases = []
     for n in range(1, 16):
@@ -583,6 +663,12 @@ def test_power_route_equals_the_fraction_loop_it_replaced():
         for value in (lambda: random_rational(rng), wide):
             odd = [-abs(value() or 1), *[value() if j % 2 else 0 for j in range(2, n + 1)]]
             cases.append(seq(*odd, base=0))
+    for orders in GAPS:
+        for n in (*range(1, 13), 20, 40):
+            for value in (lambda: random_rational(rng) or Fraction(2, 3), nonzero_wide):
+                gapped = [value() if j in orders else 0 for j in range(1, n + 1)]
+                cases.append(seq(*gapped, base=value()))
+                cases.append(seq(*gapped, base=0))
     seen_below = 0
     for psi in cases:
         n = len(psi.derivs)
