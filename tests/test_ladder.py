@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+ROOT = Path(__file__).resolve().parent.parent
+LADDER = ROOT / "tools" / "ladder.py"
+MACHINE = {"nproc", "python", "platform", "cpu_model", "git_commit", "git_dirty"}
 
 
 def _load_ladder():
@@ -31,7 +34,7 @@ def test_the_ladder_writes_every_cell_at_two_low_orders(tmp_path):
     assert set(report) == {
         "machine", "orders", "calls", "budget_s", "sets", "lagrange_exponent", "cells", "agreement",
     }
-    assert set(report["machine"]) == {"nproc", "python", "platform", "cpu_model", "git_commit"}
+    assert set(report["machine"]) == MACHINE
     assert (report["orders"], report["calls"]) == ([3, 4], 1)
     subjects = {
         "partition", "bell", "determinant", "series", "symbolic", "jet_compose",
@@ -82,41 +85,52 @@ def test_the_prediction_grows_at_least_as_the_cube(runs, n, predicted):
     assert _load_ladder().predict(runs, n) == pytest.approx(predicted, rel=0.01)
 
 
-def test_compare_prints_new_over_old_per_cell(tmp_path):
-    old, new = tmp_path / "old.json", tmp_path / "new.json"
-    base = [sys.executable, str(LADDER), "--orders", "3,4", "--calls", "1"]
-    subprocess.run([*base, "--out", str(old)], check=True)
-    report = json.loads(old.read_text())
-    # One cell skipped on the old side, one absent from it, one at a known time.
-    cells = {(c["subject"], c["set"], c["n"]): c for c in report["cells"]}
-    cells["bell", "small", 3].update(skip="library bound: a test marker")
-    del cells["bell", "small", 3]["median_s"]
-    report["cells"].remove(cells["series", "64-bit", 4])
-    cells["determinant", "small", 4]["median_s"] = 0.5
-    old.write_text(json.dumps(report))
-
-    result = subprocess.run(
-        [*base, "--out", str(new), "--compare", str(old)],
-        check=True, capture_output=True, text=True,
+def test_the_baseline_alternates_every_cell_with_a_second_tree(tmp_path):
+    out = tmp_path / "ladder.json"
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, str(LADDER), "--orders", "3,4", "--calls", "2", "--baseline", str(ROOT),
+         "--out", str(out)],
+        check=True,
     )
-    lines = result.stdout.splitlines()
-    assert lines[0].split() == ["subject", "set", "n", "new", "ms", "old", "ms", "new/old"]
-    rows = {tuple(line.split()[:3]): line.split()[3:] for line in lines[1:]}
-    new_cells = json.loads(new.read_text())["cells"]
-    assert len(rows) == len(lines) - 1 == len(new_cells)
-    assert " ".join(rows["bell", "small", "3"]) == "skip (old): library bound: a test marker"
-    assert " ".join(rows["series", "64-bit", "4"]) == "not in the compared file"
-    key = ("determinant", "small", 4)
-    new_s = next(c["median_s"] for c in new_cells if (c["subject"], c["set"], c["n"]) == key)
-    assert rows["determinant", "small", "4"] == [
-        f"{new_s * 1e3:.3f}", "500.000", f"{new_s / 0.5:.2f}"
-    ]
+    assert time.perf_counter() - start < 3
+    report = json.loads(out.read_text())
+    assert set(report["baseline"]) == {"root"} | MACHINE
+    assert report["baseline"]["root"] == str(ROOT)
+    assert len(report["cells"]) == 3 * 2 * 7
+    for cell in report["cells"]:
+        assert {"median_s", "baseline_median_s", "ratio", "wins"} <= set(cell)
+        assert cell["calls"] == 2 and 0 <= cell["wins"] <= 2
+        assert cell["ratio"] == pytest.approx(cell["median_s"] / cell["baseline_median_s"])
+        assert "differs" not in cell
+    assert all(row["agree"] for row in report["agreement"])
 
 
-def test_compare_needs_out_for_the_json(tmp_path):
+def test_a_value_that_differs_between_the_trees_exits_1(tmp_path):
+    shutil.copytree(ROOT / "src" / "compderiv", tmp_path / "src" / "compderiv",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "compderiv" / "cli.py", "a") as f:
+        f.write('ROUTES["bell"] = ROUTES["bell"]._replace(call=lambda i, n, c=ROUTES["bell"].call: c(i, n) + 1)\n')
     result = subprocess.run(
-        [sys.executable, str(LADDER), "--orders", "3", "--compare", str(tmp_path / "old.json")],
+        [sys.executable, str(LADDER), "--orders", "3", "--calls", "1", "--baseline", str(tmp_path),
+         "--out", str(tmp_path / "ladder.json")],
         capture_output=True, text=True,
     )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"bell on {s} at n = 3: the trees' values differ" for s in ("small", "64-bit", "64-bit-nonzero")
+    ]
+    cells = json.loads((tmp_path / "ladder.json").read_text())["cells"]
+    assert {c["subject"] for c in cells if c.get("differs")} == {"bell"}
+
+
+@pytest.mark.parametrize("orders", ["0", "101", "3,,4"])
+def test_bad_orders_are_an_argument_error(orders):
+    result = subprocess.run(
+        [sys.executable, str(LADDER), "--orders", orders], capture_output=True, text=True
+    )
     assert result.returncode == 2
-    assert "--compare prints to standard output, so it needs --out" in result.stderr
+    assert f"error: --orders takes orders from 1 to MAX_ORDER = 100, comma-separated: {orders!r}" in (
+        result.stderr
+    )
+    assert "Traceback" not in result.stderr

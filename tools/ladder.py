@@ -2,11 +2,11 @@
 
     python3 tools/ladder.py --out BENCH_31.json
     python3 tools/ladder.py --src ../other-checkout/src --orders 12,20 --calls 5
-    python3 tools/ladder.py --out BENCH_32.json --compare BENCH_31.json
+    python3 tools/ladder.py --baseline ../parent --out BENCH.json
 
 Stdlib only.  Imports ``compderiv`` from ``--src`` (default: this
-checkout's ``src``) and times, at each order n of ``--orders`` and on
-each input set below:
+checkout's ``src``) and times, at each order n of ``--orders`` (1 to the
+tree's ``exact.MAX_ORDER``) and on each input set below:
 - every ``cli.ROUTES`` entry, through the table's own call, on the
   inputs ``check`` builds from its draws: the symbolic route reads the
   Taylor polynomials of the same sequences, psi's about 1/3 and phi's
@@ -27,14 +27,26 @@ from the cells run before it in that row (``predict``).  The budget bounds
 the prediction, not the time a cell takes.
 Route values at each (set, n) are compared, and ``agree`` records
 whether all routes that ran gave the same value.  The JSON also holds
-the machine facts and ``git rev-parse HEAD`` of the ``--src`` checkout.
+the machine facts, ``git rev-parse HEAD`` of the ``--src`` checkout and
+whether ``git status --porcelain`` lists any change there (null outside
+a git checkout).
 
-``--compare FILE`` reads an earlier report and, once the JSON is written
-to ``--out``, prints one line per cell of this run, matched to FILE's
-cell by (subject, set, n): both medians and new/old, or the skip marker
-of the side that did not run, or that FILE has no such cell.  The two
-runs are not interleaved, so a ratio holds the drift of the machine
-between them as well as the change.
+``--baseline ROOT`` times the same cells on a second tree too, e.g. a
+``git archive`` of the parent commit, whose ``ROOT/src/compderiv`` is
+imported in the same process as ``compderiv_baseline``; its ``cli`` must
+have ``ROUTES`` and ``_sequence_inputs``.  Each tree builds its own inputs from the same
+draws.  A cell runs ``--calls`` rounds, each calling both trees, the
+change first in even rounds and the baseline first in odd ones, so a
+drift of the machine's speed falls on both alike.  The cell then also
+holds the baseline's median, ``ratio`` (the change's median over the
+baseline's) and ``wins`` (the rounds the change was faster).  A cell
+runs on both trees or on neither, and the predicted-overrun skip reads
+the baseline's medians.  Each subject's value must be the same on both
+trees: a difference is named on standard error.  The report gains a
+``baseline`` block with ROOT and its machine facts.
+
+Exit status 1 if the routes disagree or the two trees' values differ, 2 on
+a bad option, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from importlib import import_module, util
 from pathlib import Path
 
 ORDERS = (12, 20, 30, 50, 100)
@@ -74,6 +87,26 @@ SETS = {
 }
 
 
+def load(src: Path, name: str):
+    """The ``compderiv`` package under ``src``, imported as module ``name`` with its ``cli``.
+    Its relative imports keep its modules apart from another tree's."""
+    init = src.resolve() / "compderiv" / "__init__.py"
+    spec = util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = sys.modules[name] = util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    import_module(f"{name}.cli")
+    return package
+
+
+def _git(src: Path, *args: str) -> str | None:
+    try:
+        return subprocess.run(
+            ["git", *args], cwd=src, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def machine_facts(src: Path) -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -83,37 +116,32 @@ def machine_facts(src: Path) -> dict:
             )
     except OSError:
         pass
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=src, capture_output=True, text=True, check=True
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = None
+    status = _git(src, "status", "--porcelain")
     return {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_model": cpu,
-        "git_commit": commit,
+        "git_commit": _git(src, "rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
     }
 
 
-def subjects(n: int, phi, psi):
-    """(name, bound, call) for each thing timed at order n; bound is a skip reason or None."""
-    from compderiv import cli, lagrange_power_coefficient
-    from compderiv.series import jet_compose, jet_from_derivatives
-
-    inputs = cli._sequence_inputs(phi, psi, n, AT)
-    for name, route in cli.ROUTES.items():
+def subjects(package, n: int, drawn: list[Fraction]):
+    """(name, bound, call) for each thing timed at order n on ``package``, from
+    phi's base and n derivatives, then psi's, in ``drawn``; bound is a skip reason or None."""
+    phi, psi = (package.DerivativeSequence(d[1:], d[0]) for d in (drawn[: n + 1], drawn[n + 1 :]))
+    inputs = package.cli._sequence_inputs(phi, psi, n, AT)
+    for name, route in package.cli.ROUTES.items():
         bound = None
         if n < route.lowest_order:
             bound = f"library bound: n < {route.lowest_order}"
         elif route.highest_order and n > route.highest_order[1]:
             bound = f"library bound: n > {route.highest_order[0]} = {route.highest_order[1]}"
         yield name, bound, (lambda r=route: r.call(inputs, n))
-    jets = (jet_from_derivatives(phi, n), jet_from_derivatives(psi, n))
-    yield "jet_compose", None, lambda: jet_compose(*jets)
-    yield "lagrange_power_coefficient", None, lambda: lagrange_power_coefficient(psi, EXPONENT, n)
+    jets = (package.jet_from_derivatives(phi, n), package.jet_from_derivatives(psi, n))
+    yield "jet_compose", None, lambda: package.jet_compose(*jets)
+    yield "lagrange_power_coefficient", None, lambda: package.lagrange_power_coefficient(psi, EXPONENT, n)
 
 
 def predict(runs: list[tuple[int, float]], n: int) -> float:
@@ -133,22 +161,24 @@ def predict(runs: list[tuple[int, float]], n: int) -> float:
     return t1 * (n / n1) ** e
 
 
-def ladder(orders: list[int], calls: int, budget: float) -> tuple[list[dict], list[dict]]:
-    from compderiv import DerivativeSequence, cli
+def _plain(value):
+    """A route's Fraction, or a jet as (base, *derivs): the Records of two
+    trees are of two classes, and never compare equal."""
+    return value if isinstance(value, Fraction) else (value.base, *value.derivs)
 
-    def sequence(draw, rng, n):
-        base = draw(rng)
-        return DerivativeSequence(tuple(draw(rng) for _ in range(n)), base)
 
+def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[list[dict], list[dict]]:
+    """Every cell on ``trees``: the change's package, then the baseline's if any."""
     cells, agreement = [], []
     runs: dict[tuple[str, str], list[tuple[int, float]]] = {}  # (set, subject) -> [(n, median_s)]
     for set_name, draw in SETS.items():
         for n in orders:
             rng = random.Random(n)
-            phi = sequence(draw, rng, n)
-            psi = sequence(draw, rng, n)
+            drawn = [draw(rng) for _ in range(2 * n + 2)]
             values = {}
-            for name, bound, call in subjects(n, phi, psi):
+            for row in zip(*(subjects(package, n, drawn) for package in trees)):
+                name = row[0][0]
+                bound = next((bound for _, bound, _ in row if bound), None)
                 cell = {"subject": name, "set": set_name, "n": n}
                 cells.append(cell)
                 if not bound and (set_name, name) in runs:
@@ -159,37 +189,28 @@ def ladder(orders: list[int], calls: int, budget: float) -> tuple[list[dict], li
                 if bound:
                     cell["skip"] = bound
                     continue
-                times = []
-                for _ in range(calls):
-                    start = time.perf_counter()
-                    value = call()
-                    times.append(time.perf_counter() - start)
-                cell.update(median_s=statistics.median(times), calls=calls)
-                runs.setdefault((set_name, name), []).append((n, cell["median_s"]))
-                if name in cli.ROUTES:
-                    values[name] = value
+                times, got = [[] for _ in row], [None] * len(row)
+                for k in range(calls):  # the change first in even rounds, the baseline in odd ones
+                    for i in range(len(row))[:: -1 if k % 2 else 1]:
+                        start = time.perf_counter()
+                        got[i] = row[i][2]()
+                        times[i].append(time.perf_counter() - start)
+                medians = [statistics.median(t) for t in times]
+                cell.update(median_s=medians[0], calls=calls)
+                if len(trees) > 1:
+                    cell.update(baseline_median_s=medians[1], ratio=medians[0] / medians[1],
+                                wins=sum(a < b for a, b in zip(*times)))
+                    if len({_plain(value) for value in got}) > 1:
+                        cell["differs"] = True
+                        print(f"{name} on {set_name} at n = {n}: the trees' values differ", file=sys.stderr)
+                # The baseline's median when there is one, so the change cannot move a skip.
+                runs.setdefault((set_name, name), []).append((n, medians[-1]))
+                if name in trees[0].cli.ROUTES:
+                    values[name] = got[0]
             agreement.append(
                 {"set": set_name, "n": n, "routes": sorted(values), "agree": len(set(values.values())) <= 1}
             )
     return cells, agreement
-
-
-def compare(cells: list[dict], old_cells: list[dict]) -> list[str]:
-    """A header, then one line per cell of ``cells`` against its match in ``old_cells``."""
-    old = {(c["subject"], c["set"], c["n"]): c for c in old_cells}
-    lines = [f"{'subject':<26} {'set':<14} {'n':>3} {'new ms':>10} {'old ms':>10} {'new/old':>7}"]
-    for cell in cells:
-        head = f"{cell['subject']:<26} {cell['set']:<14} {cell['n']:>3}"
-        was = old.get((cell["subject"], cell["set"], cell["n"]))
-        if was is None:
-            lines.append(f"{head} not in the compared file")
-        elif "skip" in cell or "skip" in was:
-            side, reason = ("new", cell["skip"]) if "skip" in cell else ("old", was["skip"])
-            lines.append(f"{head} skip ({side}): {reason}")
-        else:
-            new_s, old_s = cell["median_s"], was["median_s"]
-            lines.append(f"{head} {new_s * 1e3:>10.3f} {old_s * 1e3:>10.3f} {new_s / old_s:>7.2f}")
-    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -200,18 +221,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--calls", type=int, default=3, help="calls per cell (k), default 3")
     parser.add_argument("--budget", type=float, default=10.0, help="seconds a cell may be predicted to take")
     parser.add_argument("--out", type=Path, help="JSON file to write (default: standard output)")
-    parser.add_argument(
-        "--compare", type=Path, metavar="FILE", help="an earlier report to print new/old against"
-    )
+    parser.add_argument("--baseline", type=Path, metavar="ROOT", help="a tree to time alternately against")
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be at least 1")
-    if args.compare and not args.out:
-        parser.error("--compare prints to standard output, so it needs --out for the JSON")
-    old_cells = json.loads(args.compare.read_text())["cells"] if args.compare else None
-    orders = [int(text) for text in args.orders.split(",")]
-    sys.path.insert(0, str(args.src.resolve()))
-    cells, agreement = ladder(orders, args.calls, args.budget)
+    trees = [load(args.src, "compderiv")]
+    top = trees[0].exact.MAX_ORDER
+    try:
+        orders = [int(text) for text in args.orders.split(",")]
+    except ValueError:
+        orders = []
+    if not orders or min(orders) < 1 or max(orders) > top:
+        parser.error(f"--orders takes orders from 1 to MAX_ORDER = {top}, comma-separated: {args.orders!r}")
+    if args.baseline:
+        trees.append(load(args.baseline / "src", "compderiv_baseline"))
+    cells, agreement = ladder(trees, orders, args.calls, args.budget)
     report = {
         "machine": machine_facts(args.src),
         "orders": orders,
@@ -222,14 +246,15 @@ def main(argv: list[str] | None = None) -> int:
         "cells": cells,
         "agreement": agreement,
     }
+    if args.baseline:
+        report["baseline"] = {"root": str(args.baseline), **machine_facts(args.baseline / "src")}
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    if old_cells is not None:
-        print("\n".join(compare(cells, old_cells)))
-    return 0 if all(row["agree"] for row in agreement) else 1
+    ok = all(row["agree"] for row in agreement) and not any("differs" in cell for cell in cells)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
