@@ -233,28 +233,25 @@ def main(argv: list[str] | None = None) -> int:
         orders = []
     if not orders or min(orders) < 1 or max(orders) > top:
         parser.error(f"--orders takes orders from 1 to MAX_ORDER = {top}, comma-separated: {args.orders!r}")
-    if args.baseline:
-        trees.append(load(args.baseline / "src", "compderiv_baseline"))
-    cells, agreement = ladder(trees, orders, args.calls, args.budget)
-    report = {
+    report = {  # the trees' facts as they are before the run, not after it
         "machine": machine_facts(args.src),
         "orders": orders,
         "calls": args.calls,
         "budget_s": args.budget,
         "sets": list(SETS),
         "lagrange_exponent": EXPONENT,
-        "cells": cells,
-        "agreement": agreement,
     }
     if args.baseline:
+        trees.append(load(args.baseline / "src", "compderiv_baseline"))
         report["baseline"] = {"root": str(args.baseline), **machine_facts(args.baseline / "src")}
+    report["cells"], report["agreement"] = ladder(trees, orders, args.calls, args.budget)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    ok = all(row["agree"] for row in agreement) and not any("differs" in cell for cell in cells)
-    return 0 if ok else 1
+    differ = any("differs" in cell for cell in report["cells"])
+    return 0 if all(row["agree"] for row in report["agreement"]) and not differ else 1
 
 
 if __name__ == "__main__":
