@@ -109,8 +109,9 @@ def test_the_baseline_alternates_every_cell_with_a_second_tree(tmp_path):
 def test_a_value_that_differs_between_the_trees_exits_1(tmp_path):
     shutil.copytree(ROOT / "src" / "compderiv", tmp_path / "src" / "compderiv",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "compderiv" / "cli.py", "a") as f:
-        f.write('ROUTES["bell"] = ROUTES["bell"]._replace(call=lambda i, n, c=ROUTES["bell"].call: c(i, n) + 1)\n')
+    with open(tmp_path / "src" / "compderiv" / "cli.py", "a") as f:  # the baseline's Bell adds 1
+        f.write('ROUTES["bell"] = ROUTES["bell"]._replace(\n'
+                '    call=lambda i, n, c=ROUTES["bell"].call: c(i, n) + 1)\n')
     result = subprocess.run(
         [sys.executable, str(LADDER), "--orders", "3", "--calls", "1", "--baseline", str(tmp_path),
          "--out", str(tmp_path / "ladder.json")],

@@ -34,15 +34,16 @@ a git checkout).
 ``--baseline ROOT`` times the same cells on a second tree too, e.g. a
 ``git archive`` of the parent commit, whose ``ROOT/src/compderiv`` is
 imported in the same process as ``compderiv_baseline``; its ``cli`` must
-have ``ROUTES`` and ``_sequence_inputs``.  Each tree builds its own inputs from the same
-draws.  A cell runs ``--calls`` rounds, each calling both trees, the
-change first in even rounds and the baseline first in odd ones, so a
-drift of the machine's speed falls on both alike.  The cell then also
-holds the baseline's median, ``ratio`` (the change's median over the
-baseline's) and ``wins`` (the rounds the change was faster).  A cell
-runs on both trees or on neither, and the predicted-overrun skip reads
-the baseline's medians.  Each subject's value must be the same on both
-trees: a difference is named on standard error.  The report gains a
+have ``ROUTES`` and ``_sequence_inputs``.  Each tree builds its own
+inputs from the same draws.  A cell runs ``--calls`` rounds, each
+calling both trees, the change first in even rounds and the baseline
+first in odd ones, so a drift of the machine's speed falls on both
+alike.  The cell then also holds ``baseline_median_s``, ``ratio`` (the
+change's median over the baseline's) and ``wins`` (the rounds the change
+was faster).  A cell runs on both trees or on neither, and the
+predicted-overrun skip reads the baseline's medians.  Each subject's
+value must be the same on both trees: a cell where they differ is marked
+``differs`` and named on standard error.  The report gains a
 ``baseline`` block with ROOT and its machine facts.
 
 Exit status 1 if the routes disagree or the two trees' values differ, 2 on
@@ -178,7 +179,7 @@ def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[l
             values = {}
             for row in zip(*(subjects(package, n, drawn) for package in trees)):
                 name = row[0][0]
-                bound = next((bound for _, bound, _ in row if bound), None)
+                bound = next((b for _, b, _ in row if b), None)
                 cell = {"subject": name, "set": set_name, "n": n}
                 cells.append(cell)
                 if not bound and (set_name, name) in runs:
@@ -233,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         orders = []
     if not orders or min(orders) < 1 or max(orders) > top:
         parser.error(f"--orders takes orders from 1 to MAX_ORDER = {top}, comma-separated: {args.orders!r}")
-    report = {  # the trees' facts as they are before the run, not after it
+    report = {  # facts taken before the run, so files edited while it runs do not mark it dirty
         "machine": machine_facts(args.src),
         "orders": orders,
         "calls": args.calls,
