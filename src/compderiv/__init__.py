@@ -47,7 +47,6 @@ from .symbolic import (
     ParseError,
     derivative_sequence_of,
     differentiate,
-    evaluate,
     nth_derivative_of_composition,
     parse,
     taylor_polynomial,
@@ -81,7 +80,6 @@ __all__ = [
     "ParseError",
     "parse",
     "differentiate",
-    "evaluate",
     "nth_derivative_of_composition",
     "derivative_sequence_of",
     "taylor_polynomial",

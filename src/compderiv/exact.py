@@ -63,7 +63,7 @@ MAX_LITERAL_DIGITS = 4300
 
 # Highest order any entry point accepts, a time bound on small values only: bell -n 100
 # takes 0.21-0.25 s on a 2-vCPU host and -n 200 took 1.9 s, but Bell at n = 100 on nonzero
-# 64-bit values takes about 4.5 s; no bound covers their bits yet (ROADMAP items 2 and 3).
+# 64-bit values takes about 4.5 s; no bound covers their bits yet (ROADMAP item 4).
 MAX_ORDER = 100
 
 # Largest |m| of a power x**m: the largest exponent after '^' in an expression

@@ -29,7 +29,7 @@ __all__ = [
 
 # Highest order the partition sum and the walk accept, a time bound on small values
 # only: the sum over p(60) = 966,467 partitions takes 0.63-0.71 s on a 2-vCPU host, but
-# 19.5 s on nonzero 64-bit JSON values (ROADMAP items 2 and 3); ``expand`` prints them
+# 19.5 s on nonzero 64-bit JSON values (ROADMAP items 4 and 5); ``expand`` prints them
 # in about 26 s; p(100) is about 1.9e8 and would take many minutes.
 MAX_PARTITION_ORDER = 60
 

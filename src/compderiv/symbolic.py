@@ -8,12 +8,13 @@ into integer coefficients over one common denominator cut after order n.
 ``MAX_VALUE_BITS``.
 
 ``differentiate`` applies the ordinary sum, product and power rules to the
-AST with constant folding only, and ``evaluate`` computes a value at a
-point on unreduced integer pairs, whose size ``check_size`` bounds: it
-reduces only each power's base and the one ``Fraction`` it builds at the
-root.  ``derivative_sequence_of`` turns an expression into its derivative
-sequence by calling ``differentiate`` once per order and evaluating the
-nodes each call adds to its memo: each node is listed, differentiated and
+AST with constant folding only.  ``derivative_sequence_of`` turns an
+expression into its value at a point and its derivative sequence there
+(the value alone is ``derivative_sequence_of(e, at, n).base``) by calling
+``differentiate`` once per order and evaluating the nodes each call adds
+to its memo, on unreduced integer pairs whose size ``check_size`` bounds:
+the evaluator reduces only each power's base and the one ``Fraction`` it
+builds per tree, at the root.  Each node is listed, differentiated and
 evaluated once, and the trees D^k share their nodes.  A ``differentiate``
 call builds no node it throws away: its leaf derivatives are one
 module-level zero and one one ``Constant``, a zero or one operand folds
@@ -71,7 +72,6 @@ __all__ = [
     "ParseError",
     "parse",
     "differentiate",
-    "evaluate",
     "check_size",
     "nth_derivative_of_composition",
     "derivative_sequence_of",
@@ -83,7 +83,7 @@ MAX_DEPTH = 256
 _TOKEN = re.compile(r"\s*([0-9]+|\S)")
 # Most bits ``check_size`` lets a value at the point have, a time bound at n = 100 only:
 # x^2000 at a 19-digit point takes 2.6 s under ``derive --method all -n 100`` (5.9 s at
-# 2**18), but inside it the partition route took 177 s at n = 60 (ROADMAP items 2 and 3).
+# 2**18), but inside it the partition route took 177 s at n = 60 (ROADMAP item 4).
 MAX_VALUE_BITS = 2**17
 
 
@@ -453,26 +453,19 @@ def differentiate(e: Expr, memo: dict[Expr, Expr] | None = None) -> Expr:
     return done[e]
 
 
-def evaluate(e: Expr, at: Fraction | int | str) -> Fraction:
-    """Exact value of the expression at a rational point.
+def _evaluate_nodes(
+    nodes: Iterable[Expr], variable: tuple[int, int], done: dict[Expr, tuple[int, int]]
+) -> None:
+    """The evaluator: ``done[node]`` for each node, its children already in ``done``.
 
     Each node's value is an unreduced ``(numerator, denominator)`` integer
     pair with a positive denominator: a sum is the two numerators over the
     lcm of the two denominators, a product the plain products, and a sum or
     product that is zero is ``(0, 1)``.  A power's base loses its gcd once,
-    before it is raised.  The one ``Fraction`` built at the root does the
-    only other reduction.  ``check_size`` bounds the bits of these pairs.
+    before it is raised.  The caller's one ``Fraction`` per tree, at its
+    root, does the only other reduction.  ``check_size`` bounds the bits of
+    these pairs.
     """
-    point = as_rational(at)
-    done: dict[Expr, tuple[int, int]] = {}
-    _evaluate_nodes(_new_nodes(e, done), (point.numerator, point.denominator), done)
-    return Fraction(*done[e])
-
-
-def _evaluate_nodes(
-    nodes: Iterable[Expr], variable: tuple[int, int], done: dict[Expr, tuple[int, int]]
-) -> None:
-    """``evaluate``'s loop: ``done[node]`` for each node, its children already in ``done``."""
     gcd, lcm = math.gcd, math.lcm
     for node in nodes:
         kind = type(node)
@@ -544,7 +537,7 @@ def check_size(phi: Expr, psi: Expr, at: Fraction | int | str) -> None:
     constant's own, a sum's terms' total plus 1, a product's total (so a
     negation, a product by -1, adds 1), a power's e times its base's (e = 0
     counting as 1).  These are also the most bits of the unreduced pair
-    that ``evaluate`` keeps for the node.
+    that the evaluator, ``_evaluate_nodes``, keeps for the node.
     """
 
     def heights(e: Expr, variable: int) -> int:

@@ -18,8 +18,8 @@ inner series on integers).  None of the four reads a helper its route reads:
 they keep their own factorials, lcm and gcd, so a fault in a helper such
 as ``exact.scaled`` or ``partitions.pair_divisor`` moves the route alone.
 ``evaluate_on_fractions`` walks a symbolic expression as a plain tree on
-``Fraction`` arithmetic, where ``symbolic.evaluate`` folds reduced integer
-pairs once per distinct node.
+``Fraction`` arithmetic, where ``symbolic.derivative_sequence_of`` folds
+unreduced integer pairs once per distinct node.
 ``matrix_entry`` is no oracle: it reads a built determinant matrix back in
 the paper's layout, for the matrix tests and the acceptance 3x3 check.
 """

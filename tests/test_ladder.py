@@ -13,6 +13,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 LADDER = ROOT / "tools" / "ladder.py"
 MACHINE = {"nproc", "python", "platform", "cpu_model", "git_commit", "git_dirty"}
+DETERMINANT_BOUND = (
+    "library bound: determinant route needs order >= 2, got 1; "
+    "use the partition route for the first derivative"
+)
+
+
+def _baseline(tmp_path: Path, module: str, text: str) -> Path:
+    """A copy of this tree's ``src/compderiv`` under ``tmp_path``, ``text`` appended to ``module``."""
+    shutil.copytree(ROOT / "src" / "compderiv", tmp_path / "src" / "compderiv",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "compderiv" / module, "a") as f:
+        f.write(text)
+    return tmp_path
+
+
+def _ladder(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(LADDER), *argv], capture_output=True, text=True)
 
 
 def _load_ladder():
@@ -51,17 +68,18 @@ def test_the_ladder_writes_every_cell_at_two_low_orders(tmp_path):
 
 def test_the_ladder_marks_a_library_bound_and_a_predicted_overrun(tmp_path):
     out = tmp_path / "ladder.json"
-    # The partition route stops at MAX_PARTITION_ORDER = 60, the determinant
-    # starts at order 2, and a zero budget skips every cell after the first one
-    # run in its row.
+    # The determinant starts at order 2, and its first call says so.  A zero
+    # budget skips every cell after the first one run in its row, before any
+    # call, so the partition route at 61, past MAX_PARTITION_ORDER = 60, is
+    # predicted too.
     subprocess.run(
         [sys.executable, str(LADDER), "--orders", "1,2,61", "--calls", "1", "--budget", "0",
          "--out", str(out)],
         check=True,
     )
     cells = {(c["subject"], c["set"], c["n"]): c for c in json.loads(out.read_text())["cells"]}
-    assert cells["determinant", "small", 1]["skip"] == "library bound: n < 2"
-    assert cells["partition", "small", 61]["skip"] == "library bound: n > MAX_PARTITION_ORDER = 60"
+    assert cells["determinant", "small", 1]["skip"] == DETERMINANT_BOUND
+    assert cells["partition", "small", 61]["skip"].startswith("predicted ")
     assert cells["series", "small", 61]["skip"].startswith("predicted ")
     assert "median_s" in cells["series", "small", 1]
 
@@ -107,16 +125,11 @@ def test_the_baseline_alternates_every_cell_with_a_second_tree(tmp_path):
 
 
 def test_a_value_that_differs_between_the_trees_exits_1(tmp_path):
-    shutil.copytree(ROOT / "src" / "compderiv", tmp_path / "src" / "compderiv",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "compderiv" / "cli.py", "a") as f:  # the baseline's Bell adds 1
-        f.write('ROUTES["bell"] = ROUTES["bell"]._replace(\n'
-                '    call=lambda i, n, c=ROUTES["bell"].call: c(i, n) + 1)\n')
-    result = subprocess.run(
-        [sys.executable, str(LADDER), "--orders", "3", "--calls", "1", "--baseline", str(tmp_path),
-         "--out", str(tmp_path / "ladder.json")],
-        capture_output=True, text=True,
-    )
+    _baseline(tmp_path, "cli.py",  # the baseline's Bell adds 1
+              'ROUTES["bell"] = ROUTES["bell"]._replace(\n'
+              '    call=lambda i, n, c=ROUTES["bell"].call: c(i, n) + 1)\n')
+    result = _ladder("--orders", "3", "--calls", "1", "--baseline", str(tmp_path),
+                     "--out", str(tmp_path / "ladder.json"))
     assert result.returncode == 1
     assert result.stderr.splitlines() == [
         f"bell on {s} at n = 3: the trees' values differ" for s in ("small", "64-bit", "64-bit-nonzero")
@@ -135,3 +148,50 @@ def test_bad_orders_are_an_argument_error(orders):
         result.stderr
     )
     assert "Traceback" not in result.stderr
+
+
+def test_a_baseline_whose_routes_hold_only_a_call_runs(tmp_path):
+    # The ladder reads each route's call and nothing else, so a baseline
+    # whose route table has another shape still runs; the library's own
+    # check skips the determinant at n = 1 on both trees.
+    _baseline(tmp_path, "cli.py",
+              'ROUTES = {name: NamedTuple("_Call", [("call", Callable)])(route.call)\n'
+              '          for name, route in ROUTES.items()}\n')
+    result = _ladder("--orders", "1,3", "--calls", "1", "--baseline", str(tmp_path),
+                     "--out", str(tmp_path / "ladder.json"))
+    assert result.returncode == 0, result.stderr
+    cells = json.loads((tmp_path / "ladder.json").read_text())["cells"]
+    assert not any("differs" in c for c in cells)
+    assert {(c["subject"], c["n"], c["skip"]) for c in cells if "skip" in c} == {
+        ("determinant", 1, DETERMINANT_BOUND)
+    }
+
+
+def test_a_library_bound_on_either_tree_skips_the_cell_on_both(tmp_path):
+    # Only the baseline stops the partition sum at order 2; the change's
+    # first call succeeds, and the cell still runs on neither tree.
+    _baseline(tmp_path, "partitions.py", "MAX_PARTITION_ORDER = 2\n")
+    result = _ladder("--orders", "3", "--calls", "1", "--baseline", str(tmp_path),
+                     "--out", str(tmp_path / "ladder.json"))
+    assert result.returncode == 0, result.stderr
+    cells = json.loads((tmp_path / "ladder.json").read_text())["cells"]
+    skipped = [c for c in cells if "skip" in c]
+    assert [c["subject"] for c in skipped] == ["partition"] * 3
+    for cell in skipped:
+        assert cell["skip"] == "library bound: partition order 3 > MAX_PARTITION_ORDER = 2"
+        assert "median_s" not in cell and "baseline_median_s" not in cell
+    assert all("median_s" in c and "differs" not in c for c in cells if "skip" not in c)
+
+
+@pytest.mark.parametrize("missing", ["src/compderiv/__init__.py", "_sequence_inputs"])
+def test_an_unloadable_baseline_is_an_argument_error(tmp_path, missing):
+    if missing == "_sequence_inputs":
+        root = _baseline(tmp_path, "cli.py", "del _sequence_inputs\n")
+        message = "its cli has no _sequence_inputs"
+    else:
+        root = tmp_path / "missing"
+        message = "no src/compderiv/__init__.py under it"
+    result = _ladder("--orders", "3", "--baseline", str(root))
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1] == f"ladder.py: error: --baseline {root}: {message}"
+    assert "Traceback" not in result.stderr and result.stdout == ""

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = ROOT / "tools" / "pairs.py"
 
 # A stand-in for bench/run.py: it checks that it may read no cached bytecode,
 # appends "<tree> <seed>" to ../calls.log and prints a summary line, then the
@@ -35,9 +37,13 @@ STUB = textwrap.dedent("""
 
 def _tree(root: Path, name: str, walls: list[float], rss: float | list[float],
           ops: float | list[float] = 100.0, **extra) -> Path:
+    # Each tree holds this tool and BENCHMARK.json, to run as the change.
     tree = root / name
     (tree / "bench").mkdir(parents=True)
     (tree / "bench" / "run.py").write_text(STUB)
+    (tree / "tools").mkdir()
+    shutil.copy(PAIRS, tree / "tools" / "pairs.py")
+    shutil.copy(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
     result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
         "wall_s": {"value": walls, "unit": "s"},
         "ops_per_s": {"value": ops, "unit": "1/s"},
@@ -49,7 +55,7 @@ def _tree(root: Path, name: str, walls: list[float], rss: float | list[float],
 
 
 def _pairs(change: Path, baseline: Path, *more: str) -> subprocess.CompletedProcess:
-    argv = [sys.executable, str(PAIRS), "--tree", str(change), "--baseline", str(baseline),
+    argv = [sys.executable, str(change / "tools" / "pairs.py"), "--baseline", str(baseline),
             "--workload", "expr_derive", "--seconds", "2", *more]
     return subprocess.run(argv, capture_output=True, text=True)
 
@@ -119,3 +125,14 @@ def test_a_run_that_fails_or_reports_a_wrong_value_exits_1(tmp_path):
     assert (tmp_path / "calls.log").read_text().split("\n")[:-1] == [
         "good 1", "wrong 1", "crashed 1", "good 1", "silent 1"
     ]
+
+
+def test_a_missing_baseline_is_an_argument_error_before_any_run(tmp_path):
+    change = _tree(tmp_path, "change", [1.0], rss=24.0)
+    proc = _pairs(change, tmp_path / "missing", "--pairs", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"pairs.py: error: --baseline {tmp_path / 'missing'}: no bench/run.py under it"
+    )
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "calls.log").exists()

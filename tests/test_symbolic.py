@@ -26,7 +26,6 @@ from compderiv.symbolic import (
     check_size,
     derivative_sequence_of,
     differentiate,
-    evaluate,
     nth_derivative_of_composition,
     parse,
     taylor_polynomial,
@@ -35,6 +34,11 @@ from oracles import evaluate_on_fractions, random_rational, random_sequence
 
 X = Variable("x")
 Y = Variable("y")
+
+
+def _value(e, at):
+    """The evaluator's value of ``e`` at ``at``, read as a derivative sequence's base."""
+    return derivative_sequence_of(e, at, 1).base
 
 
 # --- parsing -----------------------------------------------------------------------
@@ -73,7 +77,7 @@ def test_parse_negative_exponent_rejected():
 
 @pytest.mark.parametrize("exponent", [True, False, 2.0, Fraction(2), "2", None])
 def test_pow_rejects_an_exponent_that_is_not_an_int(exponent):
-    # As in PhiPolynomial: True is not read as x^1, nor 2.0 left to fail in evaluate.
+    # As in PhiPolynomial: True is not read as x^1, nor 2.0 left to fail in the evaluator.
     with pytest.raises(TypeError) as info:
         Pow(X, exponent)
     assert str(info.value) == f"Pow exponent must be an int: {exponent!r}"
@@ -242,11 +246,11 @@ def test_no_recursion_and_no_interpreter_state_changes():
     set_limit(len(inspect.stack(0)) + 100)
     sys.setrecursionlimit = refuse
     try:
-        assert evaluate(parse("(" * 256 + "x + 1" + ")" * 256), 2) == 3
+        assert _value(parse("(" * 256 + "x + 1" + ")" * 256), 2) == 3
         terms = 3000
         total = parse("+".join(["x"] * terms))
-        assert evaluate(total, Fraction(1, 3)) == 1000
-        assert evaluate(differentiate(total), 5) == terms
+        assert _value(total, Fraction(1, 3)) == 1000
+        assert _value(differentiate(total), 5) == terms
         again = parse("+".join(["x"] * terms))
         assert repr(again) == repr(total)
         assert repr(parse("+".join(["2"] + ["x"] * (terms - 1)))) != repr(total)
@@ -347,7 +351,7 @@ def test_term_by_term_example_evaluates_like_its_closed_form():
     derivative = differentiate(parse("3/2*x^4 - x + 5"))
     closed_form = parse("6*x^3 - 1")
     for point in [Fraction(0), Fraction(2), Fraction(-1, 3), Fraction(7, 5)]:
-        assert evaluate(derivative, point) == evaluate(closed_form, point)
+        assert _value(derivative, point) == _value(closed_form, point)
 
 
 def test_differentiate_is_additive_at_random_points():
@@ -359,33 +363,33 @@ def test_differentiate_is_additive_at_random_points():
         separate = Add(differentiate(left), differentiate(right))
         for _ in range(10):
             point = random_rational(rng)
-            assert evaluate(both, point) == evaluate(separate, point)
+            assert _value(both, point) == _value(separate, point)
 
 
 def test_differentiate_neg_and_product():
     e = parse("x*(x + 2)")
     # product rule: 1*(x+2) + x*1 evaluates to 2x + 2
     for point in [Fraction(0), Fraction(3), Fraction(-5, 2)]:
-        assert evaluate(differentiate(e), point) == 2 * point + 2
+        assert _value(differentiate(e), point) == 2 * point + 2
 
 
 # --- evaluation ----------------------------------------------------------------------
 
 def test_evaluate_square_at_three_halves():
-    assert evaluate(parse("x^2"), Fraction(3, 2)) == Fraction(9, 4)
+    assert _value(parse("x^2"), Fraction(3, 2)) == Fraction(9, 4)
 
 
 def test_evaluate_at_zero_gives_constant_term():
-    assert evaluate(parse("x^3 - 4*x + 9"), 0) == 9
+    assert _value(parse("x^3 - 4*x + 9"), 0) == 9
 
 
 def test_evaluate_cubic():
-    assert evaluate(parse("6*x^3 - 1"), 2) == 47
+    assert _value(parse("6*x^3 - 1"), 2) == 47
 
 
 def test_evaluate_rejects_a_value_that_is_not_a_node():
     with pytest.raises(TypeError, match="not an expression node: 3"):
-        evaluate(3, 1)
+        _value(3, 1)
 
 
 # --- composition -------------------------------------------------------------------
@@ -529,8 +533,8 @@ def _fresh_derivative_trees(e, n):
 
 def _sequence_by_fresh_folds(e, at, n):
     """The derivative sequence with no memo across orders or calls."""
-    derivs = tuple(evaluate(tree, at) for tree in _fresh_derivative_trees(e, n))
-    return DerivativeSequence(derivs=derivs, base=evaluate(e, at))
+    derivs = tuple(_value(tree, at) for tree in _fresh_derivative_trees(e, n))
+    return DerivativeSequence(derivs=derivs, base=_value(e, at))
 
 
 @st.composite
@@ -566,7 +570,7 @@ def test_sequence_matches_a_memo_free_loop(expression, at, data):
 
 @given(_shared_expressions(), _shared_expressions(), st.fractions(max_denominator=99))
 def test_value_size_bounds_the_value(phi, psi, at):
-    value = evaluate(phi[0], evaluate(psi[0], at))
+    value = _value(phi[0], _value(psi[0], at))
     height = max(value.numerator.bit_length(), value.denominator.bit_length())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(symbolic, "MAX_VALUE_BITS", height - 1)
@@ -610,17 +614,15 @@ def _random_shared_expression(rng, max_degree=8):
     "at", [Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(-1234567890123456789, 1000000007)]
 )
 def test_the_pair_fold_equals_a_fraction_tree_walk(at):
-    # evaluate walks unreduced integer pairs; the oracle adds and multiplies
+    # The evaluator walks unreduced integer pairs; the oracle adds and multiplies
     # Fractions along every path of the tree, with no memo.  Constants over
     # 1..4 make sums whose denominators share a factor without being equal.
     rng = random.Random(3700)
     for _ in range(300):
         e, degree = _random_shared_expression(rng)
-        value = evaluate(e, at)
-        assert value == evaluate_on_fractions(e, at) and _is_reduced(value)
         n = rng.randint(1, degree + 2)  # past the degree: trailing zeros
         seq = derivative_sequence_of(e, at, n)
-        assert _is_reduced(seq.base) and seq.base == value
+        assert seq.base == evaluate_on_fractions(e, at) and _is_reduced(seq.base)
         trees = _fresh_derivative_trees(e, n)
         assert seq.derivs == tuple(evaluate_on_fractions(tree, at) for tree in trees)
         assert all(_is_reduced(d) for d in seq.derivs)
@@ -635,7 +637,7 @@ def test_the_pair_fold_equals_a_fraction_tree_walk(at):
     ],
 )
 def test_unreduced_pairs_reduce_to_the_fraction_tree_walk(text, at):
-    # evaluate keeps sums and products unreduced and reduces a power's base
+    # The evaluator keeps sums and products unreduced and reduces a power's base
     # and the root; these are the cases where a missing reduction would show.
     e = parse(text)
     seq = derivative_sequence_of(e, at, 6)
@@ -687,7 +689,7 @@ def _distinct_nodes(roots):
 def test_sequence_lists_each_node_once(monkeypatch, text, n):
     # differentiate, called through the module attribute that the bench
     # counts, lists D^(k-1)'s new nodes; the sequence evaluates those very
-    # nodes, so only D^n is listed again, by evaluate.
+    # nodes, so only D^n is listed again, for its own value.
     listings, trees = [], []
     new_nodes, differentiate_ = symbolic._new_nodes, symbolic.differentiate
 
@@ -746,5 +748,5 @@ def test_taylor_polynomial_reproduces_sequence(n):
 def test_taylor_polynomial_without_base_uses_zero():
     seq = DerivativeSequence(derivs=(Fraction(3),))
     poly = taylor_polynomial(seq, 0)
-    assert evaluate(poly, 0) == 0
-    assert evaluate(poly, 2) == 6
+    assert _value(poly, 0) == 0
+    assert _value(poly, 2) == 6

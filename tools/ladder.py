@@ -1,12 +1,13 @@
 """Time every route, and the jet and power layers, up a ladder of orders.
 
     python3 tools/ladder.py --out BENCH_31.json
-    python3 tools/ladder.py --src ../other-checkout/src --orders 12,20 --calls 5
+    python3 tools/ladder.py --orders 12,20 --calls 5
     python3 tools/ladder.py --baseline ../parent --out BENCH.json
 
-Stdlib only.  Imports ``compderiv`` from ``--src`` (default: this
-checkout's ``src``) and times, at each order n of ``--orders`` (1 to the
-tree's ``exact.MAX_ORDER``) and on each input set below:
+Stdlib only.  Imports ``compderiv`` from the ``src`` of the checkout that
+holds this script (to time another checkout, run that checkout's own
+``tools/ladder.py``) and times, at each order n of ``--orders`` (1 to
+the tree's ``exact.MAX_ORDER``) and on each input set below:
 - every ``cli.ROUTES`` entry, through the table's own call, on the
   inputs ``check`` builds from its draws: the symbolic route reads the
   Taylor polynomials of the same sequences, psi's about 1/3 and phi's
@@ -21,20 +22,29 @@ derivatives, phi before psi):
 - ``64-bit-nonzero``: the same with no zeros.
 
 Each cell is the median wall time of ``--calls`` calls, with that count.
-A cell not run holds a skip marker with its reason: an order outside a
-route's library bounds, or a time predicted above ``--budget`` seconds
-from the cells run before it in that row (``predict``).  The budget bounds
-the prediction, not the time a cell takes.
+A cell not run holds a skip marker with its reason.  A time predicted
+above ``--budget`` seconds from the cells run before it in that row
+(``predict``) skips the cell before any call.  Otherwise a ``ValueError``
+from the cell's first call on either tree, the library's own check of its
+inputs (the partition sum above ``MAX_PARTITION_ORDER``, the determinant
+below order 2), marks it ``library bound: <message>``, and the cell runs
+on neither tree; any other exception ends the run.  The budget bounds the
+prediction, not the time a cell takes, and the prediction is its only
+time guard on an order the library admits: the first cell of a row runs
+whatever it costs.  A change that lifts a library bound must keep a skip
+of its own here for the orders it opens.
 Route values at each (set, n) are compared, and ``agree`` records
 whether all routes that ran gave the same value.  The JSON also holds
-the machine facts, ``git rev-parse HEAD`` of the ``--src`` checkout and
+the machine facts, ``git rev-parse HEAD`` of this checkout and
 whether ``git status --porcelain`` lists any change there (null outside
 a git checkout).
 
 ``--baseline ROOT`` times the same cells on a second tree too, e.g. a
 ``git archive`` of the parent commit, whose ``ROOT/src/compderiv`` is
-imported in the same process as ``compderiv_baseline``; its ``cli`` must
-have ``ROUTES`` and ``_sequence_inputs``.  Each tree builds its own
+imported in the same process as ``compderiv_baseline``.  Its ``cli``
+must have ``_sequence_inputs`` and ``ROUTES``, of whose entries only
+``call`` is read; a ROOT without ``src/compderiv/__init__.py`` or such a
+``cli`` is an argument error, before any cell.  Each tree builds its own
 inputs from the same draws.  A cell runs ``--calls`` rounds, each
 calling both trees, the change first in even rounds and the baseline
 first in odd ones, so a drift of the machine's speed falls on both
@@ -47,7 +57,7 @@ value must be the same on both trees: a cell where they differ is marked
 ``baseline`` block with ROOT and its machine facts.
 
 Exit status 1 if the routes disagree or the two trees' values differ, 2 on
-a bad option, 0 otherwise.
+a bad option or a baseline that cannot be loaded, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ from fractions import Fraction
 from importlib import import_module, util
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 ORDERS = (12, 20, 30, 50, 100)
 EXPONENT = 5  # lagrange_power_coefficient's m
 AT = Fraction(1, 3)  # the symbolic route's expansion point for psi
@@ -129,20 +140,15 @@ def machine_facts(src: Path) -> dict:
 
 
 def subjects(package, n: int, drawn: list[Fraction]):
-    """(name, bound, call) for each thing timed at order n on ``package``, from
-    phi's base and n derivatives, then psi's, in ``drawn``; bound is a skip reason or None."""
+    """(name, call) for each thing timed at order n on ``package``, from
+    phi's base and n derivatives, then psi's, in ``drawn``."""
     phi, psi = (package.DerivativeSequence(d[1:], d[0]) for d in (drawn[: n + 1], drawn[n + 1 :]))
     inputs = package.cli._sequence_inputs(phi, psi, n, AT)
     for name, route in package.cli.ROUTES.items():
-        bound = None
-        if n < route.lowest_order:
-            bound = f"library bound: n < {route.lowest_order}"
-        elif route.highest_order and n > route.highest_order[1]:
-            bound = f"library bound: n > {route.highest_order[0]} = {route.highest_order[1]}"
-        yield name, bound, (lambda r=route: r.call(inputs, n))
+        yield name, (lambda call=route.call: call(inputs, n))
     jets = (package.jet_from_derivatives(phi, n), package.jet_from_derivatives(psi, n))
-    yield "jet_compose", None, lambda: package.jet_compose(*jets)
-    yield "lagrange_power_coefficient", None, lambda: package.lagrange_power_coefficient(psi, EXPONENT, n)
+    yield "jet_compose", lambda: package.jet_compose(*jets)
+    yield "lagrange_power_coefficient", lambda: package.lagrange_power_coefficient(psi, EXPONENT, n)
 
 
 def predict(runs: list[tuple[int, float]], n: int) -> float:
@@ -179,23 +185,26 @@ def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[l
             values = {}
             for row in zip(*(subjects(package, n, drawn) for package in trees)):
                 name = row[0][0]
-                bound = next((b for _, b, _ in row if b), None)
                 cell = {"subject": name, "set": set_name, "n": n}
                 cells.append(cell)
-                if not bound and (set_name, name) in runs:
+                if (set_name, name) in runs:
                     predicted = predict(runs[set_name, name], n)
                     if predicted > budget:
                         m = runs[set_name, name][-1][0]
-                        bound = f"predicted {predicted:.3g} s > budget {budget:g} s from n = {m}"
-                if bound:
-                    cell["skip"] = bound
-                    continue
+                        cell["skip"] = f"predicted {predicted:.3g} s > budget {budget:g} s from n = {m}"
+                        continue
                 times, got = [[] for _ in row], [None] * len(row)
-                for k in range(calls):  # the change first in even rounds, the baseline in odd ones
-                    for i in range(len(row))[:: -1 if k % 2 else 1]:
-                        start = time.perf_counter()
-                        got[i] = row[i][2]()
-                        times[i].append(time.perf_counter() - start)
+                try:
+                    for k in range(calls):  # the change first in even rounds, the baseline in odd ones
+                        for i in range(len(row))[:: -1 if k % 2 else 1]:
+                            start = time.perf_counter()
+                            got[i] = row[i][1]()
+                            times[i].append(time.perf_counter() - start)
+                except ValueError as exc:
+                    if sum(map(len, times)) >= len(row):  # past each tree's first call
+                        raise
+                    cell["skip"] = f"library bound: {exc}"
+                    continue
                 medians = [statistics.median(t) for t in times]
                 cell.update(median_s=medians[0], calls=calls)
                 if len(trees) > 1:
@@ -216,8 +225,6 @@ def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[l
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    here = Path(__file__).resolve().parent.parent
-    parser.add_argument("--src", type=Path, default=here / "src", help="the src directory to import")
     parser.add_argument("--orders", default=",".join(map(str, ORDERS)), help="comma-separated orders")
     parser.add_argument("--calls", type=int, default=3, help="calls per cell (k), default 3")
     parser.add_argument("--budget", type=float, default=10.0, help="seconds a cell may be predicted to take")
@@ -226,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be at least 1")
-    trees = [load(args.src, "compderiv")]
+    trees = [load(SRC, "compderiv")]
     top = trees[0].exact.MAX_ORDER
     try:
         orders = [int(text) for text in args.orders.split(",")]
@@ -235,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     if not orders or min(orders) < 1 or max(orders) > top:
         parser.error(f"--orders takes orders from 1 to MAX_ORDER = {top}, comma-separated: {args.orders!r}")
     report = {  # facts taken before the run, so files edited while it runs do not mark it dirty
-        "machine": machine_facts(args.src),
+        "machine": machine_facts(SRC),
         "orders": orders,
         "calls": args.calls,
         "budget_s": args.budget,
@@ -243,7 +250,12 @@ def main(argv: list[str] | None = None) -> int:
         "lagrange_exponent": EXPONENT,
     }
     if args.baseline:
+        if not (args.baseline / "src" / "compderiv" / "__init__.py").is_file():
+            parser.error(f"--baseline {args.baseline}: no src/compderiv/__init__.py under it")
         trees.append(load(args.baseline / "src", "compderiv_baseline"))
+        missing = [name for name in ("ROUTES", "_sequence_inputs") if not hasattr(trees[1].cli, name)]
+        if missing:
+            parser.error(f"--baseline {args.baseline}: its cli has no {' or '.join(missing)}")
         report["baseline"] = {"root": str(args.baseline), **machine_facts(args.baseline / "src")}
     report["cells"], report["agreement"] = ladder(trees, orders, args.calls, args.budget)
     text = json.dumps(report, indent=1) + "\n"

@@ -8,8 +8,10 @@ Stdlib only.  Each pair runs
     bench/run.py --workload W --seconds S --seed K --trace 0
 
 once in each tree, from that tree's root and with that tree's own
-``bench/run.py``: the change (``--tree``, default this checkout) and the
-baseline (``--baseline``, e.g. a ``git archive`` of the parent commit).
+``bench/run.py``: the change (the checkout that holds this script; to
+time another checkout, run that checkout's own ``tools/pairs.py``) and
+the baseline (``--baseline ROOT``, e.g. a ``git archive`` of the parent
+commit), which must hold ``bench/run.py``.
 Pair i uses seed ``--seed`` + i on both sides.  The order alternates:
 the change runs first in even pairs (AB) and the baseline first in odd ones
 (BA), so a drift of the machine's speed falls on both sides alike.
@@ -34,7 +36,8 @@ by more than its bound, as a fraction of the baseline median.
 
 Exit status 1 if a run fails (no result line, or an exit status other than
 0 or 1) or does not report ``"correct": true``, after printing that run's command
-and the end of its standard error; 0 otherwise, bounds crossed or not.
+and the end of its standard error; 2 on a bad option or a baseline with no
+``bench/run.py``, before any run; 0 otherwise, bounds crossed or not.
 """
 
 from __future__ import annotations
@@ -125,8 +128,7 @@ def summarize(change: list[dict[str, float]], baseline: list[dict[str, float]],
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--baseline", type=Path, required=True, help="root of the baseline tree")
-    parser.add_argument("--tree", type=Path, default=ROOT, help="root of the changed tree (default: this checkout)")
+    parser.add_argument("--baseline", type=Path, metavar="ROOT", required=True, help="root of the baseline tree")
     parser.add_argument("--workload", required=True, help="a bench workload, or all")
     parser.add_argument("--pairs", type=int, default=10, help="alternated pairs to run, default 10")
     parser.add_argument("--seconds", type=int, default=20, help="bench/run.py --seconds, default 20")
@@ -134,7 +136,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    trees = {"change": args.tree.resolve(), "baseline": args.baseline.resolve()}
+    if not (args.baseline / "bench" / "run.py").is_file():
+        parser.error(f"--baseline {args.baseline}: no bench/run.py under it")
+    trees = {"change": ROOT, "baseline": args.baseline.resolve()}
     runs: dict[str, list[dict[str, float]]] = {"change": [], "baseline": []}
     with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as pycache:
         for i in range(args.pairs):
