@@ -622,20 +622,16 @@ def derivative_sequence_of(
 def taylor_polynomial(seq: DerivativeSequence, at: Fraction | int | str) -> Expr:
     """A polynomial whose derivatives at ``at`` reproduce ``seq`` exactly.
 
-    Inverse of ``derivative_sequence_of`` up to the sequence length:
-    sum of d_k/k! * (y - at)**k, built in Horner form so later dense
-    expansion stays cheap.  A missing base value contributes 0.  Each d_k/k!
-    is one ``Fraction`` of its own, d_k's numerator over its denominator
-    times a running factorial, from no helper that a closed route reads.
+    The sum of d_k/k! * s**k over shared powers s**k = ``Mul(s**(k-1), s)``, s = y - at.
+    s expands with an exact 0 constant term, so s**(k-1) leads with k - 1 zeros, which
+    ``convolve`` skips in its left operand; Horner form multiplies at full width.  A
+    missing base value is 0.  d_k/k! is d_k's numerator over its denominator times a
+    running factorial, from no helper that a closed route reads.
     """
-    point = as_rational(at)
-    shift = _add(Variable("y"), Constant(-point))
-    coefficients = [seq.base or 0]
-    factorial = 1
+    shift = _add(Variable("y"), Constant(-as_rational(at)))
+    node, power, factorial = Constant(seq.base or 0), _ONE, 1
     for k, d in enumerate(seq.derivs, 1):
         factorial *= k
-        coefficients.append(Fraction(d.numerator, d.denominator * factorial))
-    node: Expr = Constant(coefficients[-1])
-    for c in reversed(coefficients[:-1]):
-        node = _add(Constant(c), _mul(shift, node))
+        power = _mul(power, shift)
+        node = _add(node, _mul(Constant(Fraction(d.numerator, d.denominator * factorial)), power))
     return node

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -119,6 +120,10 @@ def test_the_baseline_alternates_every_cell_with_a_second_tree(tmp_path):
     for cell in report["cells"]:
         assert {"median_s", "baseline_median_s", "ratio", "wins"} <= set(cell)
         assert cell["calls"] == 2 and 0 <= cell["wins"] <= 2
+        for side in ("", "baseline_"):
+            assert len(cell[f"{side}times_s"]) == 2
+            assert cell[f"{side}median_s"] == statistics.median(cell[f"{side}times_s"])
+        assert cell["wins"] == sum(a < b for a, b in zip(cell["times_s"], cell["baseline_times_s"]))
         assert cell["ratio"] == pytest.approx(cell["median_s"] / cell["baseline_median_s"])
         assert "differs" not in cell
     assert all(row["agree"] for row in report["agreement"])
@@ -136,6 +141,72 @@ def test_a_value_that_differs_between_the_trees_exits_1(tmp_path):
     ]
     cells = json.loads((tmp_path / "ladder.json").read_text())["cells"]
     assert {c["subject"] for c in cells if c.get("differs")} == {"bell"}
+
+
+def test_a_baseline_with_its_routes_reversed_pairs_each_route_with_itself():
+    # Both trees are this checkout's src, the baseline's route table reversed.
+    # Each call is logged with its tree, name and value: every cell must call
+    # the same route on both trees, and get the same value from each.
+    ladder = _load_ladder()
+    names = ("ladder_change", "ladder_reversed")
+    log = []
+
+    def logged(tree, name, call):
+        def run(inputs, n):
+            value = call(inputs, n)
+            log.append((tree, name, value))
+            return value
+        return run
+
+    try:
+        trees = [ladder.load(ROOT / "src", name) for name in names]
+        for tree, package in zip(names, trees):
+            routes = package.cli.ROUTES.items()
+            if tree == "ladder_reversed":
+                routes = reversed(routes)
+            package.cli.ROUTES = {
+                name: route._replace(call=logged(tree, name, route.call)) for name, route in routes
+            }
+        cells, agreement = ladder.ladder(trees, [3], 2, 10.0)
+    finally:
+        for module in [m for m in sys.modules if m.split(".")[0] in names]:
+            del sys.modules[module]
+    order = ["partition", "bell", "determinant", "series", "symbolic"]
+    assert [c["subject"] for c in cells if c["set"] == "small"] == [
+        *order, "jet_compose", "lagrange_power_coefficient"
+    ]
+    assert all("skip" not in c and "differs" not in c for c in cells)
+    assert all(row["agree"] and row["routes"] == sorted(order) for row in agreement)
+    # Three sets, five routes, two rounds of a call on each tree.
+    assert len(log) == 3 * 5 * 2 * 2
+    for first, second in zip(log[::2], log[1::2]):
+        assert first[0] != second[0] and first[1:] == second[1:]
+    assert [name for _, name, _ in log[: 5 * 4 : 4]] == order
+
+
+@pytest.mark.parametrize(
+    "edit, subject, skip, timed",
+    [
+        pytest.param('del ROUTES["series"]\n', "series", "only in change", 6, id="removed"),
+        pytest.param('ROUTES["bell_again"] = ROUTES["bell"]\n', "bell_again", "only in baseline", 7,
+                     id="added"),
+    ],
+)
+def test_a_route_on_one_tree_only_is_marked_and_the_others_are_timed(tmp_path, edit, subject, skip, timed):
+    # timed: the subjects on both trees, each a timed cell in every set.
+    _baseline(tmp_path, "cli.py", edit)
+    result = _ladder("--orders", "3", "--calls", "1", "--baseline", str(tmp_path),
+                     "--out", str(tmp_path / "ladder.json"))
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "ladder.json").read_text())
+    marked = [c for c in report["cells"] if c["subject"] == subject]
+    assert [c["set"] for c in marked] == ["small", "64-bit", "64-bit-nonzero"]
+    for cell in marked:
+        assert cell["skip"] == skip and "median_s" not in cell and "baseline_median_s" not in cell
+    others = [c for c in report["cells"] if c["subject"] != subject]
+    assert len(others) == 3 * timed
+    assert all("median_s" in c and "baseline_median_s" in c and "differs" not in c for c in others)
+    assert all(row["agree"] for row in report["agreement"])
 
 
 @pytest.mark.parametrize("orders", ["0", "101", "3,,4"])

@@ -11,8 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import compderiv.symbolic as symbolic
+from compderiv import cli
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
 from compderiv.determinant import derivative_determinant
+from compderiv.exact import convolve
 from compderiv.symbolic import (
     MAX_VALUE_BITS,
     Add,
@@ -736,10 +738,21 @@ def test_constant_folding_equals_fraction_arithmetic():
 
 # --- Taylor realization ------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_taylor_polynomial_reproduces_sequence(n):
+def _wide(rng: random.Random) -> Fraction:
+    return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1)
+
+
+@pytest.mark.parametrize(
+    "n, wide",
+    [pytest.param(n, False, id=str(n)) for n in range(1, 9)]
+    + [pytest.param(n, True, id=f"64-bit-{n}") for n in range(1, 13)],
+)
+def test_taylor_polynomial_reproduces_sequence(n, wide):
     rng = random.Random(1700 + n)
-    seq = random_sequence(rng, n)
+    if wide:
+        seq = DerivativeSequence(tuple(_wide(rng) for _ in range(n)), _wide(rng))
+    else:
+        seq = random_sequence(rng, n)
     at = random_rational(rng)
     poly = taylor_polynomial(seq, at)
     assert derivative_sequence_of(poly, at, n) == seq
@@ -750,3 +763,80 @@ def test_taylor_polynomial_without_base_uses_zero():
     poly = taylor_polynomial(seq, 0)
     assert _value(poly, 0) == 0
     assert _value(poly, 2) == 6
+
+
+def _horner_polynomial(seq: DerivativeSequence, at: Fraction | int | str) -> Expr:
+    """The Horner form c_0 + s * (c_1 + s * (... + s * c_n)), s = y - at, that
+    ``taylor_polynomial`` built before it shared the powers of s: each product
+    multiplies two full-width expansions.  Kept as the reference for the new shape."""
+    shift = symbolic._add(Variable("y"), Constant(-Fraction(at)))
+    coefficients = [seq.base or 0]
+    factorial = 1
+    for k, d in enumerate(seq.derivs, 1):
+        factorial *= k
+        coefficients.append(Fraction(d.numerator, d.denominator * factorial))
+    node: Expr = Constant(coefficients[-1])
+    for c in reversed(coefficients[:-1]):
+        node = symbolic._add(Constant(c), symbolic._mul(shift, node))
+    return node
+
+
+def _seq(base, *derivs) -> DerivativeSequence:
+    return DerivativeSequence(tuple(map(Fraction, derivs)), Fraction(base))
+
+
+def _drawn(seed: int, n: int, wide: bool) -> tuple[DerivativeSequence, DerivativeSequence, int, Fraction]:
+    """phi, psi, n and the point, drawn small (random_rational) or 64-bit."""
+    rng = random.Random(seed)
+    draw = _wide if wide else random_rational
+    phi, psi = (DerivativeSequence(tuple(draw(rng) for _ in range(n)), draw(rng)) for _ in "ab")
+    return phi, psi, n, random_rational(rng)
+
+
+@pytest.mark.parametrize(
+    "phi, psi, n, at",
+    [
+        pytest.param(_seq(1, 1, -2, 3), _seq(5, 2, "1/3", -1), 3, 0, id="zero at"),
+        # phi is expanded about psi's base 0, so phi's shift is the bare variable.
+        pytest.param(_seq(1, "1/2", 3, -1, 2), _seq(0, 1, 2, -3, "1/5"), 4, "2/3", id="psi base 0"),
+        pytest.param(_seq(2, 1, -1, 3, 1), _seq(3, 0, 1, 2, -1), 4, "-1/2", id="psi' = 0"),
+        pytest.param(_seq(1, 1, 0, 0, 2, 0, -3), _seq(2, 1, 1, -1, 2, 1, 1), 6, "1/3",
+                     id="zeros between phi's nonzero orders"),
+        pytest.param(_seq(7, 0, 0, 0, 0, 0), _seq(2, 0, 0, 0, 0, 0), 5, "1/3", id="all-zero derivatives"),
+        pytest.param(_seq("3/2", -4), _seq(-1, "2/3"), 1, 5, id="n = 1"),
+        *(pytest.param(*_drawn(2700 + n, n, False), id=f"small-{n}") for n in (2, 5, 12, 20, 30)),
+        *(pytest.param(*_drawn(2800 + n, n, True), id=f"64-bit-{n}") for n in (2, 5, 12, 20, 30)),
+    ],
+)
+def test_shared_powers_give_the_horner_forms_value(phi, psi, n, at):
+    def route(build):
+        return nth_derivative_of_composition(build(phi, psi.base or 0), build(psi, at), n, at)
+
+    assert route(taylor_polynomial) == route(_horner_polynomial)
+
+
+def test_the_symbolic_route_skips_the_leading_zeros_of_each_power(monkeypatch):
+    # Each power s**(k-1) of the shift leads with k - 1 zero coefficients, and
+    # as convolve's left operand it skips them and multiplies s only up to the
+    # cut: on these three all-nonzero small draws at n = 30 the route makes
+    # 4,963, 5,019 and 4,999 nonzero products, where the Horner form made 13,980
+    # on each.  The bound is n**3 / 4 = 6,750.
+    n, products = 30, 0
+
+    def counting(a, b, size):
+        nonlocal products
+        cut = min(size, len(a) + len(b) - 1)
+        products += sum(sum(1 for y in b[: cut - i] if y) for i, x in enumerate(a[:cut]) if x)
+        return convolve(a, b, size)
+
+    monkeypatch.setattr(symbolic, "convolve", counting)
+    rng = random.Random(30)
+
+    def nonzero() -> Fraction:
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 4))
+
+    for _ in range(3):
+        phi, psi = (DerivativeSequence(tuple(nonzero() for _ in range(n)), nonzero()) for _ in "ab")
+        products = 0
+        cli.ROUTES["symbolic"].call(cli._sequence_inputs(phi, psi, n, Fraction(1, 3)), n)
+        assert 0 < products <= n**3 / 4

@@ -21,7 +21,8 @@ derivatives, phi before psi):
 - ``64-bit``: 64-bit numerators and denominators, every third value 0;
 - ``64-bit-nonzero``: the same with no zeros.
 
-Each cell is the median wall time of ``--calls`` calls, with that count.
+Each cell is the median wall time of ``--calls`` calls, with that count,
+and the calls' times in ``times_s``, in the order they ran.
 A cell not run holds a skip marker with its reason.  A time predicted
 above ``--budget`` seconds from the cells run before it in that row
 (``predict``) skips the cell before any call.  Otherwise a ``ValueError``
@@ -48,10 +49,13 @@ must have ``_sequence_inputs`` and ``ROUTES``, of whose entries only
 inputs from the same draws.  A cell runs ``--calls`` rounds, each
 calling both trees, the change first in even rounds and the baseline
 first in odd ones, so a drift of the machine's speed falls on both
-alike.  The cell then also holds ``baseline_median_s``, ``ratio`` (the
-change's median over the baseline's) and ``wins`` (the rounds the change
-was faster).  A cell runs on both trees or on neither, and the
-predicted-overrun skip reads the baseline's medians.  Each subject's
+alike.  The cell then also holds ``baseline_median_s``,
+``baseline_times_s``, ``ratio`` (the change's median over the baseline's)
+and ``wins`` (the rounds the change was faster).  A cell runs on both
+trees or on neither, and the predicted-overrun skip reads the baseline's
+medians.  Subjects pair by name, so the two trees may list their routes
+in any order; a subject found on one tree only is a cell marked ``only in
+change`` or ``only in baseline``, which runs on neither.  Each subject's
 value must be the same on both trees: a cell where they differ is marked
 ``differs`` and named on standard error.  The report gains a
 ``baseline`` block with ROOT and its machine facts.
@@ -175,7 +179,8 @@ def _plain(value):
 
 
 def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[list[dict], list[dict]]:
-    """Every cell on ``trees``: the change's package, then the baseline's if any."""
+    """Every cell on ``trees``: the change's package, then the baseline's if any.
+    A cell pairs the trees' subjects of one name, the change's in its order first."""
     cells, agreement = [], []
     runs: dict[tuple[str, str], list[tuple[int, float]]] = {}  # (set, subject) -> [(n, median_s)]
     for set_name, draw in SETS.items():
@@ -183,10 +188,14 @@ def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[l
             rng = random.Random(n)
             drawn = [draw(rng) for _ in range(2 * n + 2)]
             values = {}
-            for row in zip(*(subjects(package, n, drawn) for package in trees)):
-                name = row[0][0]
+            tables = [dict(subjects(package, n, drawn)) for package in trees]
+            for name in dict.fromkeys([*tables[0], *tables[-1]]):
                 cell = {"subject": name, "set": set_name, "n": n}
                 cells.append(cell)
+                row = [table.get(name) for table in tables]
+                if None in row:
+                    cell["skip"] = "only in baseline" if row[0] is None else "only in change"
+                    continue
                 if (set_name, name) in runs:
                     predicted = predict(runs[set_name, name], n)
                     if predicted > budget:
@@ -198,7 +207,7 @@ def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[l
                     for k in range(calls):  # the change first in even rounds, the baseline in odd ones
                         for i in range(len(row))[:: -1 if k % 2 else 1]:
                             start = time.perf_counter()
-                            got[i] = row[i][1]()
+                            got[i] = row[i]()
                             times[i].append(time.perf_counter() - start)
                 except ValueError as exc:
                     if sum(map(len, times)) >= len(row):  # past each tree's first call
@@ -206,10 +215,10 @@ def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[l
                     cell["skip"] = f"library bound: {exc}"
                     continue
                 medians = [statistics.median(t) for t in times]
-                cell.update(median_s=medians[0], calls=calls)
+                cell.update(median_s=medians[0], calls=calls, times_s=times[0])
                 if len(trees) > 1:
-                    cell.update(baseline_median_s=medians[1], ratio=medians[0] / medians[1],
-                                wins=sum(a < b for a, b in zip(*times)))
+                    cell.update(baseline_median_s=medians[1], baseline_times_s=times[1],
+                                ratio=medians[0] / medians[1], wins=sum(a < b for a, b in zip(*times)))
                     if len({_plain(value) for value in got}) > 1:
                         cell["differs"] = True
                         print(f"{name} on {set_name} at n = {n}: the trees' values differ", file=sys.stderr)
