@@ -192,7 +192,9 @@ def test_a_baseline_with_its_routes_reversed_pairs_each_route_with_itself():
                      id="added"),
     ],
 )
-def test_a_route_on_one_tree_only_is_marked_and_the_others_are_timed(tmp_path, edit, subject, skip, timed):
+def test_a_route_on_one_tree_only_is_marked_and_the_others_are_timed(
+    tmp_path, edit, subject, skip, timed
+):
     # timed: the subjects on both trees, each a timed cell in every set.
     _baseline(tmp_path, "cli.py", edit)
     result = _ladder("--orders", "3", "--calls", "1", "--baseline", str(tmp_path),

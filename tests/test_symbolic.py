@@ -785,7 +785,9 @@ def _seq(base, *derivs) -> DerivativeSequence:
     return DerivativeSequence(tuple(map(Fraction, derivs)), Fraction(base))
 
 
-def _drawn(seed: int, n: int, wide: bool) -> tuple[DerivativeSequence, DerivativeSequence, int, Fraction]:
+def _drawn(
+    seed: int, n: int, wide: bool
+) -> tuple[DerivativeSequence, DerivativeSequence, int, Fraction]:
     """phi, psi, n and the point, drawn small (random_rational) or 64-bit."""
     rng = random.Random(seed)
     draw = _wide if wide else random_rational
@@ -802,7 +804,8 @@ def _drawn(seed: int, n: int, wide: bool) -> tuple[DerivativeSequence, Derivativ
         pytest.param(_seq(2, 1, -1, 3, 1), _seq(3, 0, 1, 2, -1), 4, "-1/2", id="psi' = 0"),
         pytest.param(_seq(1, 1, 0, 0, 2, 0, -3), _seq(2, 1, 1, -1, 2, 1, 1), 6, "1/3",
                      id="zeros between phi's nonzero orders"),
-        pytest.param(_seq(7, 0, 0, 0, 0, 0), _seq(2, 0, 0, 0, 0, 0), 5, "1/3", id="all-zero derivatives"),
+        pytest.param(_seq(7, 0, 0, 0, 0, 0), _seq(2, 0, 0, 0, 0, 0), 5, "1/3",
+                     id="all-zero derivatives"),
         pytest.param(_seq("3/2", -4), _seq(-1, "2/3"), 1, 5, id="n = 1"),
         *(pytest.param(*_drawn(2700 + n, n, False), id=f"small-{n}") for n in (2, 5, 12, 20, 30)),
         *(pytest.param(*_drawn(2800 + n, n, True), id=f"64-bit-{n}") for n in (2, 5, 12, 20, 30)),
