@@ -9,24 +9,27 @@ below row 1 is -1, and the upper triangle carries binomially weighted
 inner derivatives times Phi.  The raw determinant equals
 (-1)^n * D_y^{n+1}.
 
-The matrix is stored as the integer coefficients of its c * Phi entries
-over one common denominator, column by column in the order the
-expansion reads them.  The expansion runs one power of Phi at a time, as
-integers over one scale, and the route stops it at the last power whose
-phi^(p) is nonzero.  The route adds each power's integers times phi^(p)
-with ``exact.rational_sum``; ``determinant_expand`` turns the same powers
-into a ``PhiPolynomial`` for ``derive --show-expansion`` and the
-acceptance check, and ``interpret_phi_polynomial`` reads one back.
+The matrix is stored as the integer coefficients of its c * Phi entries,
+column by column in the order the expansion reads them, each over the
+scale of the psi order it reads: with psi^(j) = a_j / b_j, the prefix lcm
+L_j = lcm(b_1..b_j) when d = L_(n+1) has more bits than twice the widest
+b_j, and d itself otherwise.  The expansion runs one power of Phi at a
+time, as integers over one scale, and the route stops it at the last
+power whose phi^(p) is nonzero.  The route adds each power's integers
+times phi^(p) with ``exact.rational_sum``; ``determinant_expand`` turns
+the same powers into a ``PhiPolynomial`` for ``derive --show-expansion``
+and the acceptance check, and ``interpret_phi_polynomial`` reads one back.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .exact import as_rational, check_int, format_rational, rational_sum, reduced, scaled
+from .exact import as_rational, check_int, format_rational, rational_sum, reduced
 from .sequence import DerivativeSequence, Record
 
 __all__ = [
@@ -98,24 +101,31 @@ class CompositionMatrix(Record):
     n = ``len(columns) - 1``.
 
     Every entry the expansion reads is c * Phi, so the matrix keeps only
-    those c, as integers over one ``scale``, in the order the leading-minor
-    recurrence reads them: ``columns[k-1]`` holds A[1..k][k], A[i][k] the
-    entry at row i and column k+1, for k <= n, and ``columns[n]`` holds
-    column 1, rows 1..n+1.  The -1 diagonal below row 1 and the zeros below
-    it outside column 1 are implied, so no stored value can break them.
+    those c, as integers, in the order the leading-minor recurrence reads
+    them: ``columns[k-1]`` holds A[1..k][k], A[i][k] the entry at row i and
+    column k+1, for k <= n, and ``columns[n]`` holds column 1, rows 1..n+1.
+    An entry that reads psi^(j) is over ``scales[j-1]``, and each scale
+    divides the next, so all entries share one scale when the first equals
+    the last.  The -1 diagonal below row 1 and the zeros below it outside
+    column 1 are implied, so no stored value can break them.
     """
 
-    __slots__ = ("columns", "scale")
+    __slots__ = ("columns", "scales")
     columns: tuple[tuple[int, ...], ...]
-    scale: int
+    scales: tuple[int, ...]
 
-    def __init__(self, columns: tuple[tuple[int, ...], ...], scale: int) -> None:
-        check_int(scale, "matrix scale", 1)
+    def __init__(self, columns: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> None:
+        for scale in scales:
+            check_int(scale, "matrix scale", 1)
         if not columns or any(len(column) != k for k, column in enumerate(columns, start=1)):
             lengths = [len(column) for column in columns]
             raise ValueError(f"matrix needs columns of lengths 1, 2, ..., n+1, got {lengths}")
+        if len(scales) != len(columns):
+            raise ValueError(f"matrix needs one scale per psi order 1..{len(columns)}, got {len(scales)}")
+        if any(high % low for low, high in zip(scales, scales[1:])):
+            raise ValueError(f"each matrix scale must divide the next: {scales}")
         _set_columns(self, columns)
-        _set_scale(self, scale)
+        _set_scales(self, scales)
 
     @property
     def n(self) -> int:
@@ -123,7 +133,7 @@ class CompositionMatrix(Record):
 
 
 # The slot descriptors' setters that ``__init__`` stores through.
-_set_columns, _set_scale = CompositionMatrix.columns.__set__, CompositionMatrix.scale.__set__
+_set_columns, _set_scales = CompositionMatrix.columns.__set__, CompositionMatrix.scales.__set__
 
 
 def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
@@ -137,21 +147,28 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
         entry(r, c) = 0                       otherwise
 
     Row 1 follows the same binomial formula with r = 1.  Needs psi
-    derivatives up to order n+1.  One ``scaled`` call writes them as
-    a_j / d; column 1 carries every a_j with weight 1, so d is also the
-    least common denominator of all the cells, and the stored columns
-    are C(n-i+1, k-i) * a_(k+1-i) for i = 1..k (column k+1 of the matrix)
-    and a_(n+2-i) for i = 1..n+1 (column 1), all over d.
+    derivatives up to order n+1.  With psi^(j) = a_j / b_j and
+    L_j = lcm(b_1..b_j), d = L_(n+1), psi^(j) is written over its prefix
+    scale L_j when d has more bits than twice the widest b_j, and over d
+    otherwise: on small values one d is about as wide as any L_j, and the
+    expansion's one-scale loop is the faster.  The stored columns are
+    C(n-i+1, k-i) times psi^(k+1-i)'s integer for i = 1..k (column k+1 of
+    the matrix) and psi^(n+2-i)'s integer for i = 1..n+1 (column 1).
     """
     check_int(n, "matrix order", 0)
     psi.require_order(n + 1, "psi")
-    a, d = scaled(psi.derivs[: n + 1])  # a[j-1] = a_j
+    values = psi.derivs[: n + 1]
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    wide = d.bit_length() > 2 * max(dens).bit_length()
+    scales = tuple(itertools.accumulate(dens, math.lcm)) if wide else (d,) * (n + 1)
+    a = [v.numerator * (s // b) for v, s, b in zip(values, scales, dens)]  # a[j-1] reads psi^(j)
     columns = [
         tuple(math.comb(n - i + 1, k - i) * a[k - i] for i in range(1, k + 1))
         for k in range(1, n + 1)
     ]
     columns.append(tuple(reversed(a)))
-    return CompositionMatrix(columns=tuple(columns), scale=d)
+    return CompositionMatrix(columns=tuple(columns), scales=scales)
 
 
 def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int]]:
@@ -159,14 +176,38 @@ def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int
 
     The leading-minor recurrence of ``determinant_expand``, one power of Phi
     at a time; the determinant's coefficient is (-1)^n times this one.  The
-    first ``top`` powers cost O(n^2 * top) integer multiplications.
+    first ``top`` powers cost O(n^2 * top) integer multiplications.  The
+    entry for H_k at power p sums terms j = 1..m, m = k+1-p: psi^(j)'s entry
+    times an integer of the previous column.  On one scale d that is one
+    ``sum(map(mul, ...))``; on prefix scales the terms add in rising j, the
+    sum lifted by L_j / L_(j-1) before term j where that is not 1, then by
+    L_w / L_m, w = n+2-p the highest order the power reads.  The column is
+    then divided by its gcd with its scale, so the triples do not depend on
+    the layout.
     """
-    columns, d = matrix.columns, matrix.scale
+    columns, scales = matrix.columns, matrix.scales
     # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
     column, scale = [1], 1
+    if scales[0] == scales[-1]:
+        d = scales[0]
+        for p in range(1, top + 1):
+            column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
+            column, scale = reduced(column, scale * d)
+            yield p, column[-1], scale
+        return
+    lifts = [1, *(high // low for low, high in zip(scales, scales[1:]))]  # L_j / L_(j-1)
+    column += [0] * matrix.n  # H_1..H_n have no Phi^0 term: term j reads column[m-j]
     for p in range(1, top + 1):
-        column = [sum(map(operator.mul, a[p - 1 :], column)) for a in columns[p - 1 :]]
-        column, scale = reduced(column, scale * d)
+        high = scales[len(columns) - p]  # L_w
+        out = []
+        for a, low in zip(columns[p - 1 :], scales):  # psi^(1..m) over L_m
+            acc = 0
+            for x, y, f in zip(reversed(a[p - 1 :]), reversed(column[: len(a) - p + 1]), lifts):
+                if f != 1:
+                    acc *= f
+                acc += x * y
+            out.append(acc if low == high else acc * (high // low))
+        column, scale = reduced(out, scale * high)
         yield p, column[-1], scale
 
 
@@ -183,15 +224,15 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
 
     and reading column 1 as column n+2 makes the expansion the last step
     of that recurrence: det = (-1)^n * H_{n+1}.  ``matrix.columns`` holds
-    exactly these A[1..k][k] as c = a / d over ``matrix.scale`` = d, and
+    exactly these A[1..k][k] as integers over ``matrix.scales``, and
     every such entry is c * Phi, which shifts H up one power, so the
     Phi^p coefficients of all H_k follow from the Phi^(p-1) coefficients
     alone.  The recurrence runs one power at a time: the column of Phi^p
-    coefficients is integers over one scale, d times the scale of
-    Phi^(p-1), and both are divided by their gcd before the next power,
-    so the integers grow with the true denominators, not with a power of
-    d.  That costs O(n^3) integer multiplications; no general O(n!)
-    expansion ever happens.
+    coefficients is integers over one scale, the highest psi scale that
+    power reads times the scale of Phi^(p-1), and both are divided by
+    their gcd before the next power, so the integers grow with the true
+    denominators, not with a power of d.  That costs O(n^3) integer
+    multiplications; no general O(n!) expansion ever happens.
     """
     sign = (-1) ** matrix.n
     powers = _powers(matrix, matrix.n + 1)

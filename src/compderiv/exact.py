@@ -16,10 +16,10 @@ denominator (``scaled``), kept small by dividing the integers and their
 denominator by their gcd (``reduced``); ``convolve`` multiplies
 coefficient lists, and ``taylor_scaled`` writes Taylor coefficients
 d_k / k! in the form.  Bell and the power route read psi through
-``taylor_scaled``; the determinant uses ``scaled`` and ``reduced``; the
-series route ``taylor_scaled``, ``reduced`` and ``convolve``; and the
-symbolic expansion ``reduced`` and ``convolve``.  The partition route
-keeps integers of its own and uses none of them.
+``taylor_scaled``; the determinant, which writes psi over lcms of its
+own, ``reduced``; the series route ``taylor_scaled``, ``reduced`` and
+``convolve``; and the symbolic expansion ``reduced`` and ``convolve``.
+The partition route keeps integers of its own and uses none of them.
 
 ``rational_sum`` adds integer pairs num / den over one running lcm of the
 denominators and reduces once, at the end.  The partition sum, Bell, the

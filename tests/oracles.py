@@ -261,15 +261,16 @@ def evaluate_on_fractions(e: Expr, at: Fraction) -> Fraction:
 
 def matrix_entry(matrix: CompositionMatrix, r: int, c: int) -> PhiPolynomial:
     """The entry at 1-based row r, column c of ``matrix`` in the paper's layout:
-    a stored coefficient times Phi in column 1 and above the diagonal, -1 on
-    the diagonal below row 1, and 0 elsewhere."""
+    a stored coefficient over the scale of the psi order it reads, times Phi,
+    in column 1 and above the diagonal, -1 on the diagonal below row 1, and
+    0 elsewhere."""
     if c == 1:
-        stored = matrix.columns[matrix.n][r - 1]
+        stored, order = matrix.columns[matrix.n][r - 1], matrix.n + 2 - r
     elif c > r:
-        stored = matrix.columns[c - 2][r - 1]
+        stored, order = matrix.columns[c - 2][r - 1], c - r
     else:
         return PhiPolynomial({0: -1} if c == r else {})
-    return PhiPolynomial({1: Fraction(stored, matrix.scale)})
+    return PhiPolynomial({1: Fraction(stored, matrix.scales[order - 1])})
 
 
 def random_rational(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:

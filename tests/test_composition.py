@@ -140,7 +140,7 @@ def test_other_integer_arguments_must_be_ints(value):
         ("k", lambda k: partial_bell(3, k, ones)),
         ("matrix order", lambda n: build_matrix(ones, n)),
         ("jet order", lambda order: jet_from_derivatives(ones, order)),
-        ("matrix scale", lambda scale: CompositionMatrix(((1,),), scale)),
+        ("matrix scale", lambda scale: CompositionMatrix(((1,),), (scale,))),
         ("multiplicity", lambda mj: multinomial_weight((mj,))),
     ]
     for what, call in calls:
@@ -157,7 +157,7 @@ def test_integer_arguments_below_their_lower_bound():
         ("jet order must be non-negative, got -1", lambda: jet_from_derivatives(ones, -1)),
         ("Pow exponent must be non-negative, got -1", lambda: Pow(parse("x"), -1)),
         ("Phi exponent must be non-negative, got -1", lambda: PhiPolynomial({-1: 1})),
-        ("matrix scale must be positive, got 0", lambda: CompositionMatrix(((1,),), 0)),
+        ("matrix scale must be positive, got 0", lambda: CompositionMatrix(((1,),), (0,))),
         ("multiplicity must be non-negative, got -1", lambda: multinomial_weight((-1, 2, 0))),
         ("partition order must be positive, got 0", lambda: next(partition_parts(0))),
     ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from compderiv.determinant import (
     determinant_expand,
     interpret_phi_polynomial,
 )
+from compderiv.cli import _random_sequence
 from oracles import matrix_entry, random_sequence
 
 
@@ -131,23 +133,28 @@ def test_matrix_rejects_wrongly_shaped_columns():
     assert [len(column) for column in good.columns] == [1, 2, 3]
     assert good.n == 2
     # The order is the column count less one, so one column fewer is order 1.
-    assert CompositionMatrix(columns=good.columns[:2], scale=1).n == 1
+    assert CompositionMatrix(columns=good.columns[:2], scales=(1, 1)).n == 1
     for columns in [
         ((1,), (1, 1, 1), (1, 1, 1)),  # column 2 one cell too long
         ((1,), (1, 1), (1, 1)),  # column 3 one cell short
     ]:
         with pytest.raises(ValueError):
-            CompositionMatrix(columns=columns, scale=1)
+            CompositionMatrix(columns=columns, scales=(1, 1, 1))
     with pytest.raises(ValueError):
-        CompositionMatrix(columns=good.columns, scale=0)
+        CompositionMatrix(columns=good.columns, scales=(1, 1, 0))
     with pytest.raises(ValueError):
-        CompositionMatrix(columns=(), scale=1)
+        CompositionMatrix(columns=(), scales=())
+    # One scale per psi order, each dividing the next, so every lift is an integer.
+    with pytest.raises(ValueError, match="one scale per psi order 1..3, got 2"):
+        CompositionMatrix(columns=good.columns, scales=(2, 2))
+    with pytest.raises(ValueError, match=r"each matrix scale must divide the next: \(2, 6, 9\)"):
+        CompositionMatrix(columns=good.columns, scales=(2, 6, 9))
 
 
 # --- determinant expansion -------------------------------------------------------
 
 def test_expand_one_by_one_base_case():
-    matrix = CompositionMatrix(columns=((9,),), scale=4)
+    matrix = CompositionMatrix(columns=((9,),), scales=(4,))
     assert matrix_entry(matrix, 1, 1) == PhiPolynomial({1: Fraction(9, 4)})
     assert determinant_expand(matrix) == PhiPolynomial({1: Fraction(9, 4)})
 
@@ -249,12 +256,147 @@ def fraction_minor_expansion(psi, n):
 @example(values=[Fraction(-7, 3)], flat_start=False)  # n = 0
 @example(values=[Fraction(0)] * 6, flat_start=False)  # all-zero psi
 @example(values=[Fraction(5, 2), Fraction(-1, 3), 0, Fraction(2**63, 3)], flat_start=True)
+# Prefix scales 7, 210, 16590: at Phi^1 only H_0 is nonzero, and it pairs with psi^(m).
+@example(values=[Fraction(1, 7), Fraction(1, 30), Fraction(1, 79)], flat_start=False)
+@example(  # prefix scales on 64-bit values, with a zero and an integer that lift by 1
+    values=[Fraction(2**63 - 1, 2**64 - 59), 0, Fraction(-(2**62), 2**61 - 1), Fraction(5),
+            Fraction(3, 2**64 - 1), Fraction(-1, 2**63 - 25)],
+    flat_start=False,
+)
+@example(  # one wide d shared by every order: the one-scale loop
+    values=[Fraction(k * (2**63 - 1), 2**64 - 59) for k in (3, -1, 4, 0, -5, 9)], flat_start=True
+)
 def test_expand_matches_fraction_minors_on_wide_rationals(values, flat_start):
     if flat_start:
         values = [Fraction(0), *values[1:]]  # psi' = 0
     n = len(values) - 1
     expanded = determinant_expand(build_matrix(seq(*values), n))
     assert dict(expanded.terms) == fraction_minor_expansion(values, n)
+
+
+def one_scale_powers(values, n, top):
+    """The expansion's loop on one common scale: (p, c, scale) for p = 1..top,
+    psi^(1..n+1) written over their lcm d, each entry of a power one
+    sum(map(mul, ...)) over the previous power's scale times d, and the column
+    divided by its gcd with that scale.  It keeps its own lcm and gcd, so it
+    reads neither ``build_matrix`` nor ``exact.reduced``."""
+    d = math.lcm(*(v.denominator for v in values[: n + 1]))
+    a = [v.numerator * (d // v.denominator) for v in values[: n + 1]]
+    columns = [[math.comb(n - i + 1, k - i) * a[k - i] for i in range(1, k + 1)] for k in range(1, n + 1)]
+    columns.append(a[::-1])
+    column, scale, out = [1], 1, []
+    for p in range(1, top + 1):
+        column = [sum(map(operator.mul, c[p - 1 :], column)) for c in columns[p - 1 :]]
+        g = math.gcd(scale * d, *column)
+        column, scale = [x // g for x in column], scale * d // g
+        out.append((p, column[-1], scale))
+    return out
+
+
+def assert_powers_match_one_scale(values, graded, tops=None):
+    """``_powers`` on ``build_matrix``'s layout, prefix scales when ``graded``, yields
+    the one-scale loop's triples at each top (default: every top from 0 to n+1)."""
+    n = len(values) - 1
+    matrix = build_matrix(seq(*values), n)
+    assert (matrix.scales[0] != matrix.scales[-1]) is graded
+    reference = one_scale_powers(values, n, n + 1)
+    for top in range(n + 2) if tops is None else tops:
+        assert list(determinant._powers(matrix, top)) == reference[:top]
+
+
+def _odd_wide(rng):
+    return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_prefix_scales_expand_as_one_scale_on_coprime_64_bit_values(n):
+    # Two 64-bit denominators have an lcm of at most 128 bits, so n = 1 keeps one scale.
+    rng = random.Random(4000 + n)
+    assert_powers_match_one_scale([_odd_wide(rng) for _ in range(n + 1)], n >= 2, [0, 1, n // 2, n + 1])
+
+
+@pytest.mark.parametrize("n", [7, 12, 25])
+def test_prefix_scales_that_stop_growing_expand_as_one_scale(n):
+    # Every third value 0 and small values mixed in: many lifts are 1, and
+    # past the first half only small denominators join, so L_j stops growing.
+    rng = random.Random(4100 + n)
+    half = (n + 1) // 2
+    values = [
+        Fraction(0) if j % 3 == 0 else _odd_wide(rng) if j <= half and rng.random() < 0.7 else _small(rng)
+        for j in range(1, n + 2)
+    ]
+    scales = build_matrix(seq(*values), n).scales
+    lifts = [high // low for low, high in zip(scales, scales[1:])]
+    assert 1 in lifts and any(f > 2**60 for f in lifts)
+    assert scales[-1] // scales[half - 1] < 2**10
+    assert_powers_match_one_scale(values, True)
+
+
+def test_equal_wide_denominators_keep_one_wide_scale():
+    b = 2**64 - 59
+    rng = random.Random(4200)
+    values = [Fraction(rng.randrange(-(2**63), 2**63), b) for _ in range(21)]
+    assert build_matrix(seq(*values), 20).scales == (b,) * 21
+    assert_powers_match_one_scale(values, False)
+
+
+def test_the_layout_rule_at_its_boundary():
+    # Prefix scales when d has more bits than twice the widest b_j.
+    # One 64-bit denominator among small ones: d has 68 bits, not above 128.
+    wide = Fraction(2**63 - 1, 2**64 - 59)
+    assert_powers_match_one_scale([Fraction(1, 3), Fraction(-1, 4), wide, Fraction(2), 0, Fraction(3, 2)], False)
+    # d = 35 has 6 bits, twice 5's 3; d = 70 has 7.
+    assert_powers_match_one_scale([Fraction(1, 5), Fraction(2, 7)], False)
+    assert_powers_match_one_scale([Fraction(1, 5), Fraction(2, 7), Fraction(-1, 2)], True)
+
+
+@pytest.mark.parametrize("n", [2, 8, 20, 40])
+def test_check_style_values_keep_one_scale(n):
+    rng = random.Random(4300 + n)
+    for _ in range(5):
+        assert_powers_match_one_scale(list(_random_sequence(rng, n + 1).derivs), False, [0, 2, n + 1])
+
+
+def _recorded_dens(monkeypatch, phi, psi, order):
+    """(den, scale) per call of ``reduced`` while the route runs: the den it was handed
+    and the scale it returned."""
+    calls, real = [], determinant.reduced
+
+    def recording(ints, den):
+        ints, scale = real(ints, den)
+        calls.append((den, scale))
+        return ints, scale
+
+    monkeypatch.setattr(determinant, "reduced", recording)
+    derivative_determinant(phi, psi, order)
+    return calls
+
+
+def test_each_power_is_reduced_over_its_prefix_scale_on_wide_values(monkeypatch):
+    # The psi of test_determinant_expands_only_the_powers_phi_reads: odd 64-bit
+    # denominators, d of 1,778 bits.  Power p reads psi up to order w = 31 - p,
+    # so it is reduced over the previous scale times L_w, not times d.
+    rng = random.Random(30)
+    psi = seq(*(_odd_wide(rng) for _ in range(30)))
+    phi = seq(*(Fraction(k, 3) for k in range(1, 31)))
+    scales = build_matrix(psi, 29).scales
+    assert scales[-1].bit_length() == 1778
+    calls = _recorded_dens(monkeypatch, phi, psi, 30)
+    previous = [1] + [scale for _, scale in calls[:-1]]
+    assert [den for den, _ in calls] == [s * scales[30 - p] for p, s in enumerate(previous, start=1)]
+    # Times d at every power, the dens summed to 140,565 bits and the last had 3,675.
+    assert sum(den.bit_length() for den, _ in calls) == 114_862
+    assert calls[-1][0].bit_length() == 1961
+
+
+def test_each_power_is_reduced_over_d_on_check_style_values(monkeypatch):
+    rng = random.Random(31)
+    psi, phi = _random_sequence(rng, 30), _random_sequence(rng, 30)
+    (d,) = set(build_matrix(psi, 29).scales)
+    calls = _recorded_dens(monkeypatch, phi, psi, 30)
+    assert calls
+    previous = [1] + [scale for _, scale in calls[:-1]]
+    assert [den for den, _ in calls] == [s * d for s in previous]
 
 
 # --- full route -------------------------------------------------------------------

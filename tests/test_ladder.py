@@ -268,3 +268,37 @@ def test_an_unloadable_baseline_is_an_argument_error(tmp_path, missing):
     assert result.returncode == 2
     assert result.stderr.splitlines()[-1] == f"ladder.py: error: --baseline {root}: {message}"
     assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_subjects_and_sets_time_only_the_named_cells(tmp_path):
+    out = tmp_path / "ladder.json"
+    result = _ladder("--orders", "3,4", "--calls", "1", "--baseline", str(ROOT),
+                     "--subjects", "jet_compose,determinant", "--sets", "64-bit,small", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    # Listed in the ladder's own order, whatever order the options name them in.
+    assert (report["subjects"], report["sets"]) == (["determinant", "jet_compose"], ["small", "64-bit"])
+    assert [(c["subject"], c["set"], c["n"]) for c in report["cells"]] == [
+        (subject, set_name, n)
+        for set_name in ("small", "64-bit") for n in (3, 4) for subject in ("determinant", "jet_compose")
+    ]
+    assert all("ratio" in c and "differs" not in c for c in report["cells"])
+    # Agreement rows compare the routes that ran: here the determinant alone.
+    assert [(row["set"], row["n"], row["routes"], row["agree"]) for row in report["agreement"]] == [
+        (set_name, n, ["determinant"], True) for set_name in ("small", "64-bit") for n in (3, 4)
+    ]
+
+
+@pytest.mark.parametrize(
+    "option, names, message",
+    [
+        ("--subjects", "determinant,bel", "--subjects: unknown 'bel'; known: partition, bell, "
+         "determinant, series, symbolic, jet_compose, lagrange_power_coefficient"),
+        ("--sets", "small,wide", "--sets: unknown 'wide'; known: small, 64-bit, 64-bit-nonzero"),
+    ],
+)
+def test_an_unknown_subject_or_set_is_an_argument_error(option, names, message):
+    result = _ladder("--orders", "100", "--baseline", str(ROOT), option, names)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1] == f"ladder.py: error: {message}"
+    assert "Traceback" not in result.stderr and result.stdout == ""

@@ -62,7 +62,7 @@ def test_repr_text():
         "base=Fraction(2, 1))"
     )
     assert repr(build_matrix(SEQUENCE, 2)) == (
-        "CompositionMatrix(columns=((2,), (2, 2), (-6, 1, 2)), scale=2)"
+        "CompositionMatrix(columns=((2,), (2, 2), (-6, 1, 2)), scales=(2, 2, 2))"
     )
 
 

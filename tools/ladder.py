@@ -3,6 +3,7 @@
     python3 tools/ladder.py --out BENCH_31.json
     python3 tools/ladder.py --orders 12,20 --calls 5
     python3 tools/ladder.py --baseline ../parent --out BENCH.json
+    python3 tools/ladder.py --baseline ../parent --subjects determinant --sets 64-bit --calls 9
 
 Stdlib only.  Imports ``compderiv`` from the ``src`` of the checkout that
 holds this script (to time another checkout, run that checkout's own
@@ -23,6 +24,11 @@ derivatives, phi before psi):
 
 Each cell is the median wall time of ``--calls`` calls, with that count,
 and the calls' times in ``times_s``, in the order they ran.
+``--subjects NAME,...`` and ``--sets NAME,...`` time only the cells of
+those subjects and input sets, and the report then lists them under
+``subjects`` and ``sets``; a name neither tree has is an argument error,
+before any cell.  The draws, the predictions and the values do not depend
+on them.
 A cell not run holds a skip marker with its reason.  A time predicted
 above ``--budget`` seconds from the cells run before it in that row
 (``predict``) skips the cell before any call.  Otherwise a ``ValueError``
@@ -35,8 +41,8 @@ time guard on an order the library admits: the first cell of a row runs
 whatever it costs.  A change that lifts a library bound must keep a skip
 of its own here for the orders it opens.
 Route values at each (set, n) are compared, and ``agree`` records
-whether all routes that ran gave the same value.  The JSON also holds
-the machine facts, ``git rev-parse HEAD`` of this checkout and
+whether all routes that ran gave the same value; ``routes`` names them.
+The JSON also holds the machine facts, ``git rev-parse HEAD`` of this checkout and
 whether ``git status --porcelain`` lists any change there (null outside
 a git checkout).
 
@@ -178,18 +184,24 @@ def _plain(value):
     return value if isinstance(value, Fraction) else (value.base, *value.derivs)
 
 
-def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[list[dict], list[dict]]:
+def ladder(
+    trees: list, orders: list[int], calls: int, budget: float,
+    only: set[str] | None = None, sets: tuple[str, ...] = tuple(SETS),
+) -> tuple[list[dict], list[dict]]:
     """Every cell on ``trees``: the change's package, then the baseline's if any.
-    A cell pairs the trees' subjects of one name, the change's in its order first."""
+    A cell pairs the trees' subjects of one name, the change's in its order first.
+    Only the subjects named in ``only`` (all when None) and the input sets in ``sets`` run."""
     cells, agreement = [], []
     runs: dict[tuple[str, str], list[tuple[int, float]]] = {}  # (set, subject) -> [(n, median_s)]
-    for set_name, draw in SETS.items():
+    for set_name in sets:
         for n in orders:
             rng = random.Random(n)
-            drawn = [draw(rng) for _ in range(2 * n + 2)]
+            drawn = [SETS[set_name](rng) for _ in range(2 * n + 2)]
             values = {}
             tables = [dict(subjects(package, n, drawn)) for package in trees]
             for name in dict.fromkeys([*tables[0], *tables[-1]]):
+                if only is not None and name not in only:
+                    continue
                 cell = {"subject": name, "set": set_name, "n": n}
                 cells.append(cell)
                 row = [table.get(name) for table in tables]
@@ -232,6 +244,16 @@ def ladder(trees: list, orders: list[int], calls: int, budget: float) -> tuple[l
     return cells, agreement
 
 
+def _names(parser: argparse.ArgumentParser, option: str, text: str, known: list[str]) -> list[str]:
+    """The comma-separated names of ``text``, in ``known``'s order; an argument error
+    (exit 2) names any that ``known`` lacks."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(f"{option}: unknown {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
+    return [name for name in known if name in names]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--orders", default=",".join(map(str, ORDERS)), help="comma-separated orders")
@@ -239,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=float, default=10.0, help="seconds a cell may be predicted to take")
     parser.add_argument("--out", type=Path, help="JSON file to write (default: standard output)")
     parser.add_argument("--baseline", type=Path, metavar="ROOT", help="a tree to time alternately against")
+    parser.add_argument("--subjects", metavar="NAME,...", help="time only these subjects")
+    parser.add_argument("--sets", metavar="NAME,...", help="time only these input sets")
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be at least 1")
@@ -258,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         "sets": list(SETS),
         "lagrange_exponent": EXPONENT,
     }
+    if args.sets:
+        report["sets"] = _names(parser, "--sets", args.sets, list(SETS))
     if args.baseline:
         if not (args.baseline / "src" / "compderiv" / "__init__.py").is_file():
             parser.error(f"--baseline {args.baseline}: no src/compderiv/__init__.py under it")
@@ -266,7 +292,14 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             parser.error(f"--baseline {args.baseline}: its cli has no {' or '.join(missing)}")
         report["baseline"] = {"root": str(args.baseline), **machine_facts(args.baseline / "src")}
-    report["cells"], report["agreement"] = ladder(trees, orders, args.calls, args.budget)
+    only = None
+    if args.subjects:
+        known = dict.fromkeys(name for tree in trees for name, _ in subjects(tree, 1, [Fraction(1)] * 4))
+        report["subjects"] = _names(parser, "--subjects", args.subjects, list(known))
+        only = set(report["subjects"])
+    report["cells"], report["agreement"] = ladder(
+        trees, orders, args.calls, args.budget, only, report["sets"]
+    )
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
