@@ -115,14 +115,15 @@ class CompositionMatrix(Record):
     scales: tuple[int, ...]
 
     def __init__(self, columns: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> None:
-        for scale in scales:
-            check_int(scale, "matrix scale", 1)
+        if set(map(type, scales)) != {int} or min(scales) < 1:  # one C-level pass when all is well
+            for scale in scales:
+                check_int(scale, "matrix scale", 1)
         if not columns or any(len(column) != k for k, column in enumerate(columns, start=1)):
             lengths = [len(column) for column in columns]
             raise ValueError(f"matrix needs columns of lengths 1, 2, ..., n+1, got {lengths}")
         if len(scales) != len(columns):
             raise ValueError(f"matrix needs one scale per psi order 1..{len(columns)}, got {len(scales)}")
-        if any(high % low for low, high in zip(scales, scales[1:])):
+        if len(set(scales)) > 1 and any(high % low for low, high in zip(scales, scales[1:])):
             raise ValueError(f"each matrix scale must divide the next: {scales}")
         _set_columns(self, columns)
         _set_scales(self, scales)

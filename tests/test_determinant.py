@@ -147,8 +147,15 @@ def test_matrix_rejects_wrongly_shaped_columns():
     # One scale per psi order, each dividing the next, so every lift is an integer.
     with pytest.raises(ValueError, match="one scale per psi order 1..3, got 2"):
         CompositionMatrix(columns=good.columns, scales=(2, 2))
-    with pytest.raises(ValueError, match=r"each matrix scale must divide the next: \(2, 6, 9\)"):
-        CompositionMatrix(columns=good.columns, scales=(2, 6, 9))
+    for scales in [(2, 6, 9), (2, 4, 2)]:
+        with pytest.raises(ValueError, match=r"each matrix scale must divide the next: \("):
+            CompositionMatrix(columns=good.columns, scales=scales)
+    # Every scale is checked, not only the first: True is not 1, nor 2.0 an int.
+    for bad in [True, 2.0]:
+        with pytest.raises(TypeError, match=f"matrix scale must be an int: {bad!r}"):
+            CompositionMatrix(columns=good.columns, scales=(1, bad, 2))
+    with pytest.raises(ValueError, match="matrix scale must be positive, got -2"):
+        CompositionMatrix(columns=good.columns, scales=(2, -2, 4))
 
 
 # --- determinant expansion -------------------------------------------------------
