@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from compderiv import SequenceTooShortError, determinant
+from compderiv.cli import _random_sequence
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
 from compderiv.determinant import (
     CompositionMatrix,
@@ -19,7 +20,6 @@ from compderiv.determinant import (
     determinant_expand,
     interpret_phi_polynomial,
 )
-from compderiv.cli import _random_sequence
 from oracles import matrix_entry, random_sequence
 
 
@@ -391,7 +391,7 @@ def test_each_power_is_reduced_over_its_prefix_scale_on_wide_values(monkeypatch)
     calls = _recorded_dens(monkeypatch, phi, psi, 30)
     previous = [1] + [scale for _, scale in calls[:-1]]
     assert [den for den, _ in calls] == [s * scales[30 - p] for p, s in enumerate(previous, start=1)]
-    # Times d at every power, the dens summed to 140,565 bits and the last had 3,675.
+    # Over d at every power the dens would sum to 140,565 bits, the last to 3,675.
     assert sum(den.bit_length() for den, _ in calls) == 114_862
     assert calls[-1][0].bit_length() == 1961
 
