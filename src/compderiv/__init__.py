@@ -23,7 +23,6 @@ from .composition import (
     power_derivatives,
 )
 from .determinant import (
-    CompositionMatrix,
     PhiPolynomial,
     build_matrix,
     derivative_determinant,
@@ -68,7 +67,6 @@ __all__ = [
     "lagrange_power_coefficient",
     "power_derivatives",
     "PhiPolynomial",
-    "CompositionMatrix",
     "build_matrix",
     "determinant_expand",
     "interpret_phi_polynomial",

@@ -13,12 +13,14 @@ The matrix is stored as the integer coefficients of its c * Phi entries,
 column by column in the order the expansion reads them, each over the
 scale of the psi order it reads: with psi^(j) = a_j / b_j, the prefix lcm
 L_j = lcm(b_1..b_j) when d = L_(n+1) has more bits than twice the widest
-b_j, and d itself otherwise.  The expansion runs one power of Phi at a
-time, as integers over one scale, and the route stops it at the last
-power whose phi^(p) is nonzero.  The route adds each power's integers
-times phi^(p) with ``exact.rational_sum``; ``determinant_expand`` turns
-the same powers into a ``PhiPolynomial`` for ``derive --show-expansion``
-and the acceptance check, and ``interpret_phi_polynomial`` reads one back.
+b_j, and d itself otherwise.  ``build_matrix`` is the one producer of a
+``CompositionMatrix``: it checks psi and the order, and the record checks
+nothing.  The expansion runs one power of Phi at a time, as integers over
+one scale, and the route stops it at the last power whose phi^(p) is
+nonzero.  The route adds each power's integers times phi^(p) with
+``exact.rational_sum``; ``determinant_expand`` turns the same powers into
+a ``PhiPolynomial`` for ``derive --show-expansion`` and the acceptance
+check, and ``interpret_phi_polynomial`` reads one back.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .sequence import DerivativeSequence, Record
 __all__ = [
     "MIN_DETERMINANT_ORDER",
     "PhiPolynomial",
-    "CompositionMatrix",
     "build_matrix",
     "determinant_expand",
     "interpret_phi_polynomial",
@@ -98,16 +99,22 @@ class PhiPolynomial(Record):
 
 class CompositionMatrix(Record):
     """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}, with
-    n = ``len(columns) - 1``.
+    n = ``len(columns) - 1``: a ``build_matrix`` result.
 
     Every entry the expansion reads is c * Phi, so the matrix keeps only
     those c, as integers, in the order the leading-minor recurrence reads
     them: ``columns[k-1]`` holds A[1..k][k], A[i][k] the entry at row i and
     column k+1, for k <= n, and ``columns[n]`` holds column 1, rows 1..n+1.
-    An entry that reads psi^(j) is over ``scales[j-1]``, and each scale
-    divides the next, so all entries share one scale when the first equals
-    the last.  The -1 diagonal below row 1 and the zeros below it outside
-    column 1 are implied, so no stored value can break them.
+    An entry that reads psi^(j) is over ``scales[j-1]``.  The -1 diagonal
+    below row 1 and the zeros below it outside column 1 are implied, so no
+    stored value can break them.
+
+    ``build_matrix`` is its only producer and checks its input, so the
+    constructor only stores the fields.  ``build_matrix`` guarantees n + 1
+    columns, column k of length k; n + 1 scales, each a positive ``int``
+    dividing the next (so all are equal exactly when the first equals the
+    last), and all equal when the layout is one d; and an ``int`` in every
+    stored entry.
     """
 
     __slots__ = ("columns", "scales")
@@ -115,16 +122,6 @@ class CompositionMatrix(Record):
     scales: tuple[int, ...]
 
     def __init__(self, columns: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> None:
-        if set(map(type, scales)) != {int} or min(scales) < 1:  # one C-level pass when all is well
-            for scale in scales:
-                check_int(scale, "matrix scale", 1)
-        if not columns or any(len(column) != k for k, column in enumerate(columns, start=1)):
-            lengths = [len(column) for column in columns]
-            raise ValueError(f"matrix needs columns of lengths 1, 2, ..., n+1, got {lengths}")
-        if len(scales) != len(columns):
-            raise ValueError(f"matrix needs one scale per psi order 1..{len(columns)}, got {len(scales)}")
-        if len(set(scales)) > 1 and any(high % low for low, high in zip(scales, scales[1:])):
-            raise ValueError(f"each matrix scale must divide the next: {scales}")
         _set_columns(self, columns)
         _set_scales(self, scales)
 
@@ -154,7 +151,9 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
     otherwise: on small values one d is about as wide as any L_j, and the
     expansion's one-scale loop is the faster.  The stored columns are
     C(n-i+1, k-i) times psi^(k+1-i)'s integer for i = 1..k (column k+1 of
-    the matrix) and psi^(n+2-i)'s integer for i = 1..n+1 (column 1).
+    the matrix) and psi^(n+2-i)'s integer for i = 1..n+1 (column 1).  The
+    order and psi's length are the only checks: the shape and the scales
+    ``CompositionMatrix`` documents hold by construction.
     """
     check_int(n, "matrix order", 0)
     psi.require_order(n + 1, "psi")
@@ -224,9 +223,12 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
         H_k = sum_{i=1..k} A[i][k] * H_{i-1},    A[i][j] at row i, column j+1,
 
     and reading column 1 as column n+2 makes the expansion the last step
-    of that recurrence: det = (-1)^n * H_{n+1}.  ``matrix.columns`` holds
-    exactly these A[1..k][k] as integers over ``matrix.scales``, and
-    every such entry is c * Phi, which shifts H up one power, so the
+    of that recurrence: det = (-1)^n * H_{n+1}.  The matrix is a
+    ``build_matrix`` result, so ``matrix.columns`` holds n + 1 columns of
+    ints, column k of length k, exactly these A[1..k][k], over
+    ``matrix.scales``: n + 1 positive ints, each dividing the next, and all
+    equal when the layout is one d; the expansion checks none of it.
+    Every such entry is c * Phi, which shifts H up one power, so the
     Phi^p coefficients of all H_k follow from the Phi^(p-1) coefficients
     alone.  The recurrence runs one power at a time: the column of Phi^p
     coefficients is integers over one scale, the highest psi scale that
@@ -274,8 +276,7 @@ def derivative_determinant(
             f"determinant route needs order >= {MIN_DETERMINANT_ORDER}, got {order}; "
             "use the partition route for the first derivative"
         )
-    phi.require_order(order, "phi")
-    psi.require_order(order, "psi")
+    phi.require_order(order, "phi")  # before build_matrix checks psi
     derivs = phi.derivs
     top = max((k for k, d in enumerate(derivs[:order], start=1) if d), default=0)
     powers = _powers(build_matrix(psi, order - 1), top)

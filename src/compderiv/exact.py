@@ -11,14 +11,15 @@ stored reduced with a positive denominator, which makes equality
 structural: every cross-route check in this package is a plain ``==``.
 There is no floating point anywhere in the computational core.
 
-The integer-scaled form of rationals is integers over their least common
-denominator (``scaled``), kept small by dividing the integers and their
-denominator by their gcd (``reduced``); ``convolve`` multiplies
-coefficient lists, and ``taylor_scaled`` writes Taylor coefficients
-d_k / k! in the form.  Bell and the power route read psi through
-``taylor_scaled``; the determinant, which writes psi over lcms of its
-own, ``reduced``; the series route ``taylor_scaled``, ``reduced`` and
-``convolve``; and the symbolic expansion ``reduced`` and ``convolve``.
+The integer-scaled form of rationals is integers over one common
+denominator, kept small by dividing the integers and their denominator by
+their gcd (``reduced``); ``taylor_scaled`` writes Taylor coefficients
+d_k / k! in the form, over their least common denominator times a
+factorial, and ``convolve`` multiplies coefficient lists.  Bell and the
+power route read psi through ``taylor_scaled``; the determinant, which
+writes psi over lcms of its own, ``reduced``; the series route
+``taylor_scaled``, ``reduced`` and ``convolve``; and the symbolic
+expansion ``reduced`` and ``convolve``.
 The partition route keeps integers of its own and uses none of them.
 
 ``rational_sum`` adds integer pairs num / den over one running lcm of the
@@ -46,7 +47,6 @@ __all__ = [
     "format_rational",
     "int_text",
     "as_rational",
-    "scaled",
     "taylor_scaled",
     "reduced",
     "convolve",
@@ -151,20 +151,15 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers a_i and the least d >= 1 with values[i] == a_i / d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def taylor_scaled(values: Sequence[Fraction], start: int) -> tuple[list[int], int]:
     """Integers a_i and d with values[i] / (start + i)! == a_i / d.
 
-    d is ``scaled``'s least common denominator times top = (start + len - 1)!,
+    d is the values' least common denominator times top = (start + len - 1)!,
     not reduced.  The weights top / k! are one running product, from the last
     order down: k = start + len - 1 takes 1, and each lower k one more factor.
     """
-    xs, d = scaled(values)
+    d = math.lcm(*(v.denominator for v in values))
+    xs = [v.numerator * (d // v.denominator) for v in values]
     last = start + len(xs) - 1
     weight = 1
     for k in range(last, start - 1, -1):

@@ -16,7 +16,7 @@ route now runs Miller's power recurrence),
 coefficients, where the route sums baby-step giant-step powers of the
 inner series on integers).  None of the four reads a helper its route reads:
 they keep their own factorials, lcm and gcd, so a fault in a helper such
-as ``exact.scaled`` or ``partitions.pair_divisor`` moves the route alone.
+as ``exact.taylor_scaled`` or ``partitions.pair_divisor`` moves the route alone.
 ``evaluate_on_fractions`` walks a symbolic expression as a plain tree on
 ``Fraction`` arithmetic, where ``symbolic.derivative_sequence_of`` folds
 unreduced integer pairs once per distinct node.

@@ -19,7 +19,6 @@ from compderiv.composition import (
     power_derivatives,
 )
 from compderiv.determinant import (
-    CompositionMatrix,
     PhiPolynomial,
     build_matrix,
     derivative_determinant,
@@ -132,7 +131,7 @@ def test_rejects_nonpositive_order():
 @pytest.mark.parametrize("value", [True, 2.0])
 def test_other_integer_arguments_must_be_ints(value):
     # The order rule's check_int, on the power route's m, partial_bell's k, the
-    # sizes of a matrix and a jet, a matrix's scale and a partition's multiplicities.
+    # sizes of a matrix and a jet, and a partition's multiplicities.
     ones = seq(1, 1, 1, base=1)
     calls = [
         ("exponent", lambda m: lagrange_power_coefficient(ones, m, 3)),
@@ -140,7 +139,6 @@ def test_other_integer_arguments_must_be_ints(value):
         ("k", lambda k: partial_bell(3, k, ones)),
         ("matrix order", lambda n: build_matrix(ones, n)),
         ("jet order", lambda order: jet_from_derivatives(ones, order)),
-        ("matrix scale", lambda scale: CompositionMatrix(((1,),), (scale,))),
         ("multiplicity", lambda mj: multinomial_weight((mj,))),
     ]
     for what, call in calls:
@@ -157,7 +155,6 @@ def test_integer_arguments_below_their_lower_bound():
         ("jet order must be non-negative, got -1", lambda: jet_from_derivatives(ones, -1)),
         ("Pow exponent must be non-negative, got -1", lambda: Pow(parse("x"), -1)),
         ("Phi exponent must be non-negative, got -1", lambda: PhiPolynomial({-1: 1})),
-        ("matrix scale must be positive, got 0", lambda: CompositionMatrix(((1,),), (0,))),
         ("multiplicity must be non-negative, got -1", lambda: multinomial_weight((-1, 2, 0))),
         ("partition order must be positive, got 0", lambda: next(partition_parts(0))),
     ]
@@ -403,7 +400,7 @@ def test_partition_route_equals_the_fraction_loop_it_replaced():
     assert derivative_partition_sum(phi, psi, 40) == partition_sum_on_fractions(phi, psi, 40)
 
 
-def refuse_integer_scaled_form(monkeypatch, names=("scaled", "reduced", "convolve")):
+def refuse_integer_scaled_form(monkeypatch, names=("taylor_scaled", "reduced", "convolve")):
     """Make the named exact helpers raise, in exact and in composition."""
 
     def refuser(name):
@@ -421,12 +418,12 @@ def refuse_integer_scaled_form(monkeypatch, names=("scaled", "reduced", "convolv
 def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
     # The five-way check compares independent routes: the partition sum keeps
     # its own integers and common denominators, and never reaches the
-    # integer-scaled form (scaled, reduced, convolve) the others share.
+    # integer-scaled form (taylor_scaled, reduced, convolve) the others share.
     rng = random.Random(950 + n)
     phi, psi = random_sequence(rng, n), random_sequence(rng, n)
     expected = derivative_bell(phi, psi, n)
     refuse_integer_scaled_form(monkeypatch)
-    with pytest.raises(AssertionError, match="exact.scaled called"):
+    with pytest.raises(AssertionError, match="exact.taylor_scaled called"):
         derivative_bell(phi, psi, n)
     assert derivative_partition_sum(phi, psi, n) == expected
 
@@ -434,8 +431,8 @@ def test_partition_route_uses_no_integer_scaled_form(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_bell_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch):
     # Each Miller step in _power_coefficient takes its content from
-    # gcd(step, acc), so Bell reads psi through exact.scaled and needs neither
-    # the list-wide gcd of exact.reduced nor exact.convolve.
+    # gcd(step, acc), so Bell reads psi through exact.taylor_scaled and
+    # needs neither the list-wide gcd of exact.reduced nor exact.convolve.
     rng = random.Random(970 + n)
     phi, psi = random_sequence(rng, n), random_sequence(rng, n)
     expected = sum(
@@ -494,10 +491,10 @@ def test_bell_and_power_routes_enumerate_no_partitions(n, monkeypatch):
 def test_power_route_uses_only_scaled_of_the_integer_scaled_form(n, monkeypatch):
     # Lagrange reads [t^n] u**m through _power_coefficient, the helper Bell
     # reads too: it writes u over its least common denominator with
-    # exact.scaled and takes its content from the gcd of each Miller step,
-    # so it needs neither exact.reduced nor exact.convolve.  Its Fraction
-    # oracle reads none of the three (see test_oracle_reach for a fault in
-    # scaled).
+    # exact.taylor_scaled and takes its content from the gcd of each Miller
+    # step, so it needs neither exact.reduced nor exact.convolve.  Its
+    # Fraction oracle reads none of the three (see test_oracle_reach for a
+    # fault in taylor_scaled).
     rng = random.Random(960 + n)
     psi = DerivativeSequence(derivs=random_sequence(rng, n).derivs, base=Fraction(-5, 3))
     expected = {m: power_coefficient_on_fractions(psi, m, n) for m in (-3, 2, 5)}

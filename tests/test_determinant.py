@@ -13,7 +13,6 @@ from compderiv import SequenceTooShortError, determinant
 from compderiv.cli import _random_sequence
 from compderiv.composition import DerivativeSequence, derivative_partition_sum
 from compderiv.determinant import (
-    CompositionMatrix,
     PhiPolynomial,
     build_matrix,
     derivative_determinant,
@@ -128,40 +127,57 @@ def test_build_matrix_needs_order_plus_one_derivatives():
         build_matrix(seq(1, 1), 2)
 
 
-def test_matrix_rejects_wrongly_shaped_columns():
-    good = build_matrix(seq(1, 1, 1), 2)
-    assert [len(column) for column in good.columns] == [1, 2, 3]
-    assert good.n == 2
-    # The order is the column count less one, so one column fewer is order 1.
-    assert CompositionMatrix(columns=good.columns[:2], scales=(1, 1)).n == 1
-    for columns in [
-        ((1,), (1, 1, 1), (1, 1, 1)),  # column 2 one cell too long
-        ((1,), (1, 1), (1, 1)),  # column 3 one cell short
-    ]:
-        with pytest.raises(ValueError):
-            CompositionMatrix(columns=columns, scales=(1, 1, 1))
-    with pytest.raises(ValueError):
-        CompositionMatrix(columns=good.columns, scales=(1, 1, 0))
-    with pytest.raises(ValueError):
-        CompositionMatrix(columns=(), scales=())
-    # One scale per psi order, each dividing the next, so every lift is an integer.
-    with pytest.raises(ValueError, match="one scale per psi order 1..3, got 2"):
-        CompositionMatrix(columns=good.columns, scales=(2, 2))
-    for scales in [(2, 6, 9), (2, 4, 2)]:
-        with pytest.raises(ValueError, match=r"each matrix scale must divide the next: \("):
-            CompositionMatrix(columns=good.columns, scales=scales)
-    # Every scale is checked, not only the first: True is not 1, nor 2.0 an int.
-    for bad in [True, 2.0]:
-        with pytest.raises(TypeError, match=f"matrix scale must be an int: {bad!r}"):
-            CompositionMatrix(columns=good.columns, scales=(1, bad, 2))
-    with pytest.raises(ValueError, match="matrix scale must be positive, got -2"):
-        CompositionMatrix(columns=good.columns, scales=(2, -2, 4))
+def _boundary_values(rng, size, lead):
+    """psi', psi'', ... over 5, 7, then ``lead``, then each over one of 1, 5, 7 and
+    ``lead``: d = lcm(5, 7, *lead) next to twice the widest denominator's 3 bits."""
+    pick = [5, 7, *lead, *(rng.choice([1, 5, 7, *lead]) for _ in range(size))][:size]
+    return [Fraction(rng.choice([-3, -1, 1, 3]), b) for b in pick]  # odd: no b reduces
+
+
+# psi draws for the shape test: each maps (rng, size) to ``size`` values.
+MATRIX_DRAWS = {
+    "small": lambda rng, size: [_small(rng) for _ in range(size)],
+    "64-bit": lambda rng, size: [_odd_wide(rng) for _ in range(size)],
+    "64-bit with zeros": lambda rng, size: [_wide(rng) for _ in range(size)],
+    "equal wide denominators": lambda rng, size: [
+        Fraction(rng.randrange(-(2**63), 2**63), 2**64 - 59) for _ in range(size)
+    ],
+    # d = 35 has 6 bits, twice 7's 3: one d.  With a 2 as well, d = 70 has 7: prefix scales.
+    "just below the boundary": lambda rng, size: _boundary_values(rng, size, []),
+    "just above the boundary": lambda rng, size: _boundary_values(rng, size, [2]),
+}
+
+
+def test_build_matrix_output_has_the_documented_shape_and_scales():
+    # The invariants CompositionMatrix documents and does not check: n + 1
+    # columns, column k of length k, every entry an int; n + 1 positive int
+    # scales (not bools), each dividing the next, all equal in the one-d layout.
+    rng = random.Random(5300)
+    for name, draw in MATRIX_DRAWS.items():
+        for n in range(31):
+            values = draw(rng, n + 1)
+            matrix = build_matrix(seq(*values), n)
+            hash(matrix)  # tuples all the way down, so the record hashes
+            assert matrix.n == n
+            assert [len(column) for column in matrix.columns] == list(range(1, n + 2))
+            assert all(type(x) is int for column in matrix.columns for x in column)
+            scales = matrix.scales
+            assert len(scales) == n + 1
+            assert all(type(scale) is int and scale >= 1 for scale in scales)
+            assert all(high % low == 0 for low, high in zip(scales, scales[1:]))
+            dens = [v.denominator for v in values]
+            one_d = math.lcm(*dens).bit_length() <= 2 * max(dens).bit_length()
+            if n >= 2 and name.startswith("just"):
+                assert one_d is ("below" in name), (name, n)
+            if one_d:
+                assert len(set(scales)) == 1, (name, n, scales)
 
 
 # --- determinant expansion -------------------------------------------------------
 
 def test_expand_one_by_one_base_case():
-    matrix = CompositionMatrix(columns=((9,),), scales=(4,))
+    matrix = build_matrix(seq(Fraction(9, 4)), 0)
+    assert (matrix.columns, matrix.scales) == (((9,),), (4,))
     assert matrix_entry(matrix, 1, 1) == PhiPolynomial({1: Fraction(9, 4)})
     assert determinant_expand(matrix) == PhiPolynomial({1: Fraction(9, 4)})
 

@@ -17,7 +17,6 @@ from compderiv.exact import (
     parse_rational,
     rational_sum,
     reduced,
-    scaled,
     taylor_scaled,
 )
 
@@ -164,22 +163,20 @@ def test_as_rational_coercions():
 # --- integer-scaled form ------------------------------------------------------
 
 
-def test_scaled_clears_the_least_common_denominator():
-    assert scaled([Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5, 6)]) == (
-        [3, -2, 0, 5],
-        6,
-    )
-    assert scaled([Fraction(-4), Fraction(0)]) == ([-4, 0], 1)
-    assert scaled([Fraction(0), Fraction(0)]) == ([0, 0], 1)
-    assert scaled([]) == ([], 1)
-
-
 def test_taylor_scaled_writes_d_k_over_k_factorial_over_one_denominator():
     # The base, then d_k / k!: [2, 1, 3/2] from order 0 is [2, 1, 3/4] over
-    # scaled's lcm 2 times 2!, and a missing base enters as 0.
+    # the values' lcm 2 times 2!, and a missing base enters as 0.
     assert taylor_scaled([Fraction(2), Fraction(1), Fraction(3, 2)], 0) == ([8, 4, 3], 4)
     assert taylor_scaled([Fraction(0), Fraction(6)], 0) == ([0, 6], 1)
     assert taylor_scaled([Fraction(2)], 0) == ([2], 1)
+    # From order 1 with one value, the weight and 1! are 1: the lcm alone.
+    assert taylor_scaled([Fraction(-5, 6)], 1) == ([-5], 6)
+    # Over the least common denominator 6, not the product 36, and zeros add nothing to it.
+    assert taylor_scaled([Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5, 6)], 1) == (
+        [3 * 24, -2 * 12, 0, 5], 6 * 24
+    )
+    assert taylor_scaled([Fraction(-4), Fraction(0)], 1) == ([-8, 0], 2)
+    assert taylor_scaled([Fraction(0), Fraction(0)], 1) == ([0, 0], 2)
     # An order-0 jet has no derivatives to scale.
     assert taylor_scaled([], 1) == ([], 1)
     rng = random.Random(34)
@@ -191,7 +188,7 @@ def test_taylor_scaled_writes_d_k_over_k_factorial_over_one_denominator():
             ]
             ints, d = taylor_scaled(values, start)
             assert d >= 1 and all(isinstance(x, int) for x in ints)
-            assert d == scaled(values)[1] * math.factorial(start + size - 1)
+            assert d == math.lcm(*(v.denominator for v in values)) * math.factorial(start + size - 1)
             assert [Fraction(x, d) for x in ints] == [
                 v / math.factorial(k) for k, v in enumerate(values, start)
             ]
@@ -207,13 +204,18 @@ def test_convolve_truncates_and_pads():
     assert convolve([1, 2], [3], 0) == []
 
 
-@given(st.lists(rationals, max_size=12))
-def test_scaled_is_exact_and_least(values):
-    a, d = scaled(values)
+@given(st.lists(rationals, max_size=12), st.integers(1, 5))
+def test_scaled_is_exact_and_least(values, start):
+    a, d = taylor_scaled(values, start)
     assert d >= 1 and all(isinstance(x, int) for x in a)
-    assert [Fraction(x, d) for x in a] == values
-    # d is least exactly when no prime divides d and every a_i.
-    assert math.gcd(d, *a) == 1
+    last = start + len(values) - 1
+    assert [Fraction(x, d) for x in a] == [v / math.factorial(k) for k, v in enumerate(values, start)]
+    # Without the weights last! / k! and last!, the integers are over the values'
+    # least common denominator: no prime divides it and every one of them.
+    lcm, rest = divmod(d, math.factorial(last))
+    plain = [x // (math.factorial(last) // math.factorial(k)) for k, x in enumerate(a, start)]
+    assert rest == 0 and [Fraction(x, lcm) for x in plain] == values
+    assert math.gcd(lcm, *plain) == 1
 
 
 @given(st.lists(st.integers(-(10**6), 10**6), max_size=8), st.integers(1, 10**6))
@@ -242,7 +244,8 @@ def test_convolve_of_scaled_lists_matches_fraction_arithmetic(a, b, size):
         for k in range(max(0, min(size, len(a) + len(b) - 1)))
     ]
     assert convolve(a, b, size) == expected
-    (ia, da), (ib, db) = scaled(a), scaled(b)
+    da, db = (math.lcm(*(v.denominator for v in values)) for values in (a, b))
+    ia, ib = [int(v * da) for v in a], [int(v * db) for v in b]
     assert [Fraction(c, da * db) for c in convolve(ia, ib, size)] == expected
 
 

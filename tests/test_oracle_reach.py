@@ -17,7 +17,6 @@ DERIVE = ["derive", "--phi", "x^3 + x", "--psi", "2*y^2 + y", "--at", "1/2", "-n
 
 # (owner, name, command): a one-unit fault in owner.name makes the command exit 3.
 FAULTS = [
-    (exact, "scaled", CHECK),
     (exact, "reduced", CHECK),
     (exact, "convolve", CHECK),
     (exact, "rational_sum", CHECK),
@@ -156,14 +155,13 @@ def test_a_one_unit_fault_in_a_shared_helper_makes_the_routes_disagree(
     assert "route disagreement" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["scaled", "taylor_scaled"])
+@pytest.mark.parametrize("name", ["taylor_scaled"])
 def test_a_one_unit_fault_in_scaled_moves_partial_bell_off_its_oracle(monkeypatch, name):
     """``partial_bell_by_binomials`` reads none of the helpers ``partial_bell`` reads.
 
-    The fault goes into ``exact.scaled`` or ``exact.taylor_scaled`` as above,
-    the test oracles included, and B_{n,k} differs from the oracle's value
-    for every k < n; B_{n,n} is psi'**n, which partial_bell reads from psi'
-    itself.
+    The fault goes into ``exact.taylor_scaled`` as above, the test oracles
+    included, and B_{n,k} differs from the oracle's value for every k < n;
+    B_{n,n} is psi'**n, which partial_bell reads from psi' itself.
     """
     rng = random.Random(3030)
     cases = []
@@ -175,14 +173,13 @@ def test_a_one_unit_fault_in_scaled_moves_partial_bell_off_its_oracle(monkeypatc
     assert all(partial_bell(*args) != partial_bell_by_binomials(*args) for args in cases)
 
 
-@pytest.mark.parametrize("name", ["scaled", "taylor_scaled"])
+@pytest.mark.parametrize("name", ["taylor_scaled"])
 def test_a_one_unit_fault_in_scaled_moves_the_power_route_off_its_oracle(monkeypatch, name):
     """``power_coefficient_on_fractions`` reads none of the helpers
     ``lagrange_power_coefficient`` reads.
 
-    With the fault in ``exact.scaled`` or ``exact.taylor_scaled``, W_last /
-    W_0 is 1 / W_0 off, and so is the coefficient, by m * w_0**m / W_0, at
-    every n and m != 0.
+    With the fault in ``exact.taylor_scaled``, W_last / W_0 is 1 / W_0 off,
+    and so is the coefficient, by m * w_0**m / W_0, at every n and m != 0.
     """
     rng = random.Random(3131)
     cases = []

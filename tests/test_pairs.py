@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = ROOT / "tools" / "pairs.py"
 
 # A stand-in for bench/run.py: it checks that it may read no cached bytecode,
-# appends "<tree> <seed>" to ../calls.log and prints a summary line, then the
-# result line of the tree's result.json, in which a metric given as a list is
-# indexed by the seed.
+# appends "<tree> <seed>" to ../calls.log and its --seconds to ../seconds.log,
+# and prints a summary line, then the result line of the tree's result.json,
+# in which a metric given as a list is indexed by the seed.
 STUB = textwrap.dedent("""
     import json, os, sys
     from pathlib import Path
@@ -24,6 +24,8 @@ STUB = textwrap.dedent("""
     seed = int(sys.argv[sys.argv.index("--seed") + 1])
     with open(here.parent / "calls.log", "a") as log:
         log.write(f"{here.name} {seed}\\n")
+    with open(here.parent / "seconds.log", "a") as log:
+        log.write(sys.argv[sys.argv.index("--seconds") + 1] + "\\n")
     result = json.loads((here / "result.json").read_text())
     exit_code = result.pop("exit", 0)
     for metric in result["metrics"].values():
@@ -54,9 +56,10 @@ def _tree(root: Path, name: str, walls: list[float], rss: float | list[float],
     return tree
 
 
-def _pairs(change: Path, baseline: Path, *more: str) -> subprocess.CompletedProcess:
+def _pairs(change: Path, baseline: Path, *more: str,
+           seconds: str | None = "2") -> subprocess.CompletedProcess:
     argv = [sys.executable, str(change / "tools" / "pairs.py"), "--baseline", str(baseline),
-            "--workload", "expr_derive", "--seconds", "2", *more]
+            "--workload", "expr_derive", *(["--seconds", seconds] if seconds else []), *more]
     return subprocess.run(argv, capture_output=True, text=True)
 
 
@@ -136,3 +139,17 @@ def test_a_missing_baseline_is_an_argument_error_before_any_run(tmp_path):
     )
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "calls.log").exists()
+
+
+def test_the_run_length_defaults_to_the_benchmark_s_run_seconds(tmp_path):
+    # The change tree's BENCHMARK.json sets the length; an explicit --seconds wins.
+    change = _tree(tmp_path, "change", [1.0], rss=24.0)
+    baseline = _tree(tmp_path, "baseline", [1.0], rss=24.0)
+    spec = json.loads((change / "BENCHMARK.json").read_text())
+    (change / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 7}))
+    proc = _pairs(change, baseline, "--pairs", "1", seconds=None)
+    assert proc.returncode == 0, proc.stderr
+    assert "--seconds 7" in proc.stdout.splitlines()[0]
+    proc = _pairs(change, baseline, "--pairs", "1", seconds="3")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "seconds.log").read_text().split() == ["7", "7", "3", "3"]

@@ -26,8 +26,9 @@ on both sides alike.  ``bench/run.py`` imports the program nine times for
 For each metric the runs report, it prints each side's median and quartiles
 (``statistics.quantiles``, inclusive method), change/baseline, how many pairs
 the change won, and whether the two medians differ by more than the
-baseline's interquartile range.  The bounds and the better direction come
-from this checkout's ``BENCHMARK.json``.  Then one line names the gains:
+baseline's interquartile range.  The bounds, the better direction and the
+default ``--seconds`` (its ``run_seconds``) come from this checkout's
+``BENCHMARK.json``.  Then one line names the gains:
 each metric whose change won at least 9/10 of the pairs in its better
 direction (a tie counts for neither side) and whose median is better than
 the baseline's by more than the baseline's interquartile range.  Last, it
@@ -87,12 +88,6 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def bounds(benchmark: Path) -> dict[str, tuple[str, float]]:
-    """End-to-end metric name -> (better, bound) from a BENCHMARK.json."""
-    spec = json.loads(benchmark.read_text())
-    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-
-
 def summarize(change: list[dict[str, float]], baseline: list[dict[str, float]],
               limits: dict[str, tuple[str, float]]) -> tuple[list[str], list[str], list[str]]:
     """The table's lines, the names of the gains, and one line per metric past its bound.
@@ -127,11 +122,13 @@ def summarize(change: list[dict[str, float]], baseline: list[dict[str, float]],
 
 
 def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", type=Path, metavar="ROOT", required=True, help="root of the baseline tree")
     parser.add_argument("--workload", required=True, help="a bench workload, or all")
     parser.add_argument("--pairs", type=int, default=10, help="alternated pairs to run, default 10")
-    parser.add_argument("--seconds", type=int, default=20, help="bench/run.py --seconds, default 20")
+    parser.add_argument("--seconds", type=int, default=spec["run_seconds"],
+                        help="bench/run.py --seconds, default BENCHMARK.json's run_seconds")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair, default 1")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -155,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# {args.workload}: {args.pairs} alternated pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"--seconds {args.seconds}")
     print(f"# change   {trees['change']}\n# baseline {trees['baseline']}")
-    lines, gains, crossed = summarize(runs["change"], runs["baseline"], bounds(ROOT / "BENCHMARK.json"))
+    limits = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    lines, gains, crossed = summarize(runs["change"], runs["baseline"], limits)
     print("\n".join(lines))
     print("gains (at least 9/10 pairs won, medians apart by more than the baseline IQR): "
           + (", ".join(gains) or "none"))
