@@ -9,18 +9,13 @@ below row 1 is -1, and the upper triangle carries binomially weighted
 inner derivatives times Phi.  The raw determinant equals
 (-1)^n * D_y^{n+1}.
 
-The matrix is stored as the integer coefficients of its c * Phi entries,
-column by column in the order the expansion reads them, each over the
-scale of the psi order it reads: with psi^(j) = a_j / b_j, the prefix lcm
-L_j = lcm(b_1..b_j) when d = L_(n+1) has more bits than twice the widest
-b_j, and d itself otherwise.  ``build_matrix`` is the one producer of a
-``CompositionMatrix``: it checks psi and the order, and the record checks
-nothing.  The expansion runs one power of Phi at a time, as integers over
-one scale, and the route stops it at the last power whose phi^(p) is
-nonzero.  The route adds each power's integers times phi^(p) with
-``exact.rational_sum``; ``determinant_expand`` turns the same powers into
-a ``PhiPolynomial`` for ``derive --show-expansion`` and the acceptance
-check, and ``interpret_phi_polynomial`` reads one back.
+``build_matrix`` returns the matrix as the pair (columns, scales) whose
+layout its docstring states.  The expansion runs one power of Phi at a
+time, as integers over one scale, and the route stops it at the last
+power whose phi^(p) is nonzero.  The route adds each power's integers
+times phi^(p) with ``exact.rational_sum``; ``determinant_expand`` turns
+the same powers into a ``PhiPolynomial`` for ``derive --show-expansion``
+and the acceptance check, and ``interpret_phi_polynomial`` reads one back.
 """
 
 from __future__ import annotations
@@ -97,45 +92,11 @@ class PhiPolynomial(Record):
         return " ".join(pieces)
 
 
-class CompositionMatrix(Record):
-    """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}, with
-    n = ``len(columns) - 1``: a ``build_matrix`` result.
-
-    Every entry the expansion reads is c * Phi, so the matrix keeps only
-    those c, as integers, in the order the leading-minor recurrence reads
-    them: ``columns[k-1]`` holds A[1..k][k], A[i][k] the entry at row i and
-    column k+1, for k <= n, and ``columns[n]`` holds column 1, rows 1..n+1.
-    An entry that reads psi^(j) is over ``scales[j-1]``.  The -1 diagonal
-    below row 1 and the zeros below it outside column 1 are implied, so no
-    stored value can break them.
-
-    ``build_matrix`` is its only producer and checks its input, so the
-    constructor only stores the fields.  ``build_matrix`` guarantees n + 1
-    columns, column k of length k; n + 1 scales, each a positive ``int``
-    dividing the next (so all are equal exactly when the first equals the
-    last), and all equal when the layout is one d; and an ``int`` in every
-    stored entry.
-    """
-
-    __slots__ = ("columns", "scales")
-    columns: tuple[tuple[int, ...], ...]
-    scales: tuple[int, ...]
-
-    def __init__(self, columns: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> None:
-        _set_columns(self, columns)
-        _set_scales(self, scales)
-
-    @property
-    def n(self) -> int:
-        return len(self.columns) - 1
-
-
-# The slot descriptors' setters that ``__init__`` stores through.
-_set_columns, _set_scales = CompositionMatrix.columns.__set__, CompositionMatrix.scales.__set__
-
-
-def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
-    """Construct the determinant matrix for D_y^{n+1} from psi derivatives.
+def build_matrix(
+    psi: DerivativeSequence, n: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The (n+1) x (n+1) matrix whose determinant yields D_y^{n+1}, from psi
+    derivatives up to order n+1, as the pair (columns, scales).
 
     With 1-based indices r, c and T the Phi indeterminate:
 
@@ -144,16 +105,20 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
         entry(r, c) = C(n-r+1, c-r-1) * psi^(c-r) * T    for c > r
         entry(r, c) = 0                       otherwise
 
-    Row 1 follows the same binomial formula with r = 1.  Needs psi
-    derivatives up to order n+1.  With psi^(j) = a_j / b_j and
-    L_j = lcm(b_1..b_j), d = L_(n+1), psi^(j) is written over its prefix
-    scale L_j when d has more bits than twice the widest b_j, and over d
-    otherwise: on small values one d is about as wide as any L_j, and the
-    expansion's one-scale loop is the faster.  The stored columns are
-    C(n-i+1, k-i) times psi^(k+1-i)'s integer for i = 1..k (column k+1 of
-    the matrix) and psi^(n+2-i)'s integer for i = 1..n+1 (column 1).  The
-    order and psi's length are the only checks: the shape and the scales
-    ``CompositionMatrix`` documents hold by construction.
+    Row 1 follows the same binomial formula with r = 1.  Every entry the
+    expansion reads is c * Phi, so the pair keeps only those c, as ints, in
+    the order the leading-minor recurrence reads them: ``columns[k-1]``
+    holds A[1..k][k], A[i][k] the entry at row i and column k+1, for
+    k <= n, and ``columns[n]`` holds column 1, rows 1..n+1; column k has
+    length k.  An entry that reads psi^(j) is over ``scales[j-1]``.  With
+    psi^(j) = a_j / b_j and L_j = lcm(b_1..b_j), d = L_(n+1), psi^(j) is
+    written over its prefix scale L_j when d has more bits than twice the
+    widest b_j, and over d otherwise: on small values one d is about as
+    wide as any L_j, and the expansion's one-scale loop is the faster.  So
+    the n + 1 scales are positive ints, each dividing the next, and they
+    are all equal exactly when the first equals the last.  The -1 diagonal
+    and the zeros are implied.  The order and psi's length are the only
+    checks; the expansion trusts the rest, which holds by construction.
     """
     check_int(n, "matrix order", 0)
     psi.require_order(n + 1, "psi")
@@ -168,11 +133,14 @@ def build_matrix(psi: DerivativeSequence, n: int) -> CompositionMatrix:
         for k in range(1, n + 1)
     ]
     columns.append(tuple(reversed(a)))
-    return CompositionMatrix(columns=tuple(columns), scales=scales)
+    return tuple(columns), scales
 
 
-def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int]]:
-    """(p, c, scale) for p = 1..top: H_(n+1) has Phi^p coefficient c / scale.
+def _powers(
+    columns: tuple[tuple[int, ...], ...], scales: tuple[int, ...], top: int
+) -> Iterator[tuple[int, int, int]]:
+    """(p, c, scale) for p = 1..top: H_(n+1) has Phi^p coefficient c / scale,
+    on ``build_matrix``'s pair, n = ``len(columns) - 1``.
 
     The leading-minor recurrence of ``determinant_expand``, one power of Phi
     at a time; the determinant's coefficient is (-1)^n times this one.  The
@@ -185,7 +153,6 @@ def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int
     then divided by its gcd with its scale, so the triples do not depend on
     the layout.
     """
-    columns, scales = matrix.columns, matrix.scales
     # column[t] / scale is the coefficient of Phi^(p-1) in H_(p-1+t); H_0 = 1.
     column, scale = [1], 1
     if scales[0] == scales[-1]:
@@ -196,7 +163,7 @@ def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int
             yield p, column[-1], scale
         return
     lifts = [1, *(high // low for low, high in zip(scales, scales[1:]))]  # L_j / L_(j-1)
-    column += [0] * matrix.n  # H_1..H_n have no Phi^0 term: term j reads column[m-j]
+    column += [0] * (len(columns) - 1)  # H_1..H_n have no Phi^0 term: term j reads column[m-j]
     for p in range(1, top + 1):
         high = scales[len(columns) - p]  # L_w
         out = []
@@ -211,8 +178,10 @@ def _powers(matrix: CompositionMatrix, top: int) -> Iterator[tuple[int, int, int
         yield p, column[-1], scale
 
 
-def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
-    """Exact determinant of the matrix as a Phi-polynomial.
+def determinant_expand(
+    matrix: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+) -> PhiPolynomial:
+    """Exact determinant of ``build_matrix``'s pair as a Phi-polynomial.
 
     Cofactor expansion down column 1: deleting row r and column 1 leaves a
     minor whose trailing rows are upper triangular with -1 diagonal, so
@@ -223,11 +192,9 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
         H_k = sum_{i=1..k} A[i][k] * H_{i-1},    A[i][j] at row i, column j+1,
 
     and reading column 1 as column n+2 makes the expansion the last step
-    of that recurrence: det = (-1)^n * H_{n+1}.  The matrix is a
-    ``build_matrix`` result, so ``matrix.columns`` holds n + 1 columns of
-    ints, column k of length k, exactly these A[1..k][k], over
-    ``matrix.scales``: n + 1 positive ints, each dividing the next, and all
-    equal when the layout is one d; the expansion checks none of it.
+    of that recurrence: det = (-1)^n * H_{n+1}, n = ``len(columns) - 1``.
+    The columns hold exactly these A[1..k][k] in the layout ``build_matrix``
+    states; the expansion checks none of it.
     Every such entry is c * Phi, which shifts H up one power, so the
     Phi^p coefficients of all H_k follow from the Phi^(p-1) coefficients
     alone.  The recurrence runs one power at a time: the column of Phi^p
@@ -237,8 +204,9 @@ def determinant_expand(matrix: CompositionMatrix) -> PhiPolynomial:
     denominators, not with a power of d.  That costs O(n^3) integer
     multiplications; no general O(n!) expansion ever happens.
     """
-    sign = (-1) ** matrix.n
-    powers = _powers(matrix, matrix.n + 1)
+    columns, scales = matrix
+    sign = (-1) ** (len(columns) - 1)
+    powers = _powers(columns, scales, len(columns))
     return PhiPolynomial({p: Fraction(sign * c, scale) for p, c, scale in powers})
 
 
@@ -279,7 +247,7 @@ def derivative_determinant(
     phi.require_order(order, "phi")  # before build_matrix checks psi
     derivs = phi.derivs
     top = max((k for k, d in enumerate(derivs[:order], start=1) if d), default=0)
-    powers = _powers(build_matrix(psi, order - 1), top)
+    powers = _powers(*build_matrix(psi, order - 1), top)
     return rational_sum(
         (derivs[p - 1].numerator * c, derivs[p - 1].denominator * scale) for p, c, scale in powers
     )

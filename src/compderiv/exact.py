@@ -157,7 +157,10 @@ def taylor_scaled(values: Sequence[Fraction], start: int) -> tuple[list[int], in
     d is the values' least common denominator times top = (start + len - 1)!,
     not reduced.  The weights top / k! are one running product, from the last
     order down: k = start + len - 1 takes 1, and each lower k one more factor.
+    An empty list has no top and gives ([], 1) from any start.
     """
+    if not values:
+        return [], 1
     d = math.lcm(*(v.denominator for v in values))
     xs = [v.numerator * (d // v.denominator) for v in values]
     last = start + len(xs) - 1

@@ -31,8 +31,8 @@ class SequenceTooShortError(ValueError):
 
 class Record:
     """An immutable record whose fields are its class's ``__slots__``: the base
-    of ``DerivativeSequence``, ``determinant.CompositionMatrix``,
-    ``determinant.PhiPolynomial`` and the expression nodes.
+    of ``DerivativeSequence``, ``determinant.PhiPolynomial`` and the
+    expression nodes.
 
     Each ``__init__`` stores its fields through their slot descriptors; any
     other assignment or deletion raises ``AttributeError``.  Records compare

@@ -33,7 +33,7 @@ from itertools import product
 from typing import Iterator
 
 from compderiv import DerivativeSequence
-from compderiv.determinant import CompositionMatrix, PhiPolynomial
+from compderiv.determinant import PhiPolynomial
 from compderiv.exact import check_order
 from compderiv.partitions import partition_parts
 from compderiv.symbolic import Add, Constant, Expr, Mul, Pow, Variable
@@ -259,18 +259,22 @@ def evaluate_on_fractions(e: Expr, at: Fraction) -> Fraction:
     return value
 
 
-def matrix_entry(matrix: CompositionMatrix, r: int, c: int) -> PhiPolynomial:
-    """The entry at 1-based row r, column c of ``matrix`` in the paper's layout:
-    a stored coefficient over the scale of the psi order it reads, times Phi,
-    in column 1 and above the diagonal, -1 on the diagonal below row 1, and
-    0 elsewhere."""
+def matrix_entry(
+    matrix: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], r: int, c: int
+) -> PhiPolynomial:
+    """The entry at 1-based row r, column c of ``build_matrix``'s pair
+    (columns, scales) in the paper's layout: a stored coefficient over the
+    scale of the psi order it reads, times Phi, in column 1 and above the
+    diagonal, -1 on the diagonal below row 1, and 0 elsewhere."""
+    columns, scales = matrix
+    n = len(columns) - 1
     if c == 1:
-        stored, order = matrix.columns[matrix.n][r - 1], matrix.n + 2 - r
+        stored, order = columns[n][r - 1], n + 2 - r
     elif c > r:
-        stored, order = matrix.columns[c - 2][r - 1], c - r
+        stored, order = columns[c - 2][r - 1], c - r
     else:
         return PhiPolynomial({0: -1} if c == r else {})
-    return PhiPolynomial({1: Fraction(stored, matrix.scales[order - 1])})
+    return PhiPolynomial({1: Fraction(stored, scales[order - 1])})
 
 
 def random_rational(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:

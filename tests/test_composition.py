@@ -267,9 +267,9 @@ def test_determinant_expands_only_the_powers_phi_reads(monkeypatch):
     psi = seq(*(Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1) for _ in range(30)))
     tops, powers = [], determinant._powers
 
-    def recording(matrix, top):
+    def recording(columns, scales, top):
         tops.append(top)
-        return powers(matrix, top)
+        return powers(columns, scales, top)
 
     monkeypatch.setattr(determinant, "_powers", recording)
     phi = power_derivatives(2, Fraction(7, 3), 30)

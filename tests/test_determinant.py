@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -109,7 +111,8 @@ def test_structure_invariants(n):
     rng = random.Random(800 + n)
     psi = random_sequence(rng, n + 1)
     matrix = build_matrix(psi, n)
-    size = matrix.n + 1
+    columns, _ = matrix
+    size = len(columns)
     minus_one = PhiPolynomial({0: -1})
     for r in range(1, size + 1):
         assert matrix_entry(matrix, r, 1) == PhiPolynomial({1: psi.derivs[n + 1 - r]})
@@ -149,19 +152,25 @@ MATRIX_DRAWS = {
 
 
 def test_build_matrix_output_has_the_documented_shape_and_scales():
-    # The invariants CompositionMatrix documents and does not check: n + 1
-    # columns, column k of length k, every entry an int; n + 1 positive int
-    # scales (not bools), each dividing the next, all equal in the one-d layout.
+    # The layout build_matrix documents and the expansion does not check: a
+    # pair of tuples, n + 1 tuple columns, column k of length k, every entry an
+    # int; n + 1 positive int scales (not bools), each dividing the next, all
+    # equal in the one-d layout.  Tuples all the way down, so the pair hashes
+    # and pickle and copy give it back equal.
     rng = random.Random(5300)
+    round_trips = [lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy]
     for name, draw in MATRIX_DRAWS.items():
         for n in range(31):
             values = draw(rng, n + 1)
             matrix = build_matrix(seq(*values), n)
-            hash(matrix)  # tuples all the way down, so the record hashes
-            assert matrix.n == n
-            assert [len(column) for column in matrix.columns] == list(range(1, n + 2))
-            assert all(type(x) is int for column in matrix.columns for x in column)
-            scales = matrix.scales
+            columns, scales = matrix
+            assert type(matrix) is tuple and type(columns) is tuple and type(scales) is tuple
+            assert all(type(column) is tuple for column in columns)
+            for round_trip in round_trips:
+                again = round_trip(matrix)
+                assert again == matrix and hash(again) == hash(matrix)
+            assert [len(column) for column in columns] == list(range(1, n + 2))
+            assert all(type(x) is int for column in columns for x in column)
             assert len(scales) == n + 1
             assert all(type(scale) is int and scale >= 1 for scale in scales)
             assert all(high % low == 0 for low, high in zip(scales, scales[1:]))
@@ -177,7 +186,7 @@ def test_build_matrix_output_has_the_documented_shape_and_scales():
 
 def test_expand_one_by_one_base_case():
     matrix = build_matrix(seq(Fraction(9, 4)), 0)
-    assert (matrix.columns, matrix.scales) == (((9,),), (4,))
+    assert matrix == (((9,),), (4,))
     assert matrix_entry(matrix, 1, 1) == PhiPolynomial({1: Fraction(9, 4)})
     assert determinant_expand(matrix) == PhiPolynomial({1: Fraction(9, 4)})
 
@@ -215,11 +224,11 @@ def test_expansion_cut_at_top_keeps_the_lower_powers(n):
     # The route cuts the expansion through _powers: the first top powers of
     # the full run, whatever top it asks for.
     rng = random.Random(950 + n)
-    matrix = build_matrix(random_sequence(rng, n + 1), n)
-    full = list(determinant._powers(matrix, n + 1))
+    columns, scales = build_matrix(random_sequence(rng, n + 1), n)
+    full = list(determinant._powers(columns, scales, n + 1))
     assert [p for p, _, _ in full] == list(range(1, n + 2))
     for top in range(n + 2):
-        assert list(determinant._powers(matrix, top)) == full[:top]
+        assert list(determinant._powers(columns, scales, top)) == full[:top]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -255,7 +264,7 @@ def fraction_minor_expansion(psi, n):
     """Phi^p coefficients of the determinant by the leading-minor recurrence
     H_k = sum_i cell(i, k+1) * H_{i-1} on Fractions (column n+2 read as 1),
     each cell's c built straight from psi by the paper's formula, without
-    ``build_matrix`` or ``CompositionMatrix``."""
+    ``build_matrix``."""
 
     def cell(r, c):  # c of the entry c * Phi at row r, column c (c == 1 or c > r)
         if c == 1:
@@ -320,11 +329,11 @@ def assert_powers_match_one_scale(values, graded, tops=None):
     """``_powers`` on ``build_matrix``'s layout, prefix scales when ``graded``, yields
     the one-scale loop's triples at each top (default: every top from 0 to n+1)."""
     n = len(values) - 1
-    matrix = build_matrix(seq(*values), n)
-    assert (matrix.scales[0] != matrix.scales[-1]) is graded
+    columns, scales = build_matrix(seq(*values), n)
+    assert (scales[0] != scales[-1]) is graded
     reference = one_scale_powers(values, n, n + 1)
     for top in range(n + 2) if tops is None else tops:
-        assert list(determinant._powers(matrix, top)) == reference[:top]
+        assert list(determinant._powers(columns, scales, top)) == reference[:top]
 
 
 def _odd_wide(rng):
@@ -348,7 +357,7 @@ def test_prefix_scales_that_stop_growing_expand_as_one_scale(n):
         Fraction(0) if j % 3 == 0 else _odd_wide(rng) if j <= half and rng.random() < 0.7 else _small(rng)
         for j in range(1, n + 2)
     ]
-    scales = build_matrix(seq(*values), n).scales
+    _, scales = build_matrix(seq(*values), n)
     lifts = [high // low for low, high in zip(scales, scales[1:])]
     assert 1 in lifts and any(f > 2**60 for f in lifts)
     assert scales[-1] // scales[half - 1] < 2**10
@@ -359,7 +368,8 @@ def test_equal_wide_denominators_keep_one_wide_scale():
     b = 2**64 - 59
     rng = random.Random(4200)
     values = [Fraction(rng.randrange(-(2**63), 2**63), b) for _ in range(21)]
-    assert build_matrix(seq(*values), 20).scales == (b,) * 21
+    _, scales = build_matrix(seq(*values), 20)
+    assert scales == (b,) * 21
     assert_powers_match_one_scale(values, False)
 
 
@@ -402,7 +412,7 @@ def test_each_power_is_reduced_over_its_prefix_scale_on_wide_values(monkeypatch)
     rng = random.Random(30)
     psi = seq(*(_odd_wide(rng) for _ in range(30)))
     phi = seq(*(Fraction(k, 3) for k in range(1, 31)))
-    scales = build_matrix(psi, 29).scales
+    _, scales = build_matrix(psi, 29)
     assert scales[-1].bit_length() == 1778
     calls = _recorded_dens(monkeypatch, phi, psi, 30)
     previous = [1] + [scale for _, scale in calls[:-1]]
@@ -415,7 +425,8 @@ def test_each_power_is_reduced_over_its_prefix_scale_on_wide_values(monkeypatch)
 def test_each_power_is_reduced_over_d_on_check_style_values(monkeypatch):
     rng = random.Random(31)
     psi, phi = _random_sequence(rng, 30), _random_sequence(rng, 30)
-    (d,) = set(build_matrix(psi, 29).scales)
+    _, scales = build_matrix(psi, 29)
+    (d,) = set(scales)
     calls = _recorded_dens(monkeypatch, phi, psi, 30)
     assert calls
     previous = [1] + [scale for _, scale in calls[:-1]]

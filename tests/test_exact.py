@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from compderiv.composition import power_derivatives
@@ -177,8 +177,8 @@ def test_taylor_scaled_writes_d_k_over_k_factorial_over_one_denominator():
     )
     assert taylor_scaled([Fraction(-4), Fraction(0)], 1) == ([-8, 0], 2)
     assert taylor_scaled([Fraction(0), Fraction(0)], 1) == ([0, 0], 2)
-    # An order-0 jet has no derivatives to scale.
-    assert taylor_scaled([], 1) == ([], 1)
+    # An order-0 jet has no derivatives to scale, from any start.
+    assert taylor_scaled([], 0) == taylor_scaled([], 1) == taylor_scaled([], 5) == ([], 1)
     rng = random.Random(34)
     for start in (0, 1, 5):
         for size in range(1, 12):
@@ -204,9 +204,14 @@ def test_convolve_truncates_and_pads():
     assert convolve([1, 2], [3], 0) == []
 
 
-@given(st.lists(rationals, max_size=12), st.integers(1, 5))
+@given(st.lists(rationals, max_size=12), st.integers(0, 5))
+@example(values=[], start=0)
+@example(values=[], start=4)
 def test_scaled_is_exact_and_least(values, start):
     a, d = taylor_scaled(values, start)
+    if not values:
+        assert (a, d) == ([], 1)
+        return
     assert d >= 1 and all(isinstance(x, int) for x in a)
     last = start + len(values) - 1
     assert [Fraction(x, d) for x in a] == [v / math.factorial(k) for k, v in enumerate(values, start)]

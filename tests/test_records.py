@@ -1,7 +1,7 @@
-"""The immutable records: the five expression nodes, ``DerivativeSequence``,
-``CompositionMatrix`` and ``PhiPolynomial``.  Fields cannot be assigned,
-``repr`` has one text form, and ``pickle`` and ``copy`` rebuild equal values
-through the constructors."""
+"""The immutable records: the five expression nodes, ``DerivativeSequence``
+and ``PhiPolynomial``.  Fields cannot be assigned, ``repr`` has one text
+form, and ``pickle`` and ``copy`` rebuild equal values through the
+constructors."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import compderiv
-from compderiv import DerivativeSequence, PhiPolynomial, build_matrix, parse
+from compderiv import DerivativeSequence, PhiPolynomial, parse
 from compderiv.symbolic import Add, Constant, Mul, Pow, Variable
 
 X = Variable("x")
@@ -34,7 +34,6 @@ RECORDS = [
     Mul(X, X),
     Pow(X, 2),
     SEQUENCE,
-    build_matrix(SEQUENCE, 2),
     POLYNOMIAL,
 ]
 
@@ -61,9 +60,6 @@ def test_repr_text():
         "DerivativeSequence(derivs=(Fraction(1, 1), Fraction(1, 2), Fraction(-3, 1)), "
         "base=Fraction(2, 1))"
     )
-    assert repr(build_matrix(SEQUENCE, 2)) == (
-        "CompositionMatrix(columns=((2,), (2, 2), (-6, 1, 2)), scales=(2, 2, 2))"
-    )
 
 
 def test_phi_polynomial_repr_reads_back():
@@ -89,8 +85,6 @@ def test_nodes_survive_pickle_and_copy(round_trip):
 def test_records_survive_pickle_and_copy(round_trip):
     again = round_trip(SEQUENCE)
     assert again == SEQUENCE and hash(again) == hash(SEQUENCE)
-    matrix = build_matrix(SEQUENCE, 2)
-    assert round_trip(matrix) == matrix
     again = round_trip(POLYNOMIAL)
     assert again == POLYNOMIAL and hash(again) == hash(POLYNOMIAL)
 
